@@ -46,6 +46,7 @@ from .lattice import (
     line_twist_isometry,
     minus_identity,
     reflection,
+    _sign_canonical,
 )
 
 
@@ -180,15 +181,6 @@ def lifted_identity() -> LiftedGL2:
     return sigma_shift(0.0)
 
 
-def lifted_compose(g1: LiftedGL2, g2: LiftedGL2) -> LiftedGL2:
-    """Apply g1 first, then g2."""
-    return g1.compose(g2)
-
-
-def lifted_act(z: FrameVec, g: LiftedGL2) -> FrameVec:
-    return gl2_act(z, g.t_np())
-
-
 # ---------------------------------------------------------------------------
 # path factorization
 # ---------------------------------------------------------------------------
@@ -299,10 +291,7 @@ def wall_crossings(frame_at, t0: float, t1: float,
             worklist.append((delta, d))
         else:
             # one wall per image in L(v); canonical sign, zero v-component
-            _, _, lam = split.root_data(delta)
-            first = next((c for c in lam if c != 0), 0)
-            if first < 0:
-                lam = tuple(-c for c in lam)
+            lam = _sign_canonical(split.root_data(delta)[2])
             if lam in seen_c:
                 continue
             seen_c.add(lam)

@@ -3,15 +3,13 @@
 Subcommands: lattice | roots | walls | cusps | geodesic | factor |
 threshold | degenerate | beta-search.  A JSON config file supplies
 defaults; explicit flags win.  Exit codes: 0 ok, 1 verification failure,
-2 bad input.  MUKAI_KIT_THREADS caps worker parallelism (compute kernels
-are sequential in this implementation, so any cap is honored).
+2 bad input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -419,9 +417,6 @@ def main(argv: list[str] | None = None) -> int:
         if key in ("command", "config") or val is None:
             continue
         cfg[key] = val
-    threads = os.environ.get("MUKAI_KIT_THREADS")
-    if threads:
-        cfg.setdefault("threads", int(threads))
     try:
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:

@@ -16,6 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+from .errors import InvariantError
 from .lattice import (
     IntegerLattice,
     Isometry,
@@ -28,17 +29,8 @@ from .lattice import (
     quotient_lattice,
     reflection,
     roots_in_box,
+    _sign_canonical,
 )
-
-
-def _sign_canonical(coords: tuple[int, ...]) -> tuple[int, ...]:
-    """One representative per {v, -v}: first non-zero coordinate positive."""
-    for c in coords:
-        if c > 0:
-            return coords
-        if c < 0:
-            return tuple(-x for x in coords)
-    return coords
 
 
 def enumerate_isotropic(lat: IntegerLattice, height: int) -> list[LatVec]:
@@ -189,7 +181,8 @@ def orbit_partition(vectors: list[LatVec], generators: list[Isometry],
             img = _sign_canonical(tuple(
                 sum(mat[i][j] * state[j] for j in range(n)) for i in range(n)))
             # divisibility is an isometry invariant; check on every edge
-            assert div_state(img) == div_state(state)
+            if div_state(img) != div_state(state):
+                raise InvariantError("generator changed a divisibility")
             union(state, img)
             if img in depth_seen:
                 continue
@@ -282,8 +275,9 @@ def _census(lat: IntegerLattice, vectors: list[LatVec],
             # isometry invariants must agree along the whole orbit
             for member in orbit:
                 lm = quotient_lattice(member)
-                assert tuple(discriminant_group(lm)) == disc
-                assert abs(lm.det) == abs(lv.det)
+                if (tuple(discriminant_group(lm)) != disc
+                        or abs(lm.det) != abs(lv.det)):
+                    raise InvariantError("L(v) invariants differ in an orbit")
             records.append(CuspRecord(
                 rep=rep,
                 div=divisibility(rep),

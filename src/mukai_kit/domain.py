@@ -44,6 +44,7 @@ from .lattice import (
     Isometry,
     LatVec,
     standard_to_hyperbolic,
+    _sign_canonical,
 )
 from .shortvec import short_vectors
 
@@ -495,14 +496,6 @@ def wall_membership(p: PeriodPoint, delta: LatVec, v: LatVec,
 
 # -- boxes and exact wall tests -------------------------------------------------
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x).limit_denominator(10**12)
-
-
 @dataclass(frozen=True)
 class TubeBox:
     """Product box in chart coordinates: a in [a_lo, a_hi], b in [b_lo, b_hi].
@@ -520,10 +513,10 @@ class TubeBox:
     @staticmethod
     def make(split: HyperbolicSplit, a_lo, a_hi, b_lo, b_hi) -> "TubeBox":
         box = TubeBox(split,
-                      tuple(_frac(x) for x in a_lo),
-                      tuple(_frac(x) for x in a_hi),
-                      tuple(_frac(x) for x in b_lo),
-                      tuple(_frac(x) for x in b_hi))
+                      tuple(Fraction(x) for x in a_lo),
+                      tuple(Fraction(x) for x in a_hi),
+                      tuple(Fraction(x) for x in b_lo),
+                      tuple(Fraction(x) for x in b_hi))
         rho = split.rho
         if (len(box.a_lo), len(box.a_hi), len(box.b_lo), len(box.b_hi)) != \
                 (rho, rho, rho, rho):
@@ -793,21 +786,12 @@ def enumerate_walls_region(split: HyperbolicSplit, box: TubeBox,
             if wall_meets_box(split, box, delta, "D"):
                 walls[("D", delta.coords)] = Wall("D", delta, split.v)
         elif d2 == 0:
-            lam_c = _sign_first_positive(lam)
+            lam_c = _sign_canonical(lam)
             rep = split.root_from_data(0, 0, lam_c)
             if ("C", rep.coords) not in walls and \
                     wall_meets_box(split, box, rep, "C"):
                 walls[("C", rep.coords)] = Wall("C", rep, split.v)
     return sorted(walls.values(), key=lambda w: w.sort_key())
-
-
-def _sign_first_positive(coords):
-    for c in coords:
-        if c > 0:
-            return tuple(coords)
-        if c < 0:
-            return tuple(-x for x in coords)
-    return tuple(coords)
 
 
 def enumerate_walls_bruteforce(split: HyperbolicSplit, box: TubeBox,

@@ -5,6 +5,10 @@ class MukaiKitError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvariantError(MukaiKitError):
+    """Internal invariant failed: a bug, or an input outside the contract."""
+
+
 # -- lattice layer -----------------------------------------------------------
 
 class NonSymmetricError(MukaiKitError):

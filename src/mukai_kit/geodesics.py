@@ -9,11 +9,14 @@ For a tube point x + iy over v0 the hyperbolic plane spanned by (v0, -x)
 yields a one-parameter subgroup acting as x + iy -> x + i e^lambda y; these
 orbits are the linear degenerations into the cusp [v0], and they are
 geodesics.  An independent verification oracle integrates the geodesic ODE
-in chart coordinates with a finite-difference metric.
+in chart coordinates (a, b), where the Killing metric has the closed form
+rho (h + h), h the Hessian of the Kahler potential -log(b^T G_L b) of the
+type IV tube.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +24,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import (
+    DegenerateAtVError,
     DegeneratePlaneError,
     EmptyBoxError,
     NotInLieAlgebraError,
@@ -32,12 +36,10 @@ from .domain import (
     PeriodPoint,
     TubeBox,
     TubePoint,
-    exp_frame,
     exp_point,
     gram_np,
     log_tube,
     proj_distance,
-    theta,
     tube_point,
 )
 from .lattice import IntegerLattice
@@ -134,10 +136,11 @@ def cartan_project(x: LieElem, plane: PlaneFrame
     return k, m
 
 
-def _m_basis_raw(lat: IntegerLattice, s: np.ndarray,
-                 tol: float = 1e-9) -> list[np.ndarray]:
+def m_basis(lat: IntegerLattice, plane: PlaneFrame,
+            tol: float = 1e-9) -> list[LieElem]:
+    """B-orthonormal basis of m_P (dimension 2 rho)."""
+    s = 2.0 * plane.projector() - np.eye(lat.rank)
     rho = lat.rank - 2
-    coeff = float(rho)
     basis: list[np.ndarray] = []
     for x in so_basis(lat):
         m = 0.5 * (x.matrix - s @ x.matrix @ s)
@@ -145,20 +148,13 @@ def _m_basis_raw(lat: IntegerLattice, s: np.ndarray,
             continue
         w = m.copy()
         for b in basis:
-            w -= coeff * np.trace(w @ b) * b
-        nrm2 = coeff * np.trace(w @ w)
+            w -= rho * np.trace(w @ b) * b
+        nrm2 = rho * np.trace(w @ w)
         if nrm2 > tol:
             basis.append(w / math.sqrt(nrm2))
         if len(basis) == 2 * rho:
             break
-    return basis
-
-
-def m_basis(lat: IntegerLattice, plane: PlaneFrame,
-            tol: float = 1e-9) -> list[LieElem]:
-    """B-orthonormal basis of m_P (dimension 2 rho)."""
-    s = 2.0 * plane.projector() - np.eye(lat.rank)
-    return [LieElem(lat, b) for b in _m_basis_raw(lat, s, tol)]
+    return [LieElem(lat, b) for b in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -199,79 +195,48 @@ def geodesic_point(pt: TubePoint, t: float) -> PeriodPoint:
 # chart metric and speed
 # ---------------------------------------------------------------------------
 
-def _chart_fast(split: HyperbolicSplit, z: np.ndarray) -> np.ndarray:
-    """Chart coordinates of theta([z]) without dataclass overhead."""
-    g = gram_np(split.lattice)
-    u = z.real
-    w = z.imag
-    e1 = u / math.sqrt(float(u @ g @ u))
-    w1 = w - float(w @ g @ e1) * e1
-    e2 = w1 / math.sqrt(float(w1 @ g @ w1))
-    zz = e1 + 1j * e2
-    vv = split.v_np()
-    zz = -zz / complex(zz @ g @ vv)
-    xr, yr = zz.real, zz.imag
-    x = xr + 0.5 * float(xr @ g @ xr) * vv
-    y = yr + float(yr @ g @ x) * vv
-    r = split.comp_np()
-    gli = split._gram_L_inv
-    return np.concatenate([gli @ (r.T @ g @ x), gli @ (r.T @ g @ y)])
+def _tube_hessian(gl: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hessian of -log Q at b: -2 G_L/Q + 4 u u^T/Q^2, u = G_L b, Q = b.u."""
+    u = gl @ b
+    q = float(b @ u)
+    return -2.0 * gl / q + 4.0 * np.outer(u, u) / (q * q)
 
 
-def chart_metric(split: HyperbolicSplit, pt: TubePoint,
-                 eps: float = 1e-6) -> np.ndarray:
+def _tube_hessian_grad(gl: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """dh[k, i, j] = d h_ij / d b_k, fully symmetric in (k, i, j)."""
+    u = gl @ b
+    q = float(b @ u)
+    gu = gl * u[:, None, None]  # gu[k, i, j] = G_ij u_k
+    sym = gu + gu.transpose(1, 0, 2) + gu.transpose(2, 1, 0)
+    uuu = np.multiply.outer(np.outer(u, u), u)
+    return 4.0 * sym / q**2 - 16.0 * uuu / q**3
+
+
+def chart_metric(split: HyperbolicSplit, pt: TubePoint) -> np.ndarray:
     """Killing metric in the chart coordinates (a, b) at the given point.
 
-    Builds a B-orthonormal basis of m_P and its pushforward to the chart by
-    symmetric differences; the metric is the inverse Gram of that frame.
+    The tube is the type IV domain with Kahler potential -log(b^T G_L b);
+    the Killing metric is rho (h + h) on (a, b), h the potential's Hessian.
     """
-    lat = split.lattice
-    g = gram_np(lat)
-    zf = exp_frame(pt).z
-    b2 = np.stack([zf.real, zf.imag], axis=1)
-    pi = b2 @ np.linalg.solve(b2.T @ g @ b2, b2.T @ g)
-    s = 2.0 * pi - np.eye(lat.rank)
-    basis = _m_basis_raw(lat, s)
-    dim = 2 * split.rho
-    if len(basis) != dim:
-        raise DegeneratePlaneError("m_P basis has unexpected dimension")
-    n = lat.rank
-    eye = np.eye(n)
-    cols = []
-    for m in basis:
-        m2 = 0.5 * eps * eps * (m @ m)
-        gp = eye + eps * m + m2
-        gm = eye - eps * m + m2
-        cp = _chart_fast(split, gp @ zf)
-        cm = _chart_fast(split, gm @ zf)
-        cols.append((cp - cm) / (2.0 * eps))
-    d = np.stack(cols, axis=1)  # chart directions of the orthonormal basis
-    dinv = np.linalg.inv(d)
-    return dinv.T @ dinv  # metric: |q|^2 = |D^{-1} q|^2
+    _, b = pt.chart()
+    return split.rho * np.kron(np.eye(2), _tube_hessian(split.gram_L_np(), b))
 
 
-def speed(pt: TubePoint, t: float, h: float = 1e-5) -> float:
-    """Killing norm of the m_P-velocity of s -> exp_v(x + i e^s y) at s = t.
+def speed(pt: TubePoint, t: float) -> float:
+    """Killing norm of the velocity of s -> exp_v(x + i e^s y) at s = t.
 
-    The chart velocity is measured by Richardson-refined central differences
-    and paired with the chart metric at the evaluated point.
+    In the chart the path is s -> (a0, e^s b0), with velocity (0, e^t b0).
     """
     sp = pt.split
     a0, b0 = pt.chart()
-
-    def chart_at(s: float) -> np.ndarray:
-        return np.concatenate([a0, math.exp(s) * b0])
-
-    d1 = (chart_at(t + h) - chart_at(t - h)) / (2 * h)
-    d2 = (chart_at(t + 2 * h) - chart_at(t - 2 * h)) / (4 * h)
-    vel = (4.0 * d1 - d2) / 3.0
-    here = tube_point(sp, a0, math.exp(t) * b0)
-    g = chart_metric(sp, here)
+    b = math.exp(t) * b0
+    vel = np.concatenate([np.zeros(sp.rho), b])
+    g = chart_metric(sp, tube_point(sp, a0, b))
     return math.sqrt(float(vel @ g @ vel))
 
 
 # ---------------------------------------------------------------------------
-# independent geodesic oracle (chart ODE with finite-difference Christoffels)
+# independent geodesic oracle (chart ODE with analytic Christoffels)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -291,50 +256,43 @@ def geodesic_oracle(pt: TubePoint, t_max: float, steps: int,
     """Integrate the geodesic ODE in the chart, independent of one_param.
 
     Explicit midpoint steps on q'' = -Gamma(q)(q', q') with Christoffel
-    symbols from central differences of the chart metric.  The initial
-    velocity is that of s -> x + i e^s y at s = 0, i.e. (0, y).  Energy
-    g(q')(q', q') is monitored; drift beyond ``drift_tol`` raises.
+    symbols from the exact derivative of the closed-form chart metric.  The
+    initial velocity is that of s -> x + i e^s y at s = 0, i.e. (0, y).  Energy
+    g(q')(q', q') is monitored; drift beyond ``drift_tol`` raises.  The
+    midpoint map keeps these geodesics on their ray and conserves the energy
+    exactly, so the local error estimate h |a2 - a1| / |q'| of each step is
+    held to ``drift_tol`` as well.
     """
     if steps < 100:
         raise ValueError("steps must be >= 100")
     sp = pt.split
     rho = sp.rho
-    dim = 2 * rho
     a0, b0 = pt.chart()
     q = np.concatenate([a0, b0])
     qdot = np.concatenate([np.zeros(rho), b0])
+    gl = sp.gram_L_np()
+    gl_inv = np.linalg.inv(gl)
 
-    hfd = 1e-4
-
-    def metric(qv: np.ndarray) -> np.ndarray:
-        return chart_metric(sp, tube_point(sp, qv[:rho], qv[rho:]))
+    def norm2(hb: np.ndarray, w: np.ndarray) -> float:
+        x = w.reshape(2, rho)  # rows: a- and b-part
+        return rho * float(np.sum((x @ hb) * x))
 
     def accel(qv: np.ndarray, vv: np.ndarray) -> np.ndarray:
-        g0 = metric(qv)
-        dg = np.zeros((dim, dim, dim))
-        for k in range(dim):
-            e = np.zeros(dim)
-            e[k] = hfd
-            dg[k] = (metric(qv + e) - metric(qv - e)) / (2 * hfd)
-        # Gamma^a_{bc} = 1/2 g^{ad} (dg[b][d,c] + dg[c][d,b] - dg[d][b,c])
-        ginv = np.linalg.inv(g0)
-        rhs = np.zeros(dim)
-        for a in range(dim):
-            s = 0.0
-            for b in range(dim):
-                for c in range(dim):
-                    gam = 0.0
-                    for d in range(dim):
-                        gam += ginv[a, d] * (dg[b][d, c] + dg[c][d, b]
-                                             - dg[d][b, c])
-                    s += 0.5 * gam * vv[b] * vv[c]
-            rhs[a] = -s
-        return rhs
+        # g = rho (h + h) depends on b alone; with T(x, y) = dh(x, ., y)
+        # the geodesic equation reads
+        #   a'' = -h^{-1} T(b', a'),  b'' = -h^{-1} (T(b', b') - T(a', a')) / 2
+        b = qv[rho:]
+        x = vv.reshape(2, rho)
+        t = np.einsum("kij,pk,qj->pqi", _tube_hessian_grad(gl, b), x, x)
+        f = np.stack([2.0 * t[1, 0], t[1, 1] - t[0, 0]])
+        # Sherman-Morrison on h = -2 G_L/Q + 4 u u^T/Q^2
+        h_inv = np.outer(b, b) - 0.5 * float(b @ gl @ b) * gl_inv
+        return -0.5 * (f @ h_inv).ravel()
 
     h = t_max / steps if steps else 0.0
     ts = [0.0]
     samples = [q.copy()]
-    e0 = float(qdot @ metric(q) @ qdot)
+    e0 = norm2(_tube_hessian(gl, b0), qdot)
     max_drift = 0.0
     for k in range(steps):
         if h == 0.0:
@@ -347,11 +305,16 @@ def geodesic_oracle(pt: TubePoint, t_max: float, steps: int,
         qdot = qdot + h * a2
         ts.append((k + 1) * h)
         samples.append(q.copy())
-        e = float(qdot @ metric(q) @ qdot)
+        hb = _tube_hessian(gl, q[rho:])
+        e = norm2(hb, qdot)
         max_drift = max(max_drift, abs(e - e0) / e0)
         if max_drift > drift_tol:
             raise StepTooLargeError(
                 f"energy drift {max_drift:.2e} after step {k + 1}")
+        local = h * math.sqrt(norm2(hb, a2 - a1) / e)
+        if local > drift_tol:
+            raise StepTooLargeError(
+                f"local error {local:.2e} at step {k + 1}")
     return OracleResult(np.array(ts), np.stack(samples), max_drift)
 
 
@@ -426,8 +389,7 @@ def looijenga_member(p: PeriodPoint, split: HyperbolicSplit, box: TubeBox,
     def cone_test(bvec: np.ndarray) -> bool:
         axes = [np.linspace(float(l), float(h), cone_grid)
                 for l, h in zip(box.b_lo, box.b_hi)]
-        import itertools as it
-        for kpt in it.product(*axes):
+        for kpt in itertools.product(*axes):
             w = bvec - np.array(kpt)
             if float(w @ gl @ w) > 0 and float(w @ gl @ ref) > 0:
                 return True
@@ -455,7 +417,7 @@ def looijenga_member(p: PeriodPoint, split: HyperbolicSplit, box: TubeBox,
     for q in candidates:
         try:
             pt = log_tube(q, sp)
-        except Exception:
+        except DegenerateAtVError:
             continue
         _, b = pt.chart()
         if cone_test(np.asarray(b)):

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import InvariantError
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
@@ -311,7 +313,8 @@ def complete_primitive(col: list[int]) -> list[list[int]]:
     if t[0][0] == -1:
         for i in range(n):
             u[i][0] = -u[i][0]
-    assert [u[i][0] for i in range(n)] == list(col)
+    if [u[i][0] for i in range(n)] != list(col):
+        raise InvariantError("completion does not start with the column")
     return u
 
 

@@ -23,6 +23,7 @@ from functools import cached_property
 from . import intlinalg as ila
 from .errors import (
     DegenerateError,
+    InvariantError,
     LatticeMismatchError,
     NonSymmetricError,
     NotARootError,
@@ -334,6 +335,16 @@ def mukai_vector(lat: IntegerLattice, r: int, c1, c2: int) -> LatVec:
 # primitivity, divisibility, roots, reflections
 # ---------------------------------------------------------------------------
 
+def _sign_canonical(coords: tuple[int, ...]) -> tuple[int, ...]:
+    """One representative per {v, -v}: first non-zero coordinate positive."""
+    for c in coords:
+        if c > 0:
+            return coords
+        if c < 0:
+            return tuple(-x for x in coords)
+    return coords
+
+
 def is_primitive(v: LatVec) -> bool:
     if v.is_zero():
         raise ZeroVectorError("primitivity of 0 undefined")
@@ -530,7 +541,8 @@ def standard_to_hyperbolic(v: LatVec):
     if wsq % 2 != 0:
         raise OddSquareError("lattice is not even")
     f = w + v.scale(wsq // 2)
-    assert f.norm2 == 0 and v.dot(f) == -1
+    if f.norm2 != 0 or v.dot(f) != -1:
+        raise InvariantError("hyperbolic partner needs f^2 = 0, v.f = -1")
     rows = [v.gram_image(), f.gram_image()]
     comp = ila.integer_kernel(rows)
     return v, f, comp

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .lattice import _sign_canonical
+
 
 def _ldl(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """q = L D L^T with unit lower-triangular L, positive diagonal D."""
@@ -70,10 +72,4 @@ def short_vectors(q: np.ndarray, bound: float,
         x[k] = 0
 
     descend(n - 1, float(bound))
-    canon = set()
-    for v in out:
-        first = next((c for c in v if c != 0), 0)
-        canon.add(v if first >= 0 else tuple(-c for c in v))
-    if include_zero and tuple([0] * n) in set(out):
-        canon.add(tuple([0] * n))
-    return sorted(canon)
+    return sorted({_sign_canonical(v) for v in out})

@@ -74,13 +74,13 @@ def test_phase_convention():
 
 def test_sigma_shift_algebra():
     s1 = ch.sigma_shift(1.0)
-    s2 = ch.lifted_compose(s1, s1)
+    s2 = s1.compose(s1)
     assert np.allclose(s2.t_np(), np.eye(2))
     assert s2.phi0 == pytest.approx(2.0)
     assert s2.winding == 1
     s0 = ch.sigma_shift(0.0)
     assert np.allclose(s0.t_np(), np.eye(2)) and s0.phi0 == 0.0
-    comp = ch.lifted_compose(ch.sigma_shift(0.25), ch.sigma_shift(0.5))
+    comp = ch.sigma_shift(0.25).compose(ch.sigma_shift(0.5))
     assert comp.phi0 == pytest.approx(0.75)
 
 
@@ -113,7 +113,8 @@ def test_phase_shift_on_charges(rank3):
         zc = ch.central_charge(z, v)
         if abs(zc) < 1e-9:
             continue
-        shifted = ch.central_charge(ch.lifted_act(z, ch.sigma_shift(lam)), v)
+        shifted = ch.central_charge(
+            dm.gl2_act(z, ch.sigma_shift(lam).t_np()), v)
         assert abs(shifted - zc * np.exp(1j * math.pi * lam)) < 1e-9 * abs(zc)
         assert ch.phase(shifted) == pytest.approx(
             (ch.phase(zc) + lam) % 2.0, abs=1e-9)
@@ -123,7 +124,7 @@ def test_theta_invariance_under_lift(rank3):
     lat, sp = rank3
     fr = dm.exp_frame(dm.tube_point(sp, [0.1], [1.2]))
     g = ch.sigma_shift(0.37)
-    assert dm.proj_distance(dm.theta(ch.lifted_act(fr, g)),
+    assert dm.proj_distance(dm.theta(dm.gl2_act(fr, g.t_np())),
                             dm.theta(fr)) < 1e-10
 
 

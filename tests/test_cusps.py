@@ -4,6 +4,7 @@ import pytest
 
 import mukai_kit as mk
 from mukai_kit import cusps
+from mukai_kit.errors import InvariantError
 
 
 def test_enumerate_isotropic_U():
@@ -58,6 +59,20 @@ def test_orbit_partition_no_generators():
     vecs = cusps.enumerate_isotropic(lat, 2)
     res = cusps.orbit_partition(vecs, [], 3)
     assert len(res.orbits) == len(vecs)
+
+
+def test_orbit_partition_rejects_non_isometry():
+    # x -> 2x doubles the divisibility, which no isometry can do
+    class Doubling:
+        matrix = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+
+        def inverse(self):
+            return self
+
+    lat = mk.preset("mukai_rank1(1)")
+    vecs = cusps.enumerate_isotropic(lat, 2)
+    with pytest.raises(InvariantError):
+        cusps.orbit_partition(vecs, [Doubling()], 1)
 
 
 def test_orbit_partition_merges_and_closure():

@@ -264,6 +264,13 @@ def test_box_validation(rank4):
         dm.TubeBox.make(sp, [0, 0], [-1, 0], [0, 2], [0, 3])  # empty
 
 
+def test_box_endpoints_exact(rank3):
+    lat, sp = rank3
+    box = dm.TubeBox.make(sp, [0.1], ["1/2"], [1], [F(2)])
+    assert box.a_lo == (F(0.1),) and box.a_lo != (F(1, 10),)
+    assert (box.a_hi, box.b_lo, box.b_hi) == ((F(1, 2),), (F(1),), (F(2),))
+
+
 # -- region predicates ----------------------------------------------------------------
 
 def test_in_P0(rank3):

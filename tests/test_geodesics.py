@@ -20,6 +20,12 @@ def rank4():
     return lat, dm.split_at(lat.vector([0, 0, 0, 1]))
 
 
+@pytest.fixture(scope="module")
+def rank5():
+    lat = mk.mukai_lattice([[2, 1, 0], [1, -2, 0], [0, 0, -4]], "rank5")
+    return lat, dm.split_at(lat.vector([0, 0, 0, 0, 1]))
+
+
 def sample_points(split, rng, n, spread=1.5):
     rho = split.rho
     gl = split.gram_L_np()
@@ -164,6 +170,73 @@ def test_geodesic_point_scaling(rank3):
     assert dm.proj_distance(p0, dm.exp_point(pt)) < 1e-12
     pt_t = dm.log_tube(gd.geodesic_point(pt, 1.0), sp)
     assert abs(pt_t.y_norm2() - math.exp(2.0) * pt.y_norm2()) < 1e-6
+
+
+# -- closed-form chart metric ----------------------------------------------------
+
+def _chart_of_frame(split, z):
+    """Chart coordinates (a, b) of theta([z])."""
+    p = dm.theta(dm.FrameVec(split.lattice, z))
+    return np.concatenate(dm.log_tube(p, split).chart())
+
+
+def reference_chart_metric(split, pt, eps=1e-6):
+    """Killing metric from the Lie algebra: a B-orthonormal basis of m_P,
+    pushed to the chart by symmetric differences of exp(+-eps m); the metric
+    is the inverse Gram of that chart frame."""
+    lat = split.lattice
+    z = dm.exp_frame(pt).z
+    basis = gd.m_basis(lat, gd.PlaneFrame.from_frame(dm.FrameVec(lat, z)))
+    assert len(basis) == 2 * split.rho
+    eye = np.eye(lat.rank)
+    cols = []
+    for x in basis:
+        m = x.matrix
+        m2 = 0.5 * eps * eps * (m @ m)
+        cols.append((_chart_of_frame(split, (eye + eps * m + m2) @ z)
+                     - _chart_of_frame(split, (eye - eps * m + m2) @ z))
+                    / (2.0 * eps))
+    dinv = np.linalg.inv(np.stack(cols, axis=1))
+    return dinv.T @ dinv
+
+
+def test_chart_metric_matches_lie_reference(rank3, rank4, rank5):
+    for lat, sp in (rank3, rank4, rank5):
+        rng = np.random.default_rng(11)
+        for pt in sample_points(sp, rng, 10):
+            g = gd.chart_metric(sp, pt)
+            ref = reference_chart_metric(sp, pt)
+            assert np.max(np.abs(g - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+
+def test_metric_derivative_matches_central_differences(rank3, rank4, rank5):
+    for lat, sp in (rank3, rank4, rank5):
+        rho = sp.rho
+        gl = sp.gram_L_np()
+        rng = np.random.default_rng(12)
+        for pt in sample_points(sp, rng, 5):
+            a, b = pt.chart()
+            dh = gd._tube_hessian_grad(gl, b)
+            assert np.allclose(dh, dh.transpose(1, 0, 2), rtol=0, atol=1e-12)
+            assert np.allclose(dh, dh.transpose(2, 1, 0), rtol=0, atol=1e-12)
+            step = 1e-5
+            for k in range(rho):
+                e = step * np.eye(rho)[k]
+                fd = (gd.chart_metric(sp, dm.tube_point(sp, a, b + e))
+                      - gd.chart_metric(sp, dm.tube_point(sp, a, b - e))
+                      ) / (2 * step)
+                exact = rho * np.kron(np.eye(2), dh[k])
+                assert np.max(np.abs(fd - exact)) <= \
+                    1e-7 * max(1.0, np.max(np.abs(exact)))
+
+
+def test_speed_is_sqrt_two_rho(rank3, rank4, rank5):
+    # h is homogeneous of degree -2, so h(b)(b, b) = 2 at every b
+    for lat, sp in (rank3, rank4, rank5):
+        rng = np.random.default_rng(13)
+        for pt in sample_points(sp, rng, 5):
+            for t in (-1.5, 0.0, 2.0):
+                assert abs(gd.speed(pt, t) - math.sqrt(2 * sp.rho)) < 1e-12
 
 
 # -- speed ---------------------------------------------------------------------------
