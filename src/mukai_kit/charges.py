@@ -45,7 +45,11 @@ from .lattice import (
     LatVec,
     line_twist_isometry,
     minus_identity,
+    ns_block,
+    ns_pair,
     reflection,
+    roots_in_box,
+    _int_dtype,
     _sign_canonical,
 )
 
@@ -61,7 +65,7 @@ def exp_class(lat: IntegerLattice, beta, omega) -> FrameVec:
     k = lat.ns_rank
     beta = np.asarray(beta, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    ns = np.array([row[1:-1] for row in lat.gram_rows()[1:-1]], dtype=float)
+    ns = np.array(ns_block(lat), dtype=float)
     om2 = float(omega @ ns @ omega)
     if om2 <= 0:
         raise NonPositiveOmegaError("omega^2 <= 0")
@@ -92,12 +96,7 @@ def heart_phase(zval: complex) -> float:
 
 def mu_slope(v: LatVec, h) -> Fraction:
     """Numeric slope mu_h(v) = h.c1 / r of a Mukai vector (plumbing)."""
-    lat = v.lattice
-    ns = [row[1:-1] for row in lat.gram_rows()[1:-1]]
-    h = [int(x) for x in h]
-    c1 = list(v.ns_part)
-    hc = sum(h[i] * ns[i][j] * c1[j]
-             for i in range(len(h)) for j in range(len(h)))
+    hc = ns_pair(v.lattice, [int(x) for x in h], v.ns_part)
     if v.r == 0:
         raise NonPositiveRankError("slope needs r != 0")
     return Fraction(hc, v.r)
@@ -348,12 +347,6 @@ def wall_crossings(frame_at, t0: float, t1: float,
 # large-volume threshold (exact rational)
 # ---------------------------------------------------------------------------
 
-def _ns_pair(lat: IntegerLattice, a, b) -> int:
-    ns = [row[1:-1] for row in lat.gram_rows()[1:-1]]
-    return sum(a[i] * ns[i][j] * b[j]
-               for i in range(len(a)) for j in range(len(a)))
-
-
 def charge_on_ray(lat: IntegerLattice, v: LatVec, h, n: Fraction
                   ) -> tuple[Fraction, Fraction]:
     """(Re, Im) of the charge of v at Exp(0 + i n h), exact in n.
@@ -361,8 +354,8 @@ def charge_on_ray(lat: IntegerLattice, v: LatVec, h, n: Fraction
     Re = n^2 h^2 r / 2 - s, Im = n (h.c1).
     """
     h = [int(x) for x in h]
-    h2 = _ns_pair(lat, h, h)
-    hc = _ns_pair(lat, h, list(v.ns_part))
+    h2 = ns_pair(lat, h, h)
+    hc = ns_pair(lat, h, list(v.ns_part))
     n = Fraction(n)
     return (Fraction(n * n * h2 * v.r, 2) - v.s, n * hc)
 
@@ -399,8 +392,8 @@ def large_volume_threshold(vE: LatVec, candidates: list[LatVec], h
     if vE.r <= 0:
         raise NonPositiveRankError("r(E) must be > 0")
     h = [int(x) for x in h]
-    h2 = _ns_pair(lat, h, h)
-    hcE = _ns_pair(lat, h, list(vE.ns_part))
+    h2 = ns_pair(lat, h, h)
+    hcE = ns_pair(lat, h, list(vE.ns_part))
     muE = Fraction(hcE, vE.r)
     if muE <= 0:
         raise NonPositiveSlopeError("mu(E) must be > 0")
@@ -410,7 +403,7 @@ def large_volume_threshold(vE: LatVec, candidates: list[LatVec], h
     for vA in candidates:
         if vA.r <= 0:
             raise NonPositiveRankError("candidates need r > 0")
-        muA = Fraction(_ns_pair(lat, h, list(vA.ns_part)), vA.r)
+        muA = Fraction(ns_pair(lat, h, list(vA.ns_part)), vA.r)
         nuA = Fraction(vA.s, vA.r)
         if muA == muE:
             certs.append(ThresholdCertificate(vA, "equal_slope", 1, None))
@@ -494,63 +487,90 @@ def boundary_beta_search(lat: IntegerLattice, c_root: LatVec, k: int,
     eta must satisfy eta.C = 0, eta^2 > 2 and eta.l != 0 for every NS-root
     l != +-C in the candidate set.
     """
-    from .lattice import roots_in_box
     if not lat.mukai:
         raise ValueError("beta search needs an (r, NS, s)-form lattice")
     kns = lat.ns_rank
     eta = [Fraction(x) for x in eta]
-    ns = [row[1:-1] for row in lat.gram_rows()[1:-1]]
-
-    def nsp(a, b):
-        return sum(a[i] * ns[i][j] * b[j]
-                   for i in range(kns) for j in range(kns))
-
-    c_ns = [Fraction(x) for x in c_root.ns_part]
+    if len(eta) != kns:
+        raise ValueError("eta must be an NS-vector")
+    c_ns = list(c_root.ns_part)
     if c_root.r != 0 or c_root.s != 0:
         raise NotARootError("C must be an NS-class (0, C, 0)")
-    if nsp(c_ns, c_ns) != -2:
+    if ns_pair(lat, c_ns, c_ns) != -2:
         raise NotARootError("C^2 != -2")
-    eta2 = nsp(eta, eta)
-    if eta2 <= 2:
+    if ns_pair(lat, eta, eta) <= 2:
         raise NonPositiveOmegaError("eta^2 must exceed 2")
-    if nsp(eta, c_ns) != 0:
+    if ns_pair(lat, eta, c_ns) != 0:
         raise ValueError("eta must lie on the facet eta.C = 0")
 
-    roots = [r.vec for r in roots_in_box(lat, coord_bound)]
+    roots = roots_in_box(lat, coord_bound)
 
-    # base point: beta0 = t C with beta0.C = -(k + 1/2), i.e. t = (k + 1/2)/2
-    base = [Fraction(k * 2 + 1, 4) * c for c in c_ns]
-
-    def check(beta) -> bool:
-        bC = nsp(beta, c_ns)
-        if not (Fraction(-1) < bC + k < Fraction(0)):
-            return False
-        b_eta = nsp(beta, eta)
-        for delta in roots:
-            r, s = delta.r, delta.s
-            l = [Fraction(x) for x in delta.ns_part]
-            # z.delta at z = (1, beta + i eta, (beta + i eta)^2 / 2)
-            im = nsp(l, eta) - r * b_eta
-            re = (nsp(l, beta) - r * Fraction(nsp(beta, beta) - eta2, 2) - s)
-            if im == 0:
-                if re == 0:
-                    return False            # condition (1)
-                if r > 0 and re < 0:
-                    return False            # condition (2): R_{<=0}
-                # r = 0 roots off the facet must have im != 0
-                if r == 0 and l != c_ns and l != [-x for x in c_ns]:
-                    raise ValueError("eta is not generic on the facet")
-        return True
-
+    # base point: beta0 = t C with beta0.C = -(k + 1/2), i.e. t = (k + 1/2)/2;
     # perturb along eta to dodge the finitely many equalities
-    for num in range(0, denominator):
-        for sign in (1, -1):
-            eps = Fraction(sign * num, denominator * 4)
-            beta = [base[i] + eps * eta[i] for i in range(kns)]
-            if check(beta):
-                return BetaCertificate(tuple(beta),
-                                       nsp(beta, c_ns) + k, len(roots))
-    raise NoSolutionInBoundError("no beta found; enlarge the search box")
+    base = [Fraction(k * 2 + 1, 4) * c for c in c_ns]
+    betas = [[base[i] + Fraction(sign * num, denominator * 4) * eta[i]
+              for i in range(kns)]
+             for num in range(denominator) for sign in (1, -1)]
+    found = _first_clear_beta(lat, roots, c_ns, k, eta, betas)
+    if found is None:
+        raise NoSolutionInBoundError("no beta found; enlarge the search box")
+    beta = betas[found]
+    return BetaCertificate(tuple(beta), ns_pair(lat, beta, c_ns) + k,
+                           len(roots))
+
+
+def _first_clear_beta(lat: IntegerLattice, roots, c_ns, k: int, eta,
+                      betas) -> int | None:
+    """Index of the first beta meeting conditions (1)-(3) on the roots.
+
+    None when no beta does.  At each beta the first root, in root order,
+    that breaks (1) or (2) or is an r = 0 root other than +-C with
+    Im z.delta = 0 decides: the former rejects the beta, the latter raises
+    ValueError (eta is not generic on the facet).
+
+    All betas and eta are integer vectors B, H over one scale S, so each
+    beta is tested on every root at once with integer arrays holding
+    S^2 Im z.delta and 2 S^2 Re z.delta.
+    """
+    kns = len(c_ns)
+    scale = math.lcm(*(x.denominator for x in eta),
+                     *(x.denominator for beta in betas
+                       for x in beta))
+    hs = [int(x * scale) for x in eta]
+    bss = [[int(x * scale) for x in beta] for beta in betas]
+    hm = max(map(abs, hs))
+    bm = max(abs(x) for bs in bss for x in bs)
+    ns = ns_block(lat)
+    cb = max((max(map(abs, r.vec.coords)) for r in roots), default=0)
+    dtype = _int_dtype(
+        cb * sum(abs(x) for row in ns for x in row)
+        * (scale * hm + bm * hm + 2 * scale * bm + bm * bm + hm * hm)
+        + 2 * scale * scale * cb)
+    coords = np.array([r.vec.coords for r in roots],
+                      dtype=dtype).reshape(len(roots), kns + 2)
+    r, s, ls = coords[:, 0], coords[:, -1], coords[:, 1:-1]
+    l_ns = ls @ np.array(ns, dtype=dtype).reshape(kns, kns)
+    l_eta = l_ns @ np.array(hs, dtype=dtype)
+    on_c = (np.all(ls == c_ns, axis=1)
+            | np.all(ls == [-x for x in c_ns], axis=1))
+    hh = ns_pair(lat, hs, hs)
+    for i, (beta, bs) in enumerate(zip(betas, bss)):
+        if not (-1 < ns_pair(lat, beta, c_ns) + k < 0):
+            continue
+        # z.delta at z = (1, beta + i eta, (beta + i eta)^2 / 2), scaled
+        im = scale * l_eta - r * ns_pair(lat, bs, hs)
+        re = (2 * scale * (l_ns @ np.array(bs, dtype=dtype))
+              - r * (ns_pair(lat, bs, bs) - hh) - 2 * scale * scale * s)
+        flat = im == 0
+        # condition (1), or (2): R_{<=0}
+        fails = flat & ((re == 0) | ((r > 0) & (re < 0)))
+        # r = 0 roots off the facet must have im != 0
+        bad = np.flatnonzero(fails | (flat & (r == 0) & ~on_c))
+        if len(bad) == 0:
+            return i
+        if not fails[bad[0]]:
+            raise ValueError("eta is not generic on the facet")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ classically; the census is cross-checked against it.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
-from .errors import InvariantError
+import numpy as np
+
+from .errors import IntegerOverflowError, InvariantError
 from .lattice import (
     IntegerLattice,
     Isometry,
@@ -29,6 +30,7 @@ from .lattice import (
     quotient_lattice,
     reflection,
     roots_in_box,
+    vectors_of_norm,
     _sign_canonical,
 )
 
@@ -36,29 +38,17 @@ from .lattice import (
 def enumerate_isotropic(lat: IntegerLattice, height: int) -> list[LatVec]:
     """All primitive isotropic v with 0 < max|coords| <= height, one per +-v.
 
-    Lexicographic order over the sign-canonical representatives.
+    :func:`~mukai_kit.lattice.vectors_of_norm` at norm 0, kept where the
+    coordinate gcd is 1 and the first non-zero coordinate is positive;
+    lexicographic order.  On (r, NS, s)-form lattices the cost is
+    (2 height + 1)^(rank - 1) points, so rank 5 at height 20 is routine.
     """
     if height < 1:
         raise ValueError("height must be >= 1")
-    import numpy as np
-    n = lat.rank
-    if (2 * height + 1) ** n > 2 * 10**7:
-        raise ValueError(
-            "coordinate window too large; reduce height or lattice rank")
-    axes = [np.arange(-height, height + 1, dtype=np.int64)] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    g = np.array(lat.gram_rows(), dtype=np.int64)
-    norms = np.einsum("vi,ij,vj->v", grid, g, grid)
-    iso = grid[norms == 0]
-    seen = set()
-    for row in iso:
-        coords = tuple(int(c) for c in row)
-        if all(c == 0 for c in coords):
-            continue
-        canon = _sign_canonical(coords)
-        if canon not in seen and math.gcd(*canon) == 1:
-            seen.add(canon)
-    return [lat.vector(c) for c in sorted(seen)]
+    iso = vectors_of_norm(lat, 0, height)
+    lead = iso[np.arange(len(iso)), np.argmax(iso != 0, axis=1)]
+    keep = (lead > 0) & (np.gcd.reduce(iso, axis=1) == 1)
+    return [LatVec(lat, tuple(c)) for c in iso[keep].tolist()]
 
 
 def classify_divisibility(vectors: list[LatVec]) -> dict[int, list[LatVec]]:
@@ -108,104 +98,156 @@ class OrbitResult:
     exact: bool = False                 # never claimed without an oracle
 
 
+# Generator images computed at once in one sweep step, at most.
+_SWEEP_CHUNK = 1 << 16
+
+
 def orbit_partition(vectors: list[LatVec], generators: list[Isometry],
                     depth: int, height: int | None = None,
                     frontier_cap: int | None = None,
                     max_states: int = 500_000) -> OrbitResult:
     """Group the vectors into orbits under bounded generator words.
 
-    A single breadth-first sweep starts from all window vectors at once;
-    +-v is one state.  Images that leave the height window are kept as
-    frontier nodes and expanded while within ``depth`` steps of some window
-    vector and below the ``frontier_cap`` coordinate bound, so merges that
-    pass through large vectors are found.  The output is a refinement of the
-    true orbit partition: orbits may merge further under the full group,
-    never split.
+    A breadth-first sweep starts from all window vectors at once; +-v is
+    one state.  Images that leave the height window are kept as frontier
+    nodes and expanded while within ``depth`` steps of some window vector
+    and below the ``frontier_cap`` coordinate bound, so merges that pass
+    through large vectors are found.  Every edge is a union, including
+    edges to images beyond the cap.  The output is a refinement of the true
+    orbit partition: orbits may merge further under the full group, never
+    split.  Orbits come ordered by their least member.
+
+    The sweep runs one level at a time on int64 arrays: all generators act
+    on a slice of the level in one product, images are sign-canonicalised
+    row-wise, and the divisibility invariant is checked on every edge.
+    States get integer ids, merged by a union-find over those ids.
 
     Lattices with large Weyl groups (several hyperbolic summands) can blow
-    past ``max_states``; the sweep then aborts with a ValueError rather than
-    churn - reduce the generator set, depth or frontier cap.
+    past ``max_states`` within-cap states; the sweep then aborts with a
+    ValueError rather than churn - reduce the generator set, depth or
+    frontier cap.  A cap so large that images could leave int64 raises
+    :class:`~mukai_kit.errors.IntegerOverflowError`.
     """
     if not vectors:
         return OrbitResult([], [], [0])
     lat = vectors[0].lattice
+    n = lat.rank
     if height is None:
         height = max(max(abs(c) for c in v.coords) for v in vectors)
     if frontier_cap is None:
         frontier_cap = 200 * height
-    window = {_sign_canonical(v.coords) for v in vectors}
-    gens: list[Isometry] = []
-    seen_mats = set()
+    window = sorted({_sign_canonical(v.coords) for v in vectors})
+    mats = []
     for g in generators:
         for h in (g, g.inverse()):
-            if h.matrix not in seen_mats:
-                seen_mats.add(h.matrix)
-                gens.append(h)
-    gen_mats = [[list(r) for r in g.matrix] for g in gens]
-    gram = lat.gram_rows()
-    n = lat.rank
-
-    parent: dict[tuple, tuple] = {}
-
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    div_of: dict[tuple, int] = {}
-
-    def div_state(state):
-        d = div_of.get(state)
-        if d is None:
-            d = math.gcd(*(sum(gram[i][j] * state[j] for j in range(n))
-                           for i in range(n)))
-            div_of[state] = d
-        return d
-
-    queue = deque((w, 0) for w in sorted(window))
-    depth_seen = {w: 0 for w in window}
-    frontier_total = 0
-    while queue:
-        state, d = queue.popleft()
-        if d >= depth:
-            continue
-        for mat in gen_mats:
-            img = _sign_canonical(tuple(
-                sum(mat[i][j] * state[j] for j in range(n)) for i in range(n)))
+            if h.matrix not in mats:
+                mats.append(h.matrix)
+    reach = max(frontier_cap, max(max(map(abs, w)) for w in window))
+    grow = max((sum(map(abs, row)) for m in mats for row in m), default=0)
+    if reach * grow * max(sum(map(abs, row)) for row in lat.gram) >= 1 << 62:
+        raise IntegerOverflowError(
+            "orbit sweep images could leave int64; lower the frontier cap")
+    gram = np.array(lat.gram, dtype=np.int64)
+    gens = np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
+    sweep = _StateTable(np.array(window, dtype=np.int64))
+    level = np.arange(len(window))
+    step = max(1, _SWEEP_CHUNK // max(len(mats), 1))
+    within = len(window)                # states inside the frontier cap
+    for _ in range(depth if mats else 0):
+        found = []
+        for lo in range(0, len(level), step):
+            src = level[lo:lo + step]
+            x = sweep.states[src]
+            img = np.einsum("gij,mj->gmi", gens, x).reshape(-1, n)
+            lead = img[np.arange(len(img)), np.argmax(img != 0, axis=1)]
+            img *= np.where(lead < 0, -1, 1)[:, None]
             # divisibility is an isometry invariant; check on every edge
-            if div_state(img) != div_state(state):
+            if np.any(np.gcd.reduce(img @ gram, axis=1)
+                      != np.tile(np.gcd.reduce(x @ gram, axis=1), len(mats))):
                 raise InvariantError("generator changed a divisibility")
-            union(state, img)
-            if img in depth_seen:
-                continue
-            if max(abs(c) for c in img) > frontier_cap:
-                continue
-            if len(depth_seen) >= max_states:
+            ids, new = sweep.ids_of(img)
+            sweep.union(np.tile(src, len(mats)), ids)
+            new = new[np.abs(sweep.states[new]).max(axis=1) <= frontier_cap]
+            within += len(new)
+            if within > max_states:
                 raise ValueError(
                     "orbit sweep exceeded the state budget "
                     f"({max_states}); reduce generators, depth or cap")
-            depth_seen[img] = d + 1
-            if img not in window:
-                frontier_total += 1
-            queue.append((img, d + 1))
+            found.append(new)
+        level = np.concatenate(found) if found else level[:0]
 
-    groups: dict[tuple, list[tuple]] = {}
-    for w in window:
-        groups.setdefault(find(w), []).append(w)
-    orbits = [sorted(g) for g in sorted(groups.values())]
+    roots = sweep.roots(len(window))
+    order = np.argsort(roots, kind="stable")
+    cuts = np.flatnonzero(np.diff(roots[order])) + 1
+    orbits = [[lat.vector(window[i]) for i in part]
+              for part in np.split(order, cuts)]
     return OrbitResult(
-        orbits=[[lat.vector(c) for c in orb] for orb in orbits],
-        representative=[lat.vector(orb[0]) for orb in orbits],
-        frontier_sizes=[frontier_total],
+        orbits=orbits,
+        representative=[orb[0] for orb in orbits],
+        frontier_sizes=[within - len(window)],
     )
+
+
+class _StateTable:
+    """Sign-canonical int64 states with integer ids and a union-find.
+
+    Ids count up from 0 in order of first sight; ``parent[i] <= i`` always,
+    so the root of a class is its least id.
+    """
+
+    def __init__(self, window: np.ndarray):
+        self.states = window
+        self.parent = np.arange(len(window))
+        keys = self._keys(window)
+        self.order = np.argsort(keys)   # ids sorted by key
+        self.sorted_keys = keys[self.order]
+
+    @staticmethod
+    def _keys(rows: np.ndarray) -> np.ndarray:
+        rows = np.ascontiguousarray(rows)
+        return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))
+                         ).ravel()
+
+    def ids_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the rows, adding unseen ones; also the ids added."""
+        keys, first, inverse = np.unique(self._keys(rows), return_index=True,
+                                         return_inverse=True)
+        pos = np.searchsorted(self.sorted_keys, keys)
+        hit = pos < len(self.sorted_keys)
+        hit[hit] = self.sorted_keys[pos[hit]] == keys[hit]
+        ids = np.empty(len(keys), dtype=np.int64)
+        ids[hit] = self.order[pos[hit]]
+        start = len(self.states)
+        new = np.arange(start, start + int((~hit).sum()))
+        ids[~hit] = new
+        self.states = np.concatenate([self.states, rows[first[~hit]]])
+        self.parent = np.concatenate([self.parent, new])
+        self.sorted_keys = np.insert(self.sorted_keys, pos[~hit], keys[~hit])
+        self.order = np.insert(self.order, pos[~hit], new)
+        return ids[inverse.ravel()], new
+
+    def _compress(self):
+        while True:
+            up = self.parent[self.parent]
+            if np.array_equal(up, self.parent):
+                return
+            self.parent = up
+
+    def union(self, a: np.ndarray, b: np.ndarray):
+        """Merge the classes of a[i] and b[i] for every i."""
+        while True:
+            self._compress()
+            a, b = self.parent[a], self.parent[b]
+            differ = a != b
+            if not differ.any():
+                return
+            a, b = a[differ], b[differ]
+            np.minimum.at(self.parent, np.maximum(a, b), np.minimum(a, b))
+
+    def roots(self, count: int) -> np.ndarray:
+        """Class roots of ids 0 .. count - 1."""
+        self._compress()
+        return self.parent[:count]
 
 
 @dataclass

@@ -51,6 +51,10 @@ class OddSquareError(MukaiKitError):
     """NS-class has odd square; the ambient lattice cannot be even."""
 
 
+class IntegerOverflowError(MukaiKitError):
+    """An int64 array kernel could leave the int64 range on this input."""
+
+
 # -- period domain / tube model ----------------------------------------------
 
 class NotPositiveError(MukaiKitError):

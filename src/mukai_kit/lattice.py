@@ -9,7 +9,9 @@ component first, the degree component last, with pairing
 
     (r, l, s) . (r', l', s') = l.l' - r s' - r' s.
 
-Everything in this module is exact; floats never appear.
+Everything in this module is exact; floats never appear.  Bulk kernels run
+on integer numpy arrays whose dtype is chosen from a magnitude bound: int64
+when every intermediate fits, Python ints (dtype object) otherwise.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from . import intlinalg as ila
 from .errors import (
@@ -312,6 +316,18 @@ def pair(u: LatVec, w: LatVec) -> int:
     return u.dot(w)
 
 
+def ns_block(lat: IntegerLattice) -> list[list[int]]:
+    """Gram matrix of the NS block of an (r, NS, s)-form lattice."""
+    return [list(row[1:-1]) for row in lat.gram[1:-1]]
+
+
+def ns_pair(lat: IntegerLattice, a, b):
+    """a.b in the NS block; exact for ints and Fractions alike."""
+    ns = ns_block(lat)
+    return sum(a[i] * ns[i][j] * b[j]
+               for i in range(len(a)) for j in range(len(b)))
+
+
 def euler_pairing(u: LatVec, w: LatVec) -> int:
     """Euler characteristic chi = -(u.w)."""
     return -pair(u, w)
@@ -322,9 +338,7 @@ def mukai_vector(lat: IntegerLattice, r: int, c1, c2: int) -> LatVec:
     if not lat.mukai:
         raise ValueError("mukai_vector requires an (r, NS, s)-form lattice")
     c1 = tuple(int(x) for x in c1)
-    ns = [row[1:-1] for row in lat.gram_rows()[1:-1]]
-    sq = sum(c1[i] * ns[i][j] * c1[j]
-             for i in range(len(c1)) for j in range(len(c1)))
+    sq = ns_pair(lat, c1, c1)
     if sq % 2 != 0:
         raise OddSquareError("c1^2 is odd; NS block is not even")
     s = sq // 2 - int(c2) + int(r)
@@ -396,8 +410,7 @@ def line_twist_isometry(lat: IntegerLattice, l) -> Isometry:
     k = lat.ns_rank
     if len(l) != k:
         raise ValueError("l must be an NS-vector")
-    ns = [row[1:-1] for row in lat.gram_rows()[1:-1]]
-    gl = ila.mat_vec(ns, l)          # NS-Gram @ l
+    gl = ila.mat_vec(ns_block(lat), l)   # NS-Gram @ l
     lsq = sum(gl[i] * l[i] for i in range(k))
     if lsq % 2 != 0:
         raise OddSquareError("l^2 odd on an even NS block")
@@ -414,27 +427,119 @@ def line_twist_isometry(lat: IntegerLattice, l) -> Isometry:
     return Isometry(lat, tuple(tuple(r) for r in mat), True)
 
 
+# Largest slice of the coordinate box held as one array, in points.
+_CHUNK = 1 << 14
+
+
+def _int_dtype(magnitude: int):
+    """Array dtype for exact integer work bounded by ``magnitude``.
+
+    int64 when every entry and intermediate stays below 2**62 in absolute
+    value; object, i.e. Python ints (exact, slower), otherwise.
+    """
+    return np.int64 if magnitude < 1 << 62 else object
+
+
+def _box_slices(gram, bound: int, dtype):
+    """Slices of the box max|x_i| <= bound with their norms x.G.x.
+
+    Yields (head, tail, norms): the leading coordinates fixed to ``head``,
+    the trailing ones running over ``tail`` in lex order.  Slices come in lex
+    order of their heads and hold at most ``_CHUNK`` points.
+    """
+    n = len(gram)
+    side = 2 * bound + 1
+    m = n
+    while m > 1 and side ** m > _CHUNK:
+        m -= 1
+    h = n - m
+    g = np.array(gram, dtype=dtype).reshape(n, n)
+    tail = (np.indices((side,) * m).reshape(m, side ** m).T - bound
+            ).astype(dtype)
+    tail_norms = ((tail @ g[h:, h:]) * tail).sum(axis=1)
+    for head in itertools.product(range(-bound, bound + 1), repeat=h):
+        hv = np.array(head, dtype=dtype)
+        cross = tail @ (2 * (hv @ g[:h, h:]))
+        yield hv, tail, tail_norms + cross + hv @ g[:h, :h] @ hv
+
+
+def _hyperbolic_ends(gram) -> int:
+    """c if the first and last coordinates span c*U orthogonal to the rest
+    (the (r, NS, s) form has c = -1), else 0."""
+    if len(gram) < 2:
+        return 0
+    first, last = gram[0], gram[-1]
+    if first[0] or last[-1] or any(first[1:-1]) or any(last[1:-1]):
+        return 0
+    return first[-1]
+
+
+def vectors_of_norm(lat: IntegerLattice, norm: int, bound: int) -> np.ndarray:
+    """All non-zero x with max|x_i| <= bound and x.x = norm, in lex order.
+
+    Returns an integer array of shape (count, rank); its dtype comes from
+    :func:`_int_dtype`.  When the first and last coordinates span a scaled
+    hyperbolic plane c*U orthogonal to the rest, as in the (r, NS, s) form,
+    x.x = l.l + 2c r s.  The (r, l) part is scanned and s is solved exactly:
+    s = (norm - l.l) / (2 c r) for r != 0, every s in the box for r = 0 and
+    l.l = norm.  That costs (2 bound + 1)^(rank - 1) points.  Other lattices
+    scan the whole box, one slice at a time.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    gram = lat.gram
+    n = lat.rank
+    dtype = _int_dtype(
+        bound * bound * sum(abs(x) for row in gram for x in row) + abs(norm))
+    c = _hyperbolic_ends(gram)
+    parts = [np.zeros((0, n), dtype=dtype)]
+    if not c:
+        for head, tail, norms in _box_slices(gram, bound, dtype):
+            hit = tail[norms == norm]
+            parts.append(np.hstack(
+                [np.broadcast_to(head, (len(hit), len(head))), hit]))
+    else:
+        side = 2 * bound + 1
+        s_axis = np.arange(-bound, bound + 1).astype(dtype)
+        r_axis = np.array([r for r in range(-bound, bound + 1) if r],
+                          dtype=dtype)
+        for head, tail, ll in _box_slices(
+                [row[1:-1] for row in gram[1:-1]], bound, dtype):
+            ls = np.hstack([np.broadcast_to(head, (len(tail), len(head))),
+                            tail])
+            on = ls[ll == norm]
+            parts.append(np.column_stack([
+                np.zeros(len(on) * side, dtype=dtype),
+                np.repeat(on, side, axis=0), np.tile(s_axis, len(on))]))
+            num = (norm - ll)[None, :]
+            den = 2 * c * r_axis[:, None]
+            s = num // den
+            ri, li = np.nonzero((num % den == 0) & (abs(s) <= bound))
+            parts.append(np.column_stack([r_axis[ri], ls[li], s[ri, li]]))
+    out = np.concatenate(parts)
+    out = out[np.any(out != 0, axis=1)]
+    return out[np.lexsort(out.T[::-1])]
+
+
 def roots_in_box(lat: IntegerLattice, bound: int,
                  rel_v: LatVec | None = None) -> list[Root]:
     """All delta with max|coords| <= bound and delta^2 = -2, lex order.
 
-    The full root system of an indefinite lattice is infinite; this is an
-    explicitly bounded slice.  For completeness on compact period-domain
-    regions use the majorant enumeration in :mod:`mukai_kit.domain`.
+    :func:`vectors_of_norm` at norm -2, each root classed by -(v.delta)
+    against ``rel_v`` ("zero" for every root when it is None).  The full
+    root system of an indefinite lattice is infinite; this is an explicitly
+    bounded slice.  For completeness on compact period-domain regions use
+    the majorant enumeration in :mod:`mukai_kit.domain`.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    n = lat.rank
+    coords = vectors_of_norm(lat, -2, bound).tolist()
+    if rel_v is None:
+        return [Root(LatVec(lat, tuple(c)), "zero") for c in coords]
+    gv = rel_v.gram_image()
     out = []
-    ref = rel_v if rel_v is not None else lat.zero()
-    for coords in itertools.product(range(-bound, bound + 1), repeat=n):
-        if all(c == 0 for c in coords):
-            continue
-        v = lat.vector(coords)
-        if v.norm2 == -2:
-            p = ref.dot(v)
-            cls = "zero" if p == 0 else ("positive" if -p > 0 else "negative")
-            out.append(Root(v, cls))
+    for c in coords:
+        p = sum(x * y for x, y in zip(c, gv))
+        cls = "zero" if p == 0 else ("positive" if -p > 0 else "negative")
+        out.append(Root(LatVec(lat, tuple(c)), cls))
     return out
 
 

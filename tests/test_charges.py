@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mukai_kit as mk
-from mukai_kit import charges as ch, domain as dm
+from mukai_kit import charges as ch, domain as dm, lattice
 from mukai_kit.errors import (
     InconsistentLiftError,
     NonPositiveOmegaError,
@@ -306,6 +308,102 @@ def test_beta_search_conditions_hold():
         if -lat.vector([0, 0, 0, 1]).dot(root.vec) > 0:
             in_r_le0 = abs(val.imag) < 1e-9 and val.real <= 0
             assert not in_r_le0                      # condition (2)
+
+
+def _beta_check_fractions(lat, roots, c_ns, k, eta, beta):
+    """Reference: conditions (1)-(3) at beta, one root at a time, exact."""
+    ns = [row[1:-1] for row in lat.gram_rows()[1:-1]]
+    kns = len(ns)
+
+    def nsp(a, b):
+        return sum(a[i] * ns[i][j] * b[j]
+                   for i in range(kns) for j in range(kns))
+
+    c_ns = [F(x) for x in c_ns]
+    if not (F(-1) < nsp(beta, c_ns) + k < F(0)):
+        return False
+    b_eta, half = nsp(beta, eta), F(nsp(beta, beta) - nsp(eta, eta), 2)
+    for delta in roots:
+        r, s = delta.r, delta.s
+        l = [F(x) for x in delta.ns_part]
+        if nsp(l, eta) - r * b_eta == 0:      # Im z.delta
+            re = nsp(l, beta) - r * half - s
+            if re == 0 or (r > 0 and re < 0):
+                return False
+            if r == 0 and l != c_ns and l != [-x for x in c_ns]:
+                raise ValueError("eta is not generic on the facet")
+    return True
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError:
+        return "not generic"
+
+
+_BETA_LATTICES = {"rank4": [[2, 0], [0, -2]], "rank4b": [[6, 0], [0, -2]],
+                  "rank5": [[2, 0, 0], [0, -2, 0], [0, 0, -2]]}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(_BETA_LATTICES)), st.integers(2, 3),
+       st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+       st.lists(st.tuples(st.integers(-8, 8), st.sampled_from([1, 2, 4])),
+                min_size=3, max_size=3),
+       st.integers(-3, 3))
+@example("rank5", 3, [2, 0, 0], [(0, 1), (1, 4), (0, 1)], 0)   # not generic
+@example("rank4", 3, [3, 0, 0], [(1, 2), (1, 4), (0, 1)], 0)
+@example("rank5", 3, [2, 0, 2], [(-3, 4), (1, 8), (1, 4)], 0)  # both kinds
+def test_beta_check_vs_fractions(name, bound, eta_raw, beta_raw, k):
+    # eta on the facet eta.C = 0 (C = e_1 of a diagonal block); betas on
+    # the searched line, plus one at random simple rationals with k set to
+    # pass the window, which sits on walls far more often
+    ns = _BETA_LATTICES[name]
+    kns = len(ns)
+    lat = mk.mukai_lattice(ns)
+    c_ns = [0, 1] + [0] * (kns - 2)
+    eta = [F(eta_raw[0] or 1), F(0)] + [F(x) for x in eta_raw[2:kns]]
+    roots = mk.roots_in_box(lat, bound)
+    vecs = [r.vec for r in roots]
+    base = [F(2 * k + 1, 4) * c for c in c_ns]
+    cases = [([base[i] + F(sign * num, 16) * eta[i] for i in range(kns)], k)
+             for num in range(3) for sign in (1, -1)]
+    beta = [F(a, b) for a, b in beta_raw[:kns]]
+    cases.append((beta, -math.floor(ns[1][1] * beta[1]) - 1))
+    for beta, kb in cases:
+        want = _outcome(lambda: _beta_check_fractions(
+            lat, vecs, c_ns, kb, eta, beta))
+        got = _outcome(lambda: ch._first_clear_beta(
+            lat, roots, c_ns, kb, eta, [beta]))
+        assert got == {True: 0, False: None}.get(want, want), beta
+
+
+def test_beta_search_huge_k_uses_python_ints(monkeypatch):
+    # beta numerators near 1e15 overflow int64 in 2 S^2 Re z.delta
+    dtypes = []
+
+    def spy(magnitude):
+        dtypes.append(lattice._int_dtype(magnitude))
+        return dtypes[-1]
+
+    monkeypatch.setattr(ch, "_int_dtype", spy)
+    lat = mk.mukai_lattice([[2, 0], [0, -2]])
+    c_root = lat.vector([0, 0, 1, 0])
+    k = 10 ** 15
+    cert = ch.boundary_beta_search(lat, c_root, k, [2, 0], coord_bound=3)
+    assert dtypes == [object]
+    roots = [r.vec for r in mk.roots_in_box(lat, 3)]
+    assert _beta_check_fractions(lat, roots, [0, 1], k, [F(2), F(0)],
+                                 list(cert.beta))
+    assert F(-1) < cert.window_value < F(0)
+
+
+def test_beta_search_rejects_non_generic_eta():
+    lat = mk.mukai_lattice(_BETA_LATTICES["rank5"])
+    with pytest.raises(ValueError, match="not generic"):
+        ch.boundary_beta_search(lat, lat.vector([0, 0, 1, 0, 0]), 0,
+                                [2, 0, 0], coord_bound=3)
 
 
 # -- cohomological actions ---------------------------------------------------------------

@@ -194,8 +194,13 @@ def test_determinism_byte_identical(tmp_path):
 
 
 def test_entry_point_subprocess():
+    # the child imports the same package as this process, wherever the
+    # test run put it on sys.path (pytest's pythonpath does not reach it)
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(mk.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "mukai_kit.cli",
                            "lattice", "--preset", "U"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["det"] == -1

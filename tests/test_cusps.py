@@ -1,10 +1,95 @@
 import math
+from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mukai_kit as mk
 from mukai_kit import cusps
-from mukai_kit.errors import InvariantError
+from mukai_kit.errors import IntegerOverflowError, InvariantError
+from mukai_kit.lattice import _sign_canonical
+
+RANK5_NS = [[2, 0, 0], [0, -2, 0], [0, 0, -2]]
+
+
+def _isotropic_grid(lat, height):
+    """Reference: scan the whole coordinate box as one numpy grid."""
+    n = lat.rank
+    axes = [np.arange(-height, height + 1, dtype=np.int64)] * n
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    g = np.array(lat.gram_rows(), dtype=np.int64)
+    norms = np.einsum("vi,ij,vj->v", grid, g, grid)
+    seen = set()
+    for row in grid[norms == 0]:
+        coords = tuple(int(c) for c in row)
+        if any(coords):
+            canon = _sign_canonical(coords)
+            if math.gcd(*canon) == 1:
+                seen.add(canon)
+    return sorted(seen)
+
+
+def _orbit_bfs(vectors, generators, depth, height, frontier_cap=None,
+               max_states=500_000):
+    """Reference: one state at a time, union-find over coordinate tuples.
+
+    Returns the orbits as a set of frozensets of coordinate tuples and the
+    number of states added beyond the window.
+    """
+    lat = vectors[0].lattice
+    if frontier_cap is None:
+        frontier_cap = 200 * height
+    window = {_sign_canonical(v.coords) for v in vectors}
+    mats = []
+    for g in generators:
+        for h in (g, g.inverse()):
+            if h.matrix not in mats:
+                mats.append(h.matrix)
+    gram = lat.gram
+    n = lat.rank
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    def div(state):
+        return math.gcd(*(sum(gram[i][j] * state[j] for j in range(n))
+                          for i in range(n)))
+
+    queue = deque((w, 0) for w in sorted(window))
+    depth_seen = {w: 0 for w in window}
+    frontier = 0
+    while queue:
+        state, d = queue.popleft()
+        if d >= depth:
+            continue
+        for mat in mats:
+            img = _sign_canonical(tuple(
+                sum(mat[i][j] * state[j] for j in range(n))
+                for i in range(n)))
+            if div(img) != div(state):
+                raise InvariantError("generator changed a divisibility")
+            union(state, img)
+            if img in depth_seen or max(map(abs, img)) > frontier_cap:
+                continue
+            if len(depth_seen) >= max_states:
+                raise ValueError("state budget")
+            depth_seen[img] = d + 1
+            frontier += 1
+            queue.append((img, d + 1))
+    groups = {}
+    for w in window:
+        groups.setdefault(find(w), set()).add(w)
+    return {frozenset(g) for g in groups.values()}, frontier
 
 
 def test_enumerate_isotropic_U():
@@ -30,6 +115,29 @@ def test_enumerate_isotropic_vs_scan():
         if math.gcd(*canon) == 1 and lat.vector(canon).norm2 == 0:
             want.add(canon)
     assert got == want
+
+
+@pytest.mark.parametrize("ns,height", [
+    ([[2]], 6), ([[12]], 5), ([[2, 1], [1, -2]], 6),
+    ([[2, 0], [0, -2]], 6), (RANK5_NS, 4), ([[4, 0, 0], [0, -2, 1],
+                                             [0, 1, -2]], 6)])
+def test_enumerate_isotropic_vs_grid(ns, height):
+    lat = mk.mukai_lattice(ns)
+    got = [v.coords for v in cusps.enumerate_isotropic(lat, height)]
+    assert got == _isotropic_grid(lat, height)
+
+
+def test_enumerate_isotropic_rank5_height20():
+    # 41^5 ~ 1.2e8 box points; only (2h + 1)^4 of them are scanned now
+    lat = mk.mukai_lattice(RANK5_NS, "rank5")
+    vecs = cusps.enumerate_isotropic(lat, 20)
+    coords = np.array([v.coords for v in vecs], dtype=np.int64)
+    g = np.array(lat.gram, dtype=np.int64)
+    assert len(vecs) > 0 and np.abs(coords).max() == 20
+    assert not np.einsum("vi,ij,vj->v", coords, g, coords).any()
+    assert (np.gcd.reduce(coords, axis=1) == 1).all()
+    assert all(_sign_canonical(c) == c for c in map(tuple, coords.tolist()))
+    assert [v.coords for v in vecs] == sorted({v.coords for v in vecs})
 
 
 def test_no_plus_minus_pairs():
@@ -94,6 +202,66 @@ def test_orbit_partition_merges_and_closure():
             canon = cusps._sign_canonical(img.coords)
             if max(abs(c) for c in canon) <= 3:
                 assert orbit_of[canon] == orbit_of[member.coords]
+
+
+def _check_against_bfs(lat, height, depth, root_bound, cap, max_states):
+    vecs = cusps.enumerate_isotropic(lat, height)
+    gens = cusps.default_generators(lat, root_bound)
+    kwargs = dict(height=height, frontier_cap=cap, max_states=max_states)
+    try:
+        want = _orbit_bfs(vecs, gens, depth, height, cap, max_states)
+    except ValueError:
+        with pytest.raises(ValueError):
+            cusps.orbit_partition(vecs, gens, depth, **kwargs)
+        return
+    res = cusps.orbit_partition(vecs, gens, depth, **kwargs)
+    assert {frozenset(v.coords for v in orb) for orb in res.orbits} == want[0]
+    assert res.frontier_sizes == [want[1]]
+    for orb, rep in zip(res.orbits, res.representative):
+        assert [v.coords for v in orb] == sorted(v.coords for v in orb)
+        assert rep == orb[0]
+    assert [r.coords for r in res.representative] == \
+        sorted(r.coords for r in res.representative)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 6), st.integers(6, 12), st.integers(1, 6),
+       st.integers(2, 8), st.sampled_from([None, 30]),
+       st.sampled_from([500_000, 400]))
+@example(1, 12, 6, 8, None, 500_000)
+@example(4, 12, 6, 8, None, 500_000)
+@example(6, 9, 6, 8, None, 500_000)
+def test_orbit_partition_vs_bfs(n, height, depth, root_bound, cap,
+                                max_states):
+    _check_against_bfs(mk.preset(f"mukai_rank1({n})"), height, depth,
+                       root_bound, cap, max_states)
+
+
+def test_orbit_partition_merges_through_capped_images():
+    # two window vectors meet only in an image beyond the frontier cap,
+    # which is never expanded but still joins their orbits
+    lat = mk.mukai_lattice([[4, 0], [0, -2]])
+    _check_against_bfs(lat, 3, 1, 1, 3, 500_000)
+
+
+def test_orbit_partition_state_budget_is_exact():
+    lat = mk.preset("mukai_rank1(2)")
+    vecs = cusps.enumerate_isotropic(lat, 6)
+    gens = cusps.default_generators(lat, 4)
+    res = cusps.orbit_partition(vecs, gens, 3)
+    states = len(vecs) + res.frontier_sizes[0]
+    again = cusps.orbit_partition(vecs, gens, 3, max_states=states)
+    assert again.frontier_sizes == res.frontier_sizes
+    with pytest.raises(ValueError):
+        cusps.orbit_partition(vecs, gens, 3, max_states=states - 1)
+
+
+def test_orbit_partition_overflow_guard():
+    lat = mk.preset("mukai_rank1(1)")
+    vecs = cusps.enumerate_isotropic(lat, 3)
+    gens = cusps.default_generators(lat, 3)
+    with pytest.raises(IntegerOverflowError):
+        cusps.orbit_partition(vecs, gens, 2, frontier_cap=2 ** 60)
 
 
 def test_fricke_cusp_counts():

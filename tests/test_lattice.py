@@ -1,8 +1,9 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mukai_kit as mk
@@ -14,6 +15,7 @@ from mukai_kit.errors import (
     OddSquareError,
     UnknownPresetError,
 )
+from mukai_kit.lattice import vectors_of_norm
 
 
 # -- construction and presets -------------------------------------------------
@@ -176,6 +178,67 @@ def test_roots_in_box_vs_naive():
                 if any(c) and lat.vector(c).norm2 == -2:
                     want.add(c)
             assert got == want
+
+
+def _norm_scan(lat, norm, bound):
+    """Reference: every non-zero box vector of the given norm, lex order."""
+    return [c for c in itertools.product(range(-bound, bound + 1),
+                                         repeat=lat.rank)
+            if any(c) and lat.vector(c).norm2 == norm]
+
+
+@st.composite
+def _even_blocks(draw):
+    """A non-degenerate even symmetric Gram block of rank 1 to 3."""
+    k = draw(st.integers(1, 3))
+    g = [[0] * k for _ in range(k)]
+    for i in range(k):
+        g[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(st.integers(-2, 2))
+    try:
+        mk.make_lattice(g)
+    except DegenerateError:
+        assume(False)
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(_even_blocks(), st.sampled_from(["mukai", "plus_bracket"]),
+       st.integers(1, 4))
+def test_vectors_of_norm_vs_scan(ns, shape, bound):
+    # the Mukai form takes the solved-s path, the other the box scan
+    if shape == "mukai":
+        lat = mk.mukai_lattice(ns)
+    else:
+        lat = mk.direct_sum(mk.make_lattice(ns), mk.preset("bracket(2)"))
+    assume((2 * bound + 1) ** lat.rank <= 9 ** 4)
+    for norm in (-2, 0, 2):
+        got = vectors_of_norm(lat, norm, bound)
+        assert got.dtype == np.int64
+        assert [tuple(r) for r in got.tolist()] == \
+            _norm_scan(lat, norm, bound)
+
+
+@pytest.mark.parametrize("name", ["U", "bracket(2)"])
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+def test_vectors_of_norm_small_presets(name, bound):
+    lat = mk.preset(name)
+    for norm in (-2, 0, 2):
+        got = [tuple(r) for r in vectors_of_norm(lat, norm, bound).tolist()]
+        assert got == _norm_scan(lat, norm, bound)
+
+
+def test_vectors_of_norm_huge_gram_stays_exact():
+    # b^2 * sum|G| passes 2**62: the kernel must switch to Python ints
+    big = 2 ** 60
+    for lat in (mk.mukai_lattice([[2 * big]]),
+                mk.make_lattice([[2 * big, 1], [1, -2]])):
+        for norm in (-2, 0, 2 * big):
+            got = vectors_of_norm(lat, norm, 2)
+            assert got.dtype == object
+            assert [tuple(r) for r in got.tolist()] == \
+                _norm_scan(lat, norm, 2)
 
 
 def test_root_classification():
