@@ -9,6 +9,7 @@ defaults; explicit flags win.  Exit codes: 0 ok, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -121,41 +122,45 @@ def cmd_walls(cfg: dict) -> int:
     lat = _load_lattice(cfg)
     sp = _v0_split(lat)
     box = _parse_box(cfg, sp)
-    walls = domain.enumerate_walls_region(sp, box)
+    found = domain.enumerate_walls_region(sp, box)
+    walls = [w for w in found if not w.undecided]
+    undecided = [w for w in found if w.undecided]
     payload = {"walls": [w.to_json() for w in walls],
                "box": json.loads(cfg["box"]) if isinstance(cfg.get("box"), str)
                else cfg.get("box")}
+    meta = {"config_hash": _job_hash(cfg), "version": __version__}
+    if undecided:
+        payload["undecided_walls"] = [w.to_json() for w in undecided]
+        meta["undecided_walls"] = len(undecided)
     if cfg.get("format") == "csv":
         # raster of chamber ids over a 2D slice (first a- and b-coordinates
-        # vary; all others pinned to the box midpoint)
+        # vary; all others pinned to the box midpoint), from the signs of
+        # Im(z.delta) = b^T G_L (lam - d a); -1 where y^2 <= 0
         grid = int(cfg.get("samples", 32))
         a_mid, b_mid = box.center()
+        a = np.tile([float(x) for x in a_mid], (grid * grid, 1))
+        b = np.tile([float(x) for x in b_mid], (grid * grid, 1))
         a_axis = np.linspace(float(box.a_lo[0]), float(box.a_hi[0]), grid)
         b_axis = np.linspace(float(box.b_lo[0]), float(box.b_hi[0]), grid)
-        gm = domain.gram_np(lat)
+        a[:, 0] = np.tile(a_axis, grid)
+        b[:, 0] = np.repeat(b_axis, grid)
+        gl = sp.gram_L_np()
+        bg = b @ gl
+        y2 = np.einsum("pi,pi->p", bg, b)
+        signs = np.zeros((grid * grid, len(walls)), dtype=int)
+        for k, w in enumerate(walls):
+            _, d, lam = sp.root_data(w.root)
+            im = np.einsum("pi,pi->p", bg, np.array(lam, dtype=float) - d * a)
+            signs[:, k] = np.sign(im)
         ids: dict[tuple, int] = {}
         rows = []
-        for bb in b_axis:
-            for aa in a_axis:
-                a_vec = [aa] + [float(x) for x in a_mid[1:]]
-                b_vec = [bb] + [float(x) for x in b_mid[1:]]
-                try:
-                    fr = domain.exp_frame(domain.tube_point(sp, a_vec, b_vec))
-                except Exception:
-                    rows.append((float(aa), float(bb), -1))
-                    continue
-                signs = []
-                for w in walls:
-                    val = complex(fr.z @ gm
-                                  @ np.array(w.root.coords, dtype=float))
-                    signs.append(1 if val.imag > 0 else
-                                 (-1 if val.imag < 0 else 0))
-                key = tuple(signs)
-                ids.setdefault(key, len(ids))
-                rows.append((float(aa), float(bb), ids[key]))
-        payload["_csv"] = serialize.csv_text(
-            ["a0", "b0", "chamber_id"], rows,
-            meta={"config_hash": _job_hash(cfg), "version": __version__})
+        for p in range(grid * grid):
+            cid = -1
+            if y2[p] > 0:
+                cid = ids.setdefault(tuple(signs[p]), len(ids))
+            rows.append((float(a[p, 0]), float(b[p, 0]), cid))
+        payload["_csv"] = serialize.csv_text(["a0", "b0", "chamber_id"],
+                                             rows, meta=meta)
     if cfg.get("format") == "svg":
         # 2D slice: first a- and b-coordinates vary, the rest pinned at the
         # box midpoint; line art only
@@ -183,9 +188,7 @@ def cmd_walls(cfg: dict) -> int:
                 if float(box.b_lo[0]) <= b0 <= float(box.b_hi[0]):
                     segs.append(((float(box.a_lo[0]), b0),
                                  (float(box.a_hi[0]), b0), "C"))
-        payload["_svg"] = serialize.svg_segments(
-            segs, meta={"config_hash": _job_hash(cfg),
-                        "version": __version__})
+        payload["_svg"] = serialize.svg_segments(segs, meta=meta)
     _emit(cfg, payload)
     return 0
 
@@ -359,6 +362,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mukai-kit",

@@ -23,6 +23,7 @@ box endpoints are rational.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,6 +50,8 @@ from .lattice import (
 from .shortvec import short_vectors
 
 PAIR_TOL = 1e-9
+# Bisection levels after which an exact wall test reports undecided.
+WALL_TEST_DEPTH = 24
 
 _GRAM_CACHE: dict[tuple, np.ndarray] = {}
 
@@ -450,12 +453,15 @@ class Wall:
 
     kind 'A': roots pairing negatively with v, locus -z.delta / z.v real <= 0;
     kind 'C': roots orthogonal to v, locus -z.delta / z.v real (depends only
-    on the image of the root in L(v)); kind 'D': z.delta = 0.
+    on the image of the root in L(v)); kind 'D': z.delta = 0.  A region
+    enumeration marks a wall ``undecided`` when the exact test could
+    neither certify nor exclude that it meets the region.
     """
 
     kind: str
     root: LatVec
     v: LatVec
+    undecided: bool = False
 
     def sort_key(self):
         return (self.kind, self.root.coords)
@@ -524,14 +530,12 @@ class TubeBox:
         if any(l > h for l, h in zip(box.a_lo, box.a_hi)) or \
                 any(l > h for l, h in zip(box.b_lo, box.b_hi)):
             raise UnboundedBoxError("empty box")
-        gl = [[Fraction(x) for x in row] for row in split.gram_L]
-        corners = list(box.b_corners())
-        for c in corners:
-            if _qform(gl, c) <= 0:
+        corners = [(c, _gvec(split.gram_L, c)) for c in box.b_corners()]
+        for c, gc in corners:
+            if _dot(c, gc) <= 0:
                 raise UnboundedBoxError("box leaves the positive cone")
-        c0 = corners[0]
-        for c in corners[1:]:
-            if _bilin(gl, c0, c) <= 0:
+        for c, gc in corners[1:]:
+            if _dot(corners[0][0], gc) <= 0:
                 raise UnboundedBoxError("box spans both cone components")
         return box
 
@@ -550,8 +554,8 @@ class TubeBox:
         return a, b
 
     def min_y_norm2(self) -> Fraction:
-        gl = [[Fraction(x) for x in row] for row in self.split.gram_L]
-        return min(_qform(gl, c) for c in self.b_corners())
+        gl = self.split.gram_L
+        return min(_dot(c, _gvec(gl, c)) for c in self.b_corners())
 
     def split_along(self, axis: str, index: int) -> tuple["TubeBox", "TubeBox"]:
         """Bisect along one a- or b-coordinate (for refinement tests)."""
@@ -576,136 +580,289 @@ class TubeBox:
                              tuple(lo), self.b_hi))
 
 
-def _qform(gl, x):
-    return sum(gl[i][j] * x[i] * x[j]
-               for i in range(len(x)) for j in range(len(x)))
+def _gvec(gl, x):
+    return [sum(g * t for g, t in zip(row, x)) for row in gl]
 
 
-def _bilin(gl, x, y):
-    return sum(gl[i][j] * x[i] * y[j]
-               for i in range(len(x)) for j in range(len(x)))
+def _dot(x, y):
+    return sum(s * t for s, t in zip(x, y))
 
 
-def _im_range_over_box(gl, lam, d, box: TubeBox) -> tuple[Fraction, Fraction]:
-    """Exact range of Im(z.delta) = b^T G_L (lam - d a) over the box.
+def _int_box(box: TubeBox, lam, d: int) -> tuple:
+    """Integer form (S, w_lo, w_hi, b_lo, b_hi) of a box for the root data.
 
-    The function is multilinear in (a, b) jointly, so the extrema are
-    attained at corners.
+    w = lam - d a (d >= 0) and b range over [w_lo, w_hi] / S and
+    [b_lo, b_hi] / S, with S the common denominator of the endpoints.
     """
-    lam = [Fraction(x) for x in lam]
-    vals = []
-    for ac in box.a_corners():
-        u = [lam[i] - d * ac[i] for i in range(len(lam))]
-        for bc in box.b_corners():
-            vals.append(_bilin(gl, bc, u))
-    return min(vals), max(vals)
+    s = math.lcm(*(x.denominator for x in
+                   box.a_lo + box.a_hi + box.b_lo + box.b_hi))
+
+    def scaled(xs):
+        return [x.numerator * (s // x.denominator) for x in xs]
+
+    a_lo, a_hi = scaled(box.a_lo), scaled(box.a_hi)
+    return (s, [l * s - d * h for l, h in zip(lam, a_hi)],
+            [l * s - d * x for l, x in zip(lam, a_lo)],
+            scaled(box.b_lo), scaled(box.b_hi))
+
+
+def _im_range_over_box(gl, ibox) -> tuple[int, int]:
+    """Exact range of b^T G_L w over an integer box: S^2 Im(z.delta), divided
+    by d when d > 0.
+
+    For each b-corner the form is linear in w, so its range over the w-box
+    is exact; the extrema over b are attained at corners.
+    """
+    _, w_lo, w_hi, b_lo, b_hi = ibox
+    lo = hi = None
+    for beta in itertools.product(*zip(b_lo, b_hi)):
+        g = _gvec(gl, beta)
+        mn = sum(min(x * l, x * h) for x, l, h in zip(g, w_lo, w_hi))
+        mx = sum(max(x * l, x * h) for x, l, h in zip(g, w_lo, w_hi))
+        lo = mn if lo is None else min(lo, mn)
+        hi = mx if hi is None else max(hi, mx)
+    return lo, hi
+
+
+def _qform_range(gl, lo, hi) -> tuple[int, int]:
+    """Natural interval bounds of x^T G x over the integer box [lo, hi];
+    exact in rank one."""
+    n = len(lo)
+    q_lo = q_hi = 0
+    for i in range(n):
+        for j in range(i, n):
+            if i == j:
+                sq = (lo[i] * lo[i], hi[i] * hi[i])
+                ends = (0 if lo[i] <= 0 <= hi[i] else min(sq), max(sq))
+            else:
+                prods = [x * y for x in (lo[i], hi[i]) for y in (lo[j], hi[j])]
+                ends = (min(prods), max(prods))
+            g = gl[i][j] * (1 if i == j else 2)
+            q_lo += min(g * ends[0], g * ends[1])
+            q_hi += max(g * ends[0], g * ends[1])
+    return q_lo, q_hi
+
+
+def _second_order(gl, h, k=None) -> tuple[int, int]:
+    """Bounds of x^T G y over |x_i| <= h_i, |y_j| <= k_j (y = x if k is None)."""
+    lo = hi = 0
+    for i, row in enumerate(gl):
+        for j, g in enumerate(row):
+            t = g * h[i] * (h[j] if k is None else k[j])
+            if k is None and i == j:
+                lo, hi = lo + min(t, 0), hi + max(t, 0)
+            else:
+                lo, hi = lo - abs(t), hi + abs(t)
+    return lo, hi
+
+
+def _f_sign_on_zero_set(gl, d, ibox) -> int:
+    """+1 (-1) if F = b^T G b - u^T G u - 2/d^2 is provably positive
+    (negative) wherever Im(z.delta) = 0 in the box, 0 if neither is proven.
+
+    First natural interval bounds: on Im = 0, u is G-orthogonal to the
+    timelike b, so u^T G u <= 0 and F >= b^T G b - 2/d^2.  Then centred
+    forms of the Lagrangian K F + m Im, which equals K F on Im = 0, at the
+    multipliers m / K that cancel one first-order term (the kinks of the
+    bound as a function of m / K); their error is second order in the box.
+    """
+    s, w_lo, w_hi, b_lo, b_hi = ibox
+    qb, qw = _qform_range(gl, b_lo, b_hi), _qform_range(gl, w_lo, w_hi)
+    dd, lim = d * d, 2 * s * s
+    if dd * qb[0] - min(qw[1], 0) > lim:
+        return 1
+    if dd * qb[1] - qw[0] < lim:
+        return -1
+    # coordinates doubled: centre C = lo + hi, half-width H = hi - lo
+    cw = [l + h for l, h in zip(w_lo, w_hi)]
+    cb = [l + h for l, h in zip(b_lo, b_hi)]
+    hw = [h - l for l, h in zip(w_lo, w_hi)]
+    hb = [h - l for l, h in zip(b_lo, b_hi)]
+    gw, gb = _gvec(gl, cw), _gvec(gl, cb)
+    f_c = dd * _dot(cb, gb) - _dot(cw, gw) - 4 * lim
+    im_c = _dot(cb, gw)
+    grad_f = [-2 * x for x in gw] + [2 * dd * x for x in gb]
+    grad_im = gb + gw
+    widths = hw + hb
+    bw, bb = _second_order(gl, hw), _second_order(gl, hb)
+    cross = _second_order(gl, hb, hw)[1]
+    mults = [(1, 0)] + [(abs(k), -g if k > 0 else g)
+                        for g, k in zip(grad_f, grad_im) if k]
+    for k, m in mults:
+        mid = k * f_c + m * im_c
+        lin = sum(abs(k * g + m * t) * h
+                  for g, t, h in zip(grad_f, grad_im, widths))
+        if mid - lin + k * (dd * bb[0] - bw[1]) - abs(m) * cross > 0:
+            return 1
+        if mid + lin + k * (dd * bb[1] - bw[0]) + abs(m) * cross < 0:
+            return -1
+    return 0
+
+
+@functools.cache
+def _edges(n: int) -> tuple[tuple[int, int], ...]:
+    """Index pairs of the corners (itertools.product order) joined by edges."""
+    return tuple((i, i | 1 << k) for k in range(n) for i in range(1 << n)
+                 if not i & 1 << k)
+
+
+def _edge_zeros(corners, values):
+    """Points (num, den), den > 0, where a form linear along each edge
+    vanishes on the edges of a box with the given corners and values."""
+    out = []
+    for i, j in _edges(len(corners[0])):
+        v0, v1 = values[i], values[j]
+        if v0 == 0:
+            out.append((corners[i], 1))
+        if v1 == 0:
+            out.append((corners[j], 1))
+        if v0 * v1 < 0:
+            den = v1 - v0
+            num = [v1 * x - v0 * y for x, y in zip(corners[i], corners[j])]
+            if den < 0:
+                den, num = -den, [-x for x in num]
+            out.append((num, den))
+    return out
+
+
+def _f_sign(gl, d, s, w, b) -> int:
+    """Sign of F = b^T G b - u^T G u - 2/d^2 at u = w/d, for points
+    w = (num, den) and b = (num, den) in units of 1/(S den)."""
+    (wn, wd), (bn, bd) = w, b
+    val = (d * d * wd * wd * _dot(bn, _gvec(gl, bn))
+           - bd * bd * _dot(wn, _gvec(gl, wn)) - 2 * (s * wd * bd) ** 2)
+    return (val > 0) - (val < 0)
+
+
+def _witness(gl, d, ibox, kind):
+    """Exact points of the box on the wall, or None if none is found.
+
+    With w or b fixed, Im is linear along the box edges in the other
+    variable, so its zeros there are rational and span the convex section
+    of Im = 0 at that w or b.  A: a zero with F <= 0.  D: a zero with
+    F = 0, or two zeros in one section with F of opposite signs, between
+    which F vanishes on the segment joining them.
+    """
+    s, w_lo, w_hi, b_lo, b_hi = ibox
+    wc = [(w, 1) for w in itertools.product(*zip(w_lo, w_hi))]
+    bc = [(b, 1) for b in itertools.product(*zip(b_lo, b_hi))]
+
+    def zeros(fixed, corners):
+        g = _gvec(gl, fixed[0])
+        return _edge_zeros([c for c, _ in corners],
+                           [_dot(c, g) for c, _ in corners])
+
+    # w = 0 lies on every b-section, where F is least (u^T G u <= 0 on Im = 0)
+    origin = ([([0] * len(w_lo), 1)]
+              if all(l <= 0 <= h for l, h in zip(w_lo, w_hi)) else [])
+    w_pts = [(w, b) for b in bc for w in zeros(b, wc) + origin]
+    b_pts = [(w, b) for w in wc for b in zeros(w, bc)]
+    if kind == "A":
+        return next(([p] for p in w_pts + b_pts
+                     if _f_sign(gl, d, s, *p) <= 0), None)
+    sections = ([[(w, b) for b in zeros(w, bc)]
+                 for w in wc + [w for w, _ in w_pts]]
+                + [[(w, b) for w in zeros(b, wc) + origin]
+                   for b in bc + [b for _, b in b_pts]])
+    for section in sections:
+        found = {}
+        for p in section:
+            sign = _f_sign(gl, d, s, *p)
+            if sign == 0:
+                return [p]
+            found.setdefault(sign, p)
+        if len(found) == 2:
+            return [found[-1], found[1]]
+    return None
+
+
+def _bisect(ibox, d):
+    """Halve the box across its widest chart coordinate (u = w/d, b)."""
+    s, w_lo, w_hi, b_lo, b_hi = ibox
+    los, his = w_lo + b_lo, w_hi + b_hi
+    rho = len(w_lo)
+    k = max(range(2 * rho),
+            key=lambda i: (his[i] - los[i]) * (1 if i < rho else d))
+    if (los[k] + his[k]) % 2:
+        s, los, his = 2 * s, [2 * x for x in los], [2 * x for x in his]
+    mid = (los[k] + his[k]) // 2
+    left, right = list(his), list(los)
+    left[k] = right[k] = mid
+    return [(s, los[:rho], left[:rho], los[rho:], left[rho:]),
+            (s, right[:rho], his[:rho], right[rho:], his[rho:])]
+
+
+def _wall_search(split: HyperbolicSplit, box: TubeBox, delta: LatVec,
+                 kind: str):
+    """(verdict, witness) of the exact A- or D-wall test.
+
+    The verdict is True, False or None (undecided at WALL_TEST_DEPTH); a
+    True verdict comes with a witness, a list of chart points (a, b) of
+    Fractions: one point on the wall, or for D two points with the same a
+    or the same b and Re(z.delta) negative, then positive, joined by a
+    segment on Im = 0.
+    """
+    _, d, lam = split.root_data(delta)
+    if kind == "A" and d <= 0:
+        return False, None
+    if d < 0:
+        d, lam = -d, [-x for x in lam]
+    gl = split.gram_L
+    level = [_int_box(box, lam, d)]
+    for depth in range(WALL_TEST_DEPTH + 1):
+        survivors = []
+        for ibox in level:
+            lo, hi = _im_range_over_box(gl, ibox)
+            if lo > 0 or hi < 0:
+                continue
+            sign = _f_sign_on_zero_set(gl, d, ibox)
+            if sign > 0 or (sign < 0 and kind == "D"):
+                continue
+            points = _witness(gl, d, ibox, kind)
+            if points is not None:
+                s = ibox[0]  # a = (lam - w) / d
+                return True, [
+                    (tuple(Fraction(l * s * wd - x, s * wd * d)
+                           for l, x in zip(lam, wn)),
+                     tuple(Fraction(x, s * bd) for x in bn))
+                    for (wn, wd), (bn, bd) in points]
+            survivors.append(ibox)
+        if not survivors:
+            return False, None
+        level = [half for ibox in survivors for half in _bisect(ibox, d)]
+    return None, None
 
 
 def wall_meets_box(split: HyperbolicSplit, box: TubeBox, delta: LatVec,
-                   kind: str, grid: int = 12) -> bool:
+                   kind: str) -> bool | None:
     """Does the wall of the given kind and root meet the box?
 
-    Exact rational decision for kind 'C' (any rank) and for all kinds when
-    L(v) has rank one; a dense-grid check otherwise (documented numeric).
+    Exact and three-valued: True (meets, certified by an exact point on
+    the wall), False (misses, proven) or None (undecided: a tangent or
+    boundary-touching wall that bisection to WALL_TEST_DEPTH levels could
+    neither certify nor exclude).  With delta = c v + d f + R lam and
+    u = lam/d - a, Im(z.delta) = d b^T G_L u and
+    Re(z.delta) = -1/d + (d/2)(b^T G_L b - u^T G_L u); the A-wall is
+    Im = 0, Re <= 0 (d > 0) and the D-wall is z.delta = 0.  C-walls
+    (d = 0, Im = b^T G_L lam) and D-walls with d = 0 are linear and always
+    decided.  In rank one, Im = 0 forces u = 0 and every test is decided
+    without bisection.
     """
-    gl = [[Fraction(x) for x in row] for row in split.gram_L]
-    c, d, lam = split.root_data(delta)
-    rho = split.rho
-    if kind == "C":
-        if d != 0:
-            return False
-        lo, hi = _im_range_over_box(gl, lam, 0, box)
-        return lo <= 0 <= hi
-    if kind == "A" and d <= 0:
-        return False
-    if rho == 1:
-        m = gl[0][0]
-        lam0 = Fraction(lam[0])
-        if kind in ("A", "D") and d != 0:
-            # wall foot at a = lam/d; reachable b: m b^2 <= 2/d^2 (A),
-            # = 2/d^2 (D)
-            if not (box.a_lo[0] <= lam0 / d <= box.a_hi[0]):
-                return False
-            b0, b1 = box.b_lo[0], box.b_hi[0]
-            lo_sq = min(b0 * b0, b1 * b1)
-            hi_sq = max(b0 * b0, b1 * b1)
-            target = Fraction(2, d * d)
-            if kind == "A":
-                return m * lo_sq <= target
-            return m * lo_sq <= target <= m * hi_sq
-        if kind == "D" and d == 0:
-            return False  # no rank-one roots orthogonal to v
-        return False
-    # numeric path for rank >= 2
-    return _wall_meets_box_numeric(split, box, c, d, lam, kind, grid)
-
-
-def _wall_meets_box_numeric(split, box, c, d, lam, kind, grid):
-    """Dense-grid semi-decision for L-rank >= 2 (vectorized).
-
-    Im(z.delta) is affine in the last b-coordinate for fixed remaining
-    coordinates; zeros are located by sign change along that axis and the
-    Re-condition is evaluated at the interpolated zero (Re is quadratic in
-    that coordinate, evaluated exactly from its three profile values).
-    """
-    gl = split.gram_L_np()
-    lam = np.array([float(x) for x in lam])
-    rho = split.rho
-    # cheap exact pre-reject: Im is multilinear, extrema at box corners
-    corner_vals = []
-    for ac in box.a_corners():
-        av = np.array([float(x) for x in ac])
-        u = gl @ (lam - d * av)
-        for bc in box.b_corners():
-            corner_vals.append(float(np.array([float(x) for x in bc]) @ u))
-    if min(corner_vals) > 0 or max(corner_vals) < 0:
-        return False
-    axes = [np.linspace(float(lo), float(hi), grid)
-            for lo, hi in zip(box.a_lo, box.a_hi)] + \
-           [np.linspace(float(lo), float(hi), grid)
-            for lo, hi in zip(box.b_lo, box.b_hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    a = pts[:, :rho]
-    b = pts[:, rho:]
-    glam = gl @ lam
-    im = np.einsum("pi,i->p", b, glam) - d * np.einsum("pi,ij,pj->p",
-                                                       b, gl, a)
-    re = (-c + a @ glam
-          - 0.5 * d * (np.einsum("pi,ij,pj->p", a, gl, a)
-                       - np.einsum("pi,ij,pj->p", b, gl, b)))
-    tol = 1e-9
-    scale = max(1.0, float(np.max(np.abs(im))), float(np.max(np.abs(re))))
-    on_zero = np.abs(im) <= tol * scale
-    if kind == "C" and bool(np.any(on_zero)):
-        return True
-    if kind == "A" and bool(np.any(on_zero & (re <= tol * scale))):
-        return True
-    if kind == "D" and bool(np.any(on_zero & (np.abs(re) <= 1e-6 * scale))):
-        return True
-    # sign changes along the last b-axis
-    shape = (grid,) * (2 * rho)
-    im_g = im.reshape(shape)
-    re_g = re.reshape(shape)
-    i0, i1 = im_g[..., :-1], im_g[..., 1:]
-    cross = (i0 * i1) < 0
-    if not bool(np.any(cross)):
-        return False
-    if kind == "C":
-        return True
-    # interpolate the zero and evaluate Re there; Re is quadratic in the
-    # last coordinate, reconstructed from the two cell endpoints and the
-    # quadratic coefficient q2 = d/2 gl[-1,-1] (constant in that variable)
-    step = axes[-1][1] - axes[-1][0] if grid > 1 else 1.0
-    denom = i0 - i1
-    s = np.divide(i0, denom, out=np.zeros_like(i0), where=cross)
-    q2 = 0.5 * d * gl[-1, -1] * step * step
-    r0, r1 = re_g[..., :-1], re_g[..., 1:]
-    lin = (r1 - r0) - q2
-    re_at = r0 + lin * s + q2 * s * s
+    if kind not in ("A", "C", "D"):
+        raise ValueError(f"unknown wall kind {kind!r}")
+    if split.v.dot(delta) != 0:
+        return kind != "C" and _wall_search(split, box, delta, kind)[0]
     if kind == "A":
-        return bool(np.any(cross & (re_at <= tol * scale)))
-    return bool(np.any(cross & (np.abs(re_at) <= 1e-6 * scale)))
+        return False
+    # d = 0: z.delta = -c + a^T G_L lam + i b^T G_L lam, a and b apart
+    c, _, lam = split.root_data(delta)
+    lo, hi = _im_range_over_box(split.gram_L, _int_box(box, lam, 0))
+    if kind == "C" or not lo <= 0 <= hi:
+        return lo <= 0 <= hi
+    g = _gvec(split.gram_L, lam)
+    return (sum(min(x * l, x * h) for x, l, h in zip(g, box.a_lo, box.a_hi))
+            <= c <=
+            sum(max(x * l, x * h) for x, l, h in zip(g, box.a_lo, box.a_hi)))
 
 
 # -- candidate roots ------------------------------------------------------------
@@ -768,29 +925,31 @@ def enumerate_walls_region(split: HyperbolicSplit, box: TubeBox,
                            ) -> list[Wall]:
     """All walls meeting a compact chart box, via majorant enumeration.
 
-    Every candidate passes the exact (rank-one L) or dense-grid interval
-    test; C-walls are deduplicated by their image in L(v) and reported with
-    the representative root having zero v- and f-components.
+    Every candidate passes the exact three-valued test ``wall_meets_box``;
+    walls it leaves undecided are listed too, with ``undecided`` set.
+    C-walls are deduplicated by their image in L(v) and reported with the
+    representative root having zero v- and f-components.
     """
-    lat = split.lattice
     if candidates is None:
         candidates = _roots_near_box(split, box, safety=safety)
     walls: dict[tuple, Wall] = {}
-    gl = [[Fraction(x) for x in row] for row in split.gram_L]
+
+    def test(kind, root):
+        verdict = wall_meets_box(split, box, root, kind)
+        if verdict is not False:
+            walls[(kind, root.coords)] = Wall(kind, root, split.v,
+                                              undecided=verdict is None)
+
     for delta in candidates:
         delta, d = _orient_root(split, delta)
-        c, d2, lam = split.root_data(delta)
-        if d2 > 0:
-            if wall_meets_box(split, box, delta, "A"):
-                walls[("A", delta.coords)] = Wall("A", delta, split.v)
-            if wall_meets_box(split, box, delta, "D"):
-                walls[("D", delta.coords)] = Wall("D", delta, split.v)
-        elif d2 == 0:
-            lam_c = _sign_canonical(lam)
-            rep = split.root_from_data(0, 0, lam_c)
-            if ("C", rep.coords) not in walls and \
-                    wall_meets_box(split, box, rep, "C"):
-                walls[("C", rep.coords)] = Wall("C", rep, split.v)
+        if d > 0:
+            test("A", delta)
+            test("D", delta)
+        else:
+            lam = _sign_canonical(split.root_data(delta)[2])
+            rep = split.root_from_data(0, 0, lam)
+            if ("C", rep.coords) not in walls:
+                test("C", rep)
     return sorted(walls.values(), key=lambda w: w.sort_key())
 
 

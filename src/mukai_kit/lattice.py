@@ -201,7 +201,10 @@ class Isometry:
         return Isometry(self.lattice, tuple(tuple(r) for r in m), flag)
 
     def inverse(self) -> "Isometry":
-        inv = ila.mat_inverse_unimodular([list(r) for r in self.matrix])
+        m = [list(r) for r in self.matrix]
+        if ila.mat_mul(m, m) == ila.identity(len(m)):
+            return self  # an involution, e.g. a reflection
+        inv = ila.mat_inverse_unimodular(m)
         return Isometry(self.lattice, tuple(tuple(r) for r in inv),
                         self.plus_flag)
 

@@ -71,6 +71,32 @@ def test_walls_json_and_svg(tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+def test_walls_golden_digests(tmp_path):
+    # the criterion-10 walls outputs, pinned to the bytes of the rank-one
+    # closed-form test and the exp_frame raster they replaced
+    import hashlib
+    box = json.dumps({"a_lo": ["-1"], "a_hi": ["1"],
+                      "b_lo": ["0.5"], "b_hi": ["1.5"]})
+    want = [
+        ([], "9d77bbf070f8a33c64d418f86b6fda8e"
+             "2dbca71fbf8d97ba239f082e16c8a197"),
+        (["--format", "svg"], "7e1b7e24b45ab12fa53c2cbe12889835"
+                              "5cd8767c020afe29f7162e649c088b43"),
+        (["--format", "csv"], "2f429c4bac15f706a4296503c6fb620a"
+                              "7dfde3c838dd824db69d77cbc8e9cccd"),
+    ]
+    for i, (fmt, digest) in enumerate(want):
+        out = tmp_path / f"walls-{i}"
+        assert run(["walls", "--preset", "mukai_rank1(1)", "--box", box,
+                    *fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(read(out)).hexdigest() == digest, fmt
+
+
+def test_parser_built_once():
+    from mukai_kit import cli
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_cusps_command(tmp_path):
     out = tmp_path / "census.json"
     assert run(["cusps", "--preset", "mukai_rank1(6)", "--height", "14",

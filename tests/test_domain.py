@@ -1,10 +1,15 @@
+import json
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import mukai_kit as mk
 from mukai_kit import domain as dm
+from mukai_kit.cli import main as cli_main
+from mukai_kit.lattice import _sign_canonical as lattice_sign_canonical
 from mukai_kit.errors import (
     DegenerateAtVError,
     NonPositiveDetError,
@@ -227,9 +232,210 @@ def test_wall_refinement_union(rank3):
     assert len(whole) < 100  # locally finite
 
 
+# -- exact wall test ---------------------------------------------------------------
+#
+# Reference oracles: the former rank-one closed form (exact) and the former
+# dense-grid semi-decision for rank(L) >= 2 (may miss a wall that meets the
+# box between grid points), and exact ambient pairings in Fractions.
+
+def _corner_im_range(split, box, delta):
+    """Range of Im(z.delta) = b^T G_L (lam - d a) over the box corners."""
+    gl = split.gram_L
+    _, d, lam = split.root_data(delta)
+    vals = []
+    for ac, bc in box.corners():
+        u = [l - d * x for l, x in zip(lam, ac)]
+        vals.append(sum(gl[i][j] * bc[i] * u[j]
+                        for i in range(len(u)) for j in range(len(u))))
+    return min(vals), max(vals)
+
+
+def _rank1_meets_box(split, box, delta, kind):
+    """Former closed-form test for rank(L) = 1: the A-wall foot is a = lam/d
+    and it reaches b with m b^2 <= 2/d^2 (A), = 2/d^2 (D)."""
+    _, d, lam = split.root_data(delta)
+    if kind == "C":
+        lo, hi = _corner_im_range(split, box, delta)
+        return d == 0 and lo <= 0 <= hi
+    if d == 0 or (kind == "A" and d < 0):
+        return False
+    if not box.a_lo[0] <= F(lam[0], d) <= box.a_hi[0]:
+        return False
+    m = split.gram_L[0][0]
+    sq = sorted((box.b_lo[0] ** 2, box.b_hi[0] ** 2))
+    target = F(2, d * d)
+    if kind == "A":
+        return m * sq[0] <= target
+    return m * sq[0] <= target <= m * sq[1]
+
+
+def _grid_meets_box(split, box, delta, kind, grid=12):
+    """Former dense-grid semi-decision for A- and D-walls, d > 0."""
+    c, d, lam = split.root_data(delta)
+    gl = split.gram_L_np()
+    lam = np.array(lam, dtype=float)
+    rho = split.rho
+    lo, hi = _corner_im_range(split, box, delta)
+    if lo > 0 or hi < 0:
+        return False
+    axes = [np.linspace(float(lo), float(hi), grid)
+            for lo, hi in zip(box.a_lo + box.b_lo, box.a_hi + box.b_hi)]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                   axis=1)
+    a, b = pts[:, :rho], pts[:, rho:]
+    glam = gl @ lam
+    im = b @ glam - d * np.einsum("pi,ij,pj->p", b, gl, a)
+    re = (-c + a @ glam - 0.5 * d * (np.einsum("pi,ij,pj->p", a, gl, a)
+                                     - np.einsum("pi,ij,pj->p", b, gl, b)))
+    tol = 1e-9
+    scale = max(1.0, float(np.max(np.abs(im))), float(np.max(np.abs(re))))
+    re_ok = ((lambda r: r <= tol * scale) if kind == "A"
+             else (lambda r: np.abs(r) <= 1e-6 * scale))
+    if bool(np.any((np.abs(im) <= tol * scale) & re_ok(re))):
+        return True
+    # Im sign changes along the last b-axis, Re interpolated (quadratic)
+    im_g, re_g = im.reshape((grid,) * 2 * rho), re.reshape((grid,) * 2 * rho)
+    i0, i1 = im_g[..., :-1], im_g[..., 1:]
+    cross = (i0 * i1) < 0
+    t = np.divide(i0, i0 - i1, out=np.zeros_like(i0), where=cross)
+    q2 = 0.5 * d * gl[-1, -1] * (axes[-1][1] - axes[-1][0]) ** 2
+    r0, r1 = re_g[..., :-1], re_g[..., 1:]
+    return bool(np.any(cross & re_ok(r0 + (r1 - r0 - q2) * t + q2 * t * t)))
+
+
+def _exact_z_delta(split, a, b, delta):
+    """(Re, Im) of z.delta at chart point (a, b), in Fractions, from the
+    ambient Gram matrix: z = x + iy - (y^2/2) v with canonical lifts."""
+    g = split.lattice.gram
+
+    def dot(x, y):
+        return sum(g[i][j] * x[i] * y[j]
+                   for i in range(len(x)) for j in range(len(y)))
+
+    def comb(base, coeffs):
+        return [base[i] + sum(c * col[i] for c, col in zip(coeffs, split.comp))
+                for i in range(len(base))]
+
+    v = split.v.coords
+    x = comb(split.f.coords, a)
+    x = [xi + dot(x, x) / 2 * vi for xi, vi in zip(x, v)]
+    y = comb([0] * len(v), b)
+    y = [yi + dot(y, x) * vi for yi, vi in zip(y, v)]
+    dl = delta.coords
+    return dot(x, dl) - dot(y, y) / 2 * dot(v, dl), dot(y, dl)
+
+
+def _classify(split, delta, a, b):
+    pt = dm.exp_point(dm.tube_point(split, [float(x) for x in a],
+                                    [float(x) for x in b]))
+    return dm.wall_membership(pt, delta, split.v)
+
+
+def _check_witness(split, delta, kind, points):
+    """A True verdict's witness lies on the wall, exactly and under
+    wall_membership.  A two-point D witness shares a or b, so the segment
+    joining its points stays on Im = 0; bisect it to Re(z.delta) ~ 0."""
+    values = [_exact_z_delta(split, a, b, delta) for a, b in points]
+    assert all(im == 0 for _, im in values)
+    if len(points) == 1:
+        (a, b), = points
+        assert values[0][0] <= 0 if kind == "A" else values[0][0] == 0
+        assert _classify(split, delta, a, b) in ("on_A", "on_D")
+        return
+    assert kind == "D" and values[0][0] < 0 < values[1][0]
+    (a0, b0), (a1, b1) = points
+    assert a0 == a1 or b0 == b1
+
+    def at(t):
+        return ([x + t * (y - x) for x, y in zip(a0, a1)],
+                [x + t * (y - x) for x, y in zip(b0, b1)])
+
+    # Re(z.delta) is quadratic along the segment: interpolate it exactly
+    r_mid, im_mid = _exact_z_delta(split, *at(F(1, 2)), delta)
+    assert im_mid == 0
+    r0, r1 = values[0][0], values[1][0]
+
+    def re(t):
+        return (r0 * (1 - t) * (1 - 2 * t) + 4 * r_mid * t * (1 - t)
+                + r1 * t * (2 * t - 1))
+
+    lo, hi = F(0), F(1)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if re(mid) < 0 else (lo, mid)
+    assert _classify(split, delta, *at(lo)) == "on_D"
+
+
+def _box_in(split, draw, pos):
+    """A chart box with eighth endpoints and b-coordinate pos dominant."""
+    rho = split.rho
+    eighths = st.integers(-8, 8).map(lambda n: F(n, 8))
+    a_lo = [draw(eighths) for _ in range(rho)]
+    a_hi = [x + F(draw(st.integers(0, 8)), 8) for x in a_lo]
+    b_lo = [F(draw(st.integers(-4, 4)), 8) for _ in range(rho)]
+    b_lo[pos] = F(draw(st.integers(3, 12)), 8)
+    b_hi = [x + F(draw(st.integers(0, 4)), 8) for x in b_lo]
+    try:
+        return dm.TubeBox.make(split, a_lo, a_hi, b_lo, b_hi)
+    except UnboundedBoxError:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_rank1_wall_test_matches_closed_form(n, data):
+    lat = mk.preset(f"mukai_rank1({n})")
+    sp = dm.split_at(lat.vector([0, 0, 1]))
+    box = _box_in(sp, data.draw, 0)
+    for r in mk.roots_in_box(lat, 6):
+        for kind in "ACD":
+            verdict = dm.wall_meets_box(sp, box, r.vec, kind)
+            assert verdict is _rank1_meets_box(sp, box, r.vec, kind)
+
+
+_HIGHER = {"rank4": ([[2, 0], [0, -2]], 3), "rank5": ([[2, 0, 0], [0, -2, 0],
+                                                     [0, 0, -2]], 2)}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(_HIGHER)), st.data())
+def test_exact_wall_test_witnesses_and_misses(name, data):
+    ns, bound = _HIGHER[name]
+    lat = mk.mukai_lattice(ns)
+    sp = dm.split_at(lat.vector([0] * (lat.rank - 1) + [1]))
+    pos = int(np.argmax(np.diag(sp.gram_L)))
+    box = _box_in(sp, data.draw, pos)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    samples = []
+    for _ in range(12):
+        a = [float(l + (h - l) * t) for l, h, t in
+             zip(box.a_lo, box.a_hi, rng.uniform(size=sp.rho))]
+        b = [float(l + (h - l) * t) for l, h, t in
+             zip(box.b_lo, box.b_hi, rng.uniform(size=sp.rho))]
+        samples.append(dm.exp_point(dm.tube_point(sp, a, b)))
+    for r in mk.roots_in_box(lat, bound):
+        delta, d = dm._orient_root(sp, r.vec)
+        if d == 0:
+            continue
+        verdicts = {}
+        for kind in "AD":
+            verdict, points = dm._wall_search(sp, box, delta, kind)
+            verdicts[kind] = verdict
+            if verdict:
+                assert dm.wall_meets_box(sp, box, delta, kind) is True
+                _check_witness(sp, delta, kind, points)
+            elif verdict is False:
+                banned = ("on_A", "on_D") if kind == "A" else ("on_D",)
+                assert all(dm.wall_membership(p, delta, sp.v) not in banned
+                           for p in samples)
+        # the D-wall lies inside the A-wall
+        assert verdicts["A"] is not False or verdicts["D"] is False
+
+
 def test_rank4_enumeration_vs_bruteforce(rank4):
-    # the numeric A/D filter and the exact C filter agree with a coordinate
-    # scan on fixed rank-4 boxes (candidate completeness of the majorant)
+    # the exact filter against the former grid filter over a coordinate
+    # scan: the grid is a semi-decision, so every wall it finds must be
+    # found, and every wall only the exact test finds must carry a witness
     lat, sp = rank4
     boxes = [
         dm.TubeBox.make(sp, [F(-1, 2), F(-1, 2)], [F(1, 2), F(1, 2)],
@@ -237,12 +443,77 @@ def test_rank4_enumeration_vs_bruteforce(rank4):
         dm.TubeBox.make(sp, [F(0), F(-1, 4)], [F(1), F(3, 4)],
                         [F(0), F(3, 4)], [F(1, 2), F(5, 4)]),
     ]
+    extra_seen = 0
     for box in boxes:
-        got = {(w.kind, w.root.coords)
-               for w in dm.enumerate_walls_region(sp, box)}
-        want = {(w.kind, w.root.coords)
-                for w in dm.enumerate_walls_bruteforce(sp, box, 4)}
-        assert got == want
+        walls = dm.enumerate_walls_region(sp, box)
+        assert not any(w.undecided for w in walls)
+        got = {(w.kind, w.root.coords) for w in walls}
+        want = set()
+        for r in mk.roots_in_box(lat, 4):
+            delta, d = dm._orient_root(sp, r.vec)
+            if d > 0:
+                want |= {(kind, delta.coords) for kind in "AD"
+                         if _grid_meets_box(sp, box, delta, kind)}
+            else:
+                lam = lattice_sign_canonical(sp.root_data(delta)[2])
+                rep = sp.root_from_data(0, 0, lam)
+                lo, hi = _corner_im_range(sp, box, rep)
+                if lo <= 0 <= hi:
+                    want.add(("C", rep.coords))
+        assert want <= got
+        for kind, coords in got - want:
+            verdict, points = dm._wall_search(sp, box, lat.vector(coords),
+                                              kind)
+            assert verdict is True
+            _check_witness(sp, lat.vector(coords), kind, points)
+            extra_seen += 1
+    assert extra_seen > 0  # the second box has walls between grid points
+
+
+def test_near_touching_wall_is_undecided(tmp_path):
+    # delta = (1, -1, -1, 1): d = 1, lam = (-1, -1).  On Im = 0 in this box,
+    # F = b^T G b - u^T G u - 2 is least on the edge b = (beta, 3/4),
+    # u_2 = -3/4, where it equals -2 beta^2 + 81 / (128 beta^2) - 2 > 0:
+    # both walls miss the box, but only by about 1e-8, far below what
+    # WALL_TEST_DEPTH levels of bisection can resolve.
+    gram = [[0, 0, 0, -1], [0, 2, 0, 0], [0, 0, -2, 0], [-1, 0, 0, 0]]
+    lat = mk.make_lattice(gram, mukai=True)
+    sp = dm.split_at(lat.vector([0, 0, 0, 1]))
+    assert sp.gram_L == ((-2, 0), (0, 2))
+    beta = F(539655057, 2 ** 30)
+    margin = -2 * beta ** 2 + F(81, 128) / beta ** 2 - 2
+    assert 0 < margin < F(1, 10 ** 7)
+    box = dm.TubeBox.make(sp, [F(0), F(-1, 4)], [F(1), F(3, 4)],
+                          [F(0), F(3, 4)], [beta, F(5, 4)])
+    delta = lat.vector([1, -1, -1, 1])
+    assert dm.wall_meets_box(sp, box, delta, "A") is None
+    assert dm.wall_meets_box(sp, box, delta, "D") is None
+    walls = dm.enumerate_walls_region(sp, box)
+    assert {(w.kind, w.root.coords) for w in walls if w.undecided} == \
+        {("A", delta.coords), ("D", delta.coords)}
+    # the CLI lists them under their own key, and only then
+    lat_file = tmp_path / "rank4.json"
+    lat_file.write_text(json.dumps({"mukai": True, "gram": gram}))
+    box_arg = json.dumps({"a_lo": ["0", "-1/4"], "a_hi": ["1", "3/4"],
+                          "b_lo": ["0", "3/4"], "b_hi": [str(beta), "5/4"]})
+    out = tmp_path / "walls.json"
+    assert cli_main(["walls", "--lattice", str(lat_file), "--box", box_arg,
+                     "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    undecided = {(w["kind"], tuple(w["root_coords"]))
+                 for w in payload["undecided_walls"]}
+    assert undecided == {("A", delta.coords), ("D", delta.coords)}
+    assert not undecided & {(w["kind"], tuple(w["root_coords"]))
+                            for w in payload["walls"]}
+    svg = tmp_path / "walls.svg"
+    assert cli_main(["walls", "--lattice", str(lat_file), "--box", box_arg,
+                     "--format", "svg", "--out", str(svg)]) == 0
+    assert "undecided_walls=2" in svg.read_text()
+    # a box well clear of the walls decides them and has no such key
+    box_arg = box_arg.replace(str(beta), "1/2")
+    assert cli_main(["walls", "--lattice", str(lat_file), "--box", box_arg,
+                     "--out", str(out)]) == 0
+    assert "undecided_walls" not in json.loads(out.read_text())
 
 
 def test_rank4_c_wall_detection(rank4):
@@ -254,6 +525,54 @@ def test_rank4_c_wall_detection(rank4):
     assert "C" in kinds
     c_roots = [w.root.coords for w in walls if w.kind == "C"]
     assert (0, 0, 1, 0) in c_roots
+    # d = 0: z.delta = -2 a_0 - 2i b_0 for this root, so its D-wall needs
+    # a_0 = 0 as well as b_0 = 0
+    delta = lat.vector([0, 0, 1, 0])
+    assert dm.wall_meets_box(sp, box, delta, "D") is True
+    off = dm.TubeBox.make(sp, [F(1, 4), F(-1, 2)], [F(1, 2), F(1, 2)],
+                          [F(-1, 4), F(2)], [F(1, 4), F(3)])
+    assert dm.wall_meets_box(sp, off, delta, "C") is True
+    assert dm.wall_meets_box(sp, off, delta, "D") is False
+    assert dm.wall_meets_box(sp, off, delta, "A") is False
+    edge = dm.TubeBox.make(sp, [F(0), F(-1, 2)], [F(1, 2), F(1, 2)],
+                           [F(-1, 4), F(2)], [F(1, 4), F(3)])
+    assert dm.wall_meets_box(sp, edge, delta, "D") is True
+
+
+def test_bisection_halves_share_the_midpoint():
+    ibox = (3, [-2, 0], [1, 4], [5, 1], [6, 2])
+    for d in (1, 5):
+        left, right = dm._bisect(ibox, d)
+        s, w_lo, w_hi, b_lo, b_hi = ibox
+        k = 1 if d == 1 else 2  # widest in u = w / d, then in b
+        scale = left[0] // s
+        assert right[0] == left[0] and scale in (1, 2)
+        lo = [x * scale for x in w_lo + b_lo]
+        hi = [x * scale for x in w_hi + b_hi]
+        left_lo, left_hi = left[1] + left[3], left[2] + left[4]
+        right_lo, right_hi = right[1] + right[3], right[2] + right[4]
+        assert left_lo == lo and right_hi == hi
+        assert left_hi[k] == right_lo[k] == (lo[k] + hi[k]) // 2
+        assert all(left_hi[i] == hi[i] and right_lo[i] == lo[i]
+                   for i in range(4) if i != k)
+
+
+def test_wall_tangent_at_u_zero_is_certified():
+    # delta = v + f (d = 1, lam = 0): on Im = 0, F = b^T G b - u^T G u - 2
+    # >= b^T G b - 2 >= 0 here, with equality only at u = 0, b = (3/4, 5/4).
+    # No bisection of [-2/3, 1/3] reaches a = 0, but w = 0 lies on every
+    # b-section, so both walls are certified at that single point.
+    lat = mk.mukai_lattice([[2, 0], [0, -2]])
+    sp = dm.split_at(lat.vector([0, 0, 0, 1]))
+    assert sp.gram_L == ((-2, 0), (0, 2))
+    box = dm.TubeBox.make(sp, [F(-2, 3)] * 2, [F(1, 3)] * 2,
+                          [F(0), F(5, 4)], [F(3, 4), F(3, 2)])
+    delta = sp.root_from_data(1, 1, (0, 0))
+    for kind in "AD":
+        verdict, points = dm._wall_search(sp, box, delta, kind)
+        assert verdict is True
+        assert points == [((0, 0), (F(3, 4), F(5, 4)))]
+        _check_witness(sp, delta, kind, points)
 
 
 def test_box_validation(rank4):

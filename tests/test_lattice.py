@@ -145,6 +145,31 @@ def test_reflection_involution_and_gram():
             mk.minus_identity(m2)).matrix  # identity
 
 
+def test_isometry_inverse_fast_path():
+    # an involution is its own inverse; every other matrix is inverted by
+    # mat_inverse_unimodular, and both paths agree with it
+    from mukai_kit import intlinalg as ila
+    m2 = mk.preset("mukai_rank1(2)")
+    roots = [r.vec for r in mk.roots_in_box(m2, 3)]
+    isos = [mk.reflection(delta) for delta in roots]
+    isos += [mk.reflection(roots[0]).compose(mk.reflection(roots[i]))
+             for i in (1, 2)]
+    isos.append(mk.line_twist_isometry(m2, [1]))
+    involutions = 0
+    for g in isos:
+        m = [list(r) for r in g.matrix]
+        inv = g.inverse()
+        assert inv.matrix == tuple(map(tuple, ila.mat_inverse_unimodular(m)))
+        assert inv.plus_flag == g.plus_flag
+        assert g.compose(inv).matrix == tuple(map(tuple, ila.identity(3)))
+        if ila.mat_mul(m, m) == ila.identity(3):
+            assert inv is g
+            involutions += 1
+        else:
+            assert inv is not g
+    assert involutions == len(roots)
+
+
 def test_isometry_flag_composition():
     m1 = mk.preset("mukai_rank1(1)")
     s = mk.reflection(m1.vector([1, 0, 1]))
