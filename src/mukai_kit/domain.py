@@ -45,6 +45,7 @@ from .lattice import (
     Isometry,
     LatVec,
     standard_to_hyperbolic,
+    _int_dtype,
     _sign_canonical,
 )
 from .shortvec import short_vectors
@@ -52,6 +53,10 @@ from .shortvec import short_vectors
 PAIR_TOL = 1e-9
 # Bisection levels after which an exact wall test reports undecided.
 WALL_TEST_DEPTH = 24
+# Relative margin on the cover bound B / kappa of _roots_near_box: far above
+# the float error of kappa (eps times the condition number of the centre
+# majorant) and of short_vectors' 1e-9 slack relative to B >= 2.
+_COVER_MARGIN = 1e-6
 
 _GRAM_CACHE: dict[tuple, np.ndarray] = {}
 
@@ -130,18 +135,37 @@ class HyperbolicSplit:
         a.setflags(write=False)
         return a
 
+    @cached_property
+    def _comp_left_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(P, s): an integer rho x n matrix P with P R = s I, s > 0.
+
+        P = s G_L^-1 R^T G.  At a standard vector N = <v, f> + R, so s = 1
+        and P is an exact integer left inverse of R.
+        """
+        g = self.lattice.gram_rows()
+        rows = ila.mat_mul(ila.mat_inverse_rational(self.gram_L),
+                           [ila.mat_vec(g, col) for col in self.comp])
+        s = math.lcm(*(x.denominator for row in rows for x in row))
+        return tuple(tuple(int(x * s) for x in row) for row in rows), s
+
     def root_data(self, delta: LatVec) -> tuple[int, int, tuple[int, ...]]:
-        """(c, d, lam) with delta = c v + d f + R lam, all integers."""
+        """(c, d, lam) with delta = c v + d f + R lam, all integers.
+
+        Raises ValueError when no such integers exist.
+        """
         d = -self.v.dot(delta)
         c = -self.f.dot(delta)
-        rest = [delta.coords[i] - c * self.v.coords[i] - d * self.f.coords[i]
-                for i in range(self.lattice.rank)]
-        cols = [list(col) for col in self.comp]
-        bmat = [[cols[j][i] for j in range(len(cols))]
-                for i in range(self.lattice.rank)]
-        from .lattice import _solve_integer_columns
-        lam = _solve_integer_columns(bmat, rest)
-        return c, d, tuple(lam)
+        rest = [x - c * vi - d * fi for x, vi, fi
+                in zip(delta.coords, self.v.coords, self.f.coords)]
+        p, s = self._comp_left_inverse
+        lam = [sum(a * x for a, x in zip(row, rest)) for row in p]
+        # R lam = s rest, with lam still scaled by s
+        if any(sum(col[i] * l for col, l in zip(self.comp, lam)) != s * x
+               for i, x in enumerate(rest)):
+            raise ValueError("inconsistent system")
+        if any(l % s for l in lam):
+            raise ValueError("solution is not integral")
+        return c, d, tuple(l // s for l in lam)
 
     def root_from_data(self, c: int, d: int, lam) -> LatVec:
         coords = [c * self.v.coords[i] + d * self.f.coords[i]
@@ -393,21 +417,17 @@ def gl2_factor(frame: FrameVec, split: HyperbolicSplit
 # ---------------------------------------------------------------------------
 
 def apply_isometry_frame(g: Isometry, frame: FrameVec) -> FrameVec:
-    m = np.array([list(r) for r in g.matrix], dtype=float)
-    return FrameVec(frame.lattice, m @ frame.z)
+    return FrameVec(frame.lattice, g.matrix_np @ frame.z)
 
 
 def apply_isometry_point(g: Isometry, p: PeriodPoint) -> PeriodPoint:
-    m = np.array([list(r) for r in g.matrix], dtype=float)
-    return PeriodPoint(p.lattice, m @ p.z)
+    return PeriodPoint(p.lattice, g.matrix_np @ p.z)
 
 
 def apply_isometry_tube(g: Isometry, pt: TubePoint) -> TubePoint:
     """g . (x + iy) in the tube model of w = g.v (lifts stay canonical)."""
-    m = np.array([list(r) for r in g.matrix], dtype=float)
-    w = g.apply(pt.split.v)
-    sp = split_at(w)
-    return TubePoint(sp, m @ pt.x, m @ pt.y)
+    sp = split_at(g.apply(pt.split.v))
+    return TubePoint(sp, g.matrix_np @ pt.x, g.matrix_np @ pt.y)
 
 
 def reference_frame(lat: IntegerLattice) -> FrameVec:
@@ -882,33 +902,56 @@ def majorant_matrix(frame: FrameVec) -> np.ndarray:
     return 0.5 * (q + q.T)
 
 
+def _short_roots(gram, q: np.ndarray, bound: float) -> np.ndarray:
+    """The rows x of ``short_vectors(q, bound)`` with x.G.x = -2.
+
+    G = ``gram`` is an integer Gram matrix; the norms come from one integer
+    einsum in a dtype wide enough for every intermediate.
+    """
+    xs = short_vectors(q, bound)
+    size = int(np.abs(xs).max(initial=0))
+    dtype = _int_dtype(size * size * sum(abs(x) for row in gram for x in row))
+    xs = xs.astype(dtype)
+    return xs[np.einsum("ij,jk,ik->i", xs, np.array(gram, dtype=dtype),
+                        xs) == -2]
+
+
 def _roots_near_box(split: HyperbolicSplit, box: TubeBox,
                     safety: float = 4.0) -> list[LatVec]:
-    """Majorant-bounded candidate roots for walls meeting the box.
+    """Majorant-bounded candidate roots for walls meeting the box, lex order.
 
-    On an A-wall through a box point, |delta_P|^2 <= 1 / y^2; plane drift
-    across the box is absorbed by the safety factor.  Candidates are then
-    subjected to exact membership filters, so inflating the bound only
-    costs time.
+    On an A-wall through a box point, |delta_P|^2 <= 1 / y^2, so the
+    majorant Q_p of each sample point p (the centre and the 4^rho corners)
+    bounds the wall's root by B = 2 + 2 safety max(1, 1/y^2_min); plane
+    drift between the samples is absorbed by the safety factor.
+
+    One ellipsoid covers them all: with Q_c the centre's majorant and kappa
+    the least generalised eigenvalue of (Q_p, Q_c) over the samples,
+    Q_p >= kappa Q_c, so Q_p(x) <= B implies Q_c(x) <= B / kappa.  Every
+    majorant has determinant |det G|, so the cover holds kappa^(-n/2) times
+    the lattice points of one sample's ellipsoid (n the rank).  It is
+    enumerated when that is at most the number of samples, i.e. no more
+    than the samples' ellipsoids one by one; a box too wide for that takes
+    them one by one.  Candidates are then subjected to exact membership
+    filters, so inflating the bound only costs time.
     """
-    lat = split.lattice
     y2_min = float(box.min_y_norm2())
     bound = 2.0 + 2.0 * safety * max(1.0, 1.0 / y2_min)
-    sample_pts = [box.center()] + list(box.corners())
-    cands: set[tuple[int, ...]] = set()
-    for a, b in sample_pts:
-        frame = exp_frame(tube_point(split,
-                                     [float(x) for x in a],
-                                     [float(x) for x in b]))
-        q = majorant_matrix(frame)
-        for vec in short_vectors(q, bound):
-            cands.add(vec)
-    out = []
-    for coords in sorted(cands):
-        w = lat.vector(coords)
-        if w.norm2 == -2:
-            out.append(w)
-    return out
+    qs = np.array([majorant_matrix(exp_frame(tube_point(
+        split, [float(x) for x in a], [float(x) for x in b])))
+        for a, b in [box.center(), *box.corners()]])
+    # kappa from L^-1 Q_p L^-T, where Q_c = L L^T
+    l_inv = np.linalg.inv(np.linalg.cholesky(qs[0]))
+    kappa = float(np.linalg.eigvalsh(l_inv @ qs @ l_inv.T)[:, 0].min())
+    lat = split.lattice
+    if kappa ** (-lat.rank / 2) <= len(qs):
+        covers = [(qs[0], bound / kappa * (1.0 + _COVER_MARGIN))]
+    else:
+        covers = [(q, bound) for q in qs]
+    found: set[tuple[int, ...]] = set()
+    for q, b in covers:
+        found.update(map(tuple, _short_roots(lat.gram_rows(), q, b).tolist()))
+    return [lat.vector(c) for c in sorted(found)]
 
 
 def _orient_root(split: HyperbolicSplit, delta: LatVec) -> tuple[LatVec, int]:
@@ -991,9 +1034,9 @@ def in_P0(frame: FrameVec, margin: float = 2.0,
     |z.delta| > exclusion_radius.
     """
     lat = frame.lattice
-    q = majorant_matrix(frame)
-    cands = [lat.vector(c) for c in short_vectors(q, 2.0 + 2.0 * margin ** 2)]
-    cands = [w for w in cands if w.norm2 == -2]
+    roots = _short_roots(lat.gram_rows(), majorant_matrix(frame),
+                         2.0 + 2.0 * margin ** 2)
+    cands = [lat.vector(c) for c in roots.tolist()]
     g = gram_np(lat)
     m = frame.plane_gram()
     lam_min = float(np.linalg.eigvalsh(m)[0])
@@ -1025,11 +1068,8 @@ def on_A_wall(pt: TubePoint, safety: float = 4.0,
     q = majorant_matrix(frame)
     bound = 2.0 + 2.0 * safety * max(1.0, 1.0 / y2)
     g = gram_np(lat)
-    for coords in short_vectors(q, bound):
-        w = lat.vector(coords)
-        if w.norm2 != -2:
-            continue
-        w, d = _orient_root(pt.split, w)
+    for coords in _short_roots(lat.gram_rows(), q, bound).tolist():
+        w, d = _orient_root(pt.split, lat.vector(coords))
         if d <= 0:
             continue
         zd = complex(frame.z @ g @ np.array(w.coords, dtype=float))
@@ -1080,8 +1120,6 @@ def _l_root_candidates(split: HyperbolicSplit, cone_points,
         pi = np.outer(w, w @ gl) / w2
         q = 2.0 * (gl @ pi) - gl
         q = 0.5 * (q + q.T)
-        for coords in short_vectors(q, 2.0 + 2.0 * margin ** 2):
-            vec = np.array(coords, dtype=float)
-            if abs(float(vec @ gl @ vec) + 2.0) < 1e-9:
-                out.add(coords)
+        out.update(map(tuple, _short_roots(
+            split.gram_L, q, 2.0 + 2.0 * margin ** 2).tolist()))
     return [np.array(c, dtype=float) for c in sorted(out)]

@@ -406,8 +406,7 @@ def looijenga_member(p: PeriodPoint, split: HyperbolicSplit, box: TubeBox,
                 for g in gamma_v_gens:
                     if g.apply(sp.v) != sp.v:
                         raise ValueError("generator does not fix v")
-                    m = np.array([list(r) for r in g.matrix], dtype=float)
-                    img = PeriodPoint(q.lattice, m @ q.z)
+                    img = PeriodPoint(q.lattice, g.matrix_np @ q.z)
                     key = tuple(np.round(img.z / np.max(np.abs(img.z)), 9))
                     if key not in seen:
                         seen.add(key)

@@ -318,8 +318,8 @@ def complete_primitive(col: list[int]) -> list[list[int]]:
     return u
 
 
-def mat_inverse_unimodular(m) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix (integer output)."""
+def mat_inverse_rational(m) -> list[list[Fraction]]:
+    """Exact inverse of an invertible integer matrix, in Fractions."""
     n = len(m)
     a = [[Fraction(x) for x in row] for row in m]
     inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
@@ -335,8 +335,13 @@ def mat_inverse_unimodular(m) -> list[list[int]]:
                 f = a[i][k]
                 a[i] = [x - f * y for x, y in zip(a[i], a[k])]
                 inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
+    return inv
+
+
+def mat_inverse_unimodular(m) -> list[list[int]]:
+    """Exact inverse of a unimodular integer matrix (integer output)."""
     out = []
-    for row in inv:
+    for row in mat_inverse_rational(m):
         irow = []
         for x in row:
             if x.denominator != 1:

@@ -9,7 +9,8 @@ component first, the degree component last, with pairing
 
     (r, l, s) . (r', l', s') = l.l' - r s' - r' s.
 
-Everything in this module is exact; floats never appear.  Bulk kernels run
+Everything in this module is exact; the only floats are the cached copies
+:attr:`Isometry.matrix_np` that the numeric layers apply.  Bulk kernels run
 on integer numpy arrays whose dtype is chosen from a magnitude bound: int64
 when every intermediate fits, Python ints (dtype object) otherwise.
 """
@@ -207,6 +208,13 @@ class Isometry:
         inv = ila.mat_inverse_unimodular(m)
         return Isometry(self.lattice, tuple(tuple(r) for r in inv),
                         self.plus_flag)
+
+    @cached_property
+    def matrix_np(self) -> np.ndarray:
+        """The matrix as a read-only float array, for the numeric layers."""
+        m = np.array(self.matrix, dtype=float)
+        m.setflags(write=False)
+        return m
 
     def with_flag(self, flag: bool) -> "Isometry":
         return Isometry(self.lattice, self.matrix, flag)

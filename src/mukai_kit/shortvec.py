@@ -1,7 +1,11 @@
 """Short-vector enumeration for positive definite quadratic forms.
 
-Classic Fincke-Pohst: Cholesky-factor the form, then depth-first search the
-coordinate tree with exact interval bounds per level.  Inputs are float
+Fincke-Pohst, level-synchronous: LDL^T-factor the form once, then fix the
+coordinates from the last one down, expanding every partial vector of a
+level over its whole integer range at once (``np.repeat`` plus offsets).
+Only one vector of each pair {x, -x} is expanded: while the coordinates
+fixed so far are all zero the next one runs over t >= 0 only, which the
+exact symmetry of the interval bounds makes lossless.  Inputs are float
 matrices (the majorant forms are built numerically); the bound should carry
 a safety margin when completeness against an exact criterion is needed.
 """
@@ -9,8 +13,6 @@ a safety margin when completeness against an exact criterion is needed.
 from __future__ import annotations
 
 import numpy as np
-
-from .lattice import _sign_canonical
 
 
 def _ldl(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -33,43 +35,44 @@ def _ldl(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def short_vectors(q: np.ndarray, bound: float,
-                  include_zero: bool = False) -> list[tuple[int, ...]]:
-    """All integer x with x^T q x <= bound, one per +-x, sorted lex.
+                  include_zero: bool = False) -> np.ndarray:
+    """All integer x with x^T q x <= bound, one per +-x, as an int64 array.
 
-    The representative of {x, -x} has positive first non-zero coordinate.
+    Rows are sorted lex; the representative of {x, -x} has positive first
+    non-zero coordinate.  The zero vector is a row only with
+    ``include_zero``; a negative bound gives no rows.
     """
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
     if bound < 0:
-        return []
+        return np.zeros((0, n), dtype=np.int64)
     l, d = _ldl(q)
-    # Q(x) = sum_k d[k] (x_k + sum_{i>k} l[i,k] x_i)^2
-    out: list[tuple[int, ...]] = []
-    x = [0] * n
-
-    def descend(k: int, remaining: float):
-        # levels from last coordinate down to 0
-        offset = sum(l[i, k] * x[i] for i in range(k + 1, n))
-        if d[k] <= 0:
-            return
-        remaining = max(remaining, 0.0)
-        half_width = (remaining / d[k]) ** 0.5
-        lo = int(np.ceil(-half_width - offset - 1e-12))
-        hi = int(np.floor(half_width - offset + 1e-12))
-        for t in range(lo, hi + 1):
-            x[k] = t
-            used = d[k] * (t + offset) ** 2
-            if used > remaining + 1e-9:
-                continue
-            if k == 0:
-                vec = tuple(x)
-                if any(vec):
-                    out.append(vec)
-                elif include_zero:
-                    out.append(vec)
-            else:
-                descend(k - 1, remaining - used)
-        x[k] = 0
-
-    descend(n - 1, float(bound))
-    return sorted({_sign_canonical(v) for v in out})
+    # Q(x) = sum_k d[k] (x_k + sum_{i>k} l[i,k] x_i)^2; level k fixes x_k
+    xs = np.zeros((1, n), dtype=np.int64)
+    remaining = np.array([float(bound)])
+    for k in range(n - 1, -1, -1):
+        offset = np.zeros(len(xs))
+        for i in range(k + 1, n):
+            offset = offset + l[i, k] * xs[:, i]
+        remaining = np.maximum(remaining, 0.0)
+        half_width = np.sqrt(remaining / d[k])
+        lo = np.ceil(-half_width - offset - 1e-12).astype(np.int64)
+        hi = np.floor(half_width - offset + 1e-12).astype(np.int64)
+        # +-x symmetry: x_k >= 0 while every coordinate above k is zero
+        np.maximum(lo, 0, out=lo, where=~xs[:, k + 1:].any(axis=1))
+        counts = np.maximum(hi - lo + 1, 0)
+        parent = np.repeat(np.arange(len(xs)), counts)
+        starts = np.cumsum(counts) - counts
+        t = lo[parent] + np.arange(len(parent)) - starts[parent]
+        used = d[k] * (t + offset[parent]) ** 2
+        keep = used <= remaining[parent] + 1e-9
+        parent, t = parent[keep], t[keep]
+        xs = xs[parent]
+        xs[:, k] = t
+        remaining = remaining[parent] - used[keep]
+    if not include_zero:
+        xs = xs[xs.any(axis=1)]
+    # canonical sign: flip the rows whose first non-zero coordinate is < 0
+    first = xs[np.arange(len(xs)), np.argmax(xs != 0, axis=1)]
+    xs[first < 0] *= -1
+    return xs[np.lexsort(xs.T[::-1])]

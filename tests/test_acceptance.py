@@ -369,7 +369,8 @@ def _verify_beta(lat, c_root, k, eta, cert):
                 @ np.array([row[1:-1] for row in lat.gram_rows()[1:-1]],
                            dtype=float) @ np.asarray(eta, dtype=float))
     from mukai_kit.shortvec import short_vectors
-    for coords in short_vectors(q, 2.0 + 8.0 * max(1.0, 1.0 / om2)):
+    for coords in map(tuple, short_vectors(
+            q, 2.0 + 8.0 * max(1.0, 1.0 / om2)).tolist()):
         w = lat.vector(coords)
         if w.norm2 == -2:
             cands.add(coords)

@@ -92,6 +92,30 @@ def test_walls_golden_digests(tmp_path):
         assert hashlib.sha256(read(out)).hexdigest() == digest, fmt
 
 
+def test_walls_golden_digests_higher_rank(tmp_path):
+    # rank(L) = 3 and 2 outputs of the majorant-cover enumerator, pinned to
+    # the bytes of the per-corner union it replaced: the rank-3 box is the
+    # wall-scan high-b box on diag(2, -2, -2) at shift 0 (two C-walls), the
+    # rank-2 box on diag(2, -2) has one wall of each kind
+    import hashlib
+    mukai = {2: [[0, 0, 0, -1], [0, 2, 0, 0], [0, 0, -2, 0], [-1, 0, 0, 0]],
+             3: [[0, 0, 0, 0, -1], [0, 2, 0, 0, 0], [0, 0, -2, 0, 0],
+                 [0, 0, 0, -2, 0], [-1, 0, 0, 0, 0]]}
+    cases = [
+        (3, {"a_lo": ["0", "0", "0"], "a_hi": ["1/5", "1/5", "1/5"],
+             "b_lo": ["0", "0", "3"], "b_hi": ["1/10", "1/10", "16/5"]},
+         "c0ba0042bff046fd546514c3ae7d7aee18f7eabbc143ab5883b20f6fecb81a20"),
+        (2, {"a_lo": ["-1/4", "0"], "a_hi": ["1/4", "1/2"],
+             "b_lo": ["-1/5", "9/10"], "b_hi": ["0", "6/5"]},
+         "7066d31b112d9de1702158b2bae5e86cc0309220a16943e514d64941e16c0ee0"),
+    ]
+    for rho, box, digest in cases:
+        out = tmp_path / f"walls-rho{rho}"
+        assert run(["walls", "--gram", json.dumps(mukai[rho]), "--mukai",
+                    "--box", json.dumps(box), "--out", str(out)]) == 0
+        assert hashlib.sha256(read(out)).hexdigest() == digest, rho
+
+
 def test_parser_built_once():
     from mukai_kit import cli
     assert cli._build_parser() is cli._build_parser()

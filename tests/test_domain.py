@@ -10,6 +10,8 @@ import mukai_kit as mk
 from mukai_kit import domain as dm
 from mukai_kit.cli import main as cli_main
 from mukai_kit.lattice import _sign_canonical as lattice_sign_canonical
+from mukai_kit.lattice import _solve_integer_columns
+from mukai_kit.shortvec import short_vectors
 from mukai_kit.errors import (
     DegenerateAtVError,
     NonPositiveDetError,
@@ -232,6 +234,51 @@ def test_wall_refinement_union(rank3):
     assert len(whole) < 100  # locally finite
 
 
+# -- root data -------------------------------------------------------------------
+
+def _root_data_by_elimination(split, delta):
+    """Reference: (c, d) from the pairings, lam by Fraction elimination."""
+    d = -split.v.dot(delta)
+    c = -split.f.dot(delta)
+    rest = [x - c * vi - d * fi for x, vi, fi
+            in zip(delta.coords, split.v.coords, split.f.coords)]
+    bmat = [list(row) for row in zip(*split.comp)]
+    return c, d, tuple(_solve_integer_columns(bmat, rest))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([[[2]], [[6]], [[2, 0], [0, -2]], [[2, 1], [1, -2]],
+                        [[2, 0, 0], [0, -2, 0], [0, 0, -2]]]),
+       st.sampled_from(["v0", "v1", "doubled", "bent"]), st.data())
+def test_root_data_matches_elimination(ns, variant, data):
+    # "doubled" halves the complement lattice, so lam may be fractional;
+    # "bent" replaces f by f + v (no longer isotropic), so R lam = rest can
+    # be inconsistent: both errors must match the reference's
+    lat = mk.mukai_lattice(ns)
+    sp = dm.split_at(lat.vector([1] + [0] * (lat.rank - 1) if variant == "v1"
+                                else [0] * (lat.rank - 1) + [1]))
+    if variant == "doubled":
+        sp = dm.HyperbolicSplit(
+            lat, sp.v, sp.f, tuple(tuple(2 * x for x in c) for c in sp.comp),
+            tuple(tuple(4 * x for x in r) for r in sp.gram_L))
+    elif variant == "bent":
+        sp = dm.HyperbolicSplit(lat, sp.v, sp.f + sp.v, sp.comp, sp.gram_L)
+    coords = data.draw(st.lists(st.integers(-6, 6), min_size=lat.rank,
+                                max_size=lat.rank))
+    delta = lat.vector(coords)
+    got = _outcome(sp.root_data, delta)
+    assert got == _outcome(_root_data_by_elimination, sp, delta)
+    if not isinstance(got, str):
+        assert sp.root_from_data(*got) == delta
+
+
 # -- exact wall test ---------------------------------------------------------------
 #
 # Reference oracles: the former rank-one closed form (exact) and the former
@@ -430,6 +477,79 @@ def test_exact_wall_test_witnesses_and_misses(name, data):
                            for p in samples)
         # the D-wall lies inside the A-wall
         assert verdicts["A"] is not False or verdicts["D"] is False
+
+
+def _roots_near_box_union(split, box, safety=4.0):
+    """Reference for the candidate cover: the union of one majorant
+    enumeration per sample point (the centre and the 4^rho corners), each
+    at the bound B, filtered for -2 one LatVec at a time."""
+    bound = 2.0 + 2.0 * safety * max(1.0, 1.0 / float(box.min_y_norm2()))
+    cands = set()
+    for a, b in [box.center(), *box.corners()]:
+        frame = dm.exp_frame(dm.tube_point(split, [float(x) for x in a],
+                                           [float(x) for x in b]))
+        q = dm.majorant_matrix(frame)
+        cands.update(map(tuple, short_vectors(q, bound).tolist()))
+    roots = [split.lattice.vector(c) for c in sorted(cands)]
+    return [w for w in roots if w.norm2 == -2]
+
+
+_COVER_LATTICES = {"mukai_rank1(1)": [[2]], "mukai_rank1(4)": [[8]],
+                   **{name: ns for name, (ns, _) in _HIGHER.items()}}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_COVER_LATTICES)), st.data())
+def test_cover_contains_corner_union(name, data):
+    # the candidates (one enumeration with the centre majorant at B / kappa,
+    # or per sample for a wide box) hold every root of the per-sample
+    # union; walls only they give must be certified by an exact witness
+    lat = mk.mukai_lattice(_COVER_LATTICES[name])
+    sp = dm.split_at(lat.vector([0] * (lat.rank - 1) + [1]))
+    box = _box_in(sp, data.draw, int(np.argmax(np.diag(sp.gram_L))))
+    # y^2 >= 1/4 keeps B <= 34: lower boxes enumerate 10^4-10^6 vectors
+    # per sample at rank 5, seconds each for the reference
+    assume(box.min_y_norm2() >= F(1, 4))
+    cover = dm._roots_near_box(sp, box)
+    union = _roots_near_box_union(sp, box)
+    assert [w.coords for w in cover] == sorted(w.coords for w in cover)
+    assert {w.coords for w in union} <= {w.coords for w in cover}
+
+    def walls(cands):
+        return {(w.kind, w.root.coords, w.undecided) for w in
+                dm.enumerate_walls_region(sp, box, candidates=cands)}
+
+    got, want = walls(cover), walls(union)
+    assert want <= got
+    for kind, coords, _ in got - want:
+        delta = lat.vector(coords)
+        if kind == "C":
+            assert dm.wall_meets_box(sp, box, delta, kind) is True
+            continue
+        verdict, points = dm._wall_search(sp, box, delta, kind)
+        assert verdict is True
+        _check_witness(sp, delta, kind, points)
+
+
+def test_cover_is_one_enumeration_unless_the_box_is_wide(monkeypatch):
+    # a wall-scan-sized rank-5 box takes one cover; at twice the width in a
+    # the cover would exceed the 65 per-sample ellipsoids, which run instead
+    lat = mk.mukai_lattice(_HIGHER["rank5"][0])
+    sp = dm.split_at(lat.vector([0, 0, 0, 0, 1]))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return short_vectors(*args)
+
+    monkeypatch.setattr(dm, "short_vectors", counted)
+    for width, want in ((F(1, 5), 1), (F(2), 65)):
+        box = dm.TubeBox.make(sp, [0, 0, 0], [width] * 3, [0, 0, F(3, 2)],
+                              [F(1, 10), F(1, 10), F(8, 5)])
+        calls.clear()
+        cover = {w.coords for w in dm._roots_near_box(sp, box)}
+        assert len(calls) == want
+        assert {w.coords for w in _roots_near_box_union(sp, box)} <= cover
 
 
 def test_rank4_enumeration_vs_bruteforce(rank4):

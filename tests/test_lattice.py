@@ -170,6 +170,13 @@ def test_isometry_inverse_fast_path():
     assert involutions == len(roots)
 
 
+def test_isometry_float_matrix_cached_and_read_only():
+    g = mk.line_twist_isometry(mk.preset("mukai_rank1(2)"), [1])
+    m = g.matrix_np
+    assert m is g.matrix_np and not m.flags.writeable
+    assert m.dtype == float and m.tolist() == [list(r) for r in g.matrix]
+
+
 def test_isometry_flag_composition():
     m1 = mk.preset("mukai_rank1(1)")
     s = mk.reflection(m1.vector([1, 0, 1]))
