@@ -366,22 +366,6 @@ def cusp_census(lat: IntegerLattice, height: int,
     return _census(lat, vectors, generators, height, word_depth, root_bound)
 
 
-def enumerate_isotropic_planes(lat: IntegerLattice,
-                               height: int) -> list[tuple[LatVec, LatVec]]:
-    """Raw list of rank-2 isotropic pairs (one-dimensional boundary data).
-
-    Pairs (u, w) of primitive isotropic vectors with u.w = 0 spanning a
-    rank-2 subspace, up to sign; no orbit analysis is attempted.
-    """
-    vecs = enumerate_isotropic(lat, height)
-    out = []
-    for i, u in enumerate(vecs):
-        for w in vecs[i + 1:]:
-            if u.dot(w) == 0:
-                out.append((u, w))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Fricke cusp-count oracle
 # ---------------------------------------------------------------------------

@@ -53,10 +53,6 @@ from .shortvec import short_vectors
 PAIR_TOL = 1e-9
 # Bisection levels after which an exact wall test reports undecided.
 WALL_TEST_DEPTH = 24
-# Relative margin on the cover bound B / kappa of _roots_near_box: far above
-# the float error of kappa (eps times the condition number of the centre
-# majorant) and of short_vectors' 1e-9 slack relative to B >= 2.
-_COVER_MARGIN = 1e-6
 
 _GRAM_CACHE: dict[tuple, np.ndarray] = {}
 
@@ -903,55 +899,92 @@ def majorant_matrix(frame: FrameVec) -> np.ndarray:
 
 
 def _short_roots(gram, q: np.ndarray, bound: float) -> np.ndarray:
-    """The rows x of ``short_vectors(q, bound)`` with x.G.x = -2.
+    """The rows x of ``short_vectors(q, bound)`` with x.G.x = -2."""
+    xs, norms = _norms(gram, short_vectors(q, bound))
+    return xs[norms == -2]
 
-    G = ``gram`` is an integer Gram matrix; the norms come from one integer
-    einsum in a dtype wide enough for every intermediate.
-    """
-    xs = short_vectors(q, bound)
+
+def _norms(gram, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, x.G.x per row) for an integer Gram matrix G = ``gram``, in an
+    integer dtype wide enough for every intermediate."""
     size = int(np.abs(xs).max(initial=0))
-    dtype = _int_dtype(size * size * sum(abs(x) for row in gram for x in row))
-    xs = xs.astype(dtype)
-    return xs[np.einsum("ij,jk,ik->i", xs, np.array(gram, dtype=dtype),
-                        xs) == -2]
+    xs = xs.astype(_int_dtype(size * size * sum(abs(x) for row in gram
+                                                  for x in row)))
+    return xs, np.einsum("ij,jk,ik->i", xs, np.array(gram, dtype=xs.dtype),
+                         xs)
 
 
-def _roots_near_box(split: HyperbolicSplit, box: TubeBox,
-                    safety: float = 4.0) -> list[LatVec]:
-    """Majorant-bounded candidate roots for walls meeting the box, lex order.
+def _cone_roots(gl, points) -> tuple[list[int], int, Fraction, Fraction,
+                                      np.ndarray]:
+    """(E, Q(E), k, y2_min, roots) for cone points p (Fractions) of one
+    component.
 
-    On an A-wall through a box point, |delta_P|^2 <= 1 / y^2, so the
-    majorant Q_p of each sample point p (the centre and the 4^rho corners)
-    bounds the wall's root by B = 2 + 2 safety max(1, 1/y^2_min); plane
-    drift between the samples is absorbed by the safety factor.
-
-    One ellipsoid covers them all: with Q_c the centre's majorant and kappa
-    the least generalised eigenvalue of (Q_p, Q_c) over the samples,
-    Q_p >= kappa Q_c, so Q_p(x) <= B implies Q_c(x) <= B / kappa.  Every
-    majorant has determinant |det G|, so the cover holds kappa^(-n/2) times
-    the lattice points of one sample's ellipsoid (n the rank).  It is
-    enumerated when that is at most the number of samples, i.e. no more
-    than the samples' ellipsoids one by one; a box too wide for that takes
-    them one by one.  Candidates are then subjected to exact membership
-    filters, so inflating the bound only costs time.
+    E is a positive integer multiple of their mean e, and M_e =
+    2 G_L e e^T G_L / Q(e) - G_L is the majorant of G_L at e.  For b in
+    the convex hull of the points and u with b^T G_L u = 0, reverse
+    Cauchy-Schwarz gives M_e(u) <= k N_b(u), where N_b(u) = -u^T G_L u,
+    k = 2 K - 1 and K = max (e^T G_L p)^2 / (Q(e) y2_min), y2_min =
+    min Q(p): (e^T G_L b)^2 and Q(b) take their extremes over the hull at
+    the points, because e^T G_L b is linear and positive there and
+    sqrt(Q) is concave on the cone.  ``roots`` are the lam with
+    lam^T G_L lam = -2 and M_e(lam) <= 2 k, one per +-lam: every root
+    orthogonal to a point of the hull, where N_b(lam) = 2.  They come
+    from ``short_vectors`` on the integer form Q(E) M_e.
     """
-    y2_min = float(box.min_y_norm2())
-    bound = 2.0 + 2.0 * safety * max(1.0, 1.0 / y2_min)
-    qs = np.array([majorant_matrix(exp_frame(tube_point(
-        split, [float(x) for x in a], [float(x) for x in b])))
-        for a, b in [box.center(), *box.corners()]])
-    # kappa from L^-1 Q_p L^-T, where Q_c = L L^T
-    l_inv = np.linalg.inv(np.linalg.cholesky(qs[0]))
-    kappa = float(np.linalg.eigvalsh(l_inv @ qs @ l_inv.T)[:, 0].min())
-    lat = split.lattice
-    if kappa ** (-lat.rank / 2) <= len(qs):
-        covers = [(qs[0], bound / kappa * (1.0 + _COVER_MARGIN))]
-    else:
-        covers = [(q, bound) for q in qs]
-    found: set[tuple[int, ...]] = set()
-    for q, b in covers:
-        found.update(map(tuple, _short_roots(lat.gram_rows(), q, b).tolist()))
-    return [lat.vector(c) for c in sorted(found)]
+    s = math.lcm(*(x.denominator for p in points for x in p))
+    e = [int(sum(col) * s) for col in zip(*points)]
+    ge = _gvec(gl, e)
+    qe = _dot(e, ge)
+    y2_min = min(_dot(p, _gvec(gl, p)) for p in points)
+    k = 2 * max(_dot(ge, p) ** 2 for p in points) / (qe * y2_min) - 1
+    q = [[2 * x * y - qe * g for y, g in zip(ge, row)]
+         for x, row in zip(ge, gl)]
+    return e, qe, k, y2_min, _short_roots(gl, np.array(q, dtype=float),
+                                          math.floor(2 * k * qe))
+
+
+def _floor_add_sqrt(q: Fraction, x: Fraction) -> int:
+    """floor(q + sqrt(x)) for rationals q and x >= 0, exactly."""
+    m = q.denominator
+    return (q.numerator + math.isqrt(math.floor(m * m * x))) // m
+
+
+def _roots_near_box(split: HyperbolicSplit, box: TubeBox) -> list[LatVec]:
+    """Every root whose A-, C- or D-wall can meet the box, lex order.
+
+    Write delta = c v + d f + R lam with d >= 0 (up to sign) and, for
+    d > 0, u = lam/d - a.  An A- or D-wall passes through (a, b) only if
+    b^T G_L u = 0 and y^2 + N_b(u) <= 2/d^2 (y^2 = b^T G_L b >= y2_min);
+    a C-wall (d = 0) only if b^T G_L lam = 0, where N_b(lam) = 2.  With
+    e the b-centre of the box, ``_cone_roots`` bounds M_e by k N_b on
+    b^T G_L u = 0, so every such root has
+
+        M_e(lam - d a) <= k (2 - d^2 y2_min),   d^2 y2_min <= 2.
+
+    At d = 0 these are its ``roots``.  At d >= 1, lam_i lies within
+    r_i = sqrt(k (2 - d^2 y2_min) (M_e^-1)_ii) of d a_i, with M_e^-1 =
+    2 e e^T / Q(e) - G_L^-1: one integer box per d, where
+    c = (lam^T G_L lam + 2) / (2 d) must be an integer.  Every bound is
+    an exact rational.
+    """
+    gl = split.gram_L
+    e, qe, k, y2_min, l_roots = _cone_roots(gl, list(box.b_corners()))
+    g_inv = ila.mat_inverse_rational(gl)
+    m_inv = [Fraction(2 * x * x, qe) - g_inv[i][i] for i, x in enumerate(e)]
+    roots = [split.root_from_data(0, 0, lam) for lam in l_roots.tolist()]
+    d = 1
+    while d * d * y2_min <= 2:
+        r2 = [k * (2 - d * d * y2_min) * m for m in m_inv]
+        axes = [np.arange(-_floor_add_sqrt(-d * lo, x),
+                          _floor_add_sqrt(d * hi, x) + 1)
+                for lo, hi, x in zip(box.a_lo, box.a_hi, r2)]
+        lam, norms = _norms(gl, np.stack(np.meshgrid(*axes, indexing="ij"),
+                                         axis=-1).reshape(-1, split.rho))
+        keep = (norms + 2) % (2 * d) == 0
+        roots += [split.root_from_data((n + 2) // (2 * d), d, row) for n, row
+                  in zip(norms[keep].tolist(), lam[keep].tolist())]
+        d += 1
+    return sorted(roots, key=lambda w: w.coords)
 
 
 def _orient_root(split: HyperbolicSplit, delta: LatVec) -> tuple[LatVec, int]:
@@ -963,10 +996,12 @@ def _orient_root(split: HyperbolicSplit, delta: LatVec) -> tuple[LatVec, int]:
 
 
 def enumerate_walls_region(split: HyperbolicSplit, box: TubeBox,
-                           safety: float = 4.0,
                            candidates: list[LatVec] | None = None
                            ) -> list[Wall]:
-    """All walls meeting a compact chart box, via majorant enumeration.
+    """All walls meeting a compact chart box.
+
+    The candidates default to ``_roots_near_box``, which holds every root
+    whose wall can meet the box.
 
     Every candidate passes the exact three-valued test ``wall_meets_box``;
     walls it leaves undecided are listed too, with ``undecided`` set.
@@ -974,7 +1009,7 @@ def enumerate_walls_region(split: HyperbolicSplit, box: TubeBox,
     representative root having zero v- and f-components.
     """
     if candidates is None:
-        candidates = _roots_near_box(split, box, safety=safety)
+        candidates = _roots_near_box(split, box)
     walls: dict[tuple, Wall] = {}
 
     def test(kind, root):
@@ -1059,17 +1094,17 @@ def region_gt2(pt: TubePoint) -> bool:
     return pt.y_norm2() > 2.0
 
 
-def on_A_wall(pt: TubePoint, safety: float = 4.0,
-              tol: float = 1e-9) -> LatVec | None:
-    """Return a root whose A-wall contains the point, if any candidate does."""
+def on_A_wall(pt: TubePoint, tol: float = 1e-9) -> LatVec | None:
+    """Return a root whose A-wall contains the point, if any does.
+
+    The candidates are those of the zero-width box at the point's chart
+    coordinates, taken as the exact rationals of their floats.
+    """
     frame = exp_frame(pt)
-    lat = pt.split.lattice
-    y2 = pt.y_norm2()
-    q = majorant_matrix(frame)
-    bound = 2.0 + 2.0 * safety * max(1.0, 1.0 / y2)
-    g = gram_np(lat)
-    for coords in _short_roots(lat.gram_rows(), q, bound).tolist():
-        w, d = _orient_root(pt.split, lat.vector(coords))
+    a, b = pt.chart()
+    g = gram_np(pt.split.lattice)
+    for w in _roots_near_box(pt.split, TubeBox.make(pt.split, a, a, b, b)):
+        w, d = _orient_root(pt.split, w)
         if d <= 0:
             continue
         zd = complex(frame.z @ g @ np.array(w.coords, dtype=float))
@@ -1078,13 +1113,12 @@ def on_A_wall(pt: TubePoint, safety: float = 4.0,
     return None
 
 
-def in_L_region(pt: TubePoint, y_amp, safety: float = 4.0,
-                tol: float = 1e-9) -> bool:
+def in_L_region(pt: TubePoint, y_amp, tol: float = 1e-9) -> bool:
     """Distinguished-chamber membership.
 
     True iff y lies in the chamber of the witness y_amp (no L(v)-root wall
-    separates them over the candidate set) and no A-wall passes through the
-    point.  y_amp is given in chart coordinates.
+    separates them) and no A-wall passes through the point.  y_amp is
+    given in chart coordinates.
     """
     sp = pt.split
     gl = sp.gram_L_np()
@@ -1095,31 +1129,12 @@ def in_L_region(pt: TubePoint, y_amp, safety: float = 4.0,
     _, b = pt.chart()
     if float(b @ gl @ y_amp) <= 0:
         return False  # opposite cone component
-    # chamber agreement along the segment [y_amp, b]
-    for l in _l_root_candidates(sp, [y_amp, b, 0.5 * (y_amp + b)]):
+    # chamber agreement along the segment [y_amp, b], exact rationals of
+    # its float ends
+    ends = [tuple(map(Fraction, p)) for p in (y_amp, b)]
+    for l in _cone_roots(sp.gram_L, ends)[-1].astype(float):
         s_amp = float(y_amp @ gl @ l)
         s_b = float(b @ gl @ l)
         if abs(s_b) <= tol or s_amp * s_b < 0:
             return False
-    return on_A_wall(pt, safety=safety, tol=tol) is None
-
-
-def _l_root_candidates(split: HyperbolicSplit, cone_points,
-                       margin: float = 2.0) -> list[np.ndarray]:
-    """Roots of L(v) whose walls could meet the given cone points."""
-    gl = split.gram_L_np()
-    rho = split.rho
-    if rho == 1:
-        return []  # positive definite rank-one L has no -2 vectors
-    out: set[tuple[int, ...]] = set()
-    for w in cone_points:
-        w = np.asarray(w, dtype=float)
-        w2 = float(w @ gl @ w)
-        if w2 <= 0:
-            continue
-        pi = np.outer(w, w @ gl) / w2
-        q = 2.0 * (gl @ pi) - gl
-        q = 0.5 * (q + q.T)
-        out.update(map(tuple, _short_roots(
-            split.gram_L, q, 2.0 + 2.0 * margin ** 2).tolist()))
-    return [np.array(c, dtype=float) for c in sorted(out)]
+    return on_A_wall(pt, tol=tol) is None

@@ -6,8 +6,7 @@ level over its whole integer range at once (``np.repeat`` plus offsets).
 Only one vector of each pair {x, -x} is expanded: while the coordinates
 fixed so far are all zero the next one runs over t >= 0 only, which the
 exact symmetry of the interval bounds makes lossless.  Inputs are float
-matrices (the majorant forms are built numerically); the bound should carry
-a safety margin when completeness against an exact criterion is needed.
+matrices.
 """
 
 from __future__ import annotations

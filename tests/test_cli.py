@@ -71,6 +71,19 @@ def test_walls_json_and_svg(tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+def test_walls_wide_box(tmp_path):
+    # eight units wide in a: the brute-force scan finds 25 walls, among
+    # them the A-wall (1, -2, 5) at a = +-2
+    box = json.dumps({"a_lo": ["-4"], "a_hi": ["4"],
+                      "b_lo": ["0.5"], "b_hi": ["0.6"]})
+    out = tmp_path / "walls.json"
+    assert run(["walls", "--preset", "mukai_rank1(1)", "--box", box,
+                "--out", str(out)]) == 0
+    walls = json.loads(out.read_text())["walls"]
+    assert len(walls) == 25
+    assert {"kind": "A", "root_coords": [1, -2, 5], "v": [0, 0, 1]} in walls
+
+
 def test_walls_golden_digests(tmp_path):
     # the criterion-10 walls outputs, pinned to the bytes of the rank-one
     # closed-form test and the exp_frame raster they replaced

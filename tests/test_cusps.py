@@ -327,11 +327,3 @@ def test_uu_census_identical_shadows():
         assert abs(lv.det) == 1
         assert lv.signature == (1, 1)
         assert rec.disc_group == ()
-
-
-def test_isotropic_planes_listing():
-    uu = mk.direct_sum(mk.preset("U"), mk.preset("U"))
-    pairs = cusps.enumerate_isotropic_planes(uu, 1)
-    assert pairs
-    for u, w in pairs:
-        assert u.norm2 == 0 and w.norm2 == 0 and mk.pair(u, w) == 0

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -480,7 +481,7 @@ def test_exact_wall_test_witnesses_and_misses(name, data):
 
 
 def _roots_near_box_union(split, box, safety=4.0):
-    """Reference for the candidate cover: the union of one majorant
+    """Reference for the candidates: the union of one majorant
     enumeration per sample point (the centre and the 4^rho corners), each
     at the bound B, filtered for -2 one LatVec at a time."""
     bound = 2.0 + 2.0 * safety * max(1.0, 1.0 / float(box.min_y_norm2()))
@@ -501,9 +502,8 @@ _COVER_LATTICES = {"mukai_rank1(1)": [[2]], "mukai_rank1(4)": [[8]],
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(_COVER_LATTICES)), st.data())
 def test_cover_contains_corner_union(name, data):
-    # the candidates (one enumeration with the centre majorant at B / kappa,
-    # or per sample for a wide box) hold every root of the per-sample
-    # union; walls only they give must be certified by an exact witness
+    # the (d, lam) candidates give every wall of the per-sample union;
+    # walls only they give must be certified by an exact witness
     lat = mk.mukai_lattice(_COVER_LATTICES[name])
     sp = dm.split_at(lat.vector([0] * (lat.rank - 1) + [1]))
     box = _box_in(sp, data.draw, int(np.argmax(np.diag(sp.gram_L))))
@@ -513,43 +513,94 @@ def test_cover_contains_corner_union(name, data):
     cover = dm._roots_near_box(sp, box)
     union = _roots_near_box_union(sp, box)
     assert [w.coords for w in cover] == sorted(w.coords for w in cover)
-    assert {w.coords for w in union} <= {w.coords for w in cover}
 
     def walls(cands):
         return {(w.kind, w.root.coords, w.undecided) for w in
                 dm.enumerate_walls_region(sp, box, candidates=cands)}
 
-    got, want = walls(cover), walls(union)
+    _assert_contains_witnessed(sp, box, walls(cover), walls(union))
+
+
+def _assert_contains_witnessed(split, box, got, want):
+    """Every wall of want is in got, and every wall only in got has an
+    exact witness (a certified meeting for a C-wall)."""
     assert want <= got
     for kind, coords, _ in got - want:
-        delta = lat.vector(coords)
+        delta = split.lattice.vector(coords)
         if kind == "C":
-            assert dm.wall_meets_box(sp, box, delta, kind) is True
+            assert dm.wall_meets_box(split, box, delta, kind) is True
             continue
-        verdict, points = dm._wall_search(sp, box, delta, kind)
+        verdict, points = dm._wall_search(split, box, delta, kind)
         assert verdict is True
-        _check_witness(sp, delta, kind, points)
+        _check_witness(split, delta, kind, points)
 
 
-def test_cover_is_one_enumeration_unless_the_box_is_wide(monkeypatch):
-    # a wall-scan-sized rank-5 box takes one cover; at twice the width in a
-    # the cover would exceed the 65 per-sample ellipsoids, which run instead
-    lat = mk.mukai_lattice(_HIGHER["rank5"][0])
-    sp = dm.split_at(lat.vector([0, 0, 0, 0, 1]))
-    calls = []
+def _wall_coord_bound(split, box):
+    """Coordinate bound on every root whose wall meets the box, for a
+    diagonal G_L of rank one, or of rank two and signature (1, 1).
 
-    def counted(*args):
-        calls.append(args)
-        return short_vectors(*args)
+    delta = c v + d f + R lam, u = lam/d - a.  Through (a, b) a wall needs
+    b^T G_L u = 0 and N_b(u) = -u^T G_L u <= 2/d^2 - y^2 (d > 0), or
+    N_b(lam) = 2 (d = 0).  In rank one u = 0 and d^2 y^2 <= 2.  In rank
+    two, G_L = diag(-g, g) up to order, with p the positive index, s the
+    other and t = b_s/b_p: u_p = t u_s, N_b(u) = g u_s^2 (1 - t^2) and
+    y^2 = g b_p^2 (1 - t^2), so d |u_i| <= r = |b_p| sqrt(2/y^2) for both
+    i.  Hence |lam_i| <= d max|a| + r =: l and |lam^T G_L lam| <= g l^2,
+    so |c| <= (g l^2 + 2) / (2 d).  v, f and the columns of R are unit
+    vectors (Mukai lattices split at the last basis vector), so the
+    coordinates of delta are d, lam and c.
+    """
+    gl = split.gram_L
+    g = max(row[i] for i, row in enumerate(gl))
+    assert gl in (((g,),), ((g, 0), (0, -g)), ((-g, 0), (0, g)))
+    y2 = float(box.min_y_norm2())
+    b_p = max(abs(float(x)) for i, row in enumerate(gl) if row[i] > 0
+              for x in (box.b_lo[i], box.b_hi[i]))
+    r = 0.0 if split.rho == 1 else b_p * math.sqrt(2 / y2)
+    a_max = max(abs(float(x)) for x in box.a_lo + box.a_hi)
+    out = r
+    for d in range(1, math.isqrt(math.floor(2 / y2)) + 1):
+        lam = d * a_max + r
+        out = max(out, d, lam, (g * lam * lam + 2) / (2 * d))
+    return math.ceil(out) + 1
 
-    monkeypatch.setattr(dm, "short_vectors", counted)
-    for width, want in ((F(1, 5), 1), (F(2), 65)):
-        box = dm.TubeBox.make(sp, [0, 0, 0], [width] * 3, [0, 0, F(3, 2)],
-                              [F(1, 10), F(1, 10), F(8, 5)])
-        calls.clear()
-        cover = {w.coords for w in dm._roots_near_box(sp, box)}
-        assert len(calls) == want
-        assert {w.coords for w in _roots_near_box_union(sp, box)} <= cover
+
+# name: (NS Gram, max |a|, least y^2 of a box)
+_WIDE = {**{f"mukai_rank1({n})": ([[2 * n]], 6, F(1, 4))
+            for n in range(1, 7)},
+         "rank4": (_HIGHER["rank4"][0], F(3, 2), F(1))}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(_WIDE)), st.data())
+def test_wide_box_walls_vs_bruteforce(name, data):
+    # boxes up to 12 wide in a (3 at rank 4, where the brute-force cube
+    # holds about bound^2 roots, each tested exactly): every wall of the
+    # coordinate scan is found, and walls beyond it carry exact witnesses
+    ns, a_max, y2_min = _WIDE[name]
+    lat = mk.mukai_lattice(ns)
+    sp = dm.split_at(lat.vector([0] * (lat.rank - 1) + [1]))
+    pos = int(np.argmax(np.diag(sp.gram_L)))
+    units = st.integers(int(-8 * a_max), 0).map(lambda n: F(n, 8))
+    a_lo = [data.draw(units) for _ in range(sp.rho)]
+    a_hi = [min(x + F(data.draw(st.integers(0, int(16 * a_max))), 8), a_max)
+            for x in a_lo]
+    b_lo = [F(data.draw(st.integers(-4, 4)), 8) for _ in range(sp.rho)]
+    b_lo[pos] = F(data.draw(st.integers(2, 12)), 8)
+    b_hi = [x + F(data.draw(st.integers(0, 4)), 8) for x in b_lo]
+    try:
+        box = dm.TubeBox.make(sp, a_lo, a_hi, b_lo, b_hi)
+    except UnboundedBoxError:
+        assume(False)
+    assume(box.min_y_norm2() >= y2_min)
+
+    def walls(found):
+        return {(w.kind, w.root.coords, w.undecided) for w in found}
+
+    _assert_contains_witnessed(
+        sp, box, walls(dm.enumerate_walls_region(sp, box)),
+        walls(dm.enumerate_walls_bruteforce(sp, box,
+                                            _wall_coord_bound(sp, box))))
 
 
 def test_rank4_enumeration_vs_bruteforce(rank4):
@@ -746,6 +797,18 @@ def test_in_L_region(rank3, rank4):
     assert not dm.in_L_region(dm.tube_point(sp4, [0, 0], [-0.3, 2.0]), amp4)
     with pytest.raises(Exception):
         dm.in_L_region(dm.tube_point(sp4, [0, 0], [0.05, 3.0]), [1.0, 0.0])
+
+
+def test_in_L_region_sees_separating_root():
+    # G_L = diag(-4, 2): the L-root lam = (5, 7) separates b from y_amp,
+    # which is close to the light cone (y_amp^2 = 0.004)
+    lat = mk.mukai_lattice([[2, 0], [0, -4]])
+    sp = dm.split_at(lat.vector([0, 0, 0, 1]))
+    assert sp.gram_L == ((-4, 0), (0, 2))
+    b, amp, lam = np.array([1.0, 1.9]), np.array([0.7064, 1.0]), [5, 7]
+    gl = sp.gram_L_np()
+    assert lam @ gl @ lam == -2 and (b @ gl @ lam) * (amp @ gl @ lam) < 0
+    assert not dm.in_L_region(dm.tube_point(sp, [0, 0], b), amp)
 
 
 def test_orientation_flags(rank3):
