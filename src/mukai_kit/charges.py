@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     InconsistentLiftError,
+    MukaiKitError,
     NoSolutionInBoundError,
     NonPositiveDetError,
     NonPositiveOmegaError,
@@ -187,7 +188,7 @@ def lifted_identity() -> LiftedGL2:
 @dataclass
 class FactorizationResult:
     ts: list[float]
-    tube_path: list[TubePoint]
+    tube_path: TubePoint          # the batch of all samples' tube points
     lifts: list[LiftedGL2]
     max_residual: float
 
@@ -201,34 +202,38 @@ def factor_path(samples: list[tuple[float, np.ndarray]],
     differ by less than half a turn or the winding is ambiguous.  The output
     is unique up to one global even shift, selected by ``branch_offset``
     (lift of the initial phase in (-1, 1] plus 2 * branch_offset).
+
+    All samples are factored as one batch; an error is the one that the
+    lowest failing sample meets first.
     """
     lat = split.lattice
-    g = gram_np(lat)
-    ts: list[float] = []
-    tube: list[TubePoint] = []
+    zs = np.array([z for _, z in samples], dtype=complex).reshape(
+        len(samples), lat.rank)
+    try:
+        tube, tmats = gl2_factor(FrameVec(lat, zs), split)
+        recon = gl2_act(exp_frame(tube), tmats).z
+    except (MukaiKitError, ValueError) as exc:
+        # an earlier sample may fail a later stage, or the phase check
+        if getattr(exc, "row", 0):
+            factor_path(samples[:exc.row], split, branch_offset)
+        raise
+    resid = float(np.max(np.max(abs(recon - zs), axis=-1)
+                         / np.maximum(1.0, np.max(abs(zs), axis=-1)),
+                         initial=0.0))
+    ts = [float(t) for t, _ in samples]
     lifts: list[LiftedGL2] = []
-    max_resid = 0.0
-    prev_phi: float | None = None
-    for (t, zvec) in samples:
-        zvec = np.asarray(zvec, dtype=complex)
-        frame = FrameVec(lat, zvec)
-        pt, tmat = gl2_factor(frame, split)
-        recon = gl2_act(exp_frame(pt), tmat)
-        resid = float(np.max(np.abs(recon.z - zvec)))
-        max_resid = max(max_resid, resid / max(1.0, float(np.max(np.abs(zvec)))))
-        raw = _col_phase(tmat)
+    prev_phi = None
+    for t, tmat in zip(ts, tmats):
+        r = _col_phase(tmat)
         if prev_phi is None:
-            phi = raw + 2.0 * branch_offset
-        else:
-            phi = raw + 2.0 * round((prev_phi - raw) / 2.0)
-            if abs(phi - prev_phi) >= 0.5:
-                raise SamplingTooCoarseError(
-                    f"winding jump {abs(phi - prev_phi):.3f} at t = {t}")
+            prev_phi = r + 2.0 * branch_offset
+        phi = r + 2.0 * round((prev_phi - r) / 2.0)
+        if abs(phi - prev_phi) >= 0.5:
+            raise SamplingTooCoarseError(
+                f"winding jump {abs(phi - prev_phi):.3f} at t = {t}")
         prev_phi = phi
-        ts.append(float(t))
-        tube.append(pt)
         lifts.append(LiftedGL2.make(tmat, phi))
-    return FactorizationResult(ts, tube, lifts, max_resid)
+    return FactorizationResult(ts, tube, lifts, resid)
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +253,6 @@ class WallEvent:
                 "root_coords": list(self.root.coords),
                 "side_change": list(self.side_change),
                 "t_interval": list(self.t_interval)}
-
-
-def _im_re_along(split: HyperbolicSplit, delta: LatVec, frame_at):
-    g = gram_np(split.lattice)
-    dv = np.array(delta.coords, dtype=float)
-
-    def f(t: float) -> complex:
-        return complex(frame_at(t).z @ g @ dv)
-
-    return f
 
 
 def wall_crossings(frame_at, t0: float, t1: float,
@@ -295,9 +290,17 @@ def wall_crossings(frame_at, t0: float, t1: float,
                 continue
             seen_c.add(lam)
             worklist.append((split.root_from_data(0, 0, lam), 0))
-    for delta, d in worklist:
-        f = _im_re_along(split, delta, frame_at)
-        vals = [f(t) for t in grid]
+    if not worklist:
+        return events
+    # z.delta on the grid: the grid frames once, all candidates in one product
+    g = gram_np(split.lattice)
+    roots = np.array([delta.coords for delta, _ in worklist], dtype=float)
+    grid_vals = np.array([frame_at(t).z for t in grid]) @ g @ roots.T
+    for dv, col, (delta, d) in zip(roots, grid_vals.T, worklist):
+        def f(t: float, dv=dv) -> complex:
+            return complex(frame_at(t).z @ g @ dv)
+
+        vals = col.tolist()
         scale = max(1e-12, max(abs(v) for v in vals))
         zero_tol = 1e-12 * scale
 

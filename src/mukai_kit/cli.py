@@ -222,13 +222,12 @@ def cmd_geodesic(cfg: dict) -> int:
     pt = domain.tube_point(sp, x0, y0)
     result = geodesics.geodesic_oracle(pt, t_max, steps)
     dev = geodesics.oracle_deviation(pt, result)
-    speeds = [geodesics.speed(pt, t)
-              for t in np.linspace(0.0, t_max, 5)]
+    speeds = geodesics.speed(pt, np.linspace(0.0, t_max, 5)).tolist()
     stride = max(1, steps // 100)
-    rows = []
-    for t, row in list(zip(result.ts, result.chart))[::stride]:
-        rows.append((float(t),) + tuple(float(c) for c in row)
-                    + (geodesics.speed(pt, float(t)),))
+    ts = result.ts[::stride]
+    rows = [(t,) + tuple(row) + (s,) for t, row, s in zip(
+        ts.tolist(), result.chart[::stride].tolist(),
+        geodesics.speed(pt, ts).tolist())]
     payload = {
         "report": {"max_dev": dev, "tol": tol, "steps": steps,
                    "energy_drift": result.energy_drift,
@@ -256,10 +255,10 @@ def cmd_factor(cfg: dict) -> int:
         if spec.get("kind") != "linear_degeneration":
             raise ConfigError("path-spec supports kind linear_degeneration")
         path = geodesics.linear_degeneration(sp, spec["x0"], spec["y0"])
-        for t in np.linspace(float(spec.get("t0", 1.0)),
-                             float(spec.get("t1", 4.0)),
-                             int(spec.get("samples", 100))):
-            samples.append((float(t), domain.exp_frame(path.at(float(t))).z))
+        ts = np.linspace(float(spec.get("t0", 1.0)),
+                         float(spec.get("t1", 4.0)),
+                         int(spec.get("samples", 100)))
+        samples = list(zip(ts.tolist(), domain.exp_frame(path.at(ts)).z))
     elif cfg.get("path"):
         with open(cfg["path"]) as fh:
             for line in fh:
@@ -320,13 +319,11 @@ def cmd_degenerate(cfg: dict) -> int:
     t0 = float(cfg.get("t0", 1.0))
     t1 = float(cfg.get("t1", 10.0))
     n = int(cfg.get("samples", 50))
-    path = geodesics.linear_degeneration(sp, x0, y0)
-    rows = []
-    for t in np.linspace(t0, t1, n):
-        pt = path.at(float(t))
-        a, b = pt.chart()
-        rows.append((float(t),) + tuple(map(float, a)) + tuple(map(float, b))
-                    + (pt.y_norm2(),))
+    ts = np.linspace(t0, t1, n)
+    pts = geodesics.linear_degeneration(sp, x0, y0).at(ts)
+    a, b = pts.chart()
+    rows = [(t,) + tuple(ai) + tuple(bi) + (y2,) for t, ai, bi, y2 in zip(
+        ts.tolist(), a.tolist(), b.tolist(), pts.y_norm2().tolist())]
     payload = {"samples": rows}
     payload["_csv"] = serialize.csv_text(
         ["t"] + [f"a{i}" for i in range(sp.rho)]

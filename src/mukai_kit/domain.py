@@ -67,8 +67,35 @@ def gram_np(lat: IntegerLattice) -> np.ndarray:
 
 
 def pairing(lat: IntegerLattice, u, w):
-    """Bilinear pairing of coordinate vectors (real or complex, no bar)."""
-    return np.asarray(u) @ gram_np(lat) @ np.asarray(w)
+    """Bilinear pairing of coordinate vectors (real or complex, no bar).
+
+    Arguments of shape (N, n) pair row by row; a single vector broadcasts.
+    """
+    return _rowdot(np.asarray(u) @ gram_np(lat), w)
+
+
+def _rowdot(u, w):
+    """Row-wise u . w, rounded as the 1-D product u @ w is."""
+    return (u[..., None, :] @ np.asarray(w)[..., :, None])[..., 0, 0]
+
+
+def _raise_first(*checks):
+    """Raise what a row-by-row loop raises first, recording its row as ``row``.
+
+    ``checks`` are (mask, error type, message) in the order one row is
+    checked; a mask holds one flag per row (0-d for a single point).
+    """
+    bad = checks[0][0]
+    for mask, _, _ in checks[1:]:
+        bad = bad | mask
+    if not bad.any():
+        return
+    row = int(np.flatnonzero(bad)[0])
+    for mask, kind, message in checks:
+        if np.ravel(mask)[row]:
+            exc = kind(message)
+            exc.row = row
+            raise exc
 
 
 # ---------------------------------------------------------------------------
@@ -180,52 +207,46 @@ def split_at(v: LatVec) -> HyperbolicSplit:
 
 @dataclass(frozen=True)
 class TubePoint:
-    """Canonical representative (x, y) of a tube-domain point."""
+    """Canonical representative (x, y) of a tube-domain point.
+
+    x and y have shape (n,) for one point, or (N, n) for a batch of N points
+    whose methods work row by row.
+    """
 
     split: HyperbolicSplit
     x: np.ndarray
     y: np.ndarray
 
-    @property
-    def v(self) -> LatVec:
-        return self.split.v
-
-    def y_norm2(self) -> float:
-        return float(pairing(self.split.lattice, self.y, self.y))
+    def y_norm2(self):
+        return pairing(self.split.lattice, self.y, self.y)
 
     def validate(self, tol: float = 1e-9):
-        lat = self.split.lattice
-        vv = self.split.v_np()
-        if abs(pairing(lat, self.x, self.x)) > tol:
-            raise ValueError("x^2 != 0")
-        if abs(pairing(lat, self.x, vv) + 1.0) > tol:
-            raise ValueError("x.v != -1")
-        if abs(pairing(lat, self.y, vv)) > tol:
-            raise ValueError("y.v != 0")
-        if abs(pairing(lat, self.y, self.x)) > tol:
-            raise ValueError("y.x != 0")
-        if self.y_norm2() <= 0:
-            raise NotPositiveError("y^2 <= 0")
+        g = gram_np(self.split.lattice)
+        x, y, vv = self.x, self.y, self.split.v_np()
+        xg, yg = x @ g, y @ g
+        _raise_first(
+            (abs(_rowdot(xg, x)) > tol, ValueError, "x^2 != 0"),
+            (abs(_rowdot(xg, vv) + 1.0) > tol, ValueError, "x.v != -1"),
+            (abs(_rowdot(yg, vv)) > tol, ValueError, "y.v != 0"),
+            (abs(_rowdot(yg, x)) > tol, ValueError, "y.x != 0"),
+            (_rowdot(yg, y) <= 0, NotPositiveError, "y^2 <= 0"))
         return self
 
     def chart(self) -> tuple[np.ndarray, np.ndarray]:
         """Chart coordinates (a, b) in the complement basis."""
         sp = self.split
-        g = gram_np(sp.lattice)
-        gl_inv = sp._gram_L_inv
-        r = sp.comp_np()
-        a = gl_inv @ (r.T @ g @ self.x)
-        b = gl_inv @ (r.T @ g @ self.y)
-        return a, b
+        m = gram_np(sp.lattice) @ sp.comp_np()
+        return self.x @ m @ sp._gram_L_inv.T, self.y @ m @ sp._gram_L_inv.T
 
 
-def tube_point(split: HyperbolicSplit, a, b, validate: bool = True) -> TubePoint:
-    """Tube point with chart coordinates (a, b); b must be in the cone."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x_raw = split.f_np() + split.comp_np() @ a
-    y_raw = split.comp_np() @ b
-    return tube_from_lifts(split, x_raw, y_raw, validate=validate)
+def tube_point(split: HyperbolicSplit, a, b) -> TubePoint:
+    """Tube point with chart coordinates (a, b); b must be in the cone.
+
+    (N, rho) coordinate arrays, broadcast together, give a batch of N points.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+    r = split.comp_np()
+    return tube_from_lifts(split, split.f_np() + a @ r.T, b @ r.T)
 
 
 def tube_from_lifts(split: HyperbolicSplit, x_raw, y_raw,
@@ -235,8 +256,8 @@ def tube_from_lifts(split: HyperbolicSplit, x_raw, y_raw,
     vv = split.v_np()
     x_raw = np.asarray(x_raw, dtype=float)
     y_raw = np.asarray(y_raw, dtype=float)
-    x = x_raw + 0.5 * float(pairing(lat, x_raw, x_raw)) * vv
-    y = y_raw + float(pairing(lat, y_raw, x)) * vv
+    x = x_raw + 0.5 * pairing(lat, x_raw, x_raw)[..., None] * vv
+    y = y_raw + pairing(lat, y_raw, x)[..., None] * vv
     pt = TubePoint(split, x, y)
     if validate:
         pt.validate()
@@ -246,6 +267,8 @@ def tube_from_lifts(split: HyperbolicSplit, x_raw, y_raw,
 # ---------------------------------------------------------------------------
 # frames and period points
 # ---------------------------------------------------------------------------
+# Like tube points, frames and period points hold z of shape (n,) or, for a
+# batch, (N, n); every map below works row by row.
 
 @dataclass(frozen=True)
 class FrameVec:
@@ -263,19 +286,18 @@ class FrameVec:
         return self.z.imag
 
     def plane_gram(self) -> np.ndarray:
-        g = gram_np(self.lattice)
-        b = np.stack([self.re, self.im], axis=1)
-        return b.T @ g @ b
+        b = np.stack([self.re, self.im], axis=-1)
+        return np.swapaxes(b, -1, -2) @ gram_np(self.lattice) @ b
 
     def validate(self):
         m = self.plane_gram()
-        if not (np.linalg.det(m) > 0 and np.trace(m) > 0):
-            raise NotPositiveError("span(Re z, Im z) is not a positive plane")
+        ok = (np.linalg.det(m) > 0) & (np.trace(m, axis1=-2, axis2=-1) > 0)
+        _raise_first((~ok, NotPositiveError,
+                      "span(Re z, Im z) is not a positive plane"))
         return self
 
-    def pair_v(self, v: LatVec) -> complex:
-        return complex(pairing(self.lattice, self.z,
-                                np.array(v.coords, dtype=float)))
+    def pair_v(self, v: LatVec):
+        return pairing(self.lattice, self.z, np.array(v.coords, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -290,38 +312,35 @@ class PeriodPoint:
     z: np.ndarray  # complex, z^2 = 0
 
     def validate(self, tol: float = 1e-8):
-        scale = float(np.linalg.norm(self.z)) ** 2
-        if abs(complex(pairing(self.lattice, self.z, self.z))) > tol * scale:
-            raise ValueError("z^2 != 0")
-        if not complex(pairing(self.lattice, self.z,
-                               np.conj(self.z))).real > 0:
-            raise ValueError("z.zbar <= 0")
+        scale = np.linalg.norm(self.z, axis=-1) ** 2
+        _raise_first(
+            (abs(pairing(self.lattice, self.z, self.z)) > tol * scale,
+             ValueError, "z^2 != 0"),
+            (~(pairing(self.lattice, self.z, np.conj(self.z)).real > 0),
+             ValueError, "z.zbar <= 0"))
         return self
 
-    def pair_v(self, v: LatVec) -> complex:
-        return complex(pairing(self.lattice, self.z,
-                                np.array(v.coords, dtype=float)))
+    pair_v = FrameVec.pair_v
 
 
-def proj_distance(p: PeriodPoint, q: PeriodPoint) -> float:
+def proj_distance(p: PeriodPoint, q: PeriodPoint):
     """Projective (Fubini-Study sine) distance between complex lines.
 
     Computed as the norm of the component of q orthogonal to p, which is
     stable for nearly-equal lines (no 1 - cos^2 cancellation).
     """
     a, b = p.z, q.z
-    na = np.vdot(a, a).real
-    nb = np.vdot(b, b).real
-    resid = b - (np.vdot(a, b) / na) * a
-    return float(np.sqrt(np.vdot(resid, resid).real / nb))
+    ab = _rowdot(a.conj(), b) / _rowdot(a.conj(), a).real
+    resid = b - ab[..., None] * a
+    return np.sqrt(_rowdot(resid.conj(), resid).real
+                   / _rowdot(b.conj(), b).real)
 
 
 def exp_frame(pt: TubePoint) -> FrameVec:
     """Exp_v: the unique frame z = x + iy - (y^2/2) v with z.v = -1, z^2 = 0."""
     y2 = pt.y_norm2()
-    if y2 <= 0:
-        raise NotPositiveError("y^2 <= 0")
-    z = pt.x - 0.5 * y2 * pt.split.v_np() + 1j * pt.y
+    _raise_first((y2 <= 0, NotPositiveError, "y^2 <= 0"))
+    z = pt.x - 0.5 * y2[..., None] * pt.split.v_np() + 1j * pt.y
     return FrameVec(pt.split.lattice, z)
 
 
@@ -332,18 +351,16 @@ def theta(frame: FrameVec, vref: LatVec | None = None) -> PeriodPoint:
     the same projective class.
     """
     lat = frame.lattice
-    g = gram_np(lat)
-    u = frame.re
-    w = frame.im
-    uu = float(u @ g @ u)
-    if uu <= 0:
-        raise NotPositiveError("frame plane is not positive")
-    e1 = u / math.sqrt(uu)
-    w1 = w - float(w @ g @ e1) * e1
-    ww = float(w1 @ g @ w1)
-    if ww <= 0:
-        raise NotPositiveError("frame plane is not positive")
-    e2 = w1 / math.sqrt(ww)
+    u, w = frame.re, frame.im
+    uu = pairing(lat, u, u)
+    # rows that fail have no square root; they raise below
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e1 = u / np.sqrt(uu)[..., None]
+        w1 = w - pairing(lat, w, e1)[..., None] * e1
+        ww = pairing(lat, w1, w1)
+        e2 = w1 / np.sqrt(ww)[..., None]
+    _raise_first(((uu <= 0) | (ww <= 0), NotPositiveError,
+                  "frame plane is not positive"))
     p = PeriodPoint(lat, e1 + 1j * e2)
     if vref is not None:
         return PeriodPoint(lat, q_section(p, vref).z)
@@ -352,16 +369,16 @@ def theta(frame: FrameVec, vref: LatVec | None = None) -> PeriodPoint:
 
 def exp_point(pt: TubePoint) -> PeriodPoint:
     """exp_v = theta after Exp_v; an isomorphism onto its image."""
-    z = exp_frame(pt).z
-    return PeriodPoint(pt.split.lattice, z)
+    return PeriodPoint(pt.split.lattice, exp_frame(pt).z)
 
 
 def q_section(p: PeriodPoint, v: LatVec) -> FrameVec:
     """Section of theta: the representative with z.v = -1, z^2 = 0."""
     zv = p.pair_v(v)
-    if abs(zv) < PAIR_TOL * float(np.linalg.norm(p.z)):
-        raise DegenerateAtVError("z.v = 0: point at infinity relative to v")
-    return FrameVec(p.lattice, -p.z / zv)
+    _raise_first((abs(zv) < PAIR_TOL * np.linalg.norm(p.z, axis=-1),
+                  DegenerateAtVError,
+                  "z.v = 0: point at infinity relative to v"))
+    return FrameVec(p.lattice, -p.z / zv[..., None])
 
 
 def log_tube(p: PeriodPoint, split: HyperbolicSplit) -> TubePoint:
@@ -378,34 +395,34 @@ def gl2_act(frame: FrameVec, t) -> FrameVec:
     """Column action: Re' = T00 Re + T01 Im, Im' = T10 Re + T11 Im.
 
     A conformal T = [[p, -q], [q, p]] acts as multiplication by p + iq, so
-    the first column of T read as a complex number gives the phase.
+    the first column of T read as a complex number gives the phase.  A
+    batch of frames takes one 2 x 2 matrix per row, shape (N, 2, 2).
     """
     t = np.asarray(t, dtype=float)
-    if np.linalg.det(t) <= 0:
-        raise NonPositiveDetError("det T <= 0")
-    re = t[0, 0] * frame.re + t[0, 1] * frame.im
-    im = t[1, 0] * frame.re + t[1, 1] * frame.im
-    return FrameVec(frame.lattice, re + 1j * im)
+    _raise_first((np.linalg.det(t) <= 0, NonPositiveDetError, "det T <= 0"))
+    cols = t[..., 0, :] + 1j * t[..., 1, :]
+    return FrameVec(frame.lattice,
+                    cols[..., :1] * frame.re + cols[..., 1:] * frame.im)
 
 
 def gl2_factor(frame: FrameVec, split: HyperbolicSplit
                ) -> tuple[TubePoint, np.ndarray]:
-    """Write z = gl2_act(Exp_v(pt), T); T is unique for z.v != 0."""
+    """Write z = gl2_act(Exp_v(pt), T); T is unique for z.v != 0.
+
+    A batch of frames gives a batch of tube points and T of shape (N, 2, 2).
+    """
     p = theta(frame)
     zv = p.pair_v(split.v)
-    if abs(zv) < PAIR_TOL * float(np.linalg.norm(p.z)):
-        raise DegenerateAtVError("z.v = 0")
+    _raise_first((abs(zv) < PAIR_TOL * np.linalg.norm(p.z, axis=-1),
+                  DegenerateAtVError, "z.v = 0"))
     pt = log_tube(p, split)
     w = exp_frame(pt)
     m = w.plane_gram()
-    g = gram_np(frame.lattice)
-    basis = np.stack([w.re, w.im], axis=1)
-    rhs_re = basis.T @ g @ frame.re
-    rhs_im = basis.T @ g @ frame.im
-    c_re = np.linalg.solve(m, rhs_re)
-    c_im = np.linalg.solve(m, rhs_im)
-    t = np.array([[c_re[0], c_re[1]], [c_im[0], c_im[1]]])
-    return pt, t
+    bg = np.stack([w.re, w.im], axis=-2) @ gram_np(frame.lattice)
+    # rows of T: the coefficients of Re z and of Im z, one solve each (a
+    # two-column solve rounds T differently and moves factor output bytes)
+    return pt, np.stack([np.linalg.solve(m, bg @ part[..., None])[..., 0]
+                         for part in (frame.re, frame.im)], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -889,11 +906,9 @@ def majorant_matrix(frame: FrameVec) -> np.ndarray:
     For a root delta: Q+(delta) = 2 |delta_P|^2 + 2, so roots with small
     projection onto the frame plane are exactly the Q+-short ones.
     """
-    lat = frame.lattice
-    g = gram_np(lat)
+    g = gram_np(frame.lattice)
     b = np.stack([frame.re, frame.im], axis=1)
-    m = b.T @ g @ b
-    pi = b @ np.linalg.solve(m, b.T @ g)
+    pi = b @ np.linalg.solve(frame.plane_gram(), b.T @ g)
     q = 2.0 * (g @ pi) - g
     return 0.5 * (q + q.T)
 
@@ -1071,22 +1086,15 @@ def in_P0(frame: FrameVec, margin: float = 2.0,
     lat = frame.lattice
     roots = _short_roots(lat.gram_rows(), majorant_matrix(frame),
                          2.0 + 2.0 * margin ** 2)
-    cands = [lat.vector(c) for c in roots.tolist()]
-    g = gram_np(lat)
-    m = frame.plane_gram()
-    lam_min = float(np.linalg.eigvalsh(m)[0])
+    lam_min = float(np.linalg.eigvalsh(frame.plane_gram())[0])
     radius = margin * math.sqrt(max(lam_min, 0.0))
-    best = math.inf
-    witness = None
-    for w in cands:
-        val = abs(complex((frame.z @ g @ np.array(w.coords, dtype=float))))
-        if val < best:
-            best = val
-            witness = w
-    scale = float(np.linalg.norm(frame.z))
-    is_in = best > tol * max(scale, 1.0)
-    return P0Certificate(is_in, best if cands else math.inf, witness,
-                         radius, len(cands))
+    vals = abs(frame.z @ gram_np(lat) @ roots.T.astype(float))
+    best, witness = math.inf, None
+    if len(vals):
+        i = int(np.argmin(vals))
+        best, witness = float(vals[i]), lat.vector(roots[i].tolist())
+    is_in = best > tol * max(float(np.linalg.norm(frame.z)), 1.0)
+    return P0Certificate(is_in, best, witness, radius, len(roots))
 
 
 def region_gt2(pt: TubePoint) -> bool:

@@ -16,7 +16,6 @@ type IV tube.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -185,10 +184,10 @@ def one_param(a: LieElem, lam: float) -> np.ndarray:
     return expm(lam * m)
 
 
-def geodesic_point(pt: TubePoint, t: float) -> PeriodPoint:
+def geodesic_point(pt: TubePoint, t: float | np.ndarray) -> PeriodPoint:
     """exp_v(x + i e^t y): the constant-speed geodesic through the point."""
-    scaled = TubePoint(pt.split, pt.x, math.exp(t) * pt.y)
-    return exp_point(scaled)
+    y = np.multiply.outer(np.exp(t), pt.y)
+    return exp_point(TubePoint(pt.split, np.broadcast_to(pt.x, y.shape), y))
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +195,13 @@ def geodesic_point(pt: TubePoint, t: float) -> PeriodPoint:
 # ---------------------------------------------------------------------------
 
 def _tube_hessian(gl: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hessian of -log Q at b: -2 G_L/Q + 4 u u^T/Q^2, u = G_L b, Q = b.u."""
-    u = gl @ b
-    q = float(b @ u)
-    return -2.0 * gl / q + 4.0 * np.outer(u, u) / (q * q)
+    """Hessian of -log Q at b: -2 G_L/Q + 4 u u^T/Q^2, u = G_L b, Q = b.u.
+
+    Rows of an (N, rho) array b give N Hessians.
+    """
+    u = b @ gl
+    q = b[..., None, :] @ u[..., :, None]
+    return -2.0 * gl / q + 4.0 * (u[..., :, None] * u[..., None, :]) / (q * q)
 
 
 def _tube_hessian_grad(gl: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -217,22 +219,24 @@ def chart_metric(split: HyperbolicSplit, pt: TubePoint) -> np.ndarray:
 
     The tube is the type IV domain with Kahler potential -log(b^T G_L b);
     the Killing metric is rho (h + h) on (a, b), h the potential's Hessian.
+    A batch of N points gives N metrics, shape (N, 2 rho, 2 rho).
     """
     _, b = pt.chart()
     return split.rho * np.kron(np.eye(2), _tube_hessian(split.gram_L_np(), b))
 
 
-def speed(pt: TubePoint, t: float) -> float:
+def speed(pt: TubePoint, t: float | np.ndarray):
     """Killing norm of the velocity of s -> exp_v(x + i e^s y) at s = t.
 
     In the chart the path is s -> (a0, e^s b0), with velocity (0, e^t b0).
+    An array of times gives one speed each, from one metric evaluation.
     """
     sp = pt.split
     a0, b0 = pt.chart()
-    b = math.exp(t) * b0
-    vel = np.concatenate([np.zeros(sp.rho), b])
+    b = np.multiply.outer(np.exp(t), b0)
+    vel = np.concatenate([np.zeros_like(b), b], axis=-1)
     g = chart_metric(sp, tube_point(sp, a0, b))
-    return math.sqrt(float(vel @ g @ vel))
+    return np.sqrt(vel[..., None, :] @ g @ vel[..., :, None])[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +248,6 @@ class OracleResult:
     ts: np.ndarray
     chart: np.ndarray       # samples x (2 rho)
     energy_drift: float
-
-    def points(self, split: HyperbolicSplit) -> list[PeriodPoint]:
-        rho = split.rho
-        return [exp_point(tube_point(split, row[:rho], row[rho:]))
-                for row in self.chart]
 
 
 def geodesic_oracle(pt: TubePoint, t_max: float, steps: int,
@@ -289,7 +288,7 @@ def geodesic_oracle(pt: TubePoint, t_max: float, steps: int,
         h_inv = np.outer(b, b) - 0.5 * float(b @ gl @ b) * gl_inv
         return -0.5 * (f @ h_inv).ravel()
 
-    h = t_max / steps if steps else 0.0
+    h = t_max / steps
     ts = [0.0]
     samples = [q.copy()]
     e0 = norm2(_tube_hessian(gl, b0), qdot)
@@ -320,13 +319,8 @@ def geodesic_oracle(pt: TubePoint, t_max: float, steps: int,
 
 def oracle_deviation(pt: TubePoint, result: OracleResult) -> float:
     """Max projective distance between oracle samples and geodesic_point."""
-    worst = 0.0
-    for t, row in zip(result.ts, result.chart):
-        rho = pt.split.rho
-        p_oracle = exp_point(tube_point(pt.split, row[:rho], row[rho:]))
-        p_formula = geodesic_point(pt, float(t))
-        worst = max(worst, proj_distance(p_oracle, p_formula))
-    return worst
+    oracle = exp_point(tube_point(pt.split, *np.split(result.chart, 2, 1)))
+    return float(np.max(proj_distance(oracle, geodesic_point(pt, result.ts))))
 
 
 # ---------------------------------------------------------------------------
@@ -347,22 +341,20 @@ class PathSpec:
     b0: tuple[float, ...] = ()
     samples: tuple = ()
 
-    def at(self, t: float) -> TubePoint:
+    def at(self, t: float | np.ndarray) -> TubePoint:
+        """The tube point at time t; an array of times gives a batch."""
         if self.kind == "linear_degeneration":
-            return tube_point(self.split, np.array(self.a0),
-                              t * np.array(self.b0))
-        ts = [s[0] for s in self.samples]
-        if not ts:
+            return tube_point(self.split, self.a0,
+                              np.multiply.outer(t, self.b0))
+        if not self.samples:
             raise ValueError("empty piecewise path")
-        idx = int(np.searchsorted(ts, t))
-        idx = min(max(idx, 0), len(ts) - 1)
-        _, a, b = self.samples[idx]
-        return tube_point(self.split, np.array(a), np.array(b))
+        ts, a, b = (np.array(c, dtype=float) for c in zip(*self.samples))
+        idx = np.minimum(np.searchsorted(ts, t), len(ts) - 1)
+        return tube_point(self.split, a[idx], b[idx])
 
 
 def linear_degeneration(split: HyperbolicSplit, x0, y0) -> PathSpec:
-    p = tube_point(split, x0, y0)  # validates the tube data
-    del p
+    tube_point(split, x0, y0)  # validates the tube data
     return PathSpec("linear_degeneration", split,
                     tuple(float(x) for x in x0),
                     tuple(float(x) for x in y0))
@@ -386,15 +378,15 @@ def looijenga_member(p: PeriodPoint, split: HyperbolicSplit, box: TubeBox,
     ref = np.array([0.5 * float(l + h)
                     for l, h in zip(box.b_lo, box.b_hi)])
 
+    # grid over the y-box; k on its boundary counts (closure of the
+    # semigroup orbit)
+    axes = [np.linspace(float(l), float(h), cone_grid)
+            for l, h in zip(box.b_lo, box.b_hi)]
+    ks = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, sp.rho)
+
     def cone_test(bvec: np.ndarray) -> bool:
-        axes = [np.linspace(float(l), float(h), cone_grid)
-                for l, h in zip(box.b_lo, box.b_hi)]
-        for kpt in itertools.product(*axes):
-            w = bvec - np.array(kpt)
-            if float(w @ gl @ w) > 0 and float(w @ gl @ ref) > 0:
-                return True
-        # k on the boundary of the box counts (closure of the semigroup orbit)
-        return False
+        w = bvec - ks
+        return bool(np.any(((w @ gl * w).sum(-1) > 0) & (w @ gl @ ref > 0)))
 
     candidates = [p]
     if gamma_v_gens:
