@@ -273,6 +273,8 @@ def cmd_factor(cfg: dict) -> int:
                 samples.append((t, z))
     else:
         raise ConfigError("factor needs --path CSV or --path-spec JSON")
+    if not samples:
+        raise ConfigError("factor needs at least one path sample")
     res = charges.factor_path(samples, sp)
     tol = float(cfg.get("tol", 1e-9))
     payload = {

@@ -11,13 +11,15 @@ orbits are the linear degenerations into the cusp [v0], and they are
 geodesics.  An independent verification oracle integrates the geodesic ODE
 in chart coordinates (a, b), where the Killing metric has the closed form
 rho (h + h), h the Hessian of the Kahler potential -log(b^T G_L b) of the
-type IV tube.
+type IV tube; with u = G_L b and Q = b.u its Christoffel contraction is
+h^{-1} dh(x, ., y) = (2/Q)((x^T G_L y) b - (u.x) y - (u.y) x).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 from scipy.linalg import expm
@@ -204,16 +206,6 @@ def _tube_hessian(gl: np.ndarray, b: np.ndarray) -> np.ndarray:
     return -2.0 * gl / q + 4.0 * (u[..., :, None] * u[..., None, :]) / (q * q)
 
 
-def _tube_hessian_grad(gl: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """dh[k, i, j] = d h_ij / d b_k, fully symmetric in (k, i, j)."""
-    u = gl @ b
-    q = float(b @ u)
-    gu = gl * u[:, None, None]  # gu[k, i, j] = G_ij u_k
-    sym = gu + gu.transpose(1, 0, 2) + gu.transpose(2, 1, 0)
-    uuu = np.multiply.outer(np.outer(u, u), u)
-    return 4.0 * sym / q**2 - 16.0 * uuu / q**3
-
-
 def chart_metric(split: HyperbolicSplit, pt: TubePoint) -> np.ndarray:
     """Killing metric in the chart coordinates (a, b) at the given point.
 
@@ -250,71 +242,77 @@ class OracleResult:
     energy_drift: float
 
 
+def _christoffel(gl: list, b: list, v: list) -> tuple[list, float]:
+    """(a'', b'') and (h + h)(v, v) at b for v = (a', b'), on plain floats,
+    from s_p and m_pr over Q as in geodesic_oracle."""
+    rho = len(b)
+    ap, bp = v[:rho], v[rho:]
+    u, ga, gb = ([sum(map(mul, r, x)) for r in gl] for x in (b, ap, bp))
+    q = sum(map(mul, u, b))
+    s0, s1, m00, m10, m11 = (sum(map(mul, x, y)) / q for x, y in (
+        (u, ap), (u, bp), (ga, ap), (gb, ap), (gb, bp)))
+    cols = list(zip(b, ap, bp))
+    return ([-2.0 * (m10 * bi - s1 * ai - s0 * ci) for bi, ai, ci in cols]
+            + [2.0 * (s1 * ci - s0 * ai) - (m11 - m00) * bi
+               for bi, ai, ci in cols],
+            4.0 * (s0 * s0 + s1 * s1) - 2.0 * (m00 + m11))
+
+
 def geodesic_oracle(pt: TubePoint, t_max: float, steps: int,
                     drift_tol: float = 1e-4) -> OracleResult:
     """Integrate the geodesic ODE in the chart, independent of one_param.
 
-    Explicit midpoint steps on q'' = -Gamma(q)(q', q') with Christoffel
-    symbols from the exact derivative of the closed-form chart metric.  The
-    initial velocity is that of s -> x + i e^s y at s = 0, i.e. (0, y).  Energy
-    g(q')(q', q') is monitored; drift beyond ``drift_tol`` raises.  The
-    midpoint map keeps these geodesics on their ray and conserves the energy
-    exactly, so the local error estimate h |a2 - a1| / |q'| of each step is
-    held to ``drift_tol`` as well.
+    Explicit midpoint steps on q'' = -Gamma(q)(q', q') for g = rho (h + h):
+    a'' = -h^{-1} T(b', a'), b'' = -h^{-1} (T(b', b') - T(a', a')) / 2 with
+    T(x, y) = dh(x, ., y).  Put u = G_L b, Q = b.u, s_x = u.x, m_xy =
+    x^T G_L y.  h^{-1} = b b^T - (Q/2) G_L^{-1} maps G_L y to s_y b - (Q/2) y
+    and u to (Q/2) b, so dh = 4 sym(G_L (x) u)/Q^2 - 16 u (x) u (x) u/Q^3
+    gives h^{-1} T(x, y) = (2/Q)(m_xy b - s_x y - s_y x).  For x_0 = a',
+    x_1 = b' the step thus needs only Gram entries of a few short vectors:
+        a'' = -(2/Q)(m_10 b - s_1 a' - s_0 b'),
+        b'' = -(1/Q)((m_11 - m_00) b - 2 s_1 b' + 2 s_0 a'),
+        g(q')(q', q') = rho sum_p (4 s_p^2/Q^2 - 2 m_pp/Q).
+
+    The initial velocity is that of s -> x + i e^s y at s = 0, i.e. (0, y).
+    Energy drift beyond ``drift_tol`` raises.  The midpoint map keeps these
+    geodesics on their ray and conserves the energy exactly, so the local
+    error estimate h |a2 - a1| / |q'| of each step is held to ``drift_tol``
+    as well (rho cancels in both); a non-finite drift or estimate raises.
     """
     if steps < 100:
         raise ValueError("steps must be >= 100")
-    sp = pt.split
-    rho = sp.rho
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
+    rho = pt.split.rho
+    gl = pt.split.gram_L_np().tolist()
     a0, b0 = pt.chart()
-    q = np.concatenate([a0, b0])
-    qdot = np.concatenate([np.zeros(rho), b0])
-    gl = sp.gram_L_np()
-    gl_inv = np.linalg.inv(gl)
-
-    def norm2(hb: np.ndarray, w: np.ndarray) -> float:
-        x = w.reshape(2, rho)  # rows: a- and b-part
-        return rho * float(np.sum((x @ hb) * x))
-
-    def accel(qv: np.ndarray, vv: np.ndarray) -> np.ndarray:
-        # g = rho (h + h) depends on b alone; with T(x, y) = dh(x, ., y)
-        # the geodesic equation reads
-        #   a'' = -h^{-1} T(b', a'),  b'' = -h^{-1} (T(b', b') - T(a', a')) / 2
-        b = qv[rho:]
-        x = vv.reshape(2, rho)
-        t = np.einsum("kij,pk,qj->pqi", _tube_hessian_grad(gl, b), x, x)
-        f = np.stack([2.0 * t[1, 0], t[1, 1] - t[0, 0]])
-        # Sherman-Morrison on h = -2 G_L/Q + 4 u u^T/Q^2
-        h_inv = np.outer(b, b) - 0.5 * float(b @ gl @ b) * gl_inv
-        return -0.5 * (f @ h_inv).ravel()
-
+    q = a0.tolist() + b0.tolist()
+    qdot = [0.0] * rho + b0.tolist()
     h = t_max / steps
-    ts = [0.0]
-    samples = [q.copy()]
-    e0 = norm2(_tube_hessian(gl, b0), qdot)
+    samples = [q]
+    a1, e0 = _christoffel(gl, q[rho:], qdot)
     max_drift = 0.0
     for k in range(steps):
         if h == 0.0:
             break
-        a1 = accel(q, qdot)
-        qm = q + 0.5 * h * qdot
-        vm = qdot + 0.5 * h * a1
-        a2 = accel(qm, vm)
-        q = q + h * vm
-        qdot = qdot + h * a2
-        ts.append((k + 1) * h)
-        samples.append(q.copy())
-        hb = _tube_hessian(gl, q[rho:])
-        e = norm2(hb, qdot)
-        max_drift = max(max_drift, abs(e - e0) / e0)
-        if max_drift > drift_tol:
+        qm = [x + 0.5 * h * v for x, v in zip(q, qdot)]
+        vm = [v + 0.5 * h * a for v, a in zip(qdot, a1)]
+        a2, _ = _christoffel(gl, qm[rho:], vm)
+        q = [x + h * v for x, v in zip(q, vm)]
+        qdot = [v + h * a for v, a in zip(qdot, a2)]
+        samples.append(q)
+        da = [y - x for x, y in zip(a1, a2)]
+        a1, e = _christoffel(gl, q[rho:], qdot)
+        max_drift = max(abs(e - e0) / e0, max_drift)  # keeps a NaN drift
+        if not (max_drift <= drift_tol):
             raise StepTooLargeError(
                 f"energy drift {max_drift:.2e} after step {k + 1}")
-        local = h * math.sqrt(norm2(hb, a2 - a1) / e)
-        if local > drift_tol:
+        local = h * math.sqrt(_christoffel(gl, q[rho:], da)[1] / e)
+        if not (local <= drift_tol):
             raise StepTooLargeError(
                 f"local error {local:.2e} at step {k + 1}")
-    return OracleResult(np.array(ts), np.stack(samples), max_drift)
+    return OracleResult(h * np.arange(len(samples)), np.array(samples),
+                        max_drift)
 
 
 def oracle_deviation(pt: TubePoint, result: OracleResult) -> float:

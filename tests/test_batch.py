@@ -136,12 +136,13 @@ def _outcome(fn):
         return type(e), str(e)
 
 
-def _first_failing(samples, split):
+def _first_failing(samples, split, branch_offset):
     """Index of the sample at which the loop raises, which it does."""
     lo, hi = 0, len(samples)  # the loop passes on samples[:lo], not on [:hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _outcome(lambda: factor_path_loop(samples[:mid], split))[0] == "ok":
+        if _outcome(lambda: factor_path_loop(samples[:mid], split,
+                                             branch_offset))[0] == "ok":
             lo = mid
         else:
             hi = mid
@@ -165,9 +166,11 @@ def test_factor_path_matches_loop(path, data):
     got = _outcome(lambda: ch.factor_path(samples, sp, 1))
     if want[0] != "ok":
         assert got == want
-        k = _first_failing(samples, sp)
-        assert _outcome(lambda: ch.factor_path(samples[:k], sp))[0] == "ok"
-        assert _outcome(lambda: ch.factor_path(samples[:k + 1], sp)) == want
+        # the same branch offset as above: at a jump of exactly half a turn
+        # the offset's rounding decides the winding check
+        k = _first_failing(samples, sp, 1)
+        assert _outcome(lambda: ch.factor_path(samples[:k], sp, 1))[0] == "ok"
+        assert _outcome(lambda: ch.factor_path(samples[:k + 1], sp, 1)) == want
         return
     assert got[0] == "ok", got
     ts, lifts, resid = want[1]

@@ -164,6 +164,33 @@ def test_geodesic_verification_failure(tmp_path):
     assert code == 1  # impossible tolerance: verification failed, not crash
 
 
+@pytest.mark.parametrize("t_max", ["nan", "inf"])
+def test_geodesic_non_finite_span(tmp_path, capsys, t_max):
+    out = tmp_path / "geo.json"
+    code = run(["geodesic", "--preset", "mukai_rank1(1)", "--x0", "[0.3]",
+                "--y0", "[1.1]", "--t-max", t_max, "--steps", "200",
+                "--out", str(out)])
+    assert code == 2
+    assert "bad input" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_geodesic_values_pinned(tmp_path):
+    # the criterion-10 geodesic config, whose repeat runs criterion 10 only
+    # compares with each other: pinned here, oracle edits stay within ulps
+    out = tmp_path / "geo.json"
+    assert run(["geodesic", "--preset", "mukai_rank1(1)", "--x0", "[0.3]",
+                "--y0", "[1.1]", "--t-max", "1.0", "--steps", "200",
+                "--tol", "1e-4", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["report"]["max_dev"] == pytest.approx(
+        1.478729310692873e-06, rel=0, abs=1e-12)
+    assert data["report"]["energy_drift"] == pytest.approx(
+        6.661338147750939e-16, rel=0, abs=1e-12)
+    assert data["samples"][-1] == pytest.approx(
+        [1.0, 0.3, 2.9900975991660275, 1.414213562373095], rel=0, abs=1e-12)
+
+
 def _write_path_csv(path, sp, lat, rate=1.0, n=120):
     rows = []
     for t in np.linspace(0.0, 1.0, n):
@@ -187,6 +214,23 @@ def test_factor_command(tmp_path):
                 "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["winding"] == pytest.approx(3.0, abs=1e-8)
+
+
+def test_factor_csv_without_samples(tmp_path, capsys):
+    csv = tmp_path / "path.csv"
+    csv.write_text("# a comment and no samples\n")
+    assert run(["factor", "--preset", "mukai_rank1(1)", "--path", str(csv),
+                "--out", str(tmp_path / "trace.json")]) == 2
+    assert "at least one path sample" in capsys.readouterr().err
+
+
+def test_factor_path_spec_without_samples(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "linear_degeneration", "x0": [0.2],
+                                "y0": [1.0], "samples": 0}))
+    assert run(["factor", "--preset", "mukai_rank1(1)", "--path-spec",
+                str(spec), "--out", str(tmp_path / "trace.json")]) == 2
+    assert "at least one path sample" in capsys.readouterr().err
 
 
 def test_threshold_command(tmp_path):

@@ -1,29 +1,38 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import mukai_kit as mk
 from mukai_kit import domain as dm, geodesics as gd
-from mukai_kit.errors import NotInLieAlgebraError
+from mukai_kit.errors import NotInLieAlgebraError, StepTooLargeError
+
+
+LATTICES = {
+    3: mk.preset("mukai_rank1(1)"),
+    4: mk.mukai_lattice([[2, 0], [0, -2]], "rank4"),
+    5: mk.mukai_lattice([[2, 1, 0], [1, -2, 0], [0, 0, -4]], "rank5"),
+}
+SPLITS = {n: dm.split_at(lat.vector([0] * (n - 1) + [1]))
+          for n, lat in LATTICES.items()}
 
 
 @pytest.fixture(scope="module")
 def rank3():
-    lat = mk.preset("mukai_rank1(1)")
-    return lat, dm.split_at(lat.vector([0, 0, 1]))
+    return LATTICES[3], SPLITS[3]
 
 
 @pytest.fixture(scope="module")
 def rank4():
-    lat = mk.mukai_lattice([[2, 0], [0, -2]], "rank4")
-    return lat, dm.split_at(lat.vector([0, 0, 0, 1]))
+    return LATTICES[4], SPLITS[4]
 
 
 @pytest.fixture(scope="module")
 def rank5():
-    lat = mk.mukai_lattice([[2, 1, 0], [1, -2, 0], [0, 0, -4]], "rank5")
-    return lat, dm.split_at(lat.vector([0, 0, 0, 0, 1]))
+    return LATTICES[5], SPLITS[5]
 
 
 def sample_points(split, rng, n, spread=1.5):
@@ -37,6 +46,79 @@ def sample_points(split, rng, n, spread=1.5):
         if b @ gl @ b > 0.1:
             out.append(dm.tube_point(split, a, b))
     return out
+
+
+# -- reference oracles: the generic Christoffel contraction -----------------------
+
+def _tube_hessian_grad(gl, b):
+    """dh[k, i, j] = d h_ij / d b_k, fully symmetric in (k, i, j)."""
+    u = gl @ b
+    q = float(b @ u)
+    gu = gl * u[:, None, None]  # gu[k, i, j] = G_ij u_k
+    sym = gu + gu.transpose(1, 0, 2) + gu.transpose(2, 1, 0)
+    uuu = np.multiply.outer(np.outer(u, u), u)
+    return 4.0 * sym / q**2 - 16.0 * uuu / q**3
+
+
+def reference_accel(gl, b, v):
+    """(a'', b'') from the full dh tensor, an einsum and Sherman-Morrison.
+
+    g = rho (h + h) depends on b alone; with T(x, y) = dh(x, ., y) the
+    geodesic equation reads
+      a'' = -h^{-1} T(b', a'),  b'' = -h^{-1} (T(b', b') - T(a', a')) / 2
+    """
+    rho = len(b)
+    x = v.reshape(2, rho)
+    t = np.einsum("kij,pk,qj->pqi", _tube_hessian_grad(gl, b), x, x)
+    f = np.stack([2.0 * t[1, 0], t[1, 1] - t[0, 0]])
+    # Sherman-Morrison on h = -2 G_L/Q + 4 u u^T/Q^2
+    h_inv = np.outer(b, b) - 0.5 * float(b @ gl @ b) * np.linalg.inv(gl)
+    return -0.5 * (f @ h_inv).ravel()
+
+
+def reference_norm2(gl, b, v):
+    """rho (h + h)(v, v) through the Hessian matrix."""
+    rho = len(b)
+    x = v.reshape(2, rho)  # rows: a- and b-part
+    return rho * float(np.sum((x @ gd._tube_hessian(gl, b)) * x))
+
+
+def reference_oracle(pt, t_max, steps, drift_tol=1e-4):
+    """geodesic_oracle's midpoint loop with every step on numpy arrays."""
+    if steps < 100:
+        raise ValueError("steps must be >= 100")
+    sp = pt.split
+    rho = sp.rho
+    a0, b0 = pt.chart()
+    q = np.concatenate([a0, b0])
+    qdot = np.concatenate([np.zeros(rho), b0])
+    gl = sp.gram_L_np()
+    h = t_max / steps
+    ts = [0.0]
+    samples = [q.copy()]
+    e0 = reference_norm2(gl, b0, qdot)
+    max_drift = 0.0
+    for k in range(steps):
+        if h == 0.0:
+            break
+        a1 = reference_accel(gl, q[rho:], qdot)
+        qm = q + 0.5 * h * qdot
+        vm = qdot + 0.5 * h * a1
+        a2 = reference_accel(gl, qm[rho:], vm)
+        q = q + h * vm
+        qdot = qdot + h * a2
+        ts.append((k + 1) * h)
+        samples.append(q.copy())
+        e = reference_norm2(gl, q[rho:], qdot)
+        max_drift = max(max_drift, abs(e - e0) / e0)
+        if max_drift > drift_tol:
+            raise StepTooLargeError(
+                f"energy drift {max_drift:.2e} after step {k + 1}")
+        local = h * math.sqrt(reference_norm2(gl, q[rho:], a2 - a1) / e)
+        if local > drift_tol:
+            raise StepTooLargeError(
+                f"local error {local:.2e} at step {k + 1}")
+    return gd.OracleResult(np.array(ts), np.stack(samples), max_drift)
 
 
 # -- Lie algebra / Killing form ----------------------------------------------------
@@ -216,7 +298,7 @@ def test_metric_derivative_matches_central_differences(rank3, rank4, rank5):
         rng = np.random.default_rng(12)
         for pt in sample_points(sp, rng, 5):
             a, b = pt.chart()
-            dh = gd._tube_hessian_grad(gl, b)
+            dh = _tube_hessian_grad(gl, b)
             assert np.allclose(dh, dh.transpose(1, 0, 2), rtol=0, atol=1e-12)
             assert np.allclose(dh, dh.transpose(2, 1, 0), rtol=0, atol=1e-12)
             step = 1e-5
@@ -297,11 +379,102 @@ def test_oracle_rejects_few_steps(rank3):
 
 
 def test_oracle_energy_drift_guard(rank3):
-    from mukai_kit.errors import StepTooLargeError
     lat, sp = rank3
     pt = dm.tube_point(sp, [0.3], [1.1])
     with pytest.raises(StepTooLargeError):
         gd.geodesic_oracle(pt, 8.0, 100)  # far too coarse for this span
+
+
+def test_oracle_rejects_non_finite_span(rank3):
+    lat, sp = rank3
+    pt = dm.tube_point(sp, [0.3], [1.1])
+    for t_max in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            gd.geodesic_oracle(pt, t_max, 100)
+
+
+def test_oracle_non_finite_energy_raises(rank3):
+    # b^T G_L b overflows to inf, so every Gram entry over Q is inf / inf
+    lat, sp = rank3
+    pt = dm.tube_point(sp, [0.0], [1.5e154])
+    with pytest.raises(StepTooLargeError,
+                       match="energy drift nan after step 1"):
+        gd.geodesic_oracle(pt, 1.0, 100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SPLITS)), st.data())
+def test_closed_form_accel_matches_einsum(n, data):
+    sp = SPLITS[n]
+    rho = sp.rho
+    gl = sp.gram_L_np()
+
+    def vec():
+        return np.array(data.draw(st.lists(st.floats(-2.0, 2.0),
+                                           min_size=rho, max_size=rho)))
+
+    b = data.draw(st.floats(0.5, 3.0)) * np.linalg.eigh(gl)[1][:, -1] \
+        + 0.3 * vec()
+    # well inside the positive cone: near its boundary the reference's
+    # G_L^{-1} and Sherman-Morrison lose digits the closed form keeps
+    assume(b @ gl @ b > 0.5 * (b @ b))
+    ap, bp = vec(), vec()
+    # a non-ray velocity: a' != 0 and b' not parallel to b
+    assume(np.max(np.abs(ap)) > 0.1)
+    assume(np.linalg.norm(bp - (bp @ b) / (b @ b) * b)
+           > 0.1 * np.linalg.norm(bp))
+    v = np.concatenate([ap, bp])
+    acc, norm2 = gd._christoffel(gl.tolist(), b.tolist(), v.tolist())
+    ref = reference_accel(gl, b, v)
+    assert np.max(np.abs(np.array(acc) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    e_ref = reference_norm2(gl, b, v)
+    assert abs(rho * norm2 - e_ref) <= 1e-12 * abs(e_ref)
+
+
+def test_closed_form_accel_keeps_the_ray(rank3, rank4, rank5):
+    # a' = 0, b' = b: a'' = 0 and b'' = b
+    for lat, sp in (rank3, rank4, rank5):
+        gl = sp.gram_L_np().tolist()
+        for pt in sample_points(sp, np.random.default_rng(14), 5):
+            b = pt.chart()[1].tolist()
+            acc, _ = gd._christoffel(gl, b, [0.0] * sp.rho + b)
+            assert acc[:sp.rho] == [0.0] * sp.rho
+            assert np.allclose(acc[sp.rho:], b, rtol=1e-14, atol=0)
+
+
+def _step_outcome(oracle, pt, t_max, steps):
+    """The result, or the exception's class, kind and step number."""
+    try:
+        return oracle(pt, t_max, steps), None
+    except StepTooLargeError as exc:
+        msg = str(exc)
+        return None, (type(exc), msg.split()[0],
+                      int(re.search(r"step (\d+)", msg).group(1)))
+
+
+def test_oracle_matches_reference_loop(rank3, rank4, rank5):
+    starts = [(rank3, [0.3], [1.1]), (rank3, [-0.4], [0.7]),
+              (rank4, [0.2, -0.1], [0.15, 1.1]),
+              (rank5, [0.1, 0.2, -0.1], [0.3, 0.1, 1.0])]
+    passed = raised = 0
+    for (lat, sp), a, b in starts:
+        pt = dm.tube_point(sp, a, b)
+        for span in (1.0, 2.0, 4.0, 8.0, 16.0):
+            for steps in (100, 200, 400, 2000):
+                got, err = _step_outcome(gd.geodesic_oracle, pt, span, steps)
+                ref, ref_err = _step_outcome(reference_oracle, pt, span,
+                                             steps)
+                assert err == ref_err, (lat.label, span, steps)
+                if err:
+                    raised += 1
+                    continue
+                passed += 1
+                np.testing.assert_array_equal(got.ts, ref.ts)
+                scale = np.maximum(1.0, np.abs(ref.chart).max(axis=1))
+                assert np.all(np.abs(got.chart - ref.chart).max(axis=1)
+                              <= 1e-12 * scale), (lat.label, span, steps)
+                assert abs(got.energy_drift - ref.energy_drift) <= 1e-12
+    assert passed and raised
 
 
 # -- degenerations and neighborhoods ----------------------------------------------
