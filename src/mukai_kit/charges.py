@@ -222,17 +222,17 @@ def factor_path(samples: list[tuple[float, np.ndarray]],
                          initial=0.0))
     ts = [float(t) for t, _ in samples]
     lifts: list[LiftedGL2] = []
-    prev_phi = None
+    prev_phi = _col_phase(tmats[0]) if len(tmats) else 0.0
     for t, tmat in zip(ts, tmats):
         r = _col_phase(tmat)
-        if prev_phi is None:
-            prev_phi = r + 2.0 * branch_offset
-        phi = r + 2.0 * round((prev_phi - r) / 2.0)
+        # decided without the offset, whose rounding could tip a half turn
+        k = round((prev_phi - r) / 2.0)
+        phi = r + 2.0 * k
         if abs(phi - prev_phi) >= 0.5:
             raise SamplingTooCoarseError(
                 f"winding jump {abs(phi - prev_phi):.3f} at t = {t}")
         prev_phi = phi
-        lifts.append(LiftedGL2.make(tmat, phi))
+        lifts.append(LiftedGL2.make(tmat, r + 2.0 * (k + branch_offset)))
     return FactorizationResult(ts, tube, lifts, resid)
 
 

@@ -122,6 +122,12 @@ def orbit_partition(vectors: list[LatVec], generators: list[Isometry],
     row-wise, and the divisibility invariant is checked on every edge.
     States get integer ids, merged by a union-find over those ids.
 
+    Before each level the sweep stops once the window has as many classes
+    as divisibilities div(v) = gcd(G v).  That is final: all generators are
+    checked to be isometries and every edge to keep div, so no class, now
+    or after more levels, spans two divisibilities; each bucket is already
+    one class.  ``frontier_sizes`` counts the states the swept levels reach.
+
     Lattices with large Weyl groups (several hyperbolic summands) can blow
     past ``max_states`` within-cap states; the sweep then aborts with a
     ValueError rather than churn - reduce the generator set, depth or
@@ -149,11 +155,16 @@ def orbit_partition(vectors: list[LatVec], generators: list[Isometry],
             "orbit sweep images could leave int64; lower the frontier cap")
     gram = np.array(lat.gram, dtype=np.int64)
     gens = np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
+    if np.any(np.einsum("gji,jk,gkl->gil", gens, gram, gens) != gram):
+        raise InvariantError("generator is not an isometry of the lattice")
     sweep = _StateTable(np.array(window, dtype=np.int64))
+    buckets = len(np.unique(np.gcd.reduce(sweep.states @ gram, axis=1)))
     level = np.arange(len(window))
     step = max(1, _SWEEP_CHUNK // max(len(mats), 1))
     within = len(window)                # states inside the frontier cap
     for _ in range(depth if mats else 0):
+        if len(np.unique(sweep.roots(len(window)))) == buckets:
+            break                       # each bucket is one class: final
         found = []
         for lo in range(0, len(level), step):
             src = level[lo:lo + step]
@@ -312,19 +323,18 @@ def _census(lat: IntegerLattice, vectors: list[LatVec],
         result = orbit_partition(vectors, generators, word_depth,
                                  height=height)
         for orbit, rep in zip(result.orbits, result.representative):
-            lv = quotient_lattice(rep)
-            disc = tuple(discriminant_group(lv))
+            shadows = [quotient_lattice(member) for member in orbit]
             # isometry invariants must agree along the whole orbit
-            for member in orbit:
-                lm = quotient_lattice(member)
-                if (tuple(discriminant_group(lm)) != disc
-                        or abs(lm.det) != abs(lv.det)):
-                    raise InvariantError("L(v) invariants differ in an orbit")
+            invariants = {(tuple(discriminant_group(lm)), abs(lm.det))
+                          for lm in shadows}
+            if len(invariants) > 1:
+                raise InvariantError("L(v) invariants differ in an orbit")
+            [(disc, _)] = invariants
             records.append(CuspRecord(
                 rep=rep,
                 div=divisibility(rep),
                 orbit_size_found=len(orbit),
-                Lv_gram=lv.gram,
+                Lv_gram=shadows[0].gram,
                 disc_group=disc,
             ))
     records.sort(key=lambda r: (r.div, r.rep.coords))

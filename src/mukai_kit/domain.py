@@ -220,6 +220,7 @@ class TubePoint:
     def y_norm2(self):
         return pairing(self.split.lattice, self.y, self.y)
 
+    @np.errstate(over="ignore")     # a y^2 past the float range is inf > 0
     def validate(self, tol: float = 1e-9):
         g = gram_np(self.split.lattice)
         x, y, vv = self.x, self.y, self.split.v_np()

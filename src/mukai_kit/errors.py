@@ -95,6 +95,10 @@ class EmptyBoxError(MukaiKitError):
     """Neighborhood box is empty."""
 
 
+class NonFiniteError(MukaiKitError):
+    """A float result overflowed to inf or NaN."""
+
+
 # -- charges -------------------------------------------------------------------
 
 class NonPositiveOmegaError(MukaiKitError):

@@ -28,6 +28,7 @@ from .errors import (
     DegenerateAtVError,
     DegeneratePlaneError,
     EmptyBoxError,
+    NonFiniteError,
     NotInLieAlgebraError,
     StepTooLargeError,
 )
@@ -315,10 +316,14 @@ def geodesic_oracle(pt: TubePoint, t_max: float, steps: int,
                         max_drift)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def oracle_deviation(pt: TubePoint, result: OracleResult) -> float:
     """Max projective distance between oracle samples and geodesic_point."""
     oracle = exp_point(tube_point(pt.split, *np.split(result.chart, 2, 1)))
-    return float(np.max(proj_distance(oracle, geodesic_point(pt, result.ts))))
+    dev = float(np.max(proj_distance(oracle, geodesic_point(pt, result.ts))))
+    if not math.isfinite(dev):
+        raise NonFiniteError(f"oracle deviation {dev}: a point overflowed")
+    return dev
 
 
 # ---------------------------------------------------------------------------

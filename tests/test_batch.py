@@ -44,8 +44,9 @@ def factor_path_loop(samples, split, branch_offset=0):
         max_resid = max(max_resid,
                         resid / max(1.0, float(np.max(np.abs(zvec)))))
         raw = math.atan2(tmat[1, 0], tmat[0, 0]) / math.pi
+        # the winding check runs on the lift without the branch offset
         if prev_phi is None:
-            phi = raw + 2.0 * branch_offset
+            phi = raw
         else:
             phi = raw + 2.0 * round((prev_phi - raw) / 2.0)
             if abs(phi - prev_phi) >= 0.5:
@@ -53,7 +54,7 @@ def factor_path_loop(samples, split, branch_offset=0):
                     f"winding jump {abs(phi - prev_phi):.3f} at t = {t}")
         prev_phi = phi
         ts.append(float(t))
-        lifts.append(ch.LiftedGL2.make(tmat, phi))
+        lifts.append(ch.LiftedGL2.make(tmat, phi + 2.0 * branch_offset))
     return ts, lifts, max_resid
 
 
@@ -181,6 +182,23 @@ def test_factor_path_matches_loop(path, data):
     for g_batch, g_loop in zip(res.lifts, lifts, strict=True):
         assert np.max(np.abs(g_batch.t_np() - g_loop.t_np())) <= 1e-12
         assert abs(g_batch.phi0 - g_loop.phi0) <= 1e-12
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_winding_check_ignores_branch_offset(offset):
+    # z(t) = R(t).(1, i, -1), R(t) the rotation by a hair under pi t: the
+    # phase steps by 0.49999999999999994, under half a turn at any offset
+    sp = SPLITS[3]
+    frame = dm.exp_frame(dm.tube_point(sp, [0.0], [1.0]))
+    assert frame.z.tolist() == [1, 1j, -1]
+    rate = math.nextafter(1.0, 0.0)
+    samples = [(t, dm.gl2_act(frame, _rotation(rate * t)).z)
+               for t in (0.0, 0.5, 1.0)]
+    got = [g.phi0 for g in ch.factor_path(samples, sp, offset).lifts]
+    want = [g.phi0 for g in factor_path_loop(samples, sp, offset)[1]]
+    assert got == want
+    assert got == pytest.approx([2 * offset + k / 2 for k in range(3)],
+                                rel=0, abs=1e-15)
 
 
 def test_deep_cusp_sample_is_degenerate():

@@ -175,6 +175,18 @@ def test_geodesic_non_finite_span(tmp_path, capsys, t_max):
     assert not out.exists()
 
 
+def test_geodesic_overflowing_deviation(tmp_path, capsys):
+    # the oracle integrates this start, but its period vectors overflow:
+    # a typed error, not a NaN deviation reported as a failed check
+    out = tmp_path / "geo.json"
+    code = run(["geodesic", "--preset", "mukai_rank1(1)", "--x0", "[0.0]",
+                "--y0", "[1e100]", "--t-max", "1.0", "--steps", "200",
+                "--out", str(out)])
+    assert code == 2
+    assert "NonFiniteError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_geodesic_values_pinned(tmp_path):
     # the criterion-10 geodesic config, whose repeat runs criterion 10 only
     # compares with each other: pinned here, oracle edits stay within ulps

@@ -183,6 +183,19 @@ def test_orbit_partition_rejects_non_isometry():
         cusps.orbit_partition(vecs, [Doubling()], 1)
 
 
+def test_orbit_partition_rejects_shear():
+    # a shear of U keeps every divisibility (all are 1) but not the form
+    class Shear:
+        matrix = ((1, 1), (0, 1))
+
+        def inverse(self):
+            return self
+
+    vecs = cusps.enumerate_isotropic(mk.preset("U"), 1)
+    with pytest.raises(InvariantError, match="not an isometry"):
+        cusps.orbit_partition(vecs, [Shear()], 1)
+
+
 def test_orbit_partition_merges_and_closure():
     lat = mk.preset("mukai_rank1(1)")
     vecs = cusps.enumerate_isotropic(lat, 3)
@@ -204,18 +217,35 @@ def test_orbit_partition_merges_and_closure():
                 assert orbit_of[canon] == orbit_of[member.coords]
 
 
+def _stopped_bfs(vectors, generators, depth, height, frontier_cap,
+                 max_states):
+    """Reference for the early stop: the full BFS to the least depth after
+    which each divisibility bucket is one window class, else to ``depth``.
+    """
+    buckets = len(cusps.classify_divisibility(vectors))
+    for d in range(depth + 1):
+        want = _orbit_bfs(vectors, generators, d, height, frontier_cap,
+                          max_states)
+        if len(want[0]) == buckets:
+            break
+    return want
+
+
 def _check_against_bfs(lat, height, depth, root_bound, cap, max_states):
     vecs = cusps.enumerate_isotropic(lat, height)
     gens = cusps.default_generators(lat, root_bound)
     kwargs = dict(height=height, frontier_cap=cap, max_states=max_states)
+    # the stop is exact: the partition is the full-depth one, which may
+    # need more states than the stopped sweep is allowed
+    full = _orbit_bfs(vecs, gens, depth, height, cap, math.inf)[0]
     try:
-        want = _orbit_bfs(vecs, gens, depth, height, cap, max_states)
+        want = _stopped_bfs(vecs, gens, depth, height, cap, max_states)
     except ValueError:
         with pytest.raises(ValueError):
             cusps.orbit_partition(vecs, gens, depth, **kwargs)
         return
     res = cusps.orbit_partition(vecs, gens, depth, **kwargs)
-    assert {frozenset(v.coords for v in orb) for orb in res.orbits} == want[0]
+    assert {frozenset(v.coords for v in orb) for orb in res.orbits} == full
     assert res.frontier_sizes == [want[1]]
     for orb, rep in zip(res.orbits, res.representative):
         assert [v.coords for v in orb] == sorted(v.coords for v in orb)
@@ -225,15 +255,26 @@ def _check_against_bfs(lat, height, depth, root_bound, cap, max_states):
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(1, 6), st.integers(6, 12), st.integers(1, 6),
+@given(st.integers(1, 12), st.integers(6, 12), st.integers(1, 6),
        st.integers(2, 8), st.sampled_from([None, 30]),
        st.sampled_from([500_000, 400]))
 @example(1, 12, 6, 8, None, 500_000)
 @example(4, 12, 6, 8, None, 500_000)
 @example(6, 9, 6, 8, None, 500_000)
+@example(1, 12, 6, 8, None, 400)
 def test_orbit_partition_vs_bfs(n, height, depth, root_bound, cap,
                                 max_states):
     _check_against_bfs(mk.preset(f"mukai_rank1({n})"), height, depth,
+                       root_bound, cap, max_states)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 6), st.integers(1, 2),
+       st.sampled_from([3, 6, 10]), st.sampled_from([500_000, 40]))
+def test_orbit_partition_vs_bfs_rank4(height, depth, root_bound, cap,
+                                      max_states):
+    # the full-depth sweep outgrows any budget without a small cap
+    _check_against_bfs(mk.mukai_lattice([[4, 0], [0, -2]]), height, depth,
                        root_bound, cap, max_states)
 
 
@@ -312,6 +353,20 @@ def test_census_det_invariant_blocks_merge():
     rep = cusps.cusp_census(lat, height=14, word_depth=6, root_bound=8)
     divs = sorted(r.div for r in rep.records)
     assert divs == [1, 2]
+
+
+def test_uu_census_is_one_class():
+    # Eichler: U + U has one orbit of primitive isotropic vectors
+    uu = mk.direct_sum(mk.preset("U"), mk.preset("U"), label="U+U")
+    rep = cusps.cusp_census(uu, height=3)
+    assert rep.count == 1 and rep.records[0].div == 1
+
+
+@pytest.mark.parametrize("height", [4, 6])
+def test_rank4_census_one_class_per_divisibility(height):
+    lat = mk.mukai_lattice([[2, 0], [0, -2]])
+    rep = cusps.cusp_census(lat, height=height)
+    assert [r.div for r in rep.records] == [1, 2]
 
 
 def test_uu_census_identical_shadows():
