@@ -34,6 +34,7 @@ from .domain import (
     HyperbolicSplit,
     PeriodPoint,
     TubePoint,
+    _orient_root,
     exp_frame,
     gl2_act,
     gl2_factor,
@@ -51,7 +52,6 @@ from .lattice import (
     reflection,
     roots_in_box,
     _int_dtype,
-    _sign_canonical,
 )
 
 
@@ -144,7 +144,7 @@ class LiftedGL2:
         """Number of even half-turns carried by the lift."""
         return round((self.phi0 - _col_phase(self.t_np())) / 2.0)
 
-    def phase_map(self, phi: float, steps: int = 16) -> float:
+    def phase_map(self, phi: float) -> float:
         """The lifted circle map f with f(0) = phi0, f(phi + 1) = f(phi) + 1.
 
         T induces an orientation-preserving degree-one circle map; the lift
@@ -157,7 +157,7 @@ class LiftedGL2:
             return math.atan2(vec[1], vec[0]) / math.pi
 
         cur = self.phi0
-        n = max(1, int(abs(phi) * 2 * steps))
+        n = max(1, int(abs(phi) * 32))
         for i in range(1, n + 1):
             r = raw(phi * i / n)
             # choose the lift of r nearest to the running value
@@ -175,10 +175,6 @@ def sigma_shift(lam: float) -> LiftedGL2:
     """Sigma_lambda = (exp(i pi lambda), phi -> phi + lambda)."""
     c, s = math.cos(math.pi * lam), math.sin(math.pi * lam)
     return LiftedGL2.make([[c, -s], [s, c]], lam)
-
-
-def lifted_identity() -> LiftedGL2:
-    return sigma_shift(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,39 +253,22 @@ class WallEvent:
 
 def wall_crossings(frame_at, t0: float, t1: float,
                    split: HyperbolicSplit,
-                   candidates: list[LatVec],
-                   samples: int = 400,
-                   tol_t: float = 1e-9) -> list[WallEvent]:
+                   candidates: list[LatVec]) -> list[WallEvent]:
     """Bracket and bisect wall events of z(t) against candidate roots.
 
     ``frame_at(t)`` returns the FrameVec of the path at time t (with
     z.v != 0 throughout).  A-events are sign changes of Im z.delta with
     Re z.delta <= 0 at the crossing (roots pairing negatively with v);
     C-events are sign changes of Im z.delta for roots orthogonal to v;
-    D-events additionally have |z.delta| = 0 at the crossing.
+    D-events additionally have |z.delta| = 0 at the crossing.  The path is
+    sampled at 401 grid times and each sign change bisected to 1e-9 in t.
     """
     events: list[WallEvent] = []
+    samples = 400
     grid = np.linspace(t0, t1, samples + 1)
-    seen_a: set[tuple] = set()
-    seen_c: set[tuple] = set()
-    worklist: list[tuple[LatVec, int]] = []
-    for delta in candidates:
-        d = -split.v.dot(delta)
-        if d < 0:
-            delta = -delta
-            d = -d
-        if d > 0:
-            if delta.coords in seen_a:
-                continue
-            seen_a.add(delta.coords)
-            worklist.append((delta, d))
-        else:
-            # one wall per image in L(v); canonical sign, zero v-component
-            lam = _sign_canonical(split.root_data(delta)[2])
-            if lam in seen_c:
-                continue
-            seen_c.add(lam)
-            worklist.append((split.root_from_data(0, 0, lam), 0))
+    # one wall per oriented root, one C-wall per image in L(v)
+    worklist = list(dict.fromkeys(_orient_root(split, delta)
+                                  for delta in candidates))
     if not worklist:
         return events
     # z.delta on the grid: the grid frames once, all candidates in one product
@@ -330,7 +309,7 @@ def wall_crossings(frame_at, t0: float, t1: float,
                 continue
             lo, hi = grid[i], grid[i + 1]
             flo = a
-            while hi - lo > tol_t:
+            while hi - lo > 1e-9:
                 mid = 0.5 * (lo + hi)
                 fm = f(mid)
                 if flo.imag * fm.imag <= 0:
@@ -478,8 +457,7 @@ class BetaCertificate:
 
 
 def boundary_beta_search(lat: IntegerLattice, c_root: LatVec, k: int,
-                         eta, coord_bound: int = 8,
-                         denominator: int = 64) -> BetaCertificate:
+                         eta, coord_bound: int = 8) -> BetaCertificate:
     """Construct a rational beta with exp(i eta + beta) away from all walls.
 
     Conditions, verified exactly over the candidate root set
@@ -511,9 +489,9 @@ def boundary_beta_search(lat: IntegerLattice, c_root: LatVec, k: int,
     # base point: beta0 = t C with beta0.C = -(k + 1/2), i.e. t = (k + 1/2)/2;
     # perturb along eta to dodge the finitely many equalities
     base = [Fraction(k * 2 + 1, 4) * c for c in c_ns]
-    betas = [[base[i] + Fraction(sign * num, denominator * 4) * eta[i]
+    betas = [[base[i] + Fraction(sign * num, 256) * eta[i]
               for i in range(kns)]
-             for num in range(denominator) for sign in (1, -1)]
+             for num in range(64) for sign in (1, -1)]
     found = _first_clear_beta(lat, roots, c_ns, k, eta, betas)
     if found is None:
         raise NoSolutionInBoundError("no beta found; enlarge the search box")

@@ -59,10 +59,11 @@ def classify_divisibility(vectors: list[LatVec]) -> dict[int, list[LatVec]]:
     return dict(sorted(buckets.items()))
 
 
-def default_generators(lat: IntegerLattice, root_bound: int,
-                       twist_range: int = 1) -> list[Isometry]:
+def default_generators(lat: IntegerLattice, root_bound: int
+                       ) -> list[Isometry]:
     """Reflections in all roots of the coordinate box, -id, and (for
-    Mukai-form lattices) line-twist transvections.
+    Mukai-form lattices) the line-twist transvections by the NS basis
+    vectors.
 
     All of these lie in the isometry group used for cusp identification:
     -2-reflections act trivially on the discriminant group and fix a
@@ -83,10 +84,9 @@ def default_generators(lat: IntegerLattice, root_bound: int,
     if lat.mukai:
         k = lat.ns_rank
         for i in range(k):
-            for m in range(1, twist_range + 1):
-                l = [0] * k
-                l[i] = m
-                gens.append(line_twist_isometry(lat, l))
+            l = [0] * k
+            l[i] = 1
+            gens.append(line_twist_isometry(lat, l))
     return gens
 
 
@@ -95,7 +95,6 @@ class OrbitResult:
     orbits: list[list[LatVec]]          # in-window members, sorted
     representative: list[LatVec]        # lex-min member per orbit
     frontier_sizes: list[int]           # out-of-window states explored
-    exact: bool = False                 # never claimed without an oracle
 
 
 # Generator images computed at once in one sweep step, at most.
@@ -143,11 +142,8 @@ def orbit_partition(vectors: list[LatVec], generators: list[Isometry],
     if frontier_cap is None:
         frontier_cap = 200 * height
     window = sorted({_sign_canonical(v.coords) for v in vectors})
-    mats = []
-    for g in generators:
-        for h in (g, g.inverse()):
-            if h.matrix not in mats:
-                mats.append(h.matrix)
+    mats = list(dict.fromkeys(h.matrix for g in generators
+                              for h in (g, g.inverse())))
     reach = max(frontier_cap, max(max(map(abs, w)) for w in window))
     grow = max((sum(map(abs, row)) for m in mats for row in m), default=0)
     if reach * grow * max(sum(map(abs, row)) for row in lat.gram) >= 1 << 62:

@@ -221,15 +221,15 @@ class TubePoint:
         return pairing(self.split.lattice, self.y, self.y)
 
     @np.errstate(over="ignore")     # a y^2 past the float range is inf > 0
-    def validate(self, tol: float = 1e-9):
+    def validate(self):
         g = gram_np(self.split.lattice)
         x, y, vv = self.x, self.y, self.split.v_np()
         xg, yg = x @ g, y @ g
         _raise_first(
-            (abs(_rowdot(xg, x)) > tol, ValueError, "x^2 != 0"),
-            (abs(_rowdot(xg, vv) + 1.0) > tol, ValueError, "x.v != -1"),
-            (abs(_rowdot(yg, vv)) > tol, ValueError, "y.v != 0"),
-            (abs(_rowdot(yg, x)) > tol, ValueError, "y.x != 0"),
+            (abs(_rowdot(xg, x)) > 1e-9, ValueError, "x^2 != 0"),
+            (abs(_rowdot(xg, vv) + 1.0) > 1e-9, ValueError, "x.v != -1"),
+            (abs(_rowdot(yg, vv)) > 1e-9, ValueError, "y.v != 0"),
+            (abs(_rowdot(yg, x)) > 1e-9, ValueError, "y.x != 0"),
             (_rowdot(yg, y) <= 0, NotPositiveError, "y^2 <= 0"))
         return self
 
@@ -312,10 +312,10 @@ class PeriodPoint:
     lattice: IntegerLattice
     z: np.ndarray  # complex, z^2 = 0
 
-    def validate(self, tol: float = 1e-8):
+    def validate(self):
         scale = np.linalg.norm(self.z, axis=-1) ** 2
         _raise_first(
-            (abs(pairing(self.lattice, self.z, self.z)) > tol * scale,
+            (abs(pairing(self.lattice, self.z, self.z)) > 1e-8 * scale,
              ValueError, "z^2 != 0"),
             (~(pairing(self.lattice, self.z, np.conj(self.z)).real > 0),
              ValueError, "z.zbar <= 0"))
@@ -345,7 +345,7 @@ def exp_frame(pt: TubePoint) -> FrameVec:
     return FrameVec(pt.split.lattice, z)
 
 
-def theta(frame: FrameVec, vref: LatVec | None = None) -> PeriodPoint:
+def theta(frame: FrameVec) -> PeriodPoint:
     """Projection P(N) -> D(N): the isotropic line of the oriented plane.
 
     Gram-Schmidt conformalizes the frame; frames in one GL2+ orbit map to
@@ -362,10 +362,7 @@ def theta(frame: FrameVec, vref: LatVec | None = None) -> PeriodPoint:
         e2 = w1 / np.sqrt(ww)[..., None]
     _raise_first(((uu <= 0) | (ww <= 0), NotPositiveError,
                   "frame plane is not positive"))
-    p = PeriodPoint(lat, e1 + 1j * e2)
-    if vref is not None:
-        return PeriodPoint(lat, q_section(p, vref).z)
-    return p
+    return PeriodPoint(lat, e1 + 1j * e2)
 
 
 def exp_point(pt: TubePoint) -> PeriodPoint:
@@ -456,14 +453,14 @@ def reference_frame(lat: IntegerLattice) -> FrameVec:
     return FrameVec(lat, p1 + 1j * p2).validate()
 
 
-def orientation_flag(g: Isometry, reference: FrameVec | None = None) -> bool:
+def orientation_flag(g: Isometry) -> bool:
     """True iff g preserves the component of the reference oriented plane.
 
-    The cross Gram of the image plane against the reference plane is
+    The cross Gram of the image plane against ``reference_frame`` is
     non-singular for positive planes; its determinant sign detects the
     component.
     """
-    ref = reference if reference is not None else reference_frame(g.lattice)
+    ref = reference_frame(g.lattice)
     img = apply_isometry_frame(g, ref)
     gm = gram_np(g.lattice)
     b_ref = np.stack([ref.re, ref.im], axis=1)
@@ -472,9 +469,8 @@ def orientation_flag(g: Isometry, reference: FrameVec | None = None) -> bool:
     return bool(np.linalg.det(cross) > 0)
 
 
-def with_orientation(g: Isometry,
-                     reference: FrameVec | None = None) -> Isometry:
-    return g.with_flag(orientation_flag(g, reference))
+def with_orientation(g: Isometry) -> Isometry:
+    return g.with_flag(orientation_flag(g))
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +501,7 @@ class Wall:
                 "v": list(self.v.coords)}
 
 
-def wall_membership(p: PeriodPoint, delta: LatVec, v: LatVec,
-                    tol: float = PAIR_TOL) -> str:
+def wall_membership(p: PeriodPoint, delta: LatVec, v: LatVec) -> str:
     """Classify a period point against the walls of one root.
 
     Returns 'on_D', 'on_A', 'on_C' or 'off'.  "Real" is decided with a
@@ -520,14 +515,14 @@ def wall_membership(p: PeriodPoint, delta: LatVec, v: LatVec,
     scale = float(np.linalg.norm(p.z))
     dvec = np.array(delta.coords, dtype=float)
     dnorm = float(np.linalg.norm(dvec))
-    if abs(zd) <= tol * scale * max(dnorm, 1.0):
+    if abs(zd) <= PAIR_TOL * scale * max(dnorm, 1.0):
         return "on_D"
-    if abs(zv) <= tol * scale:
+    if abs(zv) <= PAIR_TOL * scale:
         raise DegenerateAtVError("z.v = 0")
     w = -zd / zv
     vd = v.dot(delta)
-    if abs(w.imag) <= tol * max(1.0, abs(w)):
-        if -vd > 0 and w.real <= tol:
+    if abs(w.imag) <= PAIR_TOL * max(1.0, abs(w)):
+        if -vd > 0 and w.real <= PAIR_TOL:
             return "on_A"
         if vd == 0:
             return "on_C"
@@ -1004,10 +999,18 @@ def _roots_near_box(split: HyperbolicSplit, box: TubeBox) -> list[LatVec]:
 
 
 def _orient_root(split: HyperbolicSplit, delta: LatVec) -> tuple[LatVec, int]:
-    """Sign-normalize: return (root, d) with d = -v.root >= 0."""
+    """The root that names delta's walls, and d = -v.root >= 0.
+
+    For d != 0 the sign of delta with d > 0.  For d = 0 the C-wall
+    representative: zero v- and f-components and a sign-canonical image in
+    L(v), since a C-wall depends only on that image up to sign.
+    """
     d = -split.v.dot(delta)
     if d < 0:
         return -delta, -d
+    if d == 0:
+        lam = _sign_canonical(split.root_data(delta)[2])
+        return split.root_from_data(0, 0, lam), 0
     return delta, d
 
 
@@ -1039,11 +1042,8 @@ def enumerate_walls_region(split: HyperbolicSplit, box: TubeBox,
         if d > 0:
             test("A", delta)
             test("D", delta)
-        else:
-            lam = _sign_canonical(split.root_data(delta)[2])
-            rep = split.root_from_data(0, 0, lam)
-            if ("C", rep.coords) not in walls:
-                test("C", rep)
+        elif ("C", delta.coords) not in walls:
+            test("C", delta)
     return sorted(walls.values(), key=lambda w: w.sort_key())
 
 
@@ -1075,26 +1075,25 @@ class P0Certificate:
                 "candidates_checked": self.candidates_checked}
 
 
-def in_P0(frame: FrameVec, margin: float = 2.0,
-          tol: float = 1e-8) -> P0Certificate:
+def in_P0(frame: FrameVec) -> P0Certificate:
     """No root pairs to zero with z, with a quantitative certificate.
 
     Roots with z.delta = 0 lie in the plane's orthogonal complement and have
-    majorant value exactly 2; the candidate list Q+ <= 2 + 2 margin^2 is
-    therefore complete for them, and any non-candidate root keeps
-    |z.delta| > exclusion_radius.
+    majorant value exactly 2; the candidate list Q+ <= 10 is therefore
+    complete for them, and any non-candidate root keeps
+    |z.delta| > exclusion_radius = 2 sqrt(lam_min), lam_min the least
+    eigenvalue of the plane's Gram matrix.
     """
     lat = frame.lattice
-    roots = _short_roots(lat.gram_rows(), majorant_matrix(frame),
-                         2.0 + 2.0 * margin ** 2)
+    roots = _short_roots(lat.gram_rows(), majorant_matrix(frame), 10.0)
     lam_min = float(np.linalg.eigvalsh(frame.plane_gram())[0])
-    radius = margin * math.sqrt(max(lam_min, 0.0))
+    radius = 2.0 * math.sqrt(max(lam_min, 0.0))
     vals = abs(frame.z @ gram_np(lat) @ roots.T.astype(float))
     best, witness = math.inf, None
     if len(vals):
         i = int(np.argmin(vals))
         best, witness = float(vals[i]), lat.vector(roots[i].tolist())
-    is_in = best > tol * max(float(np.linalg.norm(frame.z)), 1.0)
+    is_in = best > 1e-8 * max(float(np.linalg.norm(frame.z)), 1.0)
     return P0Certificate(is_in, best, witness, radius, len(roots))
 
 
@@ -1103,7 +1102,7 @@ def region_gt2(pt: TubePoint) -> bool:
     return pt.y_norm2() > 2.0
 
 
-def on_A_wall(pt: TubePoint, tol: float = 1e-9) -> LatVec | None:
+def on_A_wall(pt: TubePoint) -> LatVec | None:
     """Return a root whose A-wall contains the point, if any does.
 
     The candidates are those of the zero-width box at the point's chart
@@ -1117,12 +1116,12 @@ def on_A_wall(pt: TubePoint, tol: float = 1e-9) -> LatVec | None:
         if d <= 0:
             continue
         zd = complex(frame.z @ g @ np.array(w.coords, dtype=float))
-        if abs(zd.imag) <= tol and zd.real <= tol:
+        if abs(zd.imag) <= 1e-9 and zd.real <= 1e-9:
             return w
     return None
 
 
-def in_L_region(pt: TubePoint, y_amp, tol: float = 1e-9) -> bool:
+def in_L_region(pt: TubePoint, y_amp) -> bool:
     """Distinguished-chamber membership.
 
     True iff y lies in the chamber of the witness y_amp (no L(v)-root wall
@@ -1144,6 +1143,6 @@ def in_L_region(pt: TubePoint, y_amp, tol: float = 1e-9) -> bool:
     for l in _cone_roots(sp.gram_L, ends)[-1].astype(float):
         s_amp = float(y_amp @ gl @ l)
         s_b = float(b @ gl @ l)
-        if abs(s_b) <= tol or s_amp * s_b < 0:
+        if abs(s_b) <= 1e-9 or s_amp * s_b < 0:
             return False
-    return on_A_wall(pt, tol=tol) is None
+    return on_A_wall(pt) is None

@@ -83,6 +83,10 @@ class NotInLieAlgebraError(MukaiKitError):
     """Matrix is not an infinitesimal isometry of the Gram form."""
 
 
+class NotHyperbolicError(MukaiKitError):
+    """Lie algebra element is not a hyperbolic generator: A^3 != A."""
+
+
 class DegeneratePlaneError(MukaiKitError):
     """Spanning vectors do not give a positive definite 2-plane."""
 

@@ -74,14 +74,6 @@ class IntegerLattice:
     def vector(self, coords) -> "LatVec":
         return LatVec(self, tuple(int(c) for c in coords))
 
-    def basis_vector(self, i: int) -> "LatVec":
-        coords = [0] * self.rank
-        coords[i] = 1
-        return self.vector(coords)
-
-    def zero(self) -> "LatVec":
-        return self.vector([0] * self.rank)
-
     def gram_rows(self) -> list[list[int]]:
         return [list(r) for r in self.gram]
 
@@ -162,14 +154,6 @@ class Root:
 
     vec: LatVec
     class_rel_v: str  # "positive" | "zero" | "negative"
-
-    @staticmethod
-    def classify(delta: LatVec, v: LatVec) -> "Root":
-        if delta.norm2 != -2:
-            raise NotARootError(f"{delta} squares to {delta.norm2}, not -2")
-        p = v.dot(delta)
-        cls = "zero" if p == 0 else ("positive" if -p > 0 else "negative")
-        return Root(delta, cls)
 
 
 @dataclass(frozen=True)

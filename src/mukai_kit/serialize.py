@@ -71,9 +71,8 @@ def csv_text(header: list[str], rows, meta: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def svg_segments(segments, width: float = 480.0, height: float = 480.0,
-                 meta: dict | None = None) -> str:
-    """Line-art SVG of 2D segments ((x0, y0), (x1, y1), css_class)."""
+def svg_segments(segments, meta: dict | None = None) -> str:
+    """Line-art 480 x 480 SVG of segments ((x0, y0), (x1, y1), css_class)."""
     if segments:
         xs = [p for s in segments for p in (s[0][0], s[1][0])]
         ys = [p for s in segments for p in (s[0][1], s[1][1])]
@@ -84,16 +83,16 @@ def svg_segments(segments, width: float = 480.0, height: float = 480.0,
         x1 = y1 = 1.0
     dx = (x1 - x0) or 1.0
     dy = (y1 - y0) or 1.0
-    pad = 10.0
+    size, pad = 480.0, 10.0
 
     def sx(x):
-        return pad + (x - x0) / dx * (width - 2 * pad)
+        return pad + (x - x0) / dx * (size - 2 * pad)
 
     def sy(y):
-        return height - pad - (y - y0) / dy * (height - 2 * pad)
+        return size - pad - (y - y0) / dy * (size - 2 * pad)
 
     out = ['<svg xmlns="http://www.w3.org/2000/svg" '
-           f'width="{width:g}" height="{height:g}">']
+           f'width="{size:g}" height="{size:g}">']
     if meta:
         pairs = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
         out.append(f"<!-- {pairs} -->")

@@ -323,3 +323,17 @@ def test_entry_point_subprocess():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["det"] == -1
+
+
+def test_cli_import_needs_no_scipy():
+    # numpy is the only runtime dependency: importing the CLI, and with it
+    # every module of the package, loads no scipy module
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(mk.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, mukai_kit.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

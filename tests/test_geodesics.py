@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 import mukai_kit as mk
 from mukai_kit import domain as dm, geodesics as gd
-from mukai_kit.errors import NotInLieAlgebraError, StepTooLargeError
+from mukai_kit.errors import (
+    NotHyperbolicError,
+    NotInLieAlgebraError,
+    StepTooLargeError,
+)
 
 
 LATTICES = {
@@ -230,6 +234,14 @@ def test_one_param_group_law(rank3):
     # preserves the Gram form
     gm = dm.gram_np(lat)
     assert np.max(np.abs(g.T @ gm @ g - gm)) < 1e-10
+
+
+def test_one_param_rejects_non_hyperbolic_element(rank3):
+    # (2A)^3 = 8A != 2A: the sinh/cosh closed form does not apply
+    lat, sp = rank3
+    pt = sample_points(sp, np.random.default_rng(4), 1)[0]
+    with pytest.raises(NotHyperbolicError):
+        gd.one_param(gd.LieElem(lat, 2 * gd.a_generator(pt).matrix), 0.3)
 
 
 def test_one_param_matches_tube_formula(rank3, rank4):
