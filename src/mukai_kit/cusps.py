@@ -1,13 +1,13 @@
 """Zero-dimensional cusp enumeration and classification.
 
 Primitive isotropic vectors are enumerated in a height window, bucketed by
-divisibility, and partitioned into orbits under a supplied generator set
-(by default: all (-2)-reflections from a root box plus -id).  The resulting
-census is an upper bound for the true cusp count: the generators span a
-subgroup of the full isometry group, so orbits may merge further.  For
-Picard-rank-one Mukai lattices U + <2n> the exact count is known to be the
-cusp number of the Fricke group, which :func:`fricke_cusp_count` computes
-classically; the census is cross-checked against it.
+divisibility, and grouped into cusp classes.  On Picard-rank-one Mukai
+lattices U + <2n> the isometry group acts on cusps through the Fricke group
+Gamma_0(n)^+ (Dolgachev 1996, section 7), so the default census groups the
+vectors by closed-form Gamma_0(n)^+ cusp labels and is exact.  Elsewhere,
+or when generators are given, it partitions them into orbits under bounded
+generator words, an upper bound: the generators may span a subgroup of the
+isometry group.  :func:`fricke_cusp_count` is the classical oracle.
 """
 
 from __future__ import annotations
@@ -133,6 +133,8 @@ def orbit_partition(vectors: list[LatVec], generators: list[Isometry],
     frontier cap.  A cap so large that images could leave int64 raises
     :class:`~mukai_kit.errors.IntegerOverflowError`.
     """
+    if depth < 0:
+        raise ValueError("word depth must be >= 0")
     if not vectors:
         return OrbitResult([], [], [0])
     lat = vectors[0].lattice
@@ -311,28 +313,60 @@ def _generator_hash(generators: list[Isometry]) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _fricke_level(lat: IntegerLattice) -> int:
+    """n if ``lat`` is U + <2n> in (r, NS, s) form with n >= 1, else 0."""
+    n = lat.gram[1][1] // 2 if lat.mukai and lat.rank == 3 else 0
+    return n if lat.gram == ((0, 0, -1), (0, 2 * n, 0), (-1, 0, 0)) else 0
+
+
+def _fricke_labels(coords: np.ndarray, n: int) -> np.ndarray:
+    """Gamma_0(n)^+ cusp label of each primitive isotropic row (r, l, s).
+
+    The cusp of v is l/r = a/c in lowest terms with c >= 0, or 1/0 when
+    r = 0.  Its Gamma_0(n) label is (d, x) = (d, a (c/d) mod m) with
+    d = gcd(c, n) and m = gcd(d, n/d) (Diamond-Shurman, section 3.8),
+    encoded as d n + x.  The Fricke involution z -> -1/(nz) sends a/c to
+    -c/(na), whose label is (n/d, -x mod m); of the two the lesser is kept.
+    """
+    r, l = coords[:, 0], coords[:, 1]
+    a, c = np.where(r == 0, 1, l * np.sign(r)), np.abs(r)
+    a, c = a // np.gcd(a, c), c // np.gcd(a, c)
+    d = np.gcd(c, n)
+    m = np.gcd(d, n // d)
+    x = a * (c // d) % m
+    return np.minimum(d * n + x, n // d * n + (-x) % m)
+
+
 def _census(lat: IntegerLattice, vectors: list[LatVec],
-            generators: list[Isometry], height: int, word_depth: int,
+            generators: list[Isometry] | None, height: int, word_depth: int,
             root_bound: int) -> CensusReport:
-    records: list[CuspRecord] = []
-    if vectors:
+    """Classes of the lex-ordered ``vectors``, by label or by sweep."""
+    if word_depth < 0:
+        raise ValueError("word depth must be >= 0")
+    n = _fricke_level(lat) if generators is None else 0
+    if generators is None:
+        generators = default_generators(lat, root_bound)
+    if n:
+        # labels are not certified by isometries: check div on every member
+        coords = np.array([v.coords for v in vectors], dtype=np.int64)
+        divs = np.gcd.reduce(coords @ np.array(lat.gram), axis=1)
+        _, first, inverse, sizes = np.unique(
+            _fricke_labels(coords, n), return_index=True,
+            return_inverse=True, return_counts=True)
+        if np.any(divs != divs[first][inverse]):
+            raise InvariantError("divisibility differs in a cusp label class")
+        classes = list(zip([vectors[i] for i in first], sizes.tolist()))
+    else:
         result = orbit_partition(vectors, generators, word_depth,
                                  height=height)
-        for orbit, rep in zip(result.orbits, result.representative):
-            shadows = [quotient_lattice(member) for member in orbit]
-            # isometry invariants must agree along the whole orbit
-            invariants = {(tuple(discriminant_group(lm)), abs(lm.det))
-                          for lm in shadows}
-            if len(invariants) > 1:
-                raise InvariantError("L(v) invariants differ in an orbit")
-            [(disc, _)] = invariants
-            records.append(CuspRecord(
-                rep=rep,
-                div=divisibility(rep),
-                orbit_size_found=len(orbit),
-                Lv_gram=shadows[0].gram,
-                disc_group=disc,
-            ))
+        classes = [(orbit[0], len(orbit)) for orbit in result.orbits]
+    records = []
+    for rep, size in classes:
+        div, lv = divisibility(rep), quotient_lattice(rep)
+        disc, k = tuple(discriminant_group(lv)), 2 * n // div**2
+        if n and (lv.gram, disc) != (((k,),), (k,)):
+            raise InvariantError("L(v) is not <2n / div(v)^2>")
+        records.append(CuspRecord(rep, div, size, lv.gram, disc))
     records.sort(key=lambda r: (r.div, r.rep.coords))
     return CensusReport(lat, height, root_bound, word_depth, records,
                         generator_count=len(generators),
@@ -343,13 +377,11 @@ def standard_cusp_census(lat: IntegerLattice, height: int,
                          generators: list[Isometry] | None = None,
                          word_depth: int = 6,
                          root_bound: int = 8) -> CensusReport:
-    """One record per surviving orbit of standard vectors at this height.
+    """One record per cusp class of standard vectors at this height.
 
     Each record carries the Gram matrix and discriminant invariants of
     L(v) = v^perp / v, the lattice shadow of the associated partner surface.
     """
-    if generators is None:
-        generators = default_generators(lat, root_bound)
     standard = [v for v in enumerate_isotropic(lat, height)
                 if is_standard(v)]
     return _census(lat, standard, generators, height, word_depth, root_bound)
@@ -362,12 +394,12 @@ def cusp_census(lat: IntegerLattice, height: int,
     """Census of all zero-dimensional cusp classes (every divisibility).
 
     Divisibility d = 1 records are the standard cusps; d > 1 buckets are
-    reported as raw orbit data (their twisted-partner interpretation is not
-    modelled).  For Picard-rank-one Mukai lattices the total count matches
-    the cusp number of the Fricke modular curve.
+    reported as raw class data (their twisted-partner interpretation is not
+    modelled).  On U + <2n> with no generators given the classes are cusp
+    labels, exact, and the count is :func:`fricke_cusp_count` once the
+    window meets every label (height 4n + 20 does for n <= 60); otherwise
+    they are orbits of at most ``word_depth`` generator words, an upper bound.
     """
-    if generators is None:
-        generators = default_generators(lat, root_bound)
     vectors = enumerate_isotropic(lat, height)
     return _census(lat, vectors, generators, height, word_depth, root_bound)
 
@@ -376,41 +408,18 @@ def cusp_census(lat: IntegerLattice, height: int,
 # Fricke cusp-count oracle
 # ---------------------------------------------------------------------------
 
-def _gamma0_cusp_classes(n: int) -> list[tuple[int, int]]:
-    """Cusp classes of Gamma_0(n) as pairs (d, a mod gcd(d, n/d)), d | n."""
-    classes = []
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        m = math.gcd(d, n // d)
-        for a in range(1, m + 1):
-            if math.gcd(a, m) == 1:
-                classes.append((d, a % m if m > 1 else 0))
-    return classes
-
-
 def fricke_cusp_count(n: int) -> int:
     """Number of cusps of the Fricke group Gamma_0^+(n).
 
-    Cusps of Gamma_0(n) are the pairs (d | n, a in (Z/gcd(d, n/d))^*); the
-    Fricke involution sends (d, a) to (n/d, -a^{-1}).  The count is the
-    number of orbits of this involution.
+    Cusps of Gamma_0(n) are the pairs (d | n, a in (Z/gcd(d, n/d))^*), the
+    pair of a/d; the Fricke involution sends a/d to -1/((n/d) a), the pair
+    (n/d, -a).  The count is the number of orbits of this involution:
+    (classes + fixed points) / 2.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    classes = _gamma0_cusp_classes(n)
-    seen = set()
-    orbits = 0
-    for (d, a) in classes:
-        if (d, a) in seen:
-            continue
-        m = math.gcd(d, n // d)
-        if m > 1:
-            ainv = pow(a, -1, m)
-            image = (n // d, (-ainv) % m)
-        else:
-            image = (n // d, 0)
-        seen.add((d, a))
-        seen.add(image)
-        orbits += 1
-    return orbits
+    classes = [(d, a % m, m) for d in range(1, n + 1) if n % d == 0
+               for m in [math.gcd(d, n // d)]
+               for a in range(1, m + 1) if math.gcd(a, m) == 1]
+    fixed = sum((n // d, -a % m) == (d, a) for d, a, m in classes)
+    return (len(classes) + fixed) // 2

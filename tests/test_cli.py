@@ -144,6 +144,20 @@ def test_cusps_command(tmp_path):
     assert data["height"] == 14
 
 
+def test_cusps_rank1_n10_matches_fricke(tmp_path):
+    # the orbit sweep reported 6 classes here; Fricke gives 2
+    out = tmp_path / "census.json"
+    assert run(["cusps", "--preset", "mukai_rank1(10)", "--height", "20",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["count"] == 2
+
+
+def test_cusps_negative_word_depth_exit_code(capsys):
+    assert run(["cusps", "--preset", "mukai_rank1(2)", "--height", "12",
+                "--word-depth", "-1"]) == 2
+    assert "word depth" in capsys.readouterr().err
+
+
 def test_geodesic_command(tmp_path):
     out = tmp_path / "geo.json"
     code = run(["geodesic", "--preset", "mukai_rank1(1)",

@@ -382,3 +382,185 @@ def test_uu_census_identical_shadows():
         assert abs(lv.det) == 1
         assert lv.signature == (1, 1)
         assert rec.disc_group == ()
+
+
+# -- the Gamma_0(n)^+ label census on U + <2n> --------------------------------
+
+def _omega(n):
+    """Number of distinct primes dividing n, by trial division."""
+    count, p = 0, 2
+    while p * p <= n:
+        if n % p == 0:
+            count += 1
+            while n % p == 0:
+                n //= p
+        p += 1
+    return count + (n > 1)
+
+
+def _label_classes(vectors, n):
+    """Window vectors grouped by their Fricke label, as coordinate sets."""
+    coords = np.array([v.coords for v in vectors], dtype=np.int64)
+    classes = {}
+    for v, label in zip(vectors, cusps._fricke_labels(coords, n).tolist()):
+        classes.setdefault(label, set()).add(v.coords)
+    return classes
+
+
+def _gamma0_equivalent(p, q, n):
+    """a/c ~ a'/c' under Gamma_0(n), straight from the matrices.
+
+    With M, M' in SL_2(Z) of first columns (a, c), (a', c'), the elements
+    of SL_2(Z) taking one cusp to the other are +-M' [[1, k], [0, 1]] M^-1;
+    the lower-left entry c'e - ce' - kcc' (e, e' the lower-right entries)
+    is 0 mod n for some k iff gcd(cc', n) divides c'e - ce'.
+    """
+    (a, c), (a2, c2) = p, q
+    e = pow(a, -1, c) if c > 1 else 1
+    e2 = pow(a2, -1, c2) if c2 > 1 else 1
+    return (c2 * e - c * e2) % math.gcd(c * c2, n) == 0
+
+
+def _fricke_count_by_matrices(n):
+    """Classes of the cusps a/d (d | n) under Gamma_0(n) and z -> -1/(nz)."""
+    reps = [(a, d) for d in range(1, n + 1) if n % d == 0
+            for a in range(d) if math.gcd(a, d) == 1]
+    classes = []
+    for a, c in reps:
+        g = math.gcd(c, n * a)                  # image -c/(na) = c/(-na)
+        image = (-c // g, n * a // g) if a else (1, 0)
+        found = [k for k, cls in enumerate(classes)
+                 if any(_gamma0_equivalent(x, y, n)
+                        for x in ((a, c), image) for y in cls)]
+        merged = {(a, c), image}.union(*(classes[k] for k in found))
+        classes = [cls for k, cls in enumerate(classes) if k not in found]
+        classes.append(merged)
+    return len(classes)
+
+
+def test_fricke_count_vs_matrices():
+    # the Fricke image of 2/5 at n = 25 is -1/10 ~ 3/5, so 25 has 3 cusps
+    assert [cusps.fricke_cusp_count(n) for n in range(1, 121)] == \
+        [_fricke_count_by_matrices(n) for n in range(1, 121)]
+    assert cusps.fricke_cusp_count(25) == 3
+
+
+def test_omega_by_trial_division():
+    assert [_omega(n) for n in (1, 2, 12, 30, 49, 60, 97)] == \
+        [0, 1, 2, 3, 1, 3, 1]
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_census_matches_fricke_up_to_60(n):
+    lat = mk.preset(f"mukai_rank1({n})")
+    height = 4 * n + 20
+    assert cusps.cusp_census(lat, height).count == cusps.fricke_cusp_count(n)
+    # standard classes are the Fourier-Mukai partners: 2^(omega(n) - 1)
+    assert cusps.standard_cusp_census(lat, height).count == \
+        2 ** max(_omega(n) - 1, 0)
+
+
+def test_rank1_default_census_runs_no_sweep(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("orbit_partition called")
+
+    monkeypatch.setattr(cusps, "orbit_partition", no_sweep)
+    lat = mk.preset("mukai_rank1(6)")
+    assert cusps.cusp_census(lat, 12).count == 2
+    assert cusps.standard_cusp_census(lat, 12).count == 2
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_explicit_generators_take_the_sweep(n, monkeypatch):
+    lat = mk.preset(f"mukai_rank1({n})")
+    calls = []
+    sweep = cusps.orbit_partition
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cusps, "orbit_partition", spy)
+    gens = cusps.default_generators(lat, 8)
+    for census in (cusps.cusp_census, cusps.standard_cusp_census):
+        swept = census(lat, 16, generators=gens)
+        assert swept.to_json() == census(lat, 16).to_json()
+    assert len(calls) == 2
+
+
+def test_label_class_with_two_divisibilities_raises(monkeypatch):
+    # U + <8> has cusps of divisibility 1 and 2; one label for all merges them
+    monkeypatch.setattr(cusps, "_fricke_labels",
+                        lambda coords, n: np.zeros(len(coords), int))
+    with pytest.raises(InvariantError, match="divisibility"):
+        cusps.cusp_census(mk.preset("mukai_rank1(4)"), 10)
+
+
+def test_label_census_checks_the_shadow(monkeypatch):
+    monkeypatch.setattr(cusps, "quotient_lattice",
+                        lambda v: mk.make_lattice([[4]]))
+    with pytest.raises(InvariantError, match="L\\(v\\)"):
+        cusps.cusp_census(mk.preset("mukai_rank1(1)"), 6)
+
+
+def test_negative_word_depth_rejected():
+    lat = mk.preset("mukai_rank1(2)")
+    vecs = cusps.enumerate_isotropic(lat, 4)
+    gens = cusps.default_generators(lat, 4)
+    for census in (cusps.cusp_census, cusps.standard_cusp_census):
+        with pytest.raises(ValueError, match="word depth"):
+            census(lat, 4, word_depth=-1)
+        with pytest.raises(ValueError, match="word depth"):
+            census(lat, 4, generators=gens, word_depth=-1)
+    with pytest.raises(ValueError, match="word depth"):
+        cusps.orbit_partition(vecs, gens, -1)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 60), st.integers(6, 12))
+@example(10, 12)
+@example(27, 12)
+@example(25, 20)
+@example(45, 20)
+@example(60, 12)
+def test_sweep_classes_refine_labels(n, height):
+    # the sweep only merges along isometries, so it never joins two labels.
+    # At n = 25, height 20, it joins (5, 2) and (5, 3), which the pairing
+    # (n/d, -x^-1) would keep apart; at n = 25, 27 and 45 it joins vectors
+    # whose labels without the factor c/d would differ.
+    lat = mk.preset(f"mukai_rank1({n})")
+    vecs = cusps.enumerate_isotropic(lat, height)
+    res = cusps.orbit_partition(vecs, cusps.default_generators(lat, 8), 6,
+                                height=height)
+    classes = _label_classes(vecs, n)
+    owner = {c: label for label, cls in classes.items() for c in cls}
+    for orbit in res.orbits:
+        assert len({owner[v.coords] for v in orbit}) == 1
+    assert len(classes) <= len(res.orbits)
+
+
+def test_rank1_shadow_closed_form_on_every_vector():
+    # L(v) = <2n / div(v)^2> against the Hermite-form quotient, per vector
+    for n in range(1, 61):
+        lat = mk.preset(f"mukai_rank1({n})")
+        for v in cusps.enumerate_isotropic(lat, 4 * n + 20):
+            k = 2 * n // mk.divisibility(v) ** 2
+            lv = mk.quotient_lattice(v)
+            assert (lv.gram, mk.discriminant_group(lv)) == (((k,),), [k]), v
+
+
+@pytest.mark.parametrize("n", [4, 6, 10, 12, 30])
+def test_label_classes_keep_shadow_invariants(n):
+    # the per-member check the census made before labels: every member of
+    # a class has the same L(v) invariants as its representative
+    lat = mk.preset(f"mukai_rank1({n})")
+    vecs = cusps.enumerate_isotropic(lat, 12)
+    report = cusps.cusp_census(lat, 12)
+    reps = {r.rep.coords: r for r in report.records}
+    for cls in _label_classes(vecs, n).values():
+        rec = reps[min(cls)]
+        assert rec.orbit_size_found == len(cls)
+        for coords in cls:
+            lv = mk.quotient_lattice(lat.vector(coords))
+            assert (tuple(mk.discriminant_group(lv)), abs(lv.det)) == \
+                (rec.disc_group, abs(mk.make_lattice(rec.Lv_gram).det))
