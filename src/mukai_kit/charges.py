@@ -50,7 +50,7 @@ from .lattice import (
     ns_block,
     ns_pair,
     reflection,
-    roots_in_box,
+    vectors_of_norm,
     _int_dtype,
 )
 
@@ -484,7 +484,7 @@ def boundary_beta_search(lat: IntegerLattice, c_root: LatVec, k: int,
     if ns_pair(lat, eta, c_ns) != 0:
         raise ValueError("eta must lie on the facet eta.C = 0")
 
-    roots = roots_in_box(lat, coord_bound)
+    roots = vectors_of_norm(lat, -2, coord_bound)
 
     # base point: beta0 = t C with beta0.C = -(k + 1/2), i.e. t = (k + 1/2)/2;
     # perturb along eta to dodge the finitely many equalities
@@ -502,7 +502,7 @@ def boundary_beta_search(lat: IntegerLattice, c_root: LatVec, k: int,
 
 def _first_clear_beta(lat: IntegerLattice, roots, c_ns, k: int, eta,
                       betas) -> int | None:
-    """Index of the first beta meeting conditions (1)-(3) on the roots.
+    """Index of the first beta meeting (1)-(3) on the root array ``roots``.
 
     None when no beta does.  At each beta the first root, in root order,
     that breaks (1) or (2) or is an r = 0 root other than +-C with
@@ -522,13 +522,12 @@ def _first_clear_beta(lat: IntegerLattice, roots, c_ns, k: int, eta,
     hm = max(map(abs, hs))
     bm = max(abs(x) for bs in bss for x in bs)
     ns = ns_block(lat)
-    cb = max((max(map(abs, r.vec.coords)) for r in roots), default=0)
+    cb = int(abs(roots).max()) if len(roots) else 0
     dtype = _int_dtype(
         cb * sum(abs(x) for row in ns for x in row)
         * (scale * hm + bm * hm + 2 * scale * bm + bm * bm + hm * hm)
         + 2 * scale * scale * cb)
-    coords = np.array([r.vec.coords for r in roots],
-                      dtype=dtype).reshape(len(roots), kns + 2)
+    coords = roots.astype(dtype)
     r, s, ls = coords[:, 0], coords[:, -1], coords[:, 1:-1]
     l_ns = ls @ np.array(ns, dtype=dtype).reshape(kns, kns)
     l_eta = l_ns @ np.array(hs, dtype=dtype)

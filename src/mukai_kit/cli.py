@@ -44,24 +44,24 @@ def _job_hash(cfg: dict) -> str:
     return serialize.config_hash(core)
 
 
-def _emit(cfg: dict, payload: dict, text_table: str | None = None):
+def _emit(command: str, cfg: dict, payload: dict, table: str | None = None):
+    fmt = cfg.get("format", "json")
+    formats = ["json"] + [f for f in ("csv", "svg") if f"_{f}" in payload]
+    if fmt not in formats:
+        raise ConfigError(f"{command} has no {fmt} output; its formats are "
+                          + ", ".join(formats))
     payload = dict(payload)
     payload["version"] = __version__
     payload["config_hash"] = _job_hash(cfg)
     out = cfg.get("out")
-    fmt = cfg.get("format", "json")
-    if text_table:
-        print(text_table)
+    if table:
+        print(table)
     if out:
         if fmt == "json":
             serialize.atomic_write(out, serialize.pretty_json(payload))
-        elif fmt == "csv":
-            serialize.atomic_write(out, payload["_csv"])
-        elif fmt == "svg":
-            serialize.atomic_write(out, payload["_svg"])
         else:
-            raise ConfigError(f"unknown format {fmt!r}")
-    elif not text_table:
+            serialize.atomic_write(out, payload[f"_{fmt}"])
+    elif not table:
         print(serialize.pretty_json(payload), end="")
 
 
@@ -86,22 +86,20 @@ def cmd_lattice(cfg: dict) -> int:
     disc_str = " x ".join(f"Z/{d}" for d in disc) or "trivial"
     table = (f"{lat.label or 'lattice'}: rank {lat.rank}, "
              f"signature ({p},{q}), det {lat.det}, disc {disc_str}")
-    _emit(cfg, payload, table if cfg.get("out") else None)
+    _emit("lattice", cfg, payload, table if cfg.get("out") else None)
     return 0
 
 
 def cmd_roots(cfg: dict) -> int:
     lat = _load_lattice(cfg)
     bound = int(cfg.get("root_bound", 4))
-    roots = lattice.roots_in_box(lat, bound)
-    payload = {"root_bound": bound,
-               "roots": [list(r.vec.coords) for r in roots]}
+    roots = lattice.vectors_of_norm(lat, -2, bound).tolist()
+    payload = {"root_bound": bound, "roots": roots}
     payload["_csv"] = serialize.csv_text(
-        [f"c{i}" for i in range(lat.rank)],
-        [r.vec.coords for r in roots],
+        [f"c{i}" for i in range(lat.rank)], roots,
         meta={"config_hash": _job_hash(cfg),
               "version": __version__})
-    _emit(cfg, payload)
+    _emit("roots", cfg, payload)
     return 0
 
 
@@ -189,7 +187,7 @@ def cmd_walls(cfg: dict) -> int:
                     segs.append(((float(box.a_lo[0]), b0),
                                  (float(box.a_hi[0]), b0), "C"))
         payload["_svg"] = serialize.svg_segments(segs, meta=meta)
-    _emit(cfg, payload)
+    _emit("walls", cfg, payload)
     return 0
 
 
@@ -207,7 +205,7 @@ def cmd_cusps(cfg: dict) -> int:
             for r in report.records]
     table = (f"census of {lat.label or 'lattice'} at height {height}: "
              f"{report.count} classes\n" + "\n".join(rows))
-    _emit(cfg, payload, table if cfg.get("out") else None)
+    _emit("cusps", cfg, payload, table if cfg.get("out") else None)
     return 0
 
 
@@ -239,7 +237,7 @@ def cmd_geodesic(cfg: dict) -> int:
         + [f"b{i}" for i in range(sp.rho)] + ["speed"],
         rows, meta={"config_hash": _job_hash(cfg),
                     "version": __version__})
-    _emit(cfg, payload)
+    _emit("geodesic", cfg, payload)
     return 0 if dev <= tol else 1
 
 
@@ -284,7 +282,7 @@ def cmd_factor(cfg: dict) -> int:
                    "phi": g.phi0} for t, g in zip(res.ts, res.lifts)],
         "winding": res.lifts[-1].phi0 - res.lifts[0].phi0,
     }
-    _emit(cfg, payload)
+    _emit("factor", cfg, payload)
     return 0 if res.max_residual <= tol else 1
 
 
@@ -309,7 +307,7 @@ def cmd_threshold(cfg: dict) -> int:
         for c in certs)
     payload = {"n0": n0, "confirmed": bool(confirmed and fails_below),
                "certificates": [c.to_json() for c in certs]}
-    _emit(cfg, payload)
+    _emit("threshold", cfg, payload)
     return 0 if confirmed and fails_below else 1
 
 
@@ -332,7 +330,7 @@ def cmd_degenerate(cfg: dict) -> int:
         + [f"b{i}" for i in range(sp.rho)] + ["y2"],
         rows, meta={"config_hash": _job_hash(cfg),
                     "version": __version__})
-    _emit(cfg, payload)
+    _emit("degenerate", cfg, payload)
     return 0
 
 
@@ -344,7 +342,7 @@ def cmd_beta_search(cfg: dict) -> int:
     bound = int(cfg.get("root_bound", 8))
     cert = charges.boundary_beta_search(lat, c_root, k, eta,
                                         coord_bound=bound)
-    _emit(cfg, {"certificate": cert.to_json()})
+    _emit("beta-search", cfg, {"certificate": cert.to_json()})
     return 0
 
 

@@ -1,45 +1,84 @@
 """Deterministic output writers: JSON, CSV, SVG; atomic file replacement.
 
 Identical inputs must produce byte-identical files: no timestamps, sorted
-keys, repr-based float formatting.  Integers beyond 2^53 are serialized as
-decimal strings so JSON consumers with double-precision numbers never see
-rounded values.
+keys, repr-based float formatting.  Integers beyond 2^53 and Fractions are
+serialized as decimal strings so JSON consumers with double-precision
+numbers never see rounded values.  Keys go through str(); floats are
+float.__repr__ with json's NaN and Infinity; what json rejects raises
+TypeError.  Flat lists and matrices of plain numbers take one str.format.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import itertools
+import math
 import os
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 _BIG = 2 ** 53
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _normalize(obj):
-    if isinstance(obj, dict):
-        return {str(k): _normalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
+def _plain(values) -> bool:
+    """All exact ints within +-2^53, or all finite exact floats."""
+    types = set(map(type, values))
+    if types == {int}:
+        return -_BIG <= min(values) and max(values) <= _BIG
+    return types == {float} and all(map(math.isfinite, values))
+
+
+def _grid(rows, ok, first, sep, last, between) -> str | None:
+    """``rows``, a non-empty rectangular list of lists or tuples whose cells
+    pass ``ok``, written with one str.format template; else None."""
+    if (not rows or not {list, tuple}.issuperset(map(type, rows))
+            or len(set(map(len, rows))) != 1 or not rows[0]):
+        return None
+    cells = list(itertools.chain.from_iterable(rows))
+    if not ok(cells):
+        return None
+    row = first + sep.join(["{}"] * len(rows[0])) + last
+    return between.join([row] * len(rows)).format(*cells)
+
+
+def _json(obj, nl: str, step: str, colon: str) -> str:
+    """JSON text of ``obj`` whose lines break and indent as ``nl``."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or isinstance(obj, bool):
+        return {None: "null", True: "true", False: "false"}[obj]
     if isinstance(obj, int):
-        return str(obj) if abs(obj) > _BIG else obj
-    if isinstance(obj, Fraction):
-        return str(obj)
+        return int.__repr__(obj) if -_BIG <= obj <= _BIG else _quote(str(obj))
     if isinstance(obj, float):
-        return obj
-    return obj
+        text = float.__repr__(obj)
+        return _NONFINITE.get(text, text)
+    if isinstance(obj, Fraction):
+        return _quote(str(obj))
+    inner = nl + step
+    sep, deep = "," + inner, inner + step
+    if isinstance(obj, dict) and obj:
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        return "{" + inner + sep.join(_quote(k) + colon + _json(
+            v, inner, step, colon) for k, v in items) + nl + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[" + inner + (
+            _grid([obj], _plain, "", sep, "", "")
+            or _grid(obj, _plain, "[" + deep, "," + deep, inner + "]", sep)
+            or sep.join(_json(v, inner, step, colon) for v in obj)) + nl + "]"
+    if isinstance(obj, (dict, list, tuple)):
+        return "{}" if isinstance(obj, dict) else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    "is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_normalize(obj), sort_keys=True,
-                      separators=(",", ":"))
+    return _json(obj, "", "", ":")
 
 
 def pretty_json(obj) -> str:
-    return json.dumps(_normalize(obj), sort_keys=True, indent=2) + "\n"
+    return _json(obj, "\n", "  ", ": ") + "\n"
 
 
 def config_hash(config: dict) -> str:
@@ -65,9 +104,12 @@ def csv_text(header: list[str], rows, meta: dict | None = None) -> str:
         pairs = ",".join(f"{k}={v}" for k, v in sorted(meta.items()))
         lines.append(f"# {pairs}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
-                              for x in row))
+    rows = list(rows)
+    grid = _grid(rows, lambda cells: {int, float}.issuperset(map(type, cells)),
+                 "", ",", "", "\n")
+    lines.extend([grid] if grid else (
+        ",".join(float.__repr__(x) if isinstance(x, float) else str(x)
+                 for x in row) for row in rows))
     return "\n".join(lines) + "\n"
 
 

@@ -375,7 +375,8 @@ def test_beta_check_vs_fractions(name, bound, eta_raw, beta_raw, k):
         want = _outcome(lambda: _beta_check_fractions(
             lat, vecs, c_ns, kb, eta, beta))
         got = _outcome(lambda: ch._first_clear_beta(
-            lat, roots, c_ns, kb, eta, [beta]))
+            lat, lattice.vectors_of_norm(lat, -2, bound), c_ns, kb, eta,
+            [beta]))
         assert got == {True: 0, False: None}.get(want, want), beta
 
 

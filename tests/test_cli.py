@@ -129,6 +129,101 @@ def test_walls_golden_digests_higher_rank(tmp_path):
         assert hashlib.sha256(read(out)).hexdigest() == digest, rho
 
 
+_RANK4_GRAM = json.dumps([[0, 0, 0, -1], [0, 2, 0, 0], [0, 0, -2, 0],
+                          [-1, 0, 0, 0]])
+_RANK5_GRAM = json.dumps([[0, 0, 0, 0, -1], [0, 2, 0, 0, 0], [0, 0, -2, 0, 0],
+                          [0, 0, 0, -2, 0], [-1, 0, 0, 0, 0]])
+
+
+def test_exact_golden_digests(tmp_path):
+    # the criterion-10 exact jobs (beta-search on an inline Gram, so the
+    # config hash holds no file path), plus roots and beta-search at rank
+    # 5, pinned to the bytes of json.dumps and the per-root object path
+    import hashlib
+    cases = [
+        (["lattice", "--preset", "mukai_rank1(3)"],
+         "c10058ea2d4a6c3c9f491fdf6e4b3925c78602a0d238e9b84215e82dc3f6abe4"),
+        (["roots", "--preset", "mukai_rank1(1)", "--root-bound", "4"],
+         "eeb5f244bcc5b70e6a7b4125e6ca26b11e761548684ddb9dde4ac4e7b7db50c5"),
+        (["cusps", "--preset", "mukai_rank1(6)", "--height", "12"],
+         "543b12e2b515d3f4cf6d8c690dcd59c9fbe241a7446958610d39601fcc70fced"),
+        (["threshold", "--preset", "mukai_rank1(1)", "--vE", "[1,1,0]",
+          "--h", "[1]", "--candidates", "[[1,0,1]]"],
+         "b39b880ee0143b4db6c4b99d837abda9238cb1f22942f3a795d131d3e3347b76"),
+        (["beta-search", "--gram", _RANK4_GRAM, "--mukai", "--c-root",
+          "[0,0,1,0]", "--k", "0", "--eta", "[2,0]"],
+         "4c25c892b5ac54eb9bd32779157eb92b0bf2f0f22baf37ad28465810fa59fbd8"),
+        (["roots", "--gram", _RANK5_GRAM, "--mukai", "--root-bound", "5"],
+         "b8182bf3698bd52134ab003537080b739a6ecab3fececc8e0c5ab30d3dd4a196"),
+        (["roots", "--gram", _RANK5_GRAM, "--mukai", "--root-bound", "5",
+          "--format", "csv"],
+         "14d20ea9afc56463d2152fa2c8997bb93d27f15a33132868a5dd946d90426590"),
+        (["beta-search", "--gram", _RANK5_GRAM, "--mukai", "--c-root",
+          "[0,0,1,0,0]", "--k", "1", "--eta", "[2,0,1]", "--root-bound", "5"],
+         "e19783f42d74c648412c111367aac5e79b7a65acb2bde6dad0d143a526f59519"),
+    ]
+    for i, (args, digest) in enumerate(cases):
+        out = tmp_path / f"exact-{i}"
+        assert run(args + ["--out", str(out)]) == 0
+        assert hashlib.sha256(read(out)).hexdigest() == digest, args
+
+
+def test_float_payloads_match_oracle_writer(tmp_path, monkeypatch):
+    # geodesic, factor and degenerate floats vary by platform in the last
+    # ulps, so instead of digests: the writer equals json.dumps on them
+    from mukai_kit import serialize
+    from test_serialize import oracle_csv_text, oracle_pretty_json
+    seen = []
+    pretty, csv_text = serialize.pretty_json, serialize.csv_text
+
+    def checked_pretty(obj):
+        seen.append("json")
+        assert pretty(obj) == oracle_pretty_json(obj)
+        return pretty(obj)
+
+    def checked_csv(header, rows, meta=None):
+        seen.append("csv")
+        assert csv_text(header, rows, meta) == oracle_csv_text(header, rows,
+                                                               meta)
+        return csv_text(header, rows, meta)
+
+    monkeypatch.setattr(serialize, "pretty_json", checked_pretty)
+    monkeypatch.setattr(serialize, "csv_text", checked_csv)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "linear_degeneration", "x0": [0.2],
+                                "y0": [0.9], "t1": 3.0, "samples": 40}))
+    jobs = [
+        ["geodesic", "--preset", "mukai_rank1(1)", "--x0", "[0.3]",
+         "--y0", "[1.1]", "--t-max", "1.0", "--steps", "200",
+         "--tol", "1e-4"],
+        ["geodesic", "--gram", _RANK4_GRAM, "--mukai", "--x0", "[0.1,0.2]",
+         "--y0", "[0.3,1.5]", "--steps", "150", "--tol", "1e-3"],
+        ["factor", "--preset", "mukai_rank1(1)", "--path-spec", str(spec)],
+        ["degenerate", "--preset", "mukai_rank1(1)", "--x0", "[0.2]",
+         "--y0", "[0.9]"],
+        ["degenerate", "--gram", _RANK4_GRAM, "--mukai", "--x0", "[0.2,0.1]",
+         "--y0", "[0.3,1.5]", "--format", "csv"],
+    ]
+    for i, args in enumerate(jobs):
+        assert run(args + ["--out", str(tmp_path / f"float-{i}")]) == 0
+    assert seen.count("json") == 4 and seen.count("csv") == 4
+
+
+@pytest.mark.parametrize("command, args, fmt, formats", [
+    ("cusps", ["--preset", "mukai_rank1(2)", "--height", "8"], "csv",
+     "json"),
+    ("roots", ["--preset", "U", "--root-bound", "2"], "svg", "json, csv"),
+])
+def test_unsupported_format_exit_code(tmp_path, capsys, command, args, fmt,
+                                      formats):
+    out = tmp_path / f"x.{fmt}"
+    assert run([command, *args, "--format", fmt, "--out", str(out)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and not out.exists()
+    assert f"{command} has no {fmt} output" in cap.err
+    assert cap.err.rstrip().endswith(f"its formats are {formats}")
+
+
 def test_parser_built_once():
     from mukai_kit import cli
     assert cli._build_parser() is cli._build_parser()

@@ -1,7 +1,98 @@
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mukai_kit import serialize
+
+_BIG = 2 ** 53
+
+
+# -- oracle writers: json.dumps over a normalised copy -----------------------
+
+def _normalize(obj):
+    if isinstance(obj, dict):
+        return {str(k): _normalize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_normalize(v) for v in obj]
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj) if abs(obj) > _BIG else obj
+    if isinstance(obj, Fraction):
+        return str(obj)
+    return obj
+
+
+def oracle_canonical_json(obj) -> str:
+    return json.dumps(_normalize(obj), sort_keys=True, separators=(",", ":"))
+
+
+def oracle_pretty_json(obj) -> str:
+    return json.dumps(_normalize(obj), sort_keys=True, indent=2) + "\n"
+
+
+def oracle_csv_text(header, rows, meta=None) -> str:
+    lines = []
+    if meta:
+        pairs = ",".join(f"{k}={v}" for k, v in sorted(meta.items()))
+        lines.append(f"# {pairs}")
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(float.__repr__(x) if isinstance(x, float)
+                              else str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(fn, obj):
+    try:
+        return fn(obj)
+    except TypeError:
+        return TypeError
+
+
+_EDGE_INTS = st.sampled_from([_BIG, -_BIG, _BIG + 1, -_BIG - 1, 0])
+_INTS = st.one_of(st.integers(-2 ** 60, 2 ** 60), _EDGE_INTS)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, float("nan"), float("inf"),
+                     float("-inf")]),
+    st.floats(allow_nan=True).map(np.float64))
+_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(),
+                  st.sampled_from(["1", "-1", "True", "False", "0"]))
+_LEAVES = st.one_of(
+    _INTS, st.booleans(), st.none(), _FLOATS,
+    st.fractions(max_denominator=50), st.text(max_size=6),
+    st.text(st.characters(max_codepoint=0x1F), max_size=4),
+    st.text(st.characters(min_codepoint=0x80), max_size=4))
+
+
+def _matrices(cells):
+    return st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(cells, min_size=n, max_size=n).map(tuple)
+        | st.lists(cells, min_size=n, max_size=n), min_size=1, max_size=5))
+
+
+_NUMBERS = st.one_of(_INTS, _FLOATS)
+
+
+def _values(leaves):
+    return st.recursive(
+        st.one_of(leaves, st.lists(_INTS, max_size=6),
+                  st.lists(st.floats(allow_nan=False), max_size=6),
+                  _matrices(st.integers(-_BIG - 2, _BIG + 2)),
+                  _matrices(st.floats(allow_nan=True)),
+                  _matrices(_NUMBERS),
+                  st.lists(st.lists(_INTS, max_size=3), max_size=4),
+                  st.lists(st.lists(_FLOATS, max_size=3), max_size=4)),
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+            st.dictionaries(_KEYS, kids, max_size=4)),
+        max_leaves=30)
 
 
 def test_big_ints_become_strings():
@@ -40,3 +131,57 @@ def test_svg_smoke():
     svg = serialize.svg_segments([((0.0, 0.0), (1.0, 2.0), "A")],
                                  meta={"m": 1})
     assert svg.startswith("<svg") and "line" in svg and "</svg>" in svg
+
+
+@settings(max_examples=400, deadline=None)
+@given(_values(_LEAVES))
+def test_writers_match_json_oracle(obj):
+    assert serialize.pretty_json(obj) == oracle_pretty_json(obj)
+    assert serialize.canonical_json(obj) == oracle_canonical_json(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_values(st.one_of(_LEAVES, st.integers(-3, 3).map(np.int64))))
+def test_writers_match_json_oracle_or_both_reject(obj):
+    # np.int64 is not an int: json rejects it, and so must the writer
+    for write, oracle in ((serialize.pretty_json, oracle_pretty_json),
+                          (serialize.canonical_json, oracle_canonical_json)):
+        assert _outcome(write, obj) == _outcome(oracle, obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"roots": [[1, -2, 3], [0, 0, _BIG + 1]], "x": [1.5, float("nan")]},
+    {1: "a", "1": "b", True: [], "": {}, "e": ()},
+    [[0.1, np.float64(0.2)], [-0.0, 5e-324]],
+    {"q": [Fraction(1, 3), Fraction(-7)], "s": "\u00e9\x00\n\"\\"},
+])
+def test_writers_match_json_oracle_examples(obj):
+    assert serialize.pretty_json(obj) == oracle_pretty_json(obj)
+    assert serialize.canonical_json(obj) == oracle_canonical_json(obj)
+
+
+@pytest.mark.parametrize("obj", [np.int64(3), [np.int64(3)],
+                                 [[1, 2], [3, np.int64(4)]],
+                                 {"a": {"b": np.int64(1)}}, np.bool_(True)])
+def test_writers_reject_what_json_rejects(obj):
+    for write in (serialize.pretty_json, serialize.canonical_json):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write(obj)
+    with pytest.raises(TypeError):
+        oracle_pretty_json(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_matrices(_NUMBERS),
+                 st.lists(st.lists(st.one_of(_NUMBERS, st.booleans(),
+                                             st.text(max_size=3)),
+                                   max_size=3), max_size=4)))
+def test_csv_matches_oracle(rows):
+    assert (serialize.csv_text(["a", "b"], rows, meta={"k": 1})
+            == oracle_csv_text(["a", "b"], rows, meta={"k": 1}))
+
+
+def test_csv_numpy_scalars_read_as_numbers():
+    text = serialize.csv_text(["t", "v"], [(np.float64(0.1), np.int64(3))])
+    assert text == "t,v\n0.1,3\n"
+    assert math.isclose(float(text.splitlines()[1].split(",")[0]), 0.1)
