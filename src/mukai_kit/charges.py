@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,14 +94,6 @@ def heart_phase(zval: complex) -> float:
     """Derived view with values in (0, 1]: phases of objects of a heart."""
     phi = phase(zval)
     return phi if 0 < phi <= 1 else phi - 1.0 if phi > 1 else 1.0
-
-
-def mu_slope(v: LatVec, h) -> Fraction:
-    """Numeric slope mu_h(v) = h.c1 / r of a Mukai vector (plumbing)."""
-    hc = ns_pair(v.lattice, [int(x) for x in h], v.ns_part)
-    if v.r == 0:
-        raise NonPositiveRankError("slope needs r != 0")
-    return Fraction(hc, v.r)
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +319,8 @@ def wall_crossings(frame_at, t0: float, t1: float,
 
 
 # ---------------------------------------------------------------------------
-# large-volume threshold (exact rational)
+# large-volume threshold (exact, cross-multiplied integers)
 # ---------------------------------------------------------------------------
-
-def charge_on_ray(lat: IntegerLattice, v: LatVec, h, n: Fraction
-                  ) -> tuple[Fraction, Fraction]:
-    """(Re, Im) of the charge of v at Exp(0 + i n h), exact in n.
-
-    Re = n^2 h^2 r / 2 - s, Im = n (h.c1).
-    """
-    h = [int(x) for x in h]
-    h2 = ns_pair(lat, h, h)
-    hc = ns_pair(lat, h, list(v.ns_part))
-    n = Fraction(n)
-    return (Fraction(n * n * h2 * v.r, 2) - v.s, n * hc)
-
 
 @dataclass
 class ThresholdCertificate:
@@ -355,76 +335,88 @@ class ThresholdCertificate:
                 "bound": str(self.bound) if self.bound is not None else None}
 
 
+def _slope_gaps(vE: LatVec, candidates: list[LatVec], h
+                ) -> tuple[int, int, list[tuple[int, int]]]:
+    """h^2, h.c_E and (dmu, dnu) per candidate, preconditions checked.
+
+    dmu = (h.c_E) r_A - (h.c_A) r_E and dnu = s_E r_A - s_A r_E are
+    mu_E - mu_A and nu_E - nu_A times r_E r_A > 0.
+    """
+    if vE.r <= 0:
+        raise NonPositiveRankError("r(E) must be > 0")
+    h = [int(x) for x in h]
+    if len(h) != len(vE.ns_part):
+        raise ValueError("h must be an NS-vector")
+    hn = [sum(map(operator.mul, h, col)) for col in zip(*ns_block(vE.lattice))]
+    h2 = sum(map(operator.mul, hn, h))
+    if h2 <= 0:
+        raise NonPositiveOmegaError("h^2 must be > 0")
+    rE, sE = vE.r, vE.s
+    hcE = sum(map(operator.mul, hn, vE.ns_part))
+    if hcE <= 0:
+        raise NonPositiveSlopeError("mu(E) must be > 0")
+    gaps = []
+    for vA in candidates:
+        rA = vA.r
+        if rA <= 0:
+            raise NonPositiveRankError("candidates need r > 0")
+        gaps.append((hcE * rA - sum(map(operator.mul, hn, vA.ns_part)) * rE,
+                     sE * rA - vA.s * rE))
+    return h2, hcE, gaps
+
+
 def large_volume_threshold(vE: LatVec, candidates: list[LatVec], h
                            ) -> tuple[int, list[ThresholdCertificate]]:
     """Minimal n0 with the phase inequality for all n >= n0, exactly.
 
     For a destabilizing candidate A with slope below that of E, the
     inequality Re Z_n(E) / Im Z_n(E) > -(nu(E) - nu(A)) / (n (mu(E) - mu(A)))
-    reduces (n > 0, Im Z_n(E) > 0) to the quadratic condition
+    at Exp(i n h), h^2 > 0, reduces (n > 0, Im Z_n(E) > 0) to n^2 > bound,
 
-        n^2 > (2 s_E + 2 (h.c_E) RHS) / (h^2 r_E),
-        RHS = -(nu_E - nu_A) / (mu_E - mu_A),
+        bound = 2 (s_E dmu - (h.c_E) dnu) / (h^2 r_E dmu),
 
-    solved over exact rationals.  Candidates of equal slope sit on the
-    negative real axis and impose no constraint; higher slopes make the
-    difference leave the upper half-plane, likewise no constraint.
+    with dmu > 0 and dnu from ``_slope_gaps``; n_min = isqrt(floor(bound))
+    + 1 when bound >= 1.  Candidates of equal slope sit on the negative
+    real axis and impose no constraint; higher slopes make the difference
+    leave the upper half-plane, likewise no constraint.
     """
-    lat = vE.lattice
-    if vE.r <= 0:
-        raise NonPositiveRankError("r(E) must be > 0")
-    h = [int(x) for x in h]
-    h2 = ns_pair(lat, h, h)
-    hcE = ns_pair(lat, h, list(vE.ns_part))
-    muE = Fraction(hcE, vE.r)
-    if muE <= 0:
-        raise NonPositiveSlopeError("mu(E) must be > 0")
-    nuE = Fraction(vE.s, vE.r)
+    h2, hcE, gaps = _slope_gaps(vE, candidates, h)
     n0 = 1
     certs: list[ThresholdCertificate] = []
-    for vA in candidates:
-        if vA.r <= 0:
-            raise NonPositiveRankError("candidates need r > 0")
-        muA = Fraction(ns_pair(lat, h, list(vA.ns_part)), vA.r)
-        nuA = Fraction(vA.s, vA.r)
-        if muA == muE:
-            certs.append(ThresholdCertificate(vA, "equal_slope", 1, None))
+    for vA, (dmu, dnu) in zip(candidates, gaps):
+        if dmu <= 0:
+            certs.append(ThresholdCertificate(
+                vA, "equal_slope" if dmu == 0 else "higher_slope", 1, None))
             continue
-        if muA > muE:
-            certs.append(ThresholdCertificate(vA, "higher_slope", 1, None))
-            continue
-        rhs = -(nuE - nuA) / (muE - muA)
-        bound = (2 * vE.s + 2 * hcE * rhs) / Fraction(h2 * vE.r)
-        n_min = 1
-        if bound >= 1:
-            n_min = _int_sqrt_floor(bound) + 1
-        certs.append(ThresholdCertificate(vA, "quadratic", n_min, bound))
+        num, den = 2 * (vE.s * dmu - hcE * dnu), h2 * vE.r * dmu
+        n_min = math.isqrt(num // den) + 1 if num >= den else 1
+        certs.append(ThresholdCertificate(vA, "quadratic", n_min,
+                                          Fraction(num, den)))
         n0 = max(n0, n_min)
     return n0, certs
 
 
-def _int_sqrt_floor(x: Fraction) -> int:
-    """Largest integer k with k^2 <= x (x >= 0 rational)."""
-    k = math.isqrt(x.numerator // x.denominator)
-    while Fraction((k + 1) * (k + 1)) <= x:
-        k += 1
-    while Fraction(k * k) > x:
-        k -= 1
-    return k
+def threshold_holds(vE: LatVec, candidates: list[LatVec], h, ns
+                    ) -> list[list[bool]]:
+    """The phase inequality of each candidate at each integer n, exactly.
+
+    Row i holds the verdicts at ns[i].  Cross-multiplied by the positive
+    2 (h.c_E) dmu, the inequality at n reads
+    (n^2 h^2 r_E - 2 s_E) dmu + 2 dnu (h.c_E) > 0; it holds outright when
+    dmu <= 0 (no constraint branch).
+    """
+    h2, hcE, gaps = _slope_gaps(vE, candidates, h)
+    rows = []
+    for n in ns:
+        a = n * n * h2 * vE.r - 2 * vE.s
+        rows.append([dmu <= 0 or a * dmu + 2 * dnu * hcE > 0
+                     for dmu, dnu in gaps])
+    return rows
 
 
 def threshold_inequality_holds(vE: LatVec, vA: LatVec, h, n: int) -> bool:
-    """Direct evaluation of the phase inequality at integer n (oracle)."""
-    lat = vE.lattice
-    reE, imE = charge_on_ray(lat, vE, h, n)
-    muE = mu_slope(vE, h)
-    muA = mu_slope(vA, h)
-    nuE = Fraction(vE.s, vE.r)
-    nuA = Fraction(vA.s, vA.r)
-    if muA >= muE:
-        return True  # no constraint branch
-    rhs = -(nuE - nuA) / (n * (muE - muA))
-    return reE / imE > rhs
+    """The phase inequality of vA against vE at one integer n >= 1."""
+    return threshold_holds(vE, [vA], h, [n])[0][0]
 
 
 def candidate_box(lat: IntegerLattice, r_max: int, c_bound: int,
@@ -470,55 +462,57 @@ def boundary_beta_search(lat: IntegerLattice, c_root: LatVec, k: int,
     """
     if not lat.mukai:
         raise ValueError("beta search needs an (r, NS, s)-form lattice")
-    kns = lat.ns_rank
     eta = [Fraction(x) for x in eta]
-    if len(eta) != kns:
+    if len(eta) != lat.ns_rank:
         raise ValueError("eta must be an NS-vector")
     c_ns = list(c_root.ns_part)
     if c_root.r != 0 or c_root.s != 0:
         raise NotARootError("C must be an NS-class (0, C, 0)")
     if ns_pair(lat, c_ns, c_ns) != -2:
         raise NotARootError("C^2 != -2")
-    if ns_pair(lat, eta, eta) <= 2:
+    # eta = E / d with E integral; every beta lives on the scale S = 256 d
+    d = math.lcm(*(x.denominator for x in eta))
+    e = [int(x * d) for x in eta]
+    if ns_pair(lat, e, e) <= 2 * d * d:
         raise NonPositiveOmegaError("eta^2 must exceed 2")
-    if ns_pair(lat, eta, c_ns) != 0:
+    if ns_pair(lat, e, c_ns) != 0:
         raise ValueError("eta must lie on the facet eta.C = 0")
 
     roots = vectors_of_norm(lat, -2, coord_bound)
 
     # base point: beta0 = t C with beta0.C = -(k + 1/2), i.e. t = (k + 1/2)/2;
-    # perturb along eta to dodge the finitely many equalities
-    base = [Fraction(k * 2 + 1, 4) * c for c in c_ns]
-    betas = [[base[i] + Fraction(sign * num, 256) * eta[i]
-              for i in range(kns)]
-             for num in range(64) for sign in (1, -1)]
-    found = _first_clear_beta(lat, roots, c_ns, k, eta, betas)
+    # perturb along eta to dodge the finitely many equalities:
+    # S beta = (2k + 1)(S/4) C + sign num (S/256) eta
+    scale = 256 * d
+    bss = [[(2 * k + 1) * 64 * d * c + sign * num * x
+            for c, x in zip(c_ns, e)]
+           for num in range(64) for sign in (1, -1)]
+    found = _first_clear_beta(lat, roots, c_ns, k, scale,
+                              [256 * x for x in e], bss)
     if found is None:
         raise NoSolutionInBoundError("no beta found; enlarge the search box")
-    beta = betas[found]
-    return BetaCertificate(tuple(beta), ns_pair(lat, beta, c_ns) + k,
+    bs = bss[found]
+    return BetaCertificate(tuple(Fraction(b, scale) for b in bs),
+                           Fraction(ns_pair(lat, bs, c_ns) + k * scale, scale),
                            len(roots))
 
 
-def _first_clear_beta(lat: IntegerLattice, roots, c_ns, k: int, eta,
-                      betas) -> int | None:
+def _first_clear_beta(lat: IntegerLattice, roots, c_ns, k: int, scale: int,
+                      hs, bss) -> int | None:
     """Index of the first beta meeting (1)-(3) on the root array ``roots``.
 
-    None when no beta does.  At each beta the first root, in root order,
-    that breaks (1) or (2) or is an r = 0 root other than +-C with
-    Im z.delta = 0 decides: the former rejects the beta, the latter raises
-    ValueError (eta is not generic on the facet).
+    Each beta is B / S and eta is H / S for integer vectors B in ``bss``
+    and H = ``hs`` over the one scale S = ``scale``.  None when no beta
+    qualifies.  At each beta the first root, in root order, that breaks
+    (1) or (2) or is an r = 0 root other than +-C with Im z.delta = 0
+    decides: the former rejects the beta, the latter raises ValueError
+    (eta is not generic on the facet).
 
-    All betas and eta are integer vectors B, H over one scale S, so each
-    beta is tested on every root at once with integer arrays holding
-    S^2 Im z.delta and 2 S^2 Re z.delta.
+    Each beta is tested on every root at once with integer arrays holding
+    S^2 Im z.delta and 2 S^2 Re z.delta; the window (3) reads
+    -S < B.C + k S < 0.
     """
     kns = len(c_ns)
-    scale = math.lcm(*(x.denominator for x in eta),
-                     *(x.denominator for beta in betas
-                       for x in beta))
-    hs = [int(x * scale) for x in eta]
-    bss = [[int(x * scale) for x in beta] for beta in betas]
     hm = max(map(abs, hs))
     bm = max(abs(x) for bs in bss for x in bs)
     ns = ns_block(lat)
@@ -534,8 +528,8 @@ def _first_clear_beta(lat: IntegerLattice, roots, c_ns, k: int, eta,
     on_c = (np.all(ls == c_ns, axis=1)
             | np.all(ls == [-x for x in c_ns], axis=1))
     hh = ns_pair(lat, hs, hs)
-    for i, (beta, bs) in enumerate(zip(betas, bss)):
-        if not (-1 < ns_pair(lat, beta, c_ns) + k < 0):
+    for i, bs in enumerate(bss):
+        if not (-scale < ns_pair(lat, bs, c_ns) + k * scale < 0):
             continue
         # z.delta at z = (1, beta + i eta, (beta + i eta)^2 / 2), scaled
         im = scale * l_eta - r * ns_pair(lat, bs, hs)

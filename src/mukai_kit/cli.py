@@ -299,16 +299,13 @@ def cmd_threshold(cfg: dict) -> int:
                                       int(cfg.get("cand_s", 2)))
     n0, certs = charges.large_volume_threshold(vE, cands, h)
     # confirm at the boundary: holds for [n0, n0+100], fails at n0 - 1
-    confirmed = all(
-        charges.threshold_inequality_holds(vE, c.candidate, h, n)
-        for c in certs for n in (n0, n0 + 37, n0 + 100))
-    fails_below = n0 == 1 or any(
-        not charges.threshold_inequality_holds(vE, c.candidate, h, n0 - 1)
-        for c in certs)
-    payload = {"n0": n0, "confirmed": bool(confirmed and fails_below),
+    *above, below = charges.threshold_holds(vE, cands, h,
+                                            (n0, n0 + 37, n0 + 100, n0 - 1))
+    confirmed = all(map(all, above)) and (n0 == 1 or not all(below))
+    payload = {"n0": n0, "confirmed": confirmed,
                "certificates": [c.to_json() for c in certs]}
     _emit("threshold", cfg, payload)
-    return 0 if confirmed and fails_below else 1
+    return 0 if confirmed else 1
 
 
 def cmd_degenerate(cfg: dict) -> int:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mukai_kit as mk
@@ -15,6 +15,24 @@ from mukai_kit.errors import (
     SamplingTooCoarseError,
     ZeroChargeError,
 )
+
+
+def charge_on_ray(lat, v, h, n):
+    """(Re, Im) of the charge of v at Exp(0 + i n h), exact in n.
+
+    Re = n^2 h^2 r / 2 - s, Im = n (h.c1).
+    """
+    h = [int(x) for x in h]
+    h2 = lattice.ns_pair(lat, h, h)
+    hc = lattice.ns_pair(lat, h, list(v.ns_part))
+    n = F(n)
+    return (F(n * n * h2 * v.r, 2) - v.s, n * hc)
+
+
+def mu_slope(v, h):
+    """Numeric slope mu_h(v) = h.c1 / r of a Mukai vector."""
+    hc = lattice.ns_pair(v.lattice, [int(x) for x in h], v.ns_part)
+    return F(hc, v.r)
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +66,9 @@ def test_central_charge_bilinear(rank3):
     n = F(7, 3)
     for a, b in ((3, -2), (5, 1), (-4, 7)):
         lin = u.scale(a) + w.scale(b)
-        re_l, im_l = ch.charge_on_ray(lat, lin, [1], n)
-        re_u, im_u = ch.charge_on_ray(lat, u, [1], n)
-        re_w, im_w = ch.charge_on_ray(lat, w, [1], n)
+        re_l, im_l = charge_on_ray(lat, lin, [1], n)
+        re_u, im_u = charge_on_ray(lat, u, [1], n)
+        re_w, im_w = charge_on_ray(lat, w, [1], n)
         assert re_l == a * re_u + b * re_w
         assert im_l == a * im_u + b * im_w
 
@@ -58,7 +76,7 @@ def test_central_charge_bilinear(rank3):
 def test_charge_on_ray_example(rank3):
     lat, _ = rank3
     vE = lat.vector([1, 1, 0])
-    re, im = ch.charge_on_ray(lat, vE, [1], 3)
+    re, im = charge_on_ray(lat, vE, [1], 3)
     assert (re, im) == (F(9), F(6))  # n^2 + 2in at n = 3
 
 
@@ -249,6 +267,14 @@ def test_threshold_preconditions(rank3):
         ch.large_volume_threshold(lat.vector([0, 1, 0]), [], [1])
     with pytest.raises(Exception):
         ch.large_volume_threshold(lat.vector([1, -1, 0]), [], [1])
+    # Exp(i n h) needs h^2 > 0 and h in NS
+    lat4 = mk.mukai_lattice([[2, 0], [0, -2]])
+    vE, vA = lat4.vector([1, 1, -1, 0]), lat4.vector([1, 0, 0, 1])
+    for h in ([1, 1], [0, 1]):          # h^2 = 0 and h^2 < 0
+        with pytest.raises(NonPositiveOmegaError):
+            ch.large_volume_threshold(vE, [vA], h)
+    with pytest.raises(ValueError, match="h must be an NS-vector"):
+        ch.large_volume_threshold(vE, [vA], [1])
 
 
 def test_threshold_randomized_protocol(rank3):
@@ -276,6 +302,142 @@ def test_threshold_randomized_protocol(rank3):
         if n0 > 1:
             assert any(not ch.threshold_inequality_holds(vE, a, [1], n0 - 1)
                        for a in cands)
+
+
+def _holds_fractions(vE, vA, h, n):
+    """Reference: the phase inequality at integer n, over Fractions."""
+    reE, imE = charge_on_ray(vE.lattice, vE, h, n)
+    muE, muA = mu_slope(vE, h), mu_slope(vA, h)
+    if muA >= muE:
+        return True  # no constraint branch
+    rhs = -(F(vE.s, vE.r) - F(vA.s, vA.r)) / (n * (muE - muA))
+    return reE / imE > rhs
+
+
+def _int_sqrt_floor(x):
+    """Largest integer k with k^2 <= x (x >= 0 rational)."""
+    k = math.isqrt(x.numerator // x.denominator)
+    while F((k + 1) * (k + 1)) <= x:
+        k += 1
+    while F(k * k) > x:
+        k -= 1
+    return k
+
+
+def _threshold_fractions(vE, candidates, h):
+    """Reference: the quadratic solver over Fractions.
+
+    Returns n0 and (branch, n_min, bound) per candidate.
+    """
+    lat = vE.lattice
+    h = [int(x) for x in h]
+    h2 = lattice.ns_pair(lat, h, h)
+    hcE = lattice.ns_pair(lat, h, vE.ns_part)
+    muE, nuE = F(hcE, vE.r), F(vE.s, vE.r)
+    n0, rows = 1, []
+    for vA in candidates:
+        muA, nuA = mu_slope(vA, h), F(vA.s, vA.r)
+        if muA >= muE:
+            rows.append(("equal_slope" if muA == muE else "higher_slope",
+                         1, None))
+            continue
+        rhs = -(nuE - nuA) / (muE - muA)
+        bound = (2 * vE.s + 2 * hcE * rhs) / F(h2 * vE.r)
+        n_min = _int_sqrt_floor(bound) + 1 if bound >= 1 else 1
+        rows.append(("quadratic", n_min, bound))
+        n0 = max(n0, n_min)
+    return n0, rows
+
+
+_THRESHOLD_NS = {"<2>": [[2]], "<6>": [[6]], "U": [[0, 1], [1, 0]],
+                 "<2>+<-2>": [[2, 0], [0, -2]], "A2": [[2, -1], [-1, 2]],
+                 "<2>+<-2>+<-2>": [[2, 0, 0], [0, -2, 0], [0, 0, -2]],
+                 "<2>+U": [[2, 0, 0], [0, 0, 1], [0, 1, 0]]}
+# coordinates near 2^40 push the cross-multiplied products past int64;
+# small r and c1 with a large s give large quadratic bounds and n0
+_SMALL = st.integers(-6, 6)
+_COORD = st.one_of(_SMALL, st.integers(-2 ** 41, 2 ** 41))
+_RANK = st.one_of(st.integers(1, 6), st.integers(2 ** 39, 2 ** 41))
+
+
+@st.composite
+def _threshold_instances(draw):
+    """(vE, candidates, h) meeting the preconditions: r > 0, h^2 > 0 and
+    h.c_E > 0; candidates of any slope, some of exactly E's slope."""
+    lat = mk.mukai_lattice(_THRESHOLD_NS[draw(st.sampled_from(
+        sorted(_THRESHOLD_NS)))])
+    k = lat.ns_rank
+
+    def r_c(steep):
+        return (draw(st.integers(1, 6) if steep else _RANK),
+                draw(st.lists(_SMALL if steep else _COORD,
+                              min_size=k, max_size=k)))
+
+    h = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    assume(lattice.ns_pair(lat, h, h) > 0)
+    r_e, c_e = r_c(draw(st.booleans()))
+    hc = lattice.ns_pair(lat, h, c_e)
+    assume(hc != 0)
+    c_e = [x if hc > 0 else -x for x in c_e]
+    vE = lat.vector([r_e, *c_e, draw(_COORD)])
+    cands = []
+    for kind in draw(st.lists(st.sampled_from(["equal", "free", "steep"]),
+                              min_size=1, max_size=4)):
+        if kind == "equal":
+            t = draw(st.integers(1, 3))
+            r, ns_part = t * r_e, [t * x for x in c_e]
+        else:
+            r, ns_part = r_c(kind == "steep")
+        cands.append(lat.vector([r, *ns_part, draw(_COORD)]))
+    return vE, cands, h
+
+
+_R3 = mk.preset("mukai_rank1(1)")
+# against vE = (1, 1, 0) and h = [1], A = (1, 0, s) has bound s: here
+# m^2 - 1 and m^2, on either side of a square beyond float precision
+_M = 2 ** 60 + 1
+_HUGE = (_R3.vector([1, 1, 0]), [_R3.vector([1, 0, _M * _M - 1]),
+                                 _R3.vector([1, 0, _M * _M])], [1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_threshold_instances(), st.data())
+@example((_R3.vector([1, 1, 0]), [_R3.vector([1, 0, 1]),        # lower
+                                  _R3.vector([2, 2, -5]),       # equal
+                                  _R3.vector([1, 3, 0])], [1]),  # higher
+         None)
+@example(_HUGE, None)
+def test_threshold_kernel_vs_fractions(inst, data):
+    vE, cands, h = inst
+    n0, rows = _threshold_fractions(vE, cands, h)
+    ns = {1, 2, n0 - 1, n0, n0 + 1, n0 + 37, n0 + 100}
+    if data is not None:
+        ns.add(data.draw(st.integers(1, n0 + 100)))
+    ns = sorted(n for n in ns if n >= 1)
+    want = [[_holds_fractions(vE, a, h, n) for a in cands] for n in ns]
+    assert ch.threshold_holds(vE, cands, h, ns) == want
+    assert [[ch.threshold_inequality_holds(vE, a, h, n) for a in cands]
+            for n in ns] == want
+    # n0 is the boundary: nothing fails from n0 on, something fails below
+    assert all(map(all, want[ns.index(n0):]))
+    assert n0 == 1 or not all(want[ns.index(n0 - 1)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_threshold_instances())
+@example((_R3.vector([1, 1, 0]), [_R3.vector([1, 0, 1]),
+                                  _R3.vector([2, 2, -5]),
+                                  _R3.vector([1, 3, 0])], [1]))
+@example(_HUGE)
+def test_large_volume_threshold_vs_fraction_solver(inst):
+    vE, cands, h = inst
+    n0, certs = ch.large_volume_threshold(vE, cands, h)
+    want_n0, want = _threshold_fractions(vE, cands, h)
+    assert n0 == want_n0
+    assert [(c.branch, c.n_min, c.to_json()["bound"]) for c in certs] == [
+        (b, n, None if bound is None else str(bound))
+        for b, n, bound in want]
+    assert [c.candidate for c in certs] == cands
 
 
 # -- boundary beta search ---------------------------------------------------------------
@@ -374,9 +536,10 @@ def test_beta_check_vs_fractions(name, bound, eta_raw, beta_raw, k):
     for beta, kb in cases:
         want = _outcome(lambda: _beta_check_fractions(
             lat, vecs, c_ns, kb, eta, beta))
+        scale = math.lcm(*(x.denominator for x in eta + beta))
         got = _outcome(lambda: ch._first_clear_beta(
-            lat, lattice.vectors_of_norm(lat, -2, bound), c_ns, kb, eta,
-            [beta]))
+            lat, lattice.vectors_of_norm(lat, -2, bound), c_ns, kb, scale,
+            [int(x * scale) for x in eta], [[int(x * scale) for x in beta]]))
         assert got == {True: 0, False: None}.get(want, want), beta
 
 

@@ -161,6 +161,13 @@ def test_exact_golden_digests(tmp_path):
         (["beta-search", "--gram", _RANK5_GRAM, "--mukai", "--c-root",
           "[0,0,1,0,0]", "--k", "1", "--eta", "[2,0,1]", "--root-bound", "5"],
          "e19783f42d74c648412c111367aac5e79b7a65acb2bde6dad0d143a526f59519"),
+        # the 98-candidate box threshold, and beta-search on a scale S != 256
+        (["threshold", "--preset", "mukai_rank1(2)", "--vE", "[2,3,-1]",
+          "--h", "[1]", "--cand-rank", "2", "--cand-c", "3", "--cand-s", "3"],
+         "fe4657c84fb76ec8f8c66c0d138d1a979688f164e32c6ccd70ff369070890666"),
+        (["beta-search", "--gram", _RANK4_GRAM, "--mukai", "--c-root",
+          "[0,0,1,0]", "--k", "0", "--eta", '["3/2",0]'],
+         "9df5a7a8df3725b10048fc3e45cd1b708dbae01b14bd3320c9b8b27b214e2b57"),
     ]
     for i, (args, digest) in enumerate(cases):
         out = tmp_path / f"exact-{i}"
@@ -361,6 +368,38 @@ def test_threshold_command(tmp_path):
                 "--candidates", "[[1,0,1]]", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["n0"] == 2 and data["confirmed"]
+
+
+def test_threshold_bad_h_exits_2(capsys):
+    # Exp(i n h) needs h^2 > 0 and h in NS
+    args = ["threshold", "--gram", _RANK4_GRAM, "--mukai",
+            "--vE", "[1,1,-1,0]", "--candidates", "[[1,0,0,1]]"]
+    for h in ("[1,1]", "[0,1]"):        # h^2 = 0 and h^2 = -2
+        assert run(args + ["--h", h]) == 2
+        assert "NonPositiveOmegaError" in capsys.readouterr().err
+    assert run(["threshold", "--preset", "mukai_rank1(1)", "--vE", "[1,1,0]",
+                "--h", "[1,2]", "--candidates", "[[1,0,0]]"]) == 2
+    assert "h must be an NS-vector" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_threshold_confirmation_rejects_wrong_n0(tmp_path, monkeypatch, shift):
+    # n0 + 1 passes the checks at and above n0 but not the one at n0 - 1;
+    # n0 - 1 fails the check at n0
+    from mukai_kit import charges
+    solve = charges.large_volume_threshold
+
+    def off_by_one(vE, cands, h):
+        n0, certs = solve(vE, cands, h)
+        return n0 + shift, certs
+
+    monkeypatch.setattr(charges, "large_volume_threshold", off_by_one)
+    out = tmp_path / "th.json"
+    assert run(["threshold", "--preset", "mukai_rank1(1)", "--vE", "[1,1,0]",
+                "--h", "[1]", "--candidates", "[[1,0,1]]",
+                "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["n0"] == 2 + shift and data["confirmed"] is False
 
 
 def test_degenerate_command(tmp_path):
