@@ -21,12 +21,12 @@ import numpy as np
 from .errors import (
     InconsistentLiftError,
     MukaiKitError,
-    NoSolutionInBoundError,
     NonPositiveDetError,
     NonPositiveOmegaError,
     NonPositiveRankError,
     NonPositiveSlopeError,
     NotARootError,
+    NotHyperbolicError,
     SamplingTooCoarseError,
     ZeroChargeError,
 )
@@ -42,6 +42,7 @@ from .domain import (
     gram_np,
     pairing,
 )
+from .intlinalg import signature
 from .lattice import (
     IntegerLattice,
     Isometry,
@@ -450,15 +451,17 @@ class BetaCertificate:
 
 def boundary_beta_search(lat: IntegerLattice, c_root: LatVec, k: int,
                          eta, coord_bound: int = 8) -> BetaCertificate:
-    """Construct a rational beta with exp(i eta + beta) away from all walls.
+    """beta0 = (k + 1/2)/2 C: exp(beta0 + i eta) avoids every wall of the box.
 
-    Conditions, verified exactly over the candidate root set
-    |coords| <= coord_bound:
-      (1) exp(i eta + beta).delta != 0 for every root,
-      (2) exp(i eta + beta).delta not in R_{<=0} for roots of positive rank,
-      (3) beta.C + k in (-1, 0).
-    eta must satisfy eta.C = 0, eta^2 > 2 and eta.l != 0 for every NS-root
-    l != +-C in the candidate set.
+    Needs eta.C = 0, eta^2 > 2, NS of signature (1, rho - 1) as for a K3,
+    and eta.l != 0 for every NS-root l != +-C with |coords| <= coord_bound.
+    Then z = exp(beta0 + i eta) has, for every root delta of the box,
+    z.delta != 0, z.delta not in R_{<=0} if r > 0, and beta0.C + k = -1/2.
+
+    Proof: beta0.eta = 0, so a root delta = (r, l, s) with Im z.delta =
+    l.eta = 0 has 2r Re z.delta = r^2 eta^2 - 2 - (l - r beta0)^2 > 0 for
+    r != 0, as eta-perp is negative definite; for r = 0, l = +-C gives
+    Re z.delta = -+(k + 1/2) - s != 0, and any other l is non-generic.
     """
     if not lat.mukai:
         raise ValueError("beta search needs an (r, NS, s)-form lattice")
@@ -470,81 +473,28 @@ def boundary_beta_search(lat: IntegerLattice, c_root: LatVec, k: int,
         raise NotARootError("C must be an NS-class (0, C, 0)")
     if ns_pair(lat, c_ns, c_ns) != -2:
         raise NotARootError("C^2 != -2")
-    # eta = E / d with E integral; every beta lives on the scale S = 256 d
+    # eta = E / d with E integral
     d = math.lcm(*(x.denominator for x in eta))
     e = [int(x * d) for x in eta]
     if ns_pair(lat, e, e) <= 2 * d * d:
         raise NonPositiveOmegaError("eta^2 must exceed 2")
     if ns_pair(lat, e, c_ns) != 0:
         raise ValueError("eta must lie on the facet eta.C = 0")
+    ns = ns_block(lat)
+    sig = signature(ns)
+    if sig != (1, lat.ns_rank - 1):
+        raise NotHyperbolicError(f"NS has signature {sig}, not (1, rho - 1)")
 
     roots = vectors_of_norm(lat, -2, coord_bound)
-
-    # base point: beta0 = t C with beta0.C = -(k + 1/2), i.e. t = (k + 1/2)/2;
-    # perturb along eta to dodge the finitely many equalities:
-    # S beta = (2k + 1)(S/4) C + sign num (S/256) eta
-    scale = 256 * d
-    bss = [[(2 * k + 1) * 64 * d * c + sign * num * x
-            for c, x in zip(c_ns, e)]
-           for num in range(64) for sign in (1, -1)]
-    found = _first_clear_beta(lat, roots, c_ns, k, scale,
-                              [256 * x for x in e], bss)
-    if found is None:
-        raise NoSolutionInBoundError("no beta found; enlarge the search box")
-    bs = bss[found]
-    return BetaCertificate(tuple(Fraction(b, scale) for b in bs),
-                           Fraction(ns_pair(lat, bs, c_ns) + k * scale, scale),
-                           len(roots))
-
-
-def _first_clear_beta(lat: IntegerLattice, roots, c_ns, k: int, scale: int,
-                      hs, bss) -> int | None:
-    """Index of the first beta meeting (1)-(3) on the root array ``roots``.
-
-    Each beta is B / S and eta is H / S for integer vectors B in ``bss``
-    and H = ``hs`` over the one scale S = ``scale``.  None when no beta
-    qualifies.  At each beta the first root, in root order, that breaks
-    (1) or (2) or is an r = 0 root other than +-C with Im z.delta = 0
-    decides: the former rejects the beta, the latter raises ValueError
-    (eta is not generic on the facet).
-
-    Each beta is tested on every root at once with integer arrays holding
-    S^2 Im z.delta and 2 S^2 Re z.delta; the window (3) reads
-    -S < B.C + k S < 0.
-    """
-    kns = len(c_ns)
-    hm = max(map(abs, hs))
-    bm = max(abs(x) for bs in bss for x in bs)
-    ns = ns_block(lat)
-    cb = int(abs(roots).max()) if len(roots) else 0
-    dtype = _int_dtype(
-        cb * sum(abs(x) for row in ns for x in row)
-        * (scale * hm + bm * hm + 2 * scale * bm + bm * bm + hm * hm)
-        + 2 * scale * scale * cb)
-    coords = roots.astype(dtype)
-    r, s, ls = coords[:, 0], coords[:, -1], coords[:, 1:-1]
-    l_ns = ls @ np.array(ns, dtype=dtype).reshape(kns, kns)
-    l_eta = l_ns @ np.array(hs, dtype=dtype)
-    on_c = (np.all(ls == c_ns, axis=1)
-            | np.all(ls == [-x for x in c_ns], axis=1))
-    hh = ns_pair(lat, hs, hs)
-    for i, bs in enumerate(bss):
-        if not (-scale < ns_pair(lat, bs, c_ns) + k * scale < 0):
-            continue
-        # z.delta at z = (1, beta + i eta, (beta + i eta)^2 / 2), scaled
-        im = scale * l_eta - r * ns_pair(lat, bs, hs)
-        re = (2 * scale * (l_ns @ np.array(bs, dtype=dtype))
-              - r * (ns_pair(lat, bs, bs) - hh) - 2 * scale * scale * s)
-        flat = im == 0
-        # condition (1), or (2): R_{<=0}
-        fails = flat & ((re == 0) | ((r > 0) & (re < 0)))
-        # r = 0 roots off the facet must have im != 0
-        bad = np.flatnonzero(fails | (flat & (r == 0) & ~on_c))
-        if len(bad) == 0:
-            return i
-        if not fails[bad[0]]:
-            raise ValueError("eta is not generic on the facet")
-    return None
+    # genericity: no r = 0 root (0, l, s) with l != +-C and l.(NS E) = 0
+    ne = [sum(map(operator.mul, row, e)) for row in ns]
+    dtype = _int_dtype(int(abs(roots).max(initial=1)) * sum(map(abs, ne)))
+    ls = roots[:, 1:-1].astype(dtype)
+    if np.any((roots[:, 0] == 0) & (ls @ np.array(ne, dtype=dtype) == 0)
+              & (ls != c_ns).any(1) & (ls != [-x for x in c_ns]).any(1)):
+        raise ValueError("eta is not generic on the facet")
+    return BetaCertificate(tuple(Fraction((2 * k + 1) * c, 4) for c in c_ns),
+                           Fraction(-1, 2), len(roots))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,14 @@ def _load_lattice(cfg: dict) -> lattice.IntegerLattice:
     raise ConfigError("no lattice given: use --preset, --lattice or --gram")
 
 
+def _cfg_int(cfg: dict, key: str, default) -> int:
+    """cfg[key] (or ``default``) as an int; refuses bools and non-integers."""
+    val = cfg.get(key, default)
+    if isinstance(val, bool) or (isinstance(val, float) and val % 1):
+        raise ConfigError(f"{key} must be an integer, got {val}")
+    return int(val)
+
+
 def _job_hash(cfg: dict) -> str:
     """Hash of the compute-relevant config (output destination excluded)."""
     core = {k: v for k, v in cfg.items() if k not in ("out",)}
@@ -92,7 +100,7 @@ def cmd_lattice(cfg: dict) -> int:
 
 def cmd_roots(cfg: dict) -> int:
     lat = _load_lattice(cfg)
-    bound = int(cfg.get("root_bound", 4))
+    bound = _cfg_int(cfg, "root_bound", 4)
     roots = lattice.vectors_of_norm(lat, -2, bound).tolist()
     payload = {"root_bound": bound, "roots": roots}
     payload["_csv"] = serialize.csv_text(
@@ -134,7 +142,7 @@ def cmd_walls(cfg: dict) -> int:
         # raster of chamber ids over a 2D slice (first a- and b-coordinates
         # vary; all others pinned to the box midpoint), from the signs of
         # Im(z.delta) = b^T G_L (lam - d a); -1 where y^2 <= 0
-        grid = int(cfg.get("samples", 32))
+        grid = _cfg_int(cfg, "samples", 32)
         a_mid, b_mid = box.center()
         a = np.tile([float(x) for x in a_mid], (grid * grid, 1))
         b = np.tile([float(x) for x in b_mid], (grid * grid, 1))
@@ -193,9 +201,9 @@ def cmd_walls(cfg: dict) -> int:
 
 def cmd_cusps(cfg: dict) -> int:
     lat = _load_lattice(cfg)
-    height = int(cfg.get("height", 20))
-    bound = int(cfg.get("root_bound", 8))
-    depth = int(cfg.get("word_depth", 6))
+    height = _cfg_int(cfg, "height", 20)
+    bound = _cfg_int(cfg, "root_bound", 8)
+    depth = _cfg_int(cfg, "word_depth", 6)
     fn = (cusps.standard_cusp_census if cfg.get("standard_only")
           else cusps.cusp_census)
     report = fn(lat, height, word_depth=depth, root_bound=bound)
@@ -215,7 +223,7 @@ def cmd_geodesic(cfg: dict) -> int:
     x0 = json.loads(str(cfg.get("x0", "[0.0]")))
     y0 = json.loads(str(cfg.get("y0", "[1.0]")))
     t_max = float(cfg.get("t_max", 2.0))
-    steps = int(cfg.get("steps", 1000))
+    steps = _cfg_int(cfg, "steps", 1000)
     tol = float(cfg.get("tol", 1e-6))
     pt = domain.tube_point(sp, x0, y0)
     result = geodesics.geodesic_oracle(pt, t_max, steps)
@@ -255,7 +263,7 @@ def cmd_factor(cfg: dict) -> int:
         path = geodesics.linear_degeneration(sp, spec["x0"], spec["y0"])
         ts = np.linspace(float(spec.get("t0", 1.0)),
                          float(spec.get("t1", 4.0)),
-                         int(spec.get("samples", 100)))
+                         _cfg_int(spec, "samples", 100))
         samples = list(zip(ts.tolist(), domain.exp_frame(path.at(ts)).z))
     elif cfg.get("path"):
         with open(cfg["path"]) as fh:
@@ -293,10 +301,10 @@ def cmd_threshold(cfg: dict) -> int:
     if cfg.get("candidates"):
         cands = [lat.vector(c) for c in json.loads(str(cfg["candidates"]))]
     else:
-        r_max = int(cfg.get("cand_rank", vE.coords[0]))
+        r_max = _cfg_int(cfg, "cand_rank", vE.coords[0])
         cands = charges.candidate_box(lat, r_max,
-                                      int(cfg.get("cand_c", 2)),
-                                      int(cfg.get("cand_s", 2)))
+                                      _cfg_int(cfg, "cand_c", 2),
+                                      _cfg_int(cfg, "cand_s", 2))
     n0, certs = charges.large_volume_threshold(vE, cands, h)
     # confirm at the boundary: holds for [n0, n0+100], fails at n0 - 1
     *above, below = charges.threshold_holds(vE, cands, h,
@@ -315,7 +323,7 @@ def cmd_degenerate(cfg: dict) -> int:
     y0 = json.loads(str(cfg.get("y0", "[1.0]")))
     t0 = float(cfg.get("t0", 1.0))
     t1 = float(cfg.get("t1", 10.0))
-    n = int(cfg.get("samples", 50))
+    n = _cfg_int(cfg, "samples", 50)
     ts = np.linspace(t0, t1, n)
     pts = geodesics.linear_degeneration(sp, x0, y0).at(ts)
     a, b = pts.chart()
@@ -334,9 +342,9 @@ def cmd_degenerate(cfg: dict) -> int:
 def cmd_beta_search(cfg: dict) -> int:
     lat = _load_lattice(cfg)
     c_root = lat.vector(json.loads(str(cfg["c_root"])))
-    k = int(cfg.get("k", 0))
+    k = _cfg_int(cfg, "k", 0)
     eta = [Fraction(str(x)) for x in json.loads(str(cfg["eta"]))]
-    bound = int(cfg.get("root_bound", 8))
+    bound = _cfg_int(cfg, "root_bound", 8)
     cert = charges.boundary_beta_search(lat, c_root, k, eta,
                                         coord_bound=bound)
     _emit("beta-search", cfg, {"certificate": cert.to_json()})
@@ -423,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     except MukaiKitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"bad input: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -84,7 +84,7 @@ class NotInLieAlgebraError(MukaiKitError):
 
 
 class NotHyperbolicError(MukaiKitError):
-    """Lie algebra element is not a hyperbolic generator: A^3 != A."""
+    """Not hyperbolic: A^3 != A, or a lattice of signature != (1, rank - 1)."""
 
 
 class DegeneratePlaneError(MukaiKitError):
@@ -127,10 +127,6 @@ class NonPositiveRankError(MukaiKitError):
 
 class NonPositiveSlopeError(MukaiKitError):
     """Slope must be positive."""
-
-
-class NoSolutionInBoundError(MukaiKitError):
-    """Search box exhausted without a certified solution."""
 
 
 # -- CLI / config ---------------------------------------------------------------

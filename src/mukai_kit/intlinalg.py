@@ -74,7 +74,7 @@ def signature(gram) -> tuple[int, int]:
     """Signature (p, q) of a non-degenerate symmetric integer matrix.
 
     Congruent diagonalization over the rationals; a zero diagonal pivot is
-    repaired by adding a row/column with a non-zero off-diagonal entry.
+    repaired by adding row/column j with a[k][j] != 0, or subtracting it.
     """
     n = len(gram)
     a = [[Fraction(x) for x in row] for row in gram]
@@ -84,10 +84,11 @@ def signature(gram) -> tuple[int, int]:
             j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
             if j is None:
                 raise ValueError("degenerate block in signature computation")
+            sign = -1 if a[j][j] == -2 * a[k][j] else 1
             for t in range(n):
-                a[k][t] += a[j][t]
+                a[k][t] += sign * a[j][t]
             for t in range(n):
-                a[t][k] += a[t][j]
+                a[t][k] += sign * a[t][j]
         piv = a[k][k]
         if piv > 0:
             p += 1

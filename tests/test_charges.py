@@ -10,8 +10,10 @@ import mukai_kit as mk
 from mukai_kit import charges as ch, domain as dm, lattice
 from mukai_kit.errors import (
     InconsistentLiftError,
+    MukaiKitError,
     NonPositiveOmegaError,
     NonPositiveRankError,
+    NotHyperbolicError,
     SamplingTooCoarseError,
     ZeroChargeError,
 )
@@ -497,54 +499,78 @@ def _beta_check_fractions(lat, roots, c_ns, k, eta, beta):
     return True
 
 
+def _beta_search_oracle(lat, c_root, k, eta, bound):
+    """Reference: search beta0 + t eta, t = 0, +-1/256, ..., +-63/256, in turn.
+
+    beta0 = (k + 1/2)/2 C; each candidate goes through
+    ``_beta_check_fractions``, which raises on non-generic eta.
+    """
+    c_ns = list(c_root.ns_part)
+    if lattice.ns_pair(lat, eta, eta) <= 2:
+        raise NonPositiveOmegaError("eta^2 must exceed 2")
+    roots = [r.vec for r in mk.roots_in_box(lat, bound)]
+    for t in (F(sign * num, 256) for num in range(64) for sign in (1, -1)):
+        beta = [F(2 * k + 1, 4) * c + t * x for c, x in zip(c_ns, eta)]
+        if _beta_check_fractions(lat, roots, c_ns, k, eta, beta):
+            return ch.BetaCertificate(
+                tuple(beta), lattice.ns_pair(lat, beta, c_ns) + k, len(roots))
+    raise LookupError("no beta among the 128 candidates")
+
+
 def _outcome(fn):
     try:
-        return fn()
-    except ValueError:
-        return "not generic"
+        return fn().to_json()
+    except (MukaiKitError, ValueError) as exc:
+        return type(exc).__name__, str(exc) if type(exc) is ValueError else ""
 
 
 _BETA_LATTICES = {"rank4": [[2, 0], [0, -2]], "rank4b": [[6, 0], [0, -2]],
                   "rank5": [[2, 0, 0], [0, -2, 0], [0, 0, -2]]}
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from(sorted(_BETA_LATTICES)), st.integers(2, 3),
-       st.lists(st.integers(-3, 3), min_size=3, max_size=3),
-       st.lists(st.tuples(st.integers(-8, 8), st.sampled_from([1, 2, 4])),
-                min_size=3, max_size=3),
-       st.integers(-3, 3))
-@example("rank5", 3, [2, 0, 0], [(0, 1), (1, 4), (0, 1)], 0)   # not generic
-@example("rank4", 3, [3, 0, 0], [(1, 2), (1, 4), (0, 1)], 0)
-@example("rank5", 3, [2, 0, 2], [(-3, 4), (1, 8), (1, 4)], 0)  # both kinds
-def test_beta_check_vs_fractions(name, bound, eta_raw, beta_raw, k):
-    # eta on the facet eta.C = 0 (C = e_1 of a diagonal block); betas on
-    # the searched line, plus one at random simple rationals with k set to
-    # pass the window, which sits on walls far more often
-    ns = _BETA_LATTICES[name]
-    kns = len(ns)
+@st.composite
+def _hyperbolic_ns(draw):
+    """A name of ``_BETA_LATTICES`` or diag(2a, -2, -2b); C = e_1 in each."""
+    name = draw(st.sampled_from(sorted(_BETA_LATTICES) + ["diag"]))
+    if name != "diag":
+        return _BETA_LATTICES[name]
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return [[2 * a, 0, 0], [0, -2, 0], [0, 0, -2 * b]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hyperbolic_ns(), st.integers(2, 3),
+       st.builds(lambda n, d, neg: F(-n if neg else n, d),
+                 st.integers(2, 12), st.integers(1, 3), st.booleans()),
+       st.builds(F, st.integers(-4, 4), st.integers(1, 4)),
+       st.integers(-5, 5))
+@example(_BETA_LATTICES["rank5"], 3, F(2), F(0), 0)     # not generic
+@example(_BETA_LATTICES["rank4"], 3, F(3), F(0), 0)
+@example(_BETA_LATTICES["rank5"], 3, F(2), F(2, 3), -5)
+@example(_BETA_LATTICES["rank4b"], 2, F(1, 2), F(0), 1)  # eta^2 = 3/2
+def test_closed_form_beta_vs_search_oracle(ns, bound, x0, x2, k):
+    # eta on the facet eta.C = 0 (C = e_1 of a diagonal hyperbolic block)
     lat = mk.mukai_lattice(ns)
-    c_ns = [0, 1] + [0] * (kns - 2)
-    eta = [F(eta_raw[0] or 1), F(0)] + [F(x) for x in eta_raw[2:kns]]
-    roots = mk.roots_in_box(lat, bound)
-    vecs = [r.vec for r in roots]
-    base = [F(2 * k + 1, 4) * c for c in c_ns]
-    cases = [([base[i] + F(sign * num, 16) * eta[i] for i in range(kns)], k)
-             for num in range(3) for sign in (1, -1)]
-    beta = [F(a, b) for a, b in beta_raw[:kns]]
-    cases.append((beta, -math.floor(ns[1][1] * beta[1]) - 1))
-    for beta, kb in cases:
-        want = _outcome(lambda: _beta_check_fractions(
-            lat, vecs, c_ns, kb, eta, beta))
-        scale = math.lcm(*(x.denominator for x in eta + beta))
-        got = _outcome(lambda: ch._first_clear_beta(
-            lat, lattice.vectors_of_norm(lat, -2, bound), c_ns, kb, scale,
-            [int(x * scale) for x in eta], [[int(x * scale) for x in beta]]))
-        assert got == {True: 0, False: None}.get(want, want), beta
+    c_root = lat.vector([0, 0, 1] + [0] * (len(ns) - 1))
+    eta = [x0, F(0), x2][:len(ns)]
+    want = _outcome(lambda: _beta_search_oracle(lat, c_root, k, eta, bound))
+    got = _outcome(lambda: ch.boundary_beta_search(lat, c_root, k, eta,
+                                                   coord_bound=bound))
+    assert got == want
 
 
-def test_beta_search_huge_k_uses_python_ints(monkeypatch):
-    # beta numerators near 1e15 overflow int64 in 2 S^2 Re z.delta
+def test_beta_search_huge_inputs_stay_exact(monkeypatch):
+    # k = 10^15 gives beta numerators near 10^15, exact as Fractions
+    lat = mk.mukai_lattice([[2, 0], [0, -2]])
+    c_root = lat.vector([0, 0, 1, 0])
+    k = 10 ** 15
+    cert = ch.boundary_beta_search(lat, c_root, k, [2, 0], coord_bound=3)
+    roots = [r.vec for r in mk.roots_in_box(lat, 3)]
+    assert _beta_check_fractions(lat, roots, [0, 1], k, [F(2), F(0)],
+                                 list(cert.beta))
+    assert F(-1) < cert.window_value < F(0)
+    # NS.E = (2^63 - 2, 0, 2): the root l = (2, 1, 2) has l.(NS.E) = 2^64,
+    # which int64 wraps to 0 (a false non-generic verdict)
     dtypes = []
 
     def spy(magnitude):
@@ -552,21 +578,41 @@ def test_beta_search_huge_k_uses_python_ints(monkeypatch):
         return dtypes[-1]
 
     monkeypatch.setattr(ch, "_int_dtype", spy)
-    lat = mk.mukai_lattice([[2, 0], [0, -2]])
-    c_root = lat.vector([0, 0, 1, 0])
-    k = 10 ** 15
-    cert = ch.boundary_beta_search(lat, c_root, k, [2, 0], coord_bound=3)
+    lat5 = mk.mukai_lattice(_BETA_LATTICES["rank5"])
+    c5 = lat5.vector([0, 0, 1, 0, 0])
+    eta = [2 ** 62 - 1, 0, -1]
+    cert = ch.boundary_beta_search(lat5, c5, 0, eta, coord_bound=2)
     assert dtypes == [object]
-    roots = [r.vec for r in mk.roots_in_box(lat, 3)]
-    assert _beta_check_fractions(lat, roots, [0, 1], k, [F(2), F(0)],
-                                 list(cert.beta))
-    assert F(-1) < cert.window_value < F(0)
+    assert cert.to_json() == _beta_search_oracle(lat5, c5, 0, eta,
+                                                 2).to_json()
 
 
 def test_beta_search_rejects_non_generic_eta():
     lat = mk.mukai_lattice(_BETA_LATTICES["rank5"])
     with pytest.raises(ValueError, match="not generic"):
         ch.boundary_beta_search(lat, lat.vector([0, 0, 1, 0, 0]), 0,
+                                [2, 0, 0], coord_bound=3)
+
+
+def test_beta_search_ns_with_zero_diagonal():
+    # NS = [[0, 1], [1, -2]] is hyperbolic; its signature needs the
+    # zero-pivot repair that subtracts, not adds, the second row
+    lat = mk.mukai_lattice([[0, 1], [1, -2]])
+    c_root = lat.vector([0, 0, 1, 0])
+    cert = ch.boundary_beta_search(lat, c_root, 2, [4, 2], coord_bound=3)
+    assert cert.to_json() == _beta_search_oracle(lat, c_root, 2, [F(4), F(2)],
+                                                 3).to_json()
+
+
+@pytest.mark.parametrize("ns, c_ns", [
+    ([[2, 0, 0], [0, -2, 0], [0, 0, 2]], [0, 1, 0]),    # signature (2, 1)
+    ([[2, 1, 0], [1, 2, 0], [0, 0, -2]], [0, 0, 1]),    # signature (2, 1)
+])
+def test_beta_search_rejects_non_hyperbolic_ns(ns, c_ns):
+    # beta0 need not be off the walls unless eta-perp is negative definite
+    lat = mk.mukai_lattice(ns)
+    with pytest.raises(NotHyperbolicError):
+        ch.boundary_beta_search(lat, lat.vector([0] + c_ns + [0]), 1,
                                 [2, 0, 0], coord_bound=3)
 
 

@@ -161,7 +161,7 @@ def test_exact_golden_digests(tmp_path):
         (["beta-search", "--gram", _RANK5_GRAM, "--mukai", "--c-root",
           "[0,0,1,0,0]", "--k", "1", "--eta", "[2,0,1]", "--root-bound", "5"],
          "e19783f42d74c648412c111367aac5e79b7a65acb2bde6dad0d143a526f59519"),
-        # the 98-candidate box threshold, and beta-search on a scale S != 256
+        # the 98-candidate box threshold, and beta-search at a fractional eta
         (["threshold", "--preset", "mukai_rank1(2)", "--vE", "[2,3,-1]",
           "--h", "[1]", "--cand-rank", "2", "--cand-c", "3", "--cand-s", "3"],
          "fe4657c84fb76ec8f8c66c0d138d1a979688f164e32c6ccd70ff369070890666"),
@@ -426,6 +426,51 @@ def test_beta_search_command(tmp_path):
     cert = json.loads(out.read_text())["certificate"]
     from fractions import Fraction
     assert Fraction(-1) < Fraction(cert["window_value"]) < 0
+
+
+def test_beta_search_non_hyperbolic_ns_exits_2(capsys):
+    # NS = diag(2, -2, 2) has signature (2, 1), so beta0 need not be
+    # off the walls
+    assert run(["beta-search", "--mukai", "--gram",
+                "[[0,0,0,0,-1],[0,2,0,0,0],[0,0,-2,0,0],[0,0,0,2,0],"
+                "[-1,0,0,0,0]]", "--c-root", "[0,0,1,0,0]", "--k", "1",
+                "--eta", "[-2,0,0]", "--root-bound", "3"]) == 2
+    assert "NotHyperbolicError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["beta-search", "--gram", _RANK4_GRAM, "--mukai", "--c-root", "[0,0,1,0]",
+     "--eta", '["1/0",0]'],
+    ["walls", "--preset", "mukai_rank1(1)", "--box",
+     '{"a_lo":["1/0"],"a_hi":["1"],"b_lo":["1/2"],"b_hi":["3/2"]}'],
+])
+def test_zero_denominator_exits_2(args, capsys):
+    assert run(args) == 2
+    assert "bad input: ZeroDivisionError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [
+    ("beta-search", "k"), ("beta-search", "root_bound"),
+    ("roots", "root_bound"), ("cusps", "height"), ("cusps", "word_depth"),
+    ("threshold", "cand_c"),
+])
+def test_config_non_integral_int_exits_2(tmp_path, capsys, command, key):
+    cfg = tmp_path / "cfg.json"
+    base = {"gram": _RANK4_GRAM, "mukai": True, "c_root": "[0,0,1,0]",
+            "eta": "[2,0]", "vE": "[1,1,0,0]", "h": "[1,0]"}
+    for bad in (1.5, True):
+        cfg.write_text(json.dumps({**base, key: bad}))
+        assert run([command, "--config", str(cfg)]) == 2
+        assert (f"{key} must be an integer, got {bad}"
+                in capsys.readouterr().err)
+    # an integral float is the integer it names
+    cfg.write_text(json.dumps({"gram": _RANK4_GRAM, "mukai": True,
+                               "c_root": "[0,0,1,0]", "eta": "[2,0]",
+                               "k": 2.0}))
+    assert run(["beta-search", "--config", str(cfg)]) == 0
+    from_cfg = json.loads(capsys.readouterr().out)["certificate"]
+    assert run(["beta-search", "--config", str(cfg), "--k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"] == from_cfg
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -40,6 +40,12 @@ def test_signature_hyperbolic():
     assert ila.signature([[0, 0, -1], [0, 6, 0], [-1, 0, 0]]) == (2, 1)
 
 
+def test_signature_zero_pivot_repair():
+    # adding row 1 to row 0 would leave the pivot 0 + 2 - 2 = 0
+    assert ila.signature([[0, 1], [1, -2]]) == (1, 1)
+    assert ila.signature([[0, 0, 1], [0, -2, 0], [1, 0, -2]]) == (1, 2)
+
+
 def test_hnf_reproduces_input():
     rng = random.Random(11)
     for _ in range(50):
