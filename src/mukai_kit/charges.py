@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +41,7 @@ from .domain import (
     gram_np,
     pairing,
 )
-from .intlinalg import signature
+from .intlinalg import dot, mat_vec, signature
 from .lattice import (
     IntegerLattice,
     Isometry,
@@ -141,22 +140,13 @@ class LiftedGL2:
     def phase_map(self, phi: float) -> float:
         """The lifted circle map f with f(0) = phi0, f(phi + 1) = f(phi) + 1.
 
-        T induces an orientation-preserving degree-one circle map; the lift
-        is continued stepwise from 0 to phi.
+        Write T = R_alpha S with S > 0: the angle from u to T u stays in
+        (alpha - pi/2, alpha + pi/2), so f(phi) - phi - phi0 lies in (-1, 1)
+        and f(phi) is the lift of the raw phase r at phi nearest phi + phi0.
         """
-        t = self.t_np()
-
-        def raw(p: float) -> float:
-            vec = t @ np.array([math.cos(math.pi * p), math.sin(math.pi * p)])
-            return math.atan2(vec[1], vec[0]) / math.pi
-
-        cur = self.phi0
-        n = max(1, int(abs(phi) * 32))
-        for i in range(1, n + 1):
-            r = raw(phi * i / n)
-            # choose the lift of r nearest to the running value
-            cur = r + 2.0 * round((cur - r) / 2.0)
-        return cur
+        vec = self.t_np() @ [math.cos(math.pi * phi), math.sin(math.pi * phi)]
+        r = math.atan2(vec[1], vec[0]) / math.pi
+        return r + 2.0 * round((phi + self.phi0 - r) / 2.0)
 
     def compose(self, other: "LiftedGL2") -> "LiftedGL2":
         """Element acting as self followed by other (right action order)."""
@@ -348,12 +338,12 @@ def _slope_gaps(vE: LatVec, candidates: list[LatVec], h
     h = [int(x) for x in h]
     if len(h) != len(vE.ns_part):
         raise ValueError("h must be an NS-vector")
-    hn = [sum(map(operator.mul, h, col)) for col in zip(*ns_block(vE.lattice))]
-    h2 = sum(map(operator.mul, hn, h))
+    hn = mat_vec(ns_block(vE.lattice), h)
+    h2 = dot(hn, h)
     if h2 <= 0:
         raise NonPositiveOmegaError("h^2 must be > 0")
     rE, sE = vE.r, vE.s
-    hcE = sum(map(operator.mul, hn, vE.ns_part))
+    hcE = dot(hn, vE.ns_part)
     if hcE <= 0:
         raise NonPositiveSlopeError("mu(E) must be > 0")
     gaps = []
@@ -361,7 +351,7 @@ def _slope_gaps(vE: LatVec, candidates: list[LatVec], h
         rA = vA.r
         if rA <= 0:
             raise NonPositiveRankError("candidates need r > 0")
-        gaps.append((hcE * rA - sum(map(operator.mul, hn, vA.ns_part)) * rE,
+        gaps.append((hcE * rA - dot(hn, vA.ns_part) * rE,
                      sE * rA - vA.s * rE))
     return h2, hcE, gaps
 
@@ -487,7 +477,7 @@ def boundary_beta_search(lat: IntegerLattice, c_root: LatVec, k: int,
 
     roots = vectors_of_norm(lat, -2, coord_bound)
     # genericity: no r = 0 root (0, l, s) with l != +-C and l.(NS E) = 0
-    ne = [sum(map(operator.mul, row, e)) for row in ns]
+    ne = mat_vec(ns, e)
     dtype = _int_dtype(int(abs(roots).max(initial=1)) * sum(map(abs, ne)))
     ls = roots[:, 1:-1].astype(dtype)
     if np.any((roots[:, 0] == 0) & (ls @ np.array(ne, dtype=dtype) == 0)

@@ -9,6 +9,7 @@ defaults; explicit flags win.  Exit codes: 0 ok, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -29,21 +30,42 @@ def _load_lattice(cfg: dict) -> lattice.IntegerLattice:
         if isinstance(src, str):
             with open(src) as fh:
                 src = json.load(fh)
-        gram = src["gram"]
-        return lattice.make_lattice(gram, src.get("label", ""),
+        if not isinstance(src, dict):
+            raise ConfigError("a lattice file holds a JSON object")
+        return lattice.make_lattice(_ints("gram", src["gram"], 2),
+                                    src.get("label", ""),
                                     bool(src.get("mukai", False)))
     if cfg.get("gram"):
-        return lattice.make_lattice(json.loads(cfg["gram"]),
+        return lattice.make_lattice(_cfg_ints(cfg, "gram", depth=2),
                                     mukai=bool(cfg.get("mukai", False)))
     raise ConfigError("no lattice given: use --preset, --lattice or --gram")
 
 
+def _ints(key: str, val, depth: int):
+    """val as an int, or as lists nested ``depth`` deep of ints: ints,
+    integral floats and decimal-integer strings pass; bools, other numbers
+    and strings, and wrong shapes raise ConfigError."""
+    if depth:
+        if not isinstance(val, list):
+            raise ConfigError(f"{key} must be a list, got {val}")
+        return [_ints(f"{key}[{i}]", x, depth - 1) for i, x in enumerate(val)]
+    if isinstance(val, (int, float, str)) and not isinstance(val, bool) \
+            and not (isinstance(val, float) and val % 1):
+        with contextlib.suppress(ValueError):
+            return int(val)
+    raise ConfigError(f"{key} must be an integer, got {val}")
+
+
 def _cfg_int(cfg: dict, key: str, default) -> int:
-    """cfg[key] (or ``default``) as an int; refuses bools and non-integers."""
+    """cfg[key] (or ``default``) as an int."""
+    return _ints(key, cfg.get(key, default), 0)
+
+
+def _cfg_ints(cfg: dict, key: str, default=None, depth: int = 1) -> list:
+    """cfg[key] (or ``default``), JSON text or lists, as ints ``depth``
+    deep."""
     val = cfg.get(key, default)
-    if isinstance(val, bool) or (isinstance(val, float) and val % 1):
-        raise ConfigError(f"{key} must be an integer, got {val}")
-    return int(val)
+    return _ints(key, json.loads(val) if isinstance(val, str) else val, depth)
 
 
 def _job_hash(cfg: dict) -> str:
@@ -117,6 +139,8 @@ def _parse_box(cfg: dict, split) -> domain.TubeBox:
         raise ConfigError("walls need --box")
     if isinstance(box, str):
         box = json.loads(box)
+    if not isinstance(box, dict):
+        raise ConfigError("box must be a JSON object {a_lo, a_hi, b_lo, b_hi}")
     return domain.TubeBox.make(split,
                                [Fraction(str(x)) for x in box["a_lo"]],
                                [Fraction(str(x)) for x in box["a_hi"]],
@@ -296,10 +320,10 @@ def cmd_factor(cfg: dict) -> int:
 
 def cmd_threshold(cfg: dict) -> int:
     lat = _load_lattice(cfg)
-    vE = lat.vector(json.loads(str(cfg["vE"])))
-    h = json.loads(str(cfg.get("h", "[1]")))
+    vE = lat.vector(_cfg_ints(cfg, "vE"))
+    h = _cfg_ints(cfg, "h", "[1]")
     if cfg.get("candidates"):
-        cands = [lat.vector(c) for c in json.loads(str(cfg["candidates"]))]
+        cands = [lat.vector(c) for c in _cfg_ints(cfg, "candidates", depth=2)]
     else:
         r_max = _cfg_int(cfg, "cand_rank", vE.coords[0])
         cands = charges.candidate_box(lat, r_max,
@@ -341,7 +365,7 @@ def cmd_degenerate(cfg: dict) -> int:
 
 def cmd_beta_search(cfg: dict) -> int:
     lat = _load_lattice(cfg)
-    c_root = lat.vector(json.loads(str(cfg["c_root"])))
+    c_root = lat.vector(_cfg_ints(cfg, "c_root"))
     k = _cfg_int(cfg, "k", 0)
     eta = [Fraction(str(x)) for x in json.loads(str(cfg["eta"]))]
     bound = _cfg_int(cfg, "root_bound", 8)

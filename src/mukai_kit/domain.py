@@ -159,42 +159,24 @@ class HyperbolicSplit:
         return a
 
     @cached_property
-    def _comp_left_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(P, s): an integer rho x n matrix P with P R = s I, s > 0.
+    def _basis(self) -> list[tuple[int, ...]]:
+        """The basis matrix (v | f | R), one row per coordinate."""
+        return list(zip(self.v.coords, self.f.coords, *self.comp))
 
-        P = s G_L^-1 R^T G.  At a standard vector N = <v, f> + R, so s = 1
-        and P is an exact integer left inverse of R.
-        """
-        g = self.lattice.gram_rows()
-        rows = ila.mat_mul(ila.mat_inverse_rational(self.gram_L),
-                           [ila.mat_vec(g, col) for col in self.comp])
-        s = math.lcm(*(x.denominator for row in rows for x in row))
-        return tuple(tuple(int(x * s) for x in row) for row in rows), s
+    @cached_property
+    def _basis_inverse(self) -> list[list[int]]:
+        """Inverse of (v | f | R): unimodular at a standard vector, where
+        N = <v, f> + R; a hand-built split that is no basis raises
+        ValueError."""
+        return ila.mat_inverse_unimodular(self._basis)
 
     def root_data(self, delta: LatVec) -> tuple[int, int, tuple[int, ...]]:
-        """(c, d, lam) with delta = c v + d f + R lam, all integers.
-
-        Raises ValueError when no such integers exist.
-        """
-        d = -self.v.dot(delta)
-        c = -self.f.dot(delta)
-        rest = [x - c * vi - d * fi for x, vi, fi
-                in zip(delta.coords, self.v.coords, self.f.coords)]
-        p, s = self._comp_left_inverse
-        lam = [sum(a * x for a, x in zip(row, rest)) for row in p]
-        # R lam = s rest, with lam still scaled by s
-        if any(sum(col[i] * l for col, l in zip(self.comp, lam)) != s * x
-               for i, x in enumerate(rest)):
-            raise ValueError("inconsistent system")
-        if any(l % s for l in lam):
-            raise ValueError("solution is not integral")
-        return c, d, tuple(l // s for l in lam)
+        """(c, d, lam) with delta = c v + d f + R lam, all integers."""
+        c, d, *lam = ila.mat_vec(self._basis_inverse, delta.coords)
+        return c, d, tuple(lam)
 
     def root_from_data(self, c: int, d: int, lam) -> LatVec:
-        coords = [c * self.v.coords[i] + d * self.f.coords[i]
-                  + sum(self.comp[j][i] * lam[j] for j in range(self.rho))
-                  for i in range(self.lattice.rank)]
-        return self.lattice.vector(coords)
+        return self.lattice.vector(ila.mat_vec(self._basis, (c, d, *lam)))
 
 
 def split_at(v: LatVec) -> HyperbolicSplit:
@@ -559,12 +541,12 @@ class TubeBox:
         if any(l > h for l, h in zip(box.a_lo, box.a_hi)) or \
                 any(l > h for l, h in zip(box.b_lo, box.b_hi)):
             raise UnboundedBoxError("empty box")
-        corners = [(c, _gvec(split.gram_L, c)) for c in box.b_corners()]
+        corners = [(c, ila.mat_vec(split.gram_L, c)) for c in box.b_corners()]
         for c, gc in corners:
-            if _dot(c, gc) <= 0:
+            if ila.dot(c, gc) <= 0:
                 raise UnboundedBoxError("box leaves the positive cone")
         for c, gc in corners[1:]:
-            if _dot(corners[0][0], gc) <= 0:
+            if ila.dot(corners[0][0], gc) <= 0:
                 raise UnboundedBoxError("box spans both cone components")
         return box
 
@@ -584,7 +566,7 @@ class TubeBox:
 
     def min_y_norm2(self) -> Fraction:
         gl = self.split.gram_L
-        return min(_dot(c, _gvec(gl, c)) for c in self.b_corners())
+        return min(ila.dot(c, ila.mat_vec(gl, c)) for c in self.b_corners())
 
     def split_along(self, axis: str, index: int) -> tuple["TubeBox", "TubeBox"]:
         """Bisect along one a- or b-coordinate (for refinement tests)."""
@@ -607,14 +589,6 @@ class TubeBox:
                              self.b_lo, tuple(hi)),
                 TubeBox.make(self.split, self.a_lo, self.a_hi,
                              tuple(lo), self.b_hi))
-
-
-def _gvec(gl, x):
-    return [sum(g * t for g, t in zip(row, x)) for row in gl]
-
-
-def _dot(x, y):
-    return sum(s * t for s, t in zip(x, y))
 
 
 def _int_box(box: TubeBox, lam, d: int) -> tuple:
@@ -645,7 +619,7 @@ def _im_range_over_box(gl, ibox) -> tuple[int, int]:
     _, w_lo, w_hi, b_lo, b_hi = ibox
     lo = hi = None
     for beta in itertools.product(*zip(b_lo, b_hi)):
-        g = _gvec(gl, beta)
+        g = ila.mat_vec(gl, beta)
         mn = sum(min(x * l, x * h) for x, l, h in zip(g, w_lo, w_hi))
         mx = sum(max(x * l, x * h) for x, l, h in zip(g, w_lo, w_hi))
         lo = mn if lo is None else min(lo, mn)
@@ -707,9 +681,9 @@ def _f_sign_on_zero_set(gl, d, ibox) -> int:
     cb = [l + h for l, h in zip(b_lo, b_hi)]
     hw = [h - l for l, h in zip(w_lo, w_hi)]
     hb = [h - l for l, h in zip(b_lo, b_hi)]
-    gw, gb = _gvec(gl, cw), _gvec(gl, cb)
-    f_c = dd * _dot(cb, gb) - _dot(cw, gw) - 4 * lim
-    im_c = _dot(cb, gw)
+    gw, gb = ila.mat_vec(gl, cw), ila.mat_vec(gl, cb)
+    f_c = dd * ila.dot(cb, gb) - ila.dot(cw, gw) - 4 * lim
+    im_c = ila.dot(cb, gw)
     grad_f = [-2 * x for x in gw] + [2 * dd * x for x in gb]
     grad_im = gb + gw
     widths = hw + hb
@@ -758,8 +732,9 @@ def _f_sign(gl, d, s, w, b) -> int:
     """Sign of F = b^T G b - u^T G u - 2/d^2 at u = w/d, for points
     w = (num, den) and b = (num, den) in units of 1/(S den)."""
     (wn, wd), (bn, bd) = w, b
-    val = (d * d * wd * wd * _dot(bn, _gvec(gl, bn))
-           - bd * bd * _dot(wn, _gvec(gl, wn)) - 2 * (s * wd * bd) ** 2)
+    val = (d * d * wd * wd * ila.dot(bn, ila.mat_vec(gl, bn))
+           - bd * bd * ila.dot(wn, ila.mat_vec(gl, wn))
+           - 2 * (s * wd * bd) ** 2)
     return (val > 0) - (val < 0)
 
 
@@ -777,9 +752,9 @@ def _witness(gl, d, ibox, kind):
     bc = [(b, 1) for b in itertools.product(*zip(b_lo, b_hi))]
 
     def zeros(fixed, corners):
-        g = _gvec(gl, fixed[0])
+        g = ila.mat_vec(gl, fixed[0])
         return _edge_zeros([c for c, _ in corners],
-                           [_dot(c, g) for c, _ in corners])
+                           [ila.dot(c, g) for c, _ in corners])
 
     # w = 0 lies on every b-section, where F is least (u^T G u <= 0 on Im = 0)
     origin = ([([0] * len(w_lo), 1)]
@@ -888,7 +863,7 @@ def wall_meets_box(split: HyperbolicSplit, box: TubeBox, delta: LatVec,
     lo, hi = _im_range_over_box(split.gram_L, _int_box(box, lam, 0))
     if kind == "C" or not lo <= 0 <= hi:
         return lo <= 0 <= hi
-    g = _gvec(split.gram_L, lam)
+    g = ila.mat_vec(split.gram_L, lam)
     return (sum(min(x * l, x * h) for x, l, h in zip(g, box.a_lo, box.a_hi))
             <= c <=
             sum(max(x * l, x * h) for x, l, h in zip(g, box.a_lo, box.a_hi)))
@@ -944,10 +919,10 @@ def _cone_roots(gl, points) -> tuple[list[int], int, Fraction, Fraction,
     """
     s = math.lcm(*(x.denominator for p in points for x in p))
     e = [int(sum(col) * s) for col in zip(*points)]
-    ge = _gvec(gl, e)
-    qe = _dot(e, ge)
-    y2_min = min(_dot(p, _gvec(gl, p)) for p in points)
-    k = 2 * max(_dot(ge, p) ** 2 for p in points) / (qe * y2_min) - 1
+    ge = ila.mat_vec(gl, e)
+    qe = ila.dot(e, ge)
+    y2_min = min(ila.dot(p, ila.mat_vec(gl, p)) for p in points)
+    k = 2 * max(ila.dot(ge, p) ** 2 for p in points) / (qe * y2_min) - 1
     q = [[2 * x * y - qe * g for y, g in zip(ge, row)]
          for x, row in zip(ge, gl)]
     return e, qe, k, y2_min, _short_roots(gl, np.array(q, dtype=float),

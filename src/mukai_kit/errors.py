@@ -47,6 +47,10 @@ class NotStandardError(MukaiKitError):
     """Vector is not isotropic of divisibility 1."""
 
 
+class NotMukaiFormError(MukaiKitError):
+    """Gram matrix declared (r, NS, s) is not of that form."""
+
+
 class OddSquareError(MukaiKitError):
     """NS-class has odd square; the ambient lattice cannot be even."""
 

@@ -8,7 +8,7 @@ lists and are never mutated in place by the public functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from operator import mul
 
 from .errors import InvariantError
 
@@ -32,14 +32,18 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def dot(x, y):
+    """x . y, exact for ints and Fractions alike."""
+    return sum(map(mul, x, y))
+
+
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
+    cols = list(zip(*b))
+    return [[dot(row, col) for col in cols] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
+    return [dot(row, v) for row in a]
 
 
 def transpose(a):
@@ -111,7 +115,7 @@ def hnf_columns(m) -> tuple[list[list[int]], list[list[int]]]:
     zero columns are pushed to the right.  Deterministic for fixed input.
     """
     rows, cols = len(m), len(m[0])
-    h = [row[:] for row in m]
+    h = [list(row) for row in m]
     u = identity(cols)
 
     def col_op_add(dst, src, q):
@@ -145,15 +149,11 @@ def hnf_columns(m) -> tuple[list[list[int]], list[list[int]]]:
             c0 = min(nz, key=lambda c: abs(h[r][c]))
             if c0 != pivot_col:
                 col_swap(c0, pivot_col)
-            if all(h[r][c] % h[r][pivot_col] == 0
-                   for c in range(pivot_col + 1, cols)):
-                for c in range(pivot_col + 1, cols):
-                    if h[r][c] != 0:
-                        col_op_add(c, pivot_col, -(h[r][c] // h[r][pivot_col]))
-                break
             for c in range(pivot_col + 1, cols):
                 if h[r][c] != 0:
                     col_op_add(c, pivot_col, -(h[r][c] // h[r][pivot_col]))
+            if not any(h[r][pivot_col + 1:]):
+                break
         if h[r][pivot_col] != 0:
             if h[r][pivot_col] < 0:
                 col_neg(pivot_col)
@@ -340,24 +340,18 @@ def mat_inverse_rational(m) -> list[list[Fraction]]:
 
 
 def mat_inverse_unimodular(m) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix (integer output)."""
-    out = []
-    for row in mat_inverse_rational(m):
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            irow.append(int(x))
-        out.append(irow)
-    return out
+    """Exact inverse of a unimodular integer matrix (integer output).
+
+    The Hermite form of a unimodular m is the identity, so the transform u
+    with m @ u = h is the inverse; any other m raises ValueError.
+    """
+    h, u = hnf_columns(m)
+    if h != identity(len(m)):
+        raise ValueError("matrix is not unimodular")
+    return u
 
 
 def gram_of(basis_cols: list[list[int]], gram) -> list[list[int]]:
     """Gram matrix of the given integer columns under ``gram``."""
-    k = len(basis_cols)
-    out = [[0] * k for _ in range(k)]
-    for i in range(k):
-        gi = mat_vec(gram, basis_cols[i])
-        for j in range(k):
-            out[i][j] = sum(gi[r] * basis_cols[j][r] for r in range(len(gi)))
-    return out
+    images = [mat_vec(gram, col) for col in basis_cols]
+    return [[dot(gi, col) for col in basis_cols] for gi in images]

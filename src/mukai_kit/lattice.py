@@ -33,6 +33,7 @@ from .errors import (
     NonSymmetricError,
     NotARootError,
     NotIsotropicError,
+    NotMukaiFormError,
     NotPrimitiveError,
     NotStandardError,
     OddSquareError,
@@ -101,10 +102,8 @@ class LatVec:
     def dot(self, other: "LatVec") -> int:
         if other.lattice is not self.lattice and other.lattice != self.lattice:
             raise LatticeMismatchError("vectors live in different lattices")
-        g = self.lattice.gram
-        return sum(self.coords[i] * g[i][j] * other.coords[j]
-                   for i in range(len(self.coords))
-                   for j in range(len(self.coords)))
+        return ila.dot(self.coords, ila.mat_vec(self.lattice.gram,
+                                                other.coords))
 
     @property
     def norm2(self) -> int:
@@ -112,7 +111,7 @@ class LatVec:
 
     def gram_image(self) -> list[int]:
         """The integer row G @ v; its gcd is the divisibility."""
-        return ila.mat_vec(self.lattice.gram_rows(), list(self.coords))
+        return ila.mat_vec(self.lattice.gram, self.coords)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -165,28 +164,23 @@ class Isometry:
     plus_flag: bool | None = None
 
     def __post_init__(self):
-        g = self.lattice.gram_rows()
-        m = [list(r) for r in self.matrix]
-        mt = ila.transpose(m)
-        if ila.mat_mul(ila.mat_mul(mt, g), m) != g:
+        g, m = self.lattice.gram_rows(), self.matrix
+        if ila.mat_mul(ila.mat_mul(ila.transpose(m), g), m) != g:
             raise ValueError("matrix does not preserve the Gram form")
 
     def apply(self, v: LatVec) -> LatVec:
-        return LatVec(self.lattice,
-                      tuple(ila.mat_vec([list(r) for r in self.matrix],
-                                        list(v.coords))))
+        return LatVec(self.lattice, tuple(ila.mat_vec(self.matrix, v.coords)))
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other (matrix product self @ other)."""
-        m = ila.mat_mul([list(r) for r in self.matrix],
-                        [list(r) for r in other.matrix])
+        m = ila.mat_mul(self.matrix, other.matrix)
         flag = None
         if self.plus_flag is not None and other.plus_flag is not None:
             flag = self.plus_flag == other.plus_flag
         return Isometry(self.lattice, tuple(tuple(r) for r in m), flag)
 
     def inverse(self) -> "Isometry":
-        m = [list(r) for r in self.matrix]
+        m = self.matrix
         if ila.mat_mul(m, m) == ila.identity(len(m)):
             return self  # an involution, e.g. a reflection
         inv = ila.mat_inverse_unimodular(m)
@@ -212,9 +206,15 @@ class Isometry:
 # ---------------------------------------------------------------------------
 
 def make_lattice(gram, label: str = "", mukai: bool = False) -> IntegerLattice:
-    """Build a lattice from a symmetric integer matrix with det != 0."""
+    """Build a lattice from a symmetric integer matrix with det != 0.
+
+    ``mukai`` declares the (r, NS..., s) form, which is checked: the first
+    and last coordinates pair as -r s' - r' s, orthogonal to an even NS block.
+    """
     rows = [list(int(x) for x in r) for r in gram]
     n = len(rows)
+    if n == 0:
+        raise DegenerateError("Gram matrix is empty")
     if any(len(r) != n for r in rows):
         raise NonSymmetricError("Gram matrix is not square")
     for i in range(n):
@@ -225,6 +225,12 @@ def make_lattice(gram, label: str = "", mukai: bool = False) -> IntegerLattice:
     lat = IntegerLattice(tuple(tuple(r) for r in rows), label, mukai)
     if ila.det_bareiss(rows) == 0:
         raise DegenerateError("Gram matrix has determinant 0")
+    if mukai and _hyperbolic_ends(rows) != -1:
+        raise NotMukaiFormError(
+            "Gram matrix is not in (r, NS, s) form: r and s must pair as "
+            "-r s' - r' s, orthogonal to NS")
+    if mukai and not lat.is_even:
+        raise OddSquareError("NS block is not even")
     return lat
 
 
@@ -260,18 +266,10 @@ def hyperbolic_plane(scale: int = 1) -> IntegerLattice:
 
 def mukai_lattice(ns_gram, label: str = "") -> IntegerLattice:
     """Lattice in (r, NS..., s) coordinates over the given even NS Gram."""
-    ns = [list(int(x) for x in r) for r in ns_gram]
-    k = len(ns)
-    n = k + 2
-    gram = [[0] * n for _ in range(n)]
-    gram[0][n - 1] = gram[n - 1][0] = -1
-    for i in range(k):
-        for j in range(k):
-            gram[1 + i][1 + j] = ns[i][j]
-    lat = make_lattice(gram, label or "mukai", mukai=True)
-    if not lat.is_even:
-        raise OddSquareError("NS block is not even")
-    return lat
+    n = len(ns_gram) + 2
+    gram = [[0] * (n - 1) + [-1], *([0, *r, 0] for r in ns_gram),
+            [-1] + [0] * (n - 1)]
+    return make_lattice(gram, label or "mukai", mukai=True)
 
 
 _PRESET_RE = re.compile(r"^(\w+)\((-?\d+)\)$")
@@ -318,9 +316,7 @@ def ns_block(lat: IntegerLattice) -> list[list[int]]:
 
 def ns_pair(lat: IntegerLattice, a, b):
     """a.b in the NS block; exact for ints and Fractions alike."""
-    ns = ns_block(lat)
-    return sum(a[i] * ns[i][j] * b[j]
-               for i in range(len(a)) for j in range(len(b)))
+    return ila.dot(a, ila.mat_vec(ns_block(lat), b))
 
 
 def euler_pairing(u: LatVec, w: LatVec) -> int:
@@ -333,10 +329,7 @@ def mukai_vector(lat: IntegerLattice, r: int, c1, c2: int) -> LatVec:
     if not lat.mukai:
         raise ValueError("mukai_vector requires an (r, NS, s)-form lattice")
     c1 = tuple(int(x) for x in c1)
-    sq = ns_pair(lat, c1, c1)
-    if sq % 2 != 0:
-        raise OddSquareError("c1^2 is odd; NS block is not even")
-    s = sq // 2 - int(c2) + int(r)
+    s = ns_pair(lat, c1, c1) // 2 - int(c2) + int(r)  # the NS block is even
     return lat.vector((int(r),) + c1 + (s,))
 
 
@@ -406,9 +399,7 @@ def line_twist_isometry(lat: IntegerLattice, l) -> Isometry:
     if len(l) != k:
         raise ValueError("l must be an NS-vector")
     gl = ila.mat_vec(ns_block(lat), l)   # NS-Gram @ l
-    lsq = sum(gl[i] * l[i] for i in range(k))
-    if lsq % 2 != 0:
-        raise OddSquareError("l^2 odd on an even NS block")
+    lsq = ila.dot(gl, l)  # even, as the NS block is
     n = lat.rank
     mat = [[0] * n for _ in range(n)]
     mat[0][0] = 1
@@ -532,7 +523,7 @@ def roots_in_box(lat: IntegerLattice, bound: int,
     gv = rel_v.gram_image()
     out = []
     for c in coords:
-        p = sum(x * y for x, y in zip(c, gv))
+        p = ila.dot(c, gv)
         cls = "zero" if p == 0 else ("positive" if -p > 0 else "negative")
         out.append(Root(LatVec(lat, tuple(c)), cls))
     return out
@@ -561,58 +552,21 @@ def orthogonal_complement(v: LatVec) -> list[list[int]]:
 def quotient_lattice(v: LatVec) -> IntegerLattice:
     """L(v) = v^perp / Zv for a primitive isotropic v.
 
-    The basis is produced by extending v to a basis of v^perp (Hermite form
-    with a fixed column order), so repeated runs give identical Gram matrices.
+    The Hermite transform u of the row G v has columns 1..n-1 spanning
+    v^perp (the basis :func:`orthogonal_complement` returns) and v.u_0 != 0,
+    so v's coordinates in that basis are (u^-1 v)[1:].  Extending them to a
+    unimodular matrix puts v first; the other columns give the Gram, the
+    same on every run.  It is symmetric and, as the radical of v^perp is
+    Zv, non-degenerate (of rank 0 on a rank-2 lattice).
     """
     _check_primitive_isotropic(v)
     lat = v.lattice
-    perp = orthogonal_complement(v)  # columns, rank n-1
-    k = len(perp)
-    # coordinates of v in the perp basis (v lies in v^perp since v^2=0)
-    bmat = [[perp[c][r] for c in range(k)] for r in range(lat.rank)]
-    coeffs = _solve_integer_columns(bmat, list(v.coords))
-    u = ila.complete_primitive(coeffs)
-    # new basis of v^perp with first column v; drop it and read the Gram
-    newb = ila.mat_mul(bmat, u)
-    cols = [[newb[r][c] for r in range(lat.rank)] for c in range(1, k)]
+    _, u = ila.hnf_columns([v.gram_image()])
+    coeffs = ila.mat_vec(ila.mat_inverse_unimodular(u), v.coords)[1:]
+    newb = ila.mat_mul([row[1:] for row in u], ila.complete_primitive(coeffs))
+    cols = [[row[c] for row in newb] for c in range(1, lat.rank - 1)]
     gram = ila.gram_of(cols, lat.gram_rows())
-    return make_lattice(gram, label=f"L({lat.label or 'N'})")
-
-
-def _solve_integer_columns(bmat, target):
-    """Solve bmat @ x = target exactly; bmat has full column rank."""
-    rows, cols = len(bmat), len(bmat[0])
-    from fractions import Fraction
-    a = [[Fraction(bmat[i][j]) for j in range(cols)] + [Fraction(target[i])]
-         for i in range(rows)]
-    piv_rows = []
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_rows.append(c)
-        r += 1
-        if r == cols:
-            break
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(piv_rows):
-        x[c] = a[i][cols]
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            raise ValueError("inconsistent system")
-    out = []
-    for xi in x:
-        if xi.denominator != 1:
-            raise ValueError("solution is not integral")
-        out.append(int(xi))
-    return out
+    return IntegerLattice(tuple(map(tuple, gram)), f"L({lat.label or 'N'})")
 
 
 def discriminant_group(lat: IntegerLattice) -> list[int]:

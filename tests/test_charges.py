@@ -125,6 +125,37 @@ def test_phase_map_properties():
                                                        abs=1e-9)
 
 
+def _phase_map_by_continuation(g, phi):
+    """Reference: the lift continued from 0 to phi, 32 steps per unit, each
+    step taking the lift of the raw phase nearest the running value."""
+    t = g.t_np()
+    cur = g.phi0
+    n = max(1, int(abs(phi) * 32))
+    for p in [phi * i / n for i in range(1, n)] + [phi]:
+        vec = t @ [math.cos(math.pi * p), math.sin(math.pi * p)]
+        r = math.atan2(vec[1], vec[0]) / math.pi
+        cur = r + 2.0 * round((cur - r) / 2.0)
+    return cur
+
+
+_ENTRY = st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1, 1]),
+                   st.floats(-2, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENTRY, min_size=4, max_size=4), st.integers(-3, 3),
+       st.floats(-6, 6))
+def test_phase_map_matches_continuation(entries, winding, phi):
+    # a nearly singular T leaves both sides to rounding
+    t = np.array(entries).reshape(2, 2)
+    assume(np.linalg.cond(t) < 1e6)
+    if np.linalg.det(t) < 0:
+        t = t[::-1]
+    g = ch.LiftedGL2.make(t, ch._col_phase(t) + 2 * winding)
+    assert g.phase_map(phi) == pytest.approx(
+        _phase_map_by_continuation(g, phi), abs=1e-12)
+
+
 def test_phase_shift_on_charges(rank3):
     lat, _ = rank3
     rng = np.random.default_rng(1)

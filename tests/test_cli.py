@@ -530,3 +530,74 @@ def test_cli_import_needs_no_scipy():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_THRESHOLD = ["threshold", "--preset", "mukai_rank1(1)"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (_THRESHOLD + ["--vE", "[1.7,1,0]", "--h", "[1]",
+                   "--candidates", "[[1,0,1]]"], "vE[0] must be an integer"),
+    (_THRESHOLD + ["--vE", "[1,1,0]", "--h", "[1.9]",
+                   "--candidates", "[[1,0,1]]"], "h[0] must be an integer"),
+    (_THRESHOLD + ["--vE", "[1,1,0]", "--h", "[1]",
+                   "--candidates", "[[1,0.5,1]]"],
+     "candidates[0][1] must be an integer"),
+    (_THRESHOLD + ["--vE", "5", "--h", "[1]"], "vE must be a list"),
+    (["beta-search", "--gram", _RANK4_GRAM, "--mukai", "--c-root",
+      "[0,0,1.9,0]", "--k", "0", "--eta", "[2,0]"],
+     "c_root[2] must be an integer"),
+    (["lattice", "--gram", "[[2.5]]"],
+     "gram[0][0] must be an integer, got 2.5"),
+    (["lattice", "--gram", "[[true]]"], "gram[0][0] must be an integer"),
+    (["lattice", "--gram", "5"], "gram must be a list"),
+    (["lattice", "--gram", "null"], "gram must be a list"),
+    (["lattice", "--gram", "[[1e400]]"], "gram[0][0] must be an integer"),
+    (["lattice", "--gram", "[1, 2]"], "gram[0] must be a list"),
+    (["walls", "--preset", "mukai_rank1(1)", "--box", "[1,2]"],
+     "box must be a JSON object"),
+])
+def test_malformed_integer_input_exits_2(args, message, capsys):
+    # no truncation of non-integral numbers and no traceback on wrong shapes
+    assert run(args) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_empty_gram_exits_2(capsys):
+    assert run(["lattice", "--gram", "[]"]) == 2
+    assert "DegenerateError: Gram matrix is empty" in capsys.readouterr().err
+
+
+def test_integer_input_forms(tmp_path, capsys):
+    # integral floats and decimal-integer strings name the integers they
+    # spell, inline and in lattice files (which store big ints as strings)
+    assert run(_THRESHOLD + ["--vE", "[1,1,0]", "--h", "[1]",
+                             "--candidates", "[[1,0,1]]"]) == 0
+    want = json.loads(capsys.readouterr().out)
+    assert run(_THRESHOLD + ["--vE", '[1.0,"1",0]', "--h", '["1"]',
+                             "--candidates", "[[1,0.0,1]]"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["certificates"] == want["certificates"]
+    lat_file = tmp_path / "lat.json"
+    lat_file.write_text(json.dumps(
+        {"mukai": True, "gram": [[0, 0, "-1"], [0, 2.0, 0], [-1, 0, 0]]}))
+    assert run(["lattice", "--lattice", str(lat_file)]) == 0
+    assert json.loads(capsys.readouterr().out)["gram"] == \
+        [[0, 0, -1], [0, 2, 0], [-1, 0, 0]]
+    lat_file.write_text(json.dumps([[2]]))
+    assert run(["lattice", "--lattice", str(lat_file)]) == 2
+    assert "config error: a lattice file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["beta-search", "--mukai", "--gram",
+     "[[0,0,0,1],[0,2,0,0],[0,0,-2,0],[1,0,0,0]]", "--c-root", "[0,0,1,0]",
+     "--k", "0", "--eta", "[2,0]"],
+    ["threshold", "--mukai", "--gram", "[[0,0,1],[0,2,0],[1,0,0]]",
+     "--vE", "[1,1,0]", "--h", "[1]", "--candidates", "[[1,0,1]]"],
+    ["cusps", "--mukai", "--gram", "[[0,0,1],[0,2,0],[1,0,0]]"],
+])
+def test_mukai_flag_on_plus_u_gram_exits_2(args, capsys):
+    # the (r, s) block pairs as +U, not as the -r s' - r' s of (r, NS, s)
+    assert run(args) == 2
+    assert "NotMukaiFormError" in capsys.readouterr().err

@@ -8,10 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mukai_kit as mk
+from mukai_kit import cusps
 from mukai_kit import domain as dm
+from mukai_kit import intlinalg as ila
 from mukai_kit.cli import main as cli_main
 from mukai_kit.lattice import _sign_canonical as lattice_sign_canonical
-from mukai_kit.lattice import _solve_integer_columns
 from mukai_kit.shortvec import short_vectors
 from mukai_kit.errors import (
     DegenerateAtVError,
@@ -237,6 +238,41 @@ def test_wall_refinement_union(rank3):
 
 # -- root data -------------------------------------------------------------------
 
+def _solve_integer_columns(bmat, target):
+    """Solve bmat @ x = target exactly; bmat has full column rank."""
+    rows, cols = len(bmat), len(bmat[0])
+    a = [[F(bmat[i][j]) for j in range(cols)] + [F(target[i])]
+         for i in range(rows)]
+    piv_rows = []
+    r = 0
+    for c in range(cols):
+        p = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        piv_rows.append(c)
+        r += 1
+        if r == cols:
+            break
+    x = [F(0)] * cols
+    for i, c in enumerate(piv_rows):
+        x[c] = a[i][cols]
+    for i in range(r, rows):
+        if a[i][cols] != 0:
+            raise ValueError("inconsistent system")
+    out = []
+    for xi in x:
+        if xi.denominator != 1:
+            raise ValueError("solution is not integral")
+        out.append(int(xi))
+    return out
+
+
 def _root_data_by_elimination(split, delta):
     """Reference: (c, d) from the pairings, lam by Fraction elimination."""
     d = -split.v.dot(delta)
@@ -247,37 +283,75 @@ def _root_data_by_elimination(split, delta):
     return c, d, tuple(_solve_integer_columns(bmat, rest))
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return str(exc)
-
-
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.sampled_from([[[2]], [[6]], [[2, 0], [0, -2]], [[2, 1], [1, -2]],
                         [[2, 0, 0], [0, -2, 0], [0, 0, -2]]]),
-       st.sampled_from(["v0", "v1", "doubled", "bent"]), st.data())
+       st.sampled_from(["v0", "v1", "twisted", "doubled", "bent"]),
+       st.data())
 def test_root_data_matches_elimination(ns, variant, data):
-    # "doubled" halves the complement lattice, so lam may be fractional;
-    # "bent" replaces f by f + v (no longer isotropic), so R lam = rest can
-    # be inconsistent: both errors must match the reference's
+    # splits at v0 = (0, .., 0, 1), v1 = (1, 0, .., 0) and v1 moved by a
+    # line twist (which fixes v0) match the reference.  Hand-built splits:
+    # "doubled" scales R by 2, not a basis, so root_data raises; "bent"
+    # replaces f by f + v, still a basis (f no longer isotropic), so the
+    # pairings do not give (c, d) but root_data still inverts root_from_data
     lat = mk.mukai_lattice(ns)
-    sp = dm.split_at(lat.vector([1] + [0] * (lat.rank - 1) if variant == "v1"
-                                else [0] * (lat.rank - 1) + [1]))
+    v0 = lat.vector([0] * (lat.rank - 1) + [1])
+    v1 = lat.vector([1] + [0] * (lat.rank - 1))
+    if variant == "twisted":
+        l = data.draw(st.lists(st.integers(-3, 3), min_size=lat.ns_rank,
+                               max_size=lat.ns_rank))
+        v1 = mk.line_twist_isometry(lat, l).apply(v1)
+    sp = dm.split_at(v0 if variant in ("v0", "doubled", "bent") else v1)
+    coords = data.draw(st.lists(st.integers(-6, 6), min_size=lat.rank,
+                                max_size=lat.rank))
+    delta = lat.vector(coords)
     if variant == "doubled":
         sp = dm.HyperbolicSplit(
             lat, sp.v, sp.f, tuple(tuple(2 * x for x in c) for c in sp.comp),
             tuple(tuple(4 * x for x in r) for r in sp.gram_L))
-    elif variant == "bent":
+        with pytest.raises(ValueError, match="not unimodular"):
+            sp.root_data(delta)
+        return
+    if variant == "bent":
         sp = dm.HyperbolicSplit(lat, sp.v, sp.f + sp.v, sp.comp, sp.gram_L)
-    coords = data.draw(st.lists(st.integers(-6, 6), min_size=lat.rank,
-                                max_size=lat.rank))
-    delta = lat.vector(coords)
-    got = _outcome(sp.root_data, delta)
-    assert got == _outcome(_root_data_by_elimination, sp, delta)
-    if not isinstance(got, str):
-        assert sp.root_from_data(*got) == delta
+    else:
+        assert sp.root_data(delta) == _root_data_by_elimination(sp, delta)
+    assert sp.root_from_data(*sp.root_data(delta)) == delta
+
+
+def _quotient_gram_by_elimination(v):
+    """Reference L(v) Gram: v's coordinates in the integer_kernel basis of
+    v^perp by Fraction elimination, then the same completion."""
+    lat = v.lattice
+    perp = mk.orthogonal_complement(v)
+    k = len(perp)
+    bmat = [[perp[c][r] for c in range(k)] for r in range(lat.rank)]
+    u = ila.complete_primitive(_solve_integer_columns(bmat, list(v.coords)))
+    newb = ila.mat_mul(bmat, u)
+    cols = [[newb[r][c] for r in range(lat.rank)] for c in range(1, k)]
+    return tuple(map(tuple, ila.gram_of(cols, lat.gram_rows())))
+
+
+@pytest.mark.parametrize("lat, divs", [
+    (mk.preset("U"), [1]), (mk.preset("mukai_rank1(1)"), [1]),
+    (mk.preset("mukai_rank1(4)"), [1, 2]),
+    (mk.preset("mukai_rank1(9)"), [1, 3]),
+    (mk.preset("mukai_rank1(12)"), [1, 2]),
+    (mk.mukai_lattice([[2, 0], [0, -2]], "diag(2,-2)"), [1, 2]),
+    (mk.mukai_lattice([[2, 1], [1, -2]], "[[2,1],[1,-2]]"), [1]),
+    (mk.mukai_lattice([[4, 0], [0, -6]], "diag(4,-6)"), [1]),
+    (mk.direct_sum(mk.hyperbolic_plane(2), mk.preset("bracket(2)")), [2]),
+    (mk.direct_sum(mk.hyperbolic_plane(3), mk.preset("bracket(-4)")), [3]),
+    (mk.direct_sum(mk.hyperbolic_plane(), mk.hyperbolic_plane(2)), [1, 2]),
+], ids=lambda x: x.label if isinstance(x, mk.IntegerLattice) else "")
+def test_quotient_lattice_matches_elimination(lat, divs):
+    # every primitive isotropic vector of the box, of every divisibility
+    # the lattice has
+    buckets = cusps.classify_divisibility(
+        cusps.enumerate_isotropic(lat, 10 if lat.rank <= 3 else 3))
+    assert list(buckets) == divs
+    for v in (v for vs in buckets.values() for v in vs):
+        assert mk.quotient_lattice(v).gram == _quotient_gram_by_elimination(v)
 
 
 # -- exact wall test ---------------------------------------------------------------

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mukai_kit import intlinalg as ila
@@ -106,3 +106,37 @@ def test_mat_inverse_unimodular():
     m = [[1, 2], [1, 3]]
     inv = ila.mat_inverse_unimodular(m)
     assert ila.mat_mul(m, inv) == ila.identity(2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_mat_inverse_unimodular_matches_rational(n, data):
+    # a product of elementary integer matrices (row additions, swaps and
+    # negations) with entries up to 10^6 is unimodular
+    m = ila.identity(n)
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                    st.integers(-1000, 1000), st.sampled_from("asn"))
+    for i, j, q, kind in data.draw(st.lists(ops, max_size=40)):
+        if kind == "s":
+            m[i], m[j] = m[j], m[i]
+        elif kind == "n":
+            m[i] = [-x for x in m[i]]
+        elif i != j:
+            row = [x + q * y for x, y in zip(m[i], m[j])]
+            if max(map(abs, row)) <= 10 ** 6:
+                m[i] = row
+    inv = ila.mat_inverse_unimodular(m)
+    assert inv == [list(map(int, row)) for row in ila.mat_inverse_rational(m)]
+    assert ila.mat_mul(m, inv) == ila.identity(n)
+    # scaling a row by k != +-1, or repeating a row, leaves GL_n(Z)
+    i = data.draw(st.integers(0, n - 1))
+    k = data.draw(st.integers(2, 50) | st.integers(-50, -2) | st.just(0))
+    bad = [row[:] for row in m]
+    bad[i] = [k * x for x in bad[i]]
+    with pytest.raises(ValueError, match="not unimodular"):
+        ila.mat_inverse_unimodular(bad)
+    if n > 1:
+        bad = [row[:] for row in m]
+        bad[i] = bad[(i + 1) % n][:]
+        with pytest.raises(ValueError, match="not unimodular"):
+            ila.mat_inverse_unimodular(bad)

@@ -11,6 +11,7 @@ from mukai_kit.errors import (
     DegenerateError,
     NonSymmetricError,
     NotARootError,
+    NotMukaiFormError,
     NotStandardError,
     OddSquareError,
     UnknownPresetError,
@@ -31,6 +32,26 @@ def test_make_lattice_rejects():
         mk.make_lattice([[0, 1], [2, 0]])
     with pytest.raises(DegenerateError):
         mk.make_lattice([[1, 1], [1, 1]])
+
+
+def test_make_lattice_checks_mukai_flag():
+    ok = [[0, 0, 0, -1], [0, 2, 1, 0], [0, 1, -2, 0], [-1, 0, 0, 0]]
+    assert mk.make_lattice(ok, "m", mukai=True) == mk.mukai_lattice(
+        [[2, 1], [1, -2]], "m")
+    # +U ends, ends that meet NS, a scaled U and rank 1 are not (r, NS, s)
+    for gram in ([[0, 0, 1], [0, 2, 0], [1, 0, 0]],
+                 [[0, 1, -1], [1, 2, 0], [-1, 0, 0]],
+                 [[0, 0, -2], [0, 2, 0], [-2, 0, 0]],
+                 [[2]]):
+        with pytest.raises(NotMukaiFormError):
+            mk.make_lattice(gram, mukai=True)
+        mk.make_lattice(gram)
+    with pytest.raises(OddSquareError):
+        mk.make_lattice([[0, 0, -1], [0, 1, 0], [-1, 0, 0]], mukai=True)
+    with pytest.raises(OddSquareError):
+        mk.mukai_lattice([[3]])
+    with pytest.raises(DegenerateError):
+        mk.make_lattice([])
 
 
 def test_presets():
