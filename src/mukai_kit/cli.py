@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -32,40 +33,51 @@ def _load_lattice(cfg: dict) -> lattice.IntegerLattice:
                 src = json.load(fh)
         if not isinstance(src, dict):
             raise ConfigError("a lattice file holds a JSON object")
-        return lattice.make_lattice(_ints("gram", src["gram"], 2),
+        return lattice.make_lattice(_nested("gram", src["gram"], 2),
                                     src.get("label", ""),
                                     bool(src.get("mukai", False)))
     if cfg.get("gram"):
-        return lattice.make_lattice(_cfg_ints(cfg, "gram", depth=2),
+        return lattice.make_lattice(_cfg_list(cfg, "gram", depth=2),
                                     mukai=bool(cfg.get("mukai", False)))
     raise ConfigError("no lattice given: use --preset, --lattice or --gram")
 
 
-def _ints(key: str, val, depth: int):
-    """val as an int, or as lists nested ``depth`` deep of ints: ints,
-    integral floats and decimal-integer strings pass; bools, other numbers
-    and strings, and wrong shapes raise ConfigError."""
+_KINDS = {int: "an integer", Fraction: "a rational number",
+          float: "a finite number"}
+
+
+def _nested(key: str, val, depth: int, kind=int):
+    """val as a ``kind`` (int, Fraction or float), or as lists nested
+    ``depth`` deep of them.  A leaf is an int, float or string: int takes
+    integral floats and decimal-integer strings, Fraction reads the number
+    as written (0.1 is 1/10), float must be finite.  Bools, other values
+    and wrong shapes raise ConfigError."""
     if depth:
         if not isinstance(val, list):
             raise ConfigError(f"{key} must be a list, got {val}")
-        return [_ints(f"{key}[{i}]", x, depth - 1) for i, x in enumerate(val)]
+        return [_nested(f"{key}[{i}]", x, depth - 1, kind)
+                for i, x in enumerate(val)]
     if isinstance(val, (int, float, str)) and not isinstance(val, bool) \
-            and not (isinstance(val, float) and val % 1):
-        with contextlib.suppress(ValueError):
-            return int(val)
-    raise ConfigError(f"{key} must be an integer, got {val}")
+            and not (kind is int and isinstance(val, float) and val % 1):
+        with contextlib.suppress(ValueError, OverflowError):
+            x = kind(str(val) if kind is Fraction else val)
+            if kind is not float or math.isfinite(x):
+                return x
+    raise ConfigError(f"{key} must be {_KINDS[kind]}, got {val}")
 
 
 def _cfg_int(cfg: dict, key: str, default) -> int:
     """cfg[key] (or ``default``) as an int."""
-    return _ints(key, cfg.get(key, default), 0)
+    return _nested(key, cfg.get(key, default), 0)
 
 
-def _cfg_ints(cfg: dict, key: str, default=None, depth: int = 1) -> list:
-    """cfg[key] (or ``default``), JSON text or lists, as ints ``depth``
-    deep."""
+def _cfg_list(cfg: dict, key: str, default=None, depth: int = 1,
+              kind=int) -> list:
+    """cfg[key] (or ``default``), JSON text or lists, as ``kind`` values
+    ``depth`` deep."""
     val = cfg.get(key, default)
-    return _ints(key, json.loads(val) if isinstance(val, str) else val, depth)
+    return _nested(key, json.loads(val) if isinstance(val, str) else val,
+                   depth, kind)
 
 
 def _job_hash(cfg: dict) -> str:
@@ -133,7 +145,8 @@ def cmd_roots(cfg: dict) -> int:
     return 0
 
 
-def _parse_box(cfg: dict, split) -> domain.TubeBox:
+def _parse_box(cfg: dict, split) -> tuple[dict, domain.TubeBox]:
+    """The --box object and the chart box it names."""
     box = cfg.get("box")
     if box is None:
         raise ConfigError("walls need --box")
@@ -141,23 +154,19 @@ def _parse_box(cfg: dict, split) -> domain.TubeBox:
         box = json.loads(box)
     if not isinstance(box, dict):
         raise ConfigError("box must be a JSON object {a_lo, a_hi, b_lo, b_hi}")
-    return domain.TubeBox.make(split,
-                               [Fraction(str(x)) for x in box["a_lo"]],
-                               [Fraction(str(x)) for x in box["a_hi"]],
-                               [Fraction(str(x)) for x in box["b_lo"]],
-                               [Fraction(str(x)) for x in box["b_hi"]])
+    return box, domain.TubeBox.make(split, *(
+        _nested(f"box.{key}", box[key], 1, Fraction)
+        for key in ("a_lo", "a_hi", "b_lo", "b_hi")))
 
 
 def cmd_walls(cfg: dict) -> int:
     lat = _load_lattice(cfg)
     sp = _v0_split(lat)
-    box = _parse_box(cfg, sp)
+    raw_box, box = _parse_box(cfg, sp)
     found = domain.enumerate_walls_region(sp, box)
     walls = [w for w in found if not w.undecided]
     undecided = [w for w in found if w.undecided]
-    payload = {"walls": [w.to_json() for w in walls],
-               "box": json.loads(cfg["box"]) if isinstance(cfg.get("box"), str)
-               else cfg.get("box")}
+    payload = {"walls": [w.to_json() for w in walls], "box": raw_box}
     meta = {"config_hash": _job_hash(cfg), "version": __version__}
     if undecided:
         payload["undecided_walls"] = [w.to_json() for w in undecided]
@@ -244,8 +253,8 @@ def cmd_cusps(cfg: dict) -> int:
 def cmd_geodesic(cfg: dict) -> int:
     lat = _load_lattice(cfg)
     sp = _v0_split(lat)
-    x0 = json.loads(str(cfg.get("x0", "[0.0]")))
-    y0 = json.loads(str(cfg.get("y0", "[1.0]")))
+    x0 = _cfg_list(cfg, "x0", "[0.0]", kind=float)
+    y0 = _cfg_list(cfg, "y0", "[1.0]", kind=float)
     t_max = float(cfg.get("t_max", 2.0))
     steps = _cfg_int(cfg, "steps", 1000)
     tol = float(cfg.get("tol", 1e-6))
@@ -284,7 +293,9 @@ def cmd_factor(cfg: dict) -> int:
                 spec = json.load(fh)
         if spec.get("kind") != "linear_degeneration":
             raise ConfigError("path-spec supports kind linear_degeneration")
-        path = geodesics.linear_degeneration(sp, spec["x0"], spec["y0"])
+        path = geodesics.linear_degeneration(
+            sp, _cfg_list(spec, "x0", kind=float),
+            _cfg_list(spec, "y0", kind=float))
         ts = np.linspace(float(spec.get("t0", 1.0)),
                          float(spec.get("t1", 4.0)),
                          _cfg_int(spec, "samples", 100))
@@ -320,10 +331,11 @@ def cmd_factor(cfg: dict) -> int:
 
 def cmd_threshold(cfg: dict) -> int:
     lat = _load_lattice(cfg)
-    vE = lat.vector(_cfg_ints(cfg, "vE"))
-    h = _cfg_ints(cfg, "h", "[1]")
+    vE = lat.vector(_cfg_list(cfg, "vE"))
+    h = _cfg_list(cfg, "h", "[1]")
     if cfg.get("candidates"):
-        cands = [lat.vector(c) for c in _cfg_ints(cfg, "candidates", depth=2)]
+        cands = [lat.vector(c)
+                 for c in _cfg_list(cfg, "candidates", depth=2)]
     else:
         r_max = _cfg_int(cfg, "cand_rank", vE.coords[0])
         cands = charges.candidate_box(lat, r_max,
@@ -343,8 +355,8 @@ def cmd_threshold(cfg: dict) -> int:
 def cmd_degenerate(cfg: dict) -> int:
     lat = _load_lattice(cfg)
     sp = _v0_split(lat)
-    x0 = json.loads(str(cfg.get("x0", "[0.0]")))
-    y0 = json.loads(str(cfg.get("y0", "[1.0]")))
+    x0 = _cfg_list(cfg, "x0", "[0.0]", kind=float)
+    y0 = _cfg_list(cfg, "y0", "[1.0]", kind=float)
     t0 = float(cfg.get("t0", 1.0))
     t1 = float(cfg.get("t1", 10.0))
     n = _cfg_int(cfg, "samples", 50)
@@ -365,9 +377,9 @@ def cmd_degenerate(cfg: dict) -> int:
 
 def cmd_beta_search(cfg: dict) -> int:
     lat = _load_lattice(cfg)
-    c_root = lat.vector(_cfg_ints(cfg, "c_root"))
+    c_root = lat.vector(_cfg_list(cfg, "c_root"))
     k = _cfg_int(cfg, "k", 0)
-    eta = [Fraction(str(x)) for x in json.loads(str(cfg["eta"]))]
+    eta = _cfg_list(cfg, "eta", kind=Fraction)
     bound = _cfg_int(cfg, "root_bound", 8)
     cert = charges.boundary_beta_search(lat, c_root, k, eta,
                                         coord_bound=bound)

@@ -117,46 +117,29 @@ class HyperbolicSplit:
         return len(self.comp)
 
     @cached_property
-    def _comp_np(self) -> np.ndarray:
-        a = np.array(self.comp, dtype=float).T  # n x rho, columns
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def _gram_L_np(self) -> np.ndarray:
-        a = np.array(self.gram_L, dtype=float)
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def _gram_L_inv(self) -> np.ndarray:
-        a = np.linalg.inv(self._gram_L_np)
-        a.setflags(write=False)
-        return a
+    def _arrays(self) -> dict[str, np.ndarray]:
+        """Read-only float copies: R as columns (n x rho), G_L and its
+        inverse, v and f."""
+        gl = np.array(self.gram_L, dtype=float)
+        arrays = {"comp": np.array(self.comp, dtype=float).T, "gram_L": gl,
+                  "gram_L_inv": np.linalg.inv(gl),
+                  "v": np.array(self.v.coords, dtype=float),
+                  "f": np.array(self.f.coords, dtype=float)}
+        for a in arrays.values():
+            a.setflags(write=False)
+        return arrays
 
     def comp_np(self) -> np.ndarray:
-        return self._comp_np
+        return self._arrays["comp"]
 
     def gram_L_np(self) -> np.ndarray:
-        return self._gram_L_np
+        return self._arrays["gram_L"]
 
     def v_np(self) -> np.ndarray:
-        return self._v_np
-
-    @cached_property
-    def _v_np(self) -> np.ndarray:
-        a = np.array(self.v.coords, dtype=float)
-        a.setflags(write=False)
-        return a
+        return self._arrays["v"]
 
     def f_np(self) -> np.ndarray:
-        return self._f_np
-
-    @cached_property
-    def _f_np(self) -> np.ndarray:
-        a = np.array(self.f.coords, dtype=float)
-        a.setflags(write=False)
-        return a
+        return self._arrays["f"]
 
     @cached_property
     def _basis(self) -> list[tuple[int, ...]]:
@@ -218,8 +201,8 @@ class TubePoint:
     def chart(self) -> tuple[np.ndarray, np.ndarray]:
         """Chart coordinates (a, b) in the complement basis."""
         sp = self.split
-        m = gram_np(sp.lattice) @ sp.comp_np()
-        return self.x @ m @ sp._gram_L_inv.T, self.y @ m @ sp._gram_L_inv.T
+        m, inv = gram_np(sp.lattice) @ sp.comp_np(), sp._arrays["gram_L_inv"]
+        return self.x @ m @ inv.T, self.y @ m @ inv.T
 
 
 def tube_point(split: HyperbolicSplit, a, b) -> TubePoint:
@@ -483,34 +466,6 @@ class Wall:
                 "v": list(self.v.coords)}
 
 
-def wall_membership(p: PeriodPoint, delta: LatVec, v: LatVec) -> str:
-    """Classify a period point against the walls of one root.
-
-    Returns 'on_D', 'on_A', 'on_C' or 'off'.  "Real" is decided with a
-    relative tolerance scaled by |z.v|.
-    """
-    if delta.norm2 != -2:
-        from .errors import NotARootError
-        raise NotARootError("wall membership needs a root")
-    zd = p.pair_v(delta)
-    zv = p.pair_v(v)
-    scale = float(np.linalg.norm(p.z))
-    dvec = np.array(delta.coords, dtype=float)
-    dnorm = float(np.linalg.norm(dvec))
-    if abs(zd) <= PAIR_TOL * scale * max(dnorm, 1.0):
-        return "on_D"
-    if abs(zv) <= PAIR_TOL * scale:
-        raise DegenerateAtVError("z.v = 0")
-    w = -zd / zv
-    vd = v.dot(delta)
-    if abs(w.imag) <= PAIR_TOL * max(1.0, abs(w)):
-        if -vd > 0 and w.real <= PAIR_TOL:
-            return "on_A"
-        if vd == 0:
-            return "on_C"
-    return "off"
-
-
 # -- boxes and exact wall tests -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -568,27 +523,6 @@ class TubeBox:
         gl = self.split.gram_L
         return min(ila.dot(c, ila.mat_vec(gl, c)) for c in self.b_corners())
 
-    def split_along(self, axis: str, index: int) -> tuple["TubeBox", "TubeBox"]:
-        """Bisect along one a- or b-coordinate (for refinement tests)."""
-        if axis == "a":
-            mid = (self.a_lo[index] + self.a_hi[index]) / 2
-            hi = list(self.a_hi)
-            lo = list(self.a_lo)
-            hi[index] = mid
-            lo[index] = mid
-            return (TubeBox.make(self.split, self.a_lo, tuple(hi),
-                                 self.b_lo, self.b_hi),
-                    TubeBox.make(self.split, tuple(lo), self.a_hi,
-                                 self.b_lo, self.b_hi))
-        mid = (self.b_lo[index] + self.b_hi[index]) / 2
-        hi = list(self.b_hi)
-        lo = list(self.b_lo)
-        hi[index] = mid
-        lo[index] = mid
-        return (TubeBox.make(self.split, self.a_lo, self.a_hi,
-                             self.b_lo, tuple(hi)),
-                TubeBox.make(self.split, self.a_lo, self.a_hi,
-                             tuple(lo), self.b_hi))
 
 
 def _int_box(box: TubeBox, lam, d: int) -> tuple:
@@ -884,7 +818,7 @@ def majorant_matrix(frame: FrameVec) -> np.ndarray:
     return 0.5 * (q + q.T)
 
 
-def _short_roots(gram, q: np.ndarray, bound: float) -> np.ndarray:
+def _short_roots(gram, q, bound) -> np.ndarray:
     """The rows x of ``short_vectors(q, bound)`` with x.G.x = -2."""
     xs, norms = _norms(gram, short_vectors(q, bound))
     return xs[norms == -2]
@@ -925,8 +859,7 @@ def _cone_roots(gl, points) -> tuple[list[int], int, Fraction, Fraction,
     k = 2 * max(ila.dot(ge, p) ** 2 for p in points) / (qe * y2_min) - 1
     q = [[2 * x * y - qe * g for y, g in zip(ge, row)]
          for x, row in zip(ge, gl)]
-    return e, qe, k, y2_min, _short_roots(gl, np.array(q, dtype=float),
-                                          math.floor(2 * k * qe))
+    return e, qe, k, y2_min, _short_roots(gl, q, math.floor(2 * k * qe))
 
 
 def _floor_add_sqrt(q: Fraction, x: Fraction) -> int:
@@ -1080,18 +1013,15 @@ def region_gt2(pt: TubePoint) -> bool:
 def on_A_wall(pt: TubePoint) -> LatVec | None:
     """Return a root whose A-wall contains the point, if any does.
 
-    The candidates are those of the zero-width box at the point's chart
-    coordinates, taken as the exact rationals of their floats.
+    The exact wall test on the zero-width box at the point's chart
+    coordinates, taken as the exact rationals of their floats; a point box
+    is always decided.
     """
-    frame = exp_frame(pt)
     a, b = pt.chart()
-    g = gram_np(pt.split.lattice)
-    for w in _roots_near_box(pt.split, TubeBox.make(pt.split, a, a, b, b)):
+    box = TubeBox.make(pt.split, a, a, b, b)
+    for w in _roots_near_box(pt.split, box):
         w, d = _orient_root(pt.split, w)
-        if d <= 0:
-            continue
-        zd = complex(frame.z @ g @ np.array(w.coords, dtype=float))
-        if abs(zd.imag) <= 1e-9 and zd.real <= 1e-9:
+        if d > 0 and wall_meets_box(pt.split, box, w, "A"):
             return w
     return None
 
@@ -1100,24 +1030,24 @@ def in_L_region(pt: TubePoint, y_amp) -> bool:
     """Distinguished-chamber membership.
 
     True iff y lies in the chamber of the witness y_amp (no L(v)-root wall
-    separates them) and no A-wall passes through the point.  y_amp is
-    given in chart coordinates.
+    separates them, and none passes through the point) and no A-wall
+    passes through the point.  y_amp is given in chart coordinates; it and
+    the point count as the exact rationals of their floats.
     """
-    sp = pt.split
-    gl = sp.gram_L_np()
-    y_amp = np.asarray(y_amp, dtype=float)
-    amp2 = float(y_amp @ gl @ y_amp)
-    if amp2 <= 0:
+    gl = pt.split.gram_L
+    y_amp = [Fraction(x) for x in y_amp]
+    if len(y_amp) != len(gl):
+        raise ValueError("y_amp has the wrong length")
+    g_amp = ila.mat_vec(gl, y_amp)
+    if ila.dot(y_amp, g_amp) <= 0:
         raise AmpNotInPositiveConeError("y_amp^2 <= 0")
-    _, b = pt.chart()
-    if float(b @ gl @ y_amp) <= 0:
+    b = [Fraction(x) for x in pt.chart()[1]]
+    if ila.dot(b, g_amp) <= 0:
         return False  # opposite cone component
-    # chamber agreement along the segment [y_amp, b], exact rationals of
-    # its float ends
-    ends = [tuple(map(Fraction, p)) for p in (y_amp, b)]
-    for l in _cone_roots(sp.gram_L, ends)[-1].astype(float):
-        s_amp = float(y_amp @ gl @ l)
-        s_b = float(b @ gl @ l)
-        if abs(s_b) <= 1e-9 or s_amp * s_b < 0:
+    # chamber agreement along the segment [y_amp, b]
+    for lam in _cone_roots(gl, [y_amp, b])[-1].tolist():
+        g_lam = ila.mat_vec(gl, lam)
+        s_amp, s_b = ila.dot(y_amp, g_lam), ila.dot(b, g_lam)
+        if s_b == 0 or s_amp * s_b < 0:
             return False
     return on_A_wall(pt) is None

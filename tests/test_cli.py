@@ -563,6 +563,44 @@ def test_malformed_integer_input_exits_2(args, message, capsys):
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["walls", "--preset", "mukai_rank1(1)", "--box",
+      '{"a_lo":1,"a_hi":[1],"b_lo":[1],"b_hi":[2]}'],
+     "box.a_lo must be a list, got 1"),
+    (["walls", "--preset", "mukai_rank1(1)", "--box",
+      '{"a_lo":[true],"a_hi":[1],"b_lo":[1],"b_hi":[2]}'],
+     "box.a_lo[0] must be a rational number, got True"),
+    (["degenerate", "--preset", "mukai_rank1(1)", "--x0", "5"],
+     "x0 must be a list, got 5"),
+    (["geodesic", "--preset", "mukai_rank1(1)", "--y0", "[NaN]"],
+     "y0[0] must be a finite number, got nan"),
+    (["beta-search", "--gram", _RANK4_GRAM, "--mukai", "--c-root",
+      "[0,0,1,0]", "--eta", "5"], "eta must be a list, got 5"),
+])
+def test_malformed_vector_input_exits_2(args, message, capsys):
+    # rational and float vectors get the shape check of integer inputs
+    assert run(args) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_walls_point_box_on_l_root_wall(capsys):
+    # a zero-width box at a rational b on an L-root wall: the root lies
+    # exactly on the bound of the d = 0 candidate enumeration
+    from fractions import Fraction
+    b = ["569/10", "-207/10", "-319/5"]
+    box = {"a_lo": ["0"] * 3, "a_hi": ["0"] * 3, "b_lo": b, "b_hi": b}
+    assert run(["walls", "--mukai", "--gram", _RANK5_GRAM,
+                "--box", json.dumps(box)]) == 0
+    got = {(w["kind"], tuple(w["root_coords"]))
+           for w in json.loads(capsys.readouterr().out)["walls"]}
+    lat = mk.make_lattice(json.loads(_RANK5_GRAM), mukai=True)
+    sp = dm.split_at(lat.vector([0, 0, 0, 0, 1]))
+    b = [Fraction(x) for x in b]
+    want = {(w.kind, w.root.coords) for w in dm.enumerate_walls_bruteforce(
+        sp, dm.TubeBox.make(sp, [0] * 3, [0] * 3, b, b), 4)}
+    assert got == want == {("C", (0, -3, 3, -1, 0))}
+
+
 def test_empty_gram_exits_2(capsys):
     assert run(["lattice", "--gram", "[]"]) == 2
     assert "DegenerateError: Gram matrix is empty" in capsys.readouterr().err

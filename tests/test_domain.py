@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -181,20 +182,53 @@ def test_gl2_factor_roundtrip(rank3):
 
 # -- wall membership ----------------------------------------------------------------
 
+PAIR_TOL = 1e-9
+
+
+def _wall_membership(p, delta, v):
+    """Float oracle: classify a period point against the walls of one root
+    as 'on_D', 'on_A', 'on_C' or 'off', deciding "real" with a relative
+    tolerance scaled by |z.v|."""
+    zd = p.pair_v(delta)
+    zv = p.pair_v(v)
+    scale = float(np.linalg.norm(p.z))
+    dnorm = float(np.linalg.norm(np.array(delta.coords, dtype=float)))
+    if abs(zd) <= PAIR_TOL * scale * max(dnorm, 1.0):
+        return "on_D"
+    if abs(zv) <= PAIR_TOL * scale:
+        raise DegenerateAtVError("z.v = 0")
+    w = -zd / zv
+    vd = v.dot(delta)
+    if abs(w.imag) <= PAIR_TOL * max(1.0, abs(w)):
+        if -vd > 0 and w.real <= PAIR_TOL:
+            return "on_A"
+        if vd == 0:
+            return "on_C"
+    return "off"
+
+
+def _point_walls(split, delta, a, b):
+    """Kinds whose wall of delta meets the zero-width box at (a, b)."""
+    box = dm.TubeBox.make(split, a, a, b, b)
+    verdicts = {kind: dm.wall_meets_box(split, box, delta, kind)
+                for kind in "ACD"}
+    assert None not in verdicts.values()   # a point box is always decided
+    return {kind for kind, verdict in verdicts.items() if verdict}
+
+
 def test_wall_membership_cases(rank3, rank4):
+    # the exact zero-width-box verdicts, and the float oracle's names
     lat, sp = rank3
-    v0 = sp.v
-    delta = lat.vector([1, 0, 1])
-    on_a = dm.exp_point(dm.tube_point(sp, [0.0], [0.7]))
-    assert dm.wall_membership(on_a, delta, v0) == "on_A"
-    off = dm.exp_point(dm.tube_point(sp, [0.37], [1.9]))
-    assert dm.wall_membership(off, delta, v0) == "off"
     lat4, sp4 = rank4
     c_delta = lat4.vector([0, 0, 1, 0])
-    on_c = dm.exp_point(dm.tube_point(sp4, [0.3, 0.0], [0.0, 2.5]))
-    assert dm.wall_membership(on_c, c_delta, sp4.v) == "on_C"
-    on_d = dm.exp_point(dm.tube_point(sp4, [0.0, 0.0], [0.0, 2.5]))
-    assert dm.wall_membership(on_d, c_delta, sp4.v) == "on_D"
+    for split, delta, a, b, kinds, name in [
+            (sp, lat.vector([1, 0, 1]), [0.0], [0.7], {"A"}, "on_A"),
+            (sp, lat.vector([1, 0, 1]), [0.37], [1.9], set(), "off"),
+            (sp4, c_delta, [0.3, 0.0], [0.0, 2.5], {"C"}, "on_C"),
+            (sp4, c_delta, [0.0, 0.0], [0.0, 2.5], {"C", "D"}, "on_D")]:
+        assert _point_walls(split, delta, a, b) == kinds
+        p = dm.exp_point(dm.tube_point(split, a, b))
+        assert _wall_membership(p, delta, split.v) == name
 
 
 # -- wall enumeration ----------------------------------------------------------------
@@ -227,7 +261,8 @@ def test_wall_refinement_union(rank3):
     box = dm.TubeBox.make(sp, [F(-1)], [F(1)], [F(1, 2)], [F(3, 2)])
     whole = {(w.kind, w.root.coords)
              for w in dm.enumerate_walls_region(sp, box)}
-    left, right = box.split_along("a", 0)
+    left = dm.TubeBox.make(sp, [F(-1)], [F(0)], [F(1, 2)], [F(3, 2)])
+    right = dm.TubeBox.make(sp, [F(0)], [F(1)], [F(1, 2)], [F(3, 2)])
     parts = {(w.kind, w.root.coords)
              for w in dm.enumerate_walls_region(sp, left)} | \
             {(w.kind, w.root.coords)
@@ -450,12 +485,12 @@ def _exact_z_delta(split, a, b, delta):
 def _classify(split, delta, a, b):
     pt = dm.exp_point(dm.tube_point(split, [float(x) for x in a],
                                     [float(x) for x in b]))
-    return dm.wall_membership(pt, delta, split.v)
+    return _wall_membership(pt, delta, split.v)
 
 
 def _check_witness(split, delta, kind, points):
     """A True verdict's witness lies on the wall, exactly and under
-    wall_membership.  A two-point D witness shares a or b, so the segment
+    _wall_membership.  A two-point D witness shares a or b, so the segment
     joining its points stays on Im = 0; bisect it to Re(z.delta) ~ 0."""
     values = [_exact_z_delta(split, a, b, delta) for a, b in points]
     assert all(im == 0 for _, im in values)
@@ -548,7 +583,7 @@ def test_exact_wall_test_witnesses_and_misses(name, data):
                 _check_witness(sp, delta, kind, points)
             elif verdict is False:
                 banned = ("on_A", "on_D") if kind == "A" else ("on_D",)
-                assert all(dm.wall_membership(p, delta, sp.v) not in banned
+                assert all(_wall_membership(p, delta, sp.v) not in banned
                            for p in samples)
         # the D-wall lies inside the A-wall
         assert verdicts["A"] is not False or verdicts["D"] is False
@@ -885,6 +920,121 @@ def test_in_L_region_sees_separating_root():
     assert not dm.in_L_region(dm.tube_point(sp, [0, 0], b), amp)
 
 
+def _point_oracle(split, a, b, amp, roots):
+    """Float oracle at one chart point over the given candidate roots:
+    (the roots with an A-wall through the point, in_L_region).
+
+    in_L_region: the cone check, then no L(v)-root wall through the point
+    or with Im(z.delta) of opposite signs at b and at amp, then no A-wall
+    through the point.  Only roots with |Im(z.delta)| below 1e-6 of the
+    scale go to _wall_membership; the others are off every wall."""
+    g = dm.gram_np(split.lattice)
+    coords = np.array([w.coords for w in roots], dtype=float)
+    p = dm.exp_point(dm.tube_point(split, a, b))
+    im = (p.z @ g @ coords.T).imag
+    near = np.abs(im) <= 1e-6 * np.linalg.norm(p.z) * np.abs(coords).max()
+    labels = {w.coords: _wall_membership(p, w, split.v)
+              for w, flag in zip(roots, near) if flag}
+    on_a = [w.coords for w in roots if split.v.dot(w) < 0
+            and labels.get(w.coords) in ("on_A", "on_D")]
+    gl = split.gram_L_np()
+    if np.asarray(b) @ gl @ np.asarray(amp) <= 0:
+        return on_a, False
+    p_amp = dm.exp_point(dm.tube_point(split, a, amp))
+    im_amp = (p_amp.z @ g @ coords.T).imag
+    for w, s_b, s_amp in zip(roots, im, im_amp):
+        if not split.v.dot(w) and (labels.get(w.coords, "off") != "off"
+                                   or s_b * s_amp < 0):
+            return on_a, False
+    return on_a, not on_a
+
+
+# name: (NS Gram, a-coordinates, b-coordinates of the positive index, of
+# the others)
+_POINTS = {
+    **{f"mukai_rank1({n})": ([[2 * n]], np.arange(-8, 9) / 8,
+                             [0.25, 0.5, 0.625, 0.75, 1.0, 1.25, 1.5], [])
+       for n in (1, 2, 3)},
+    "rank4": (_HIGHER["rank4"][0], [-0.5, 0.0, 0.5], [0.75, 1.0, 1.5],
+              [-0.25, 0.0, 0.25]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POINTS))
+def test_point_predicates_match_float_oracle(name):
+    # at dyadic chart points the exact predicates agree with the float
+    # oracle over every root of a coordinate box holding each wall that
+    # meets the points' bounding box
+    ns, a_axis, b_pos, b_rest = _POINTS[name]
+    lat = mk.mukai_lattice(ns)
+    sp = dm.split_at(lat.vector([0] * (lat.rank - 1) + [1]))
+    pos = int(np.argmax(np.diag(sp.gram_L)))
+    b_axes = [b_pos if i == pos else b_rest for i in range(sp.rho)]
+    hull = dm.TubeBox.make(sp, [min(a_axis)] * sp.rho, [max(a_axis)] * sp.rho,
+                           [min(x) for x in b_axes], [max(x) for x in b_axes])
+    roots = {dm._orient_root(sp, r.vec)[0] for r in
+             mk.roots_in_box(lat, _wall_coord_bound(sp, hull))}
+    roots = sorted(roots, key=lambda w: w.coords)
+    amp = [1.0 if i == pos else 0.125 for i in range(sp.rho)]
+    hits = 0
+    for a in itertools.product(a_axis, repeat=sp.rho):
+        for b in itertools.product(*b_axes):
+            on_a, in_l = _point_oracle(sp, a, b, amp, roots)
+            got = dm.on_A_wall(dm.tube_point(sp, a, b))
+            assert (got is not None) == bool(on_a)
+            assert got is None or got.coords in on_a
+            hits += got is not None
+            assert dm.in_L_region(dm.tube_point(sp, a, b), amp) is in_l
+    assert hits
+
+
+def test_point_predicates_on_and_off_walls():
+    # points built exactly on a wall from its root are on it; 1e-12 off,
+    # where the former float predicates still saw the wall, they are not
+    for n in (1, 2, 3):
+        lat = mk.preset(f"mukai_rank1({n})")
+        sp = dm.split_at(lat.vector([0, 0, 1]))
+        for r in mk.roots_in_box(lat, 6):
+            delta, d = dm._orient_root(sp, r.vec)
+            _, _, (lam,) = sp.root_data(delta)
+            if d not in (1, 2, 4) or abs(lam) > d:
+                continue
+            b = [1 / (2 * d)]       # y^2 = n / (2 d^2) <= 2 / d^2
+            on = dm.tube_point(sp, [lam / d], b)
+            assert dm.on_A_wall(on) == delta
+            assert not dm.in_L_region(on, [1.0])
+            for eps in (1e-12, -1e-12):
+                off = dm.tube_point(sp, [lam / d + eps], b)
+                assert dm.on_A_wall(off) is None
+                assert dm.in_L_region(off, [1.0])
+    # rank five, G_L = diag(-2, -2, 2): u = lam/d - a = 0 puts the point
+    # on the A-wall of a root with d = 1 when y^2 <= 2
+    lat = mk.mukai_lattice(_HIGHER["rank5"][0])
+    sp = dm.split_at(lat.vector([0, 0, 0, 0, 1]))
+    assert sp.gram_L == ((-2, 0, 0), (0, -2, 0), (0, 0, 2))
+    b = [0.125, 0.0, 0.5]
+    seen = 0
+    for r in mk.roots_in_box(lat, 2):
+        delta, d = dm._orient_root(sp, r.vec)
+        if d != 1:
+            continue
+        lam = list(sp.root_data(delta)[2])
+        assert dm.on_A_wall(dm.tube_point(sp, lam, b)) is not None
+        lam[0] += 1e-12
+        assert dm.on_A_wall(dm.tube_point(sp, lam, b)) is None
+        seen += 1
+    assert seen
+    # rank four, G_L = diag(-2, 2): the L-root lam = (1, 0) has its C-wall
+    # at b_0 = 0; y^2 = 8 > 2 keeps A-walls away
+    lat = mk.mukai_lattice(_HIGHER["rank4"][0])
+    sp = dm.split_at(lat.vector([0, 0, 0, 1]))
+    assert sp.gram_L == ((-2, 0), (0, 2))
+    amp = [0.125, 1.0]
+    assert not dm.in_L_region(dm.tube_point(sp, [0, 0], [0.0, 2.0]), amp)
+    assert dm.in_L_region(dm.tube_point(sp, [0, 0], [1e-12, 2.0]), amp)
+    assert not dm.in_L_region(dm.tube_point(sp, [0, 0], [-1e-12, 2.0]), amp)
+
+
 def test_orientation_flags(rank3):
     lat, sp = rank3
     assert dm.orientation_flag(mk.reflection(lat.vector([1, 0, 1])))
@@ -892,11 +1042,3 @@ def test_orientation_flags(rank3):
     assert dm.orientation_flag(mk.line_twist_isometry(lat, [2]))
     tagged = dm.with_orientation(mk.reflection(lat.vector([1, 0, 1])))
     assert tagged.plus_flag is True
-
-
-def test_wall_membership_requires_root(rank3):
-    from mukai_kit.errors import NotARootError
-    lat, sp = rank3
-    p = dm.exp_point(dm.tube_point(sp, [0.1], [1.4]))
-    with pytest.raises(NotARootError):
-        dm.wall_membership(p, lat.vector([1, 0, 0]), sp.v)
