@@ -1,13 +1,15 @@
 """Zero-dimensional cusp enumeration and classification.
 
-Primitive isotropic vectors are enumerated in a height window, bucketed by
-divisibility, and grouped into cusp classes.  On Picard-rank-one Mukai
-lattices U + <2n> the isometry group acts on cusps through the Fricke group
-Gamma_0(n)^+ (Dolgachev 1996, section 7), so the default census groups the
-vectors by closed-form Gamma_0(n)^+ cusp labels and is exact.  Elsewhere,
-or when generators are given, it partitions them into orbits under bounded
-generator words, an upper bound: the generators may span a subgroup of the
-isometry group.  :func:`fricke_cusp_count` is the classical oracle.
+Primitive isotropic vectors in a height window stay one integer array from
+the norm enumerator to the census records; each row gets a class id, and
+one grouping of those ids gives the classes, their sizes and their
+divisibilities.  On Picard-rank-one Mukai lattices U + <2n> the isometry
+group acts on cusps through the Fricke group Gamma_0(n)^+ (Dolgachev 1996,
+section 7), so the default census takes closed-form Gamma_0(n)^+ cusp
+labels as ids and is exact.  Elsewhere, or when generators are given, the
+ids are orbits under bounded generator words, an upper bound: the
+generators may span a subgroup of the isometry group.
+:func:`fricke_cusp_count` is the classical oracle.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .lattice import (
     Isometry,
     LatVec,
     discriminant_group,
-    divisibility,
-    is_standard,
     line_twist_isometry,
     minus_identity,
     quotient_lattice,
@@ -35,28 +35,20 @@ from .lattice import (
 )
 
 
-def enumerate_isotropic(lat: IntegerLattice, height: int) -> list[LatVec]:
+def enumerate_isotropic(lat: IntegerLattice, height: int) -> np.ndarray:
     """All primitive isotropic v with 0 < max|coords| <= height, one per +-v.
 
-    :func:`~mukai_kit.lattice.vectors_of_norm` at norm 0, kept where the
-    coordinate gcd is 1 and the first non-zero coordinate is positive;
-    lexicographic order.  On (r, NS, s)-form lattices the cost is
-    (2 height + 1)^(rank - 1) points, so rank 5 at height 20 is routine.
+    The rows of :func:`~mukai_kit.lattice.vectors_of_norm` at norm 0 where
+    the coordinate gcd is 1 and the first non-zero coordinate is positive,
+    in lexicographic order, as an integer array of shape (count, rank).  On
+    (r, NS, s)-form lattices the cost is (2 height + 1)^(rank - 1) points,
+    so rank 5 at height 20 is routine.
     """
     if height < 1:
         raise ValueError("height must be >= 1")
     iso = vectors_of_norm(lat, 0, height)
     lead = iso[np.arange(len(iso)), np.argmax(iso != 0, axis=1)]
-    keep = (lead > 0) & (np.gcd.reduce(iso, axis=1) == 1)
-    return [LatVec(lat, tuple(c)) for c in iso[keep].tolist()]
-
-
-def classify_divisibility(vectors: list[LatVec]) -> dict[int, list[LatVec]]:
-    """Partition primitive isotropic vectors by div(v) = gcd(G @ v)."""
-    buckets: dict[int, list[LatVec]] = {}
-    for v in vectors:
-        buckets.setdefault(divisibility(v), []).append(v)
-    return dict(sorted(buckets.items()))
+    return iso[(lead > 0) & (np.gcd.reduce(iso, axis=1) == 1)]
 
 
 def default_generators(lat: IntegerLattice, root_bound: int
@@ -92,8 +84,7 @@ def default_generators(lat: IntegerLattice, root_bound: int
 
 @dataclass
 class OrbitResult:
-    orbits: list[list[LatVec]]          # in-window members, sorted
-    representative: list[LatVec]        # lex-min member per orbit
+    class_of: np.ndarray                # index of the least row per class
     frontier_sizes: list[int]           # out-of-window states explored
 
 
@@ -101,20 +92,25 @@ class OrbitResult:
 _SWEEP_CHUNK = 1 << 16
 
 
-def orbit_partition(vectors: list[LatVec], generators: list[Isometry],
-                    depth: int, height: int | None = None,
+def orbit_partition(lat: IntegerLattice, window: np.ndarray,
+                    generators: list[Isometry], depth: int,
+                    height: int | None = None,
                     frontier_cap: int | None = None,
                     max_states: int = 500_000) -> OrbitResult:
-    """Group the vectors into orbits under bounded generator words.
+    """Group the window rows into orbits under bounded generator words.
 
-    A breadth-first sweep starts from all window vectors at once; +-v is
+    ``window`` holds distinct sign-canonical rows in lex order, as from
+    :func:`enumerate_isotropic`; ``class_of[i]`` is the index of the least
+    row in row i's orbit.
+
+    A breadth-first sweep starts from all window rows at once; +-v is
     one state.  Images that leave the height window are kept as frontier
     nodes and expanded while within ``depth`` steps of some window vector
     and below the ``frontier_cap`` coordinate bound, so merges that pass
     through large vectors are found.  Every edge is a union, including
     edges to images beyond the cap.  The output is a refinement of the true
     orbit partition: orbits may merge further under the full group, never
-    split.  Orbits come ordered by their least member.
+    split.
 
     The sweep runs one level at a time on int64 arrays: all generators act
     on a slice of the level in one product, images are sign-canonicalised
@@ -135,18 +131,13 @@ def orbit_partition(vectors: list[LatVec], generators: list[Isometry],
     """
     if depth < 0:
         raise ValueError("word depth must be >= 0")
-    if not vectors:
-        return OrbitResult([], [], [0])
-    lat = vectors[0].lattice
     n = lat.rank
-    if height is None:
-        height = max(max(abs(c) for c in v.coords) for v in vectors)
+    top = int(np.abs(window).max(initial=0))
     if frontier_cap is None:
-        frontier_cap = 200 * height
-    window = sorted({_sign_canonical(v.coords) for v in vectors})
+        frontier_cap = 200 * (height or top)
     mats = list(dict.fromkeys(h.matrix for g in generators
                               for h in (g, g.inverse())))
-    reach = max(frontier_cap, max(max(map(abs, w)) for w in window))
+    reach = max(frontier_cap, top)
     grow = max((sum(map(abs, row)) for m in mats for row in m), default=0)
     if reach * grow * max(sum(map(abs, row)) for row in lat.gram) >= 1 << 62:
         raise IntegerOverflowError(
@@ -155,7 +146,7 @@ def orbit_partition(vectors: list[LatVec], generators: list[Isometry],
     gens = np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
     if np.any(np.einsum("gji,jk,gkl->gil", gens, gram, gens) != gram):
         raise InvariantError("generator is not an isometry of the lattice")
-    sweep = _StateTable(np.array(window, dtype=np.int64))
+    sweep = _StateTable(np.asarray(window, dtype=np.int64))
     buckets = len(np.unique(np.gcd.reduce(sweep.states @ gram, axis=1)))
     level = np.arange(len(window))
     step = max(1, _SWEEP_CHUNK // max(len(mats), 1))
@@ -185,16 +176,7 @@ def orbit_partition(vectors: list[LatVec], generators: list[Isometry],
             found.append(new)
         level = np.concatenate(found) if found else level[:0]
 
-    roots = sweep.roots(len(window))
-    order = np.argsort(roots, kind="stable")
-    cuts = np.flatnonzero(np.diff(roots[order])) + 1
-    orbits = [[lat.vector(window[i]) for i in part]
-              for part in np.split(order, cuts)]
-    return OrbitResult(
-        orbits=orbits,
-        representative=[orb[0] for orb in orbits],
-        frontier_sizes=[within - len(window)],
-    )
+    return OrbitResult(sweep.roots(len(window)), [within - len(window)])
 
 
 class _StateTable:
@@ -337,32 +319,34 @@ def _fricke_labels(coords: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(d * n + x, n // d * n + (-x) % m)
 
 
-def _census(lat: IntegerLattice, vectors: list[LatVec],
-            generators: list[Isometry] | None, height: int, word_depth: int,
-            root_bound: int) -> CensusReport:
-    """Classes of the lex-ordered ``vectors``, by label or by sweep."""
+def _census(lat: IntegerLattice, height: int,
+            generators: list[Isometry] | None, word_depth: int,
+            root_bound: int, standard_only: bool) -> CensusReport:
+    """Classes of the isotropic window rows, by label or by sweep."""
+    window = enumerate_isotropic(lat, height)
     if word_depth < 0:
         raise ValueError("word depth must be >= 0")
+    divs = np.gcd.reduce(window @ np.array(lat.gram), axis=1)
+    if standard_only:
+        window, divs = window[divs == 1], divs[divs == 1]
     n = _fricke_level(lat) if generators is None else 0
     if generators is None:
         generators = default_generators(lat, root_bound)
     if n:
-        # labels are not certified by isometries: check div on every member
-        coords = np.array([v.coords for v in vectors], dtype=np.int64)
-        divs = np.gcd.reduce(coords @ np.array(lat.gram), axis=1)
-        _, first, inverse, sizes = np.unique(
-            _fricke_labels(coords, n), return_index=True,
-            return_inverse=True, return_counts=True)
-        if np.any(divs != divs[first][inverse]):
-            raise InvariantError("divisibility differs in a cusp label class")
-        classes = list(zip([vectors[i] for i in first], sizes.tolist()))
+        class_of = _fricke_labels(window, n)
     else:
-        result = orbit_partition(vectors, generators, word_depth,
-                                 height=height)
-        classes = [(orbit[0], len(orbit)) for orbit in result.orbits]
+        class_of = orbit_partition(lat, window, generators, word_depth,
+                                   height=height).class_of
+    # one check for both paths, as labels are not certified by isometries
+    _, first, inverse, sizes = np.unique(class_of, return_index=True,
+                                         return_inverse=True,
+                                         return_counts=True)
+    if np.any(divs != divs[first][inverse]):
+        raise InvariantError("divisibility differs in a cusp class")
     records = []
-    for rep, size in classes:
-        div, lv = divisibility(rep), quotient_lattice(rep)
+    for i, size in zip(first.tolist(), sizes.tolist()):
+        rep, div = lat.vector(window[i]), int(divs[i])
+        lv = quotient_lattice(rep)
         disc, k = tuple(discriminant_group(lv)), 2 * n // div**2
         if n and (lv.gram, disc) != (((k,),), (k,)):
             raise InvariantError("L(v) is not <2n / div(v)^2>")
@@ -382,9 +366,7 @@ def standard_cusp_census(lat: IntegerLattice, height: int,
     Each record carries the Gram matrix and discriminant invariants of
     L(v) = v^perp / v, the lattice shadow of the associated partner surface.
     """
-    standard = [v for v in enumerate_isotropic(lat, height)
-                if is_standard(v)]
-    return _census(lat, standard, generators, height, word_depth, root_bound)
+    return _census(lat, height, generators, word_depth, root_bound, True)
 
 
 def cusp_census(lat: IntegerLattice, height: int,
@@ -400,8 +382,7 @@ def cusp_census(lat: IntegerLattice, height: int,
     window meets every label (height 4n + 20 does for n <= 60); otherwise
     they are orbits of at most ``word_depth`` generator words, an upper bound.
     """
-    vectors = enumerate_isotropic(lat, height)
-    return _census(lat, vectors, generators, height, word_depth, root_bound)
+    return _census(lat, height, generators, word_depth, root_bound, False)
 
 
 # ---------------------------------------------------------------------------

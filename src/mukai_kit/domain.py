@@ -1015,8 +1015,10 @@ def on_A_wall(pt: TubePoint) -> LatVec | None:
 
     The exact wall test on the zero-width box at the point's chart
     coordinates, taken as the exact rationals of their floats; a point box
-    is always decided.
+    is always decided.  One point only: a batch raises ValueError.
     """
+    if pt.x.ndim != 1:
+        raise ValueError("on_A_wall takes one point, not a batch")
     a, b = pt.chart()
     box = TubeBox.make(pt.split, a, a, b, b)
     for w in _roots_near_box(pt.split, box):
@@ -1032,8 +1034,11 @@ def in_L_region(pt: TubePoint, y_amp) -> bool:
     True iff y lies in the chamber of the witness y_amp (no L(v)-root wall
     separates them, and none passes through the point) and no A-wall
     passes through the point.  y_amp is given in chart coordinates; it and
-    the point count as the exact rationals of their floats.
+    the point count as the exact rationals of their floats.  One point
+    only: a batch raises ValueError.
     """
+    if pt.x.ndim != 1:
+        raise ValueError("in_L_region takes one point, not a batch")
     gl = pt.split.gram_L
     y_amp = [Fraction(x) for x in y_amp]
     if len(y_amp) != len(gl):

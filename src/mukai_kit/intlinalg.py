@@ -182,9 +182,9 @@ def snf(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Smith normal form: returns (d, s, t) with s @ m @ t = d.
 
     ``d`` is diagonal with d[i] | d[i+1] and non-negative entries;
-    ``s`` and ``t`` are unimodular.
+    ``s`` and ``t`` are unimodular.  The 0 x 0 matrix is its own form.
     """
-    rows, cols = len(m), len(m[0])
+    rows, cols = len(m), len(m[0]) if m else 0
     a = [row[:] for row in m]
     s = identity(rows)
     t = identity(cols)
@@ -271,8 +271,7 @@ def snf(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
 def invariant_factors(m) -> list[int]:
     """Non-zero diagonal entries of the Smith form, in divisibility order."""
     d, _, _ = snf(m)
-    out = [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i] != 0]
-    return out
+    return [row[i] for i, row in enumerate(d) if i < len(row) and row[i]]
 
 
 def solve_one_equation(row: list[int], target: int) -> list[int] | None:

@@ -80,7 +80,7 @@ def test_criterion_1_exact_lattice_layer():
     quotient_checks = 0
     for lat in lattices:
         p, q = lat.signature
-        vs = [v for v in cusps.enumerate_isotropic(lat, 3)
+        vs = [v for v in map(lat.vector, cusps.enumerate_isotropic(lat, 3))
               if mk.is_standard(v)]
         for v in vs[:20]:
             lv = mk.quotient_lattice(v)

@@ -133,6 +133,7 @@ _RANK4_GRAM = json.dumps([[0, 0, 0, -1], [0, 2, 0, 0], [0, 0, -2, 0],
                           [-1, 0, 0, 0]])
 _RANK5_GRAM = json.dumps([[0, 0, 0, 0, -1], [0, 2, 0, 0, 0], [0, 0, -2, 0, 0],
                           [0, 0, 0, -2, 0], [-1, 0, 0, 0, 0]])
+_UU_GRAM = json.dumps([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 
 
 def test_exact_golden_digests(tmp_path):
@@ -168,6 +169,14 @@ def test_exact_golden_digests(tmp_path):
         (["beta-search", "--gram", _RANK4_GRAM, "--mukai", "--c-root",
           "[0,0,1,0]", "--k", "0", "--eta", '["3/2",0]'],
          "9df5a7a8df3725b10048fc3e45cd1b708dbae01b14bd3320c9b8b27b214e2b57"),
+        # the orbit-sweep census path, on U + <2> + <-2> and on U + U
+        (["cusps", "--gram", _RANK4_GRAM, "--mukai", "--height", "4"],
+         "a4a549dfe837b18e4c456e70b042c6d08d5b800c0ba44537a31f91a4d1482ce4"),
+        (["cusps", "--gram", _RANK4_GRAM, "--mukai", "--height", "6",
+          "--standard-only"],
+         "34a77d0c580d742ffcfc17d5454ff08a1be7066cfbf15b124a7027c83f44c121"),
+        (["cusps", "--gram", _UU_GRAM, "--height", "3"],
+         "8755f27f155ef7ceb47358f8597e20cac5de6cd961ec1fefa48c03638b47c726"),
     ]
     for i, (args, digest) in enumerate(cases):
         out = tmp_path / f"exact-{i}"
@@ -639,3 +648,16 @@ def test_mukai_flag_on_plus_u_gram_exits_2(args, capsys):
     # the (r, s) block pairs as +U, not as the -r s' - r' s of (r, NS, s)
     assert run(args) == 2
     assert "NotMukaiFormError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,count", [
+    (["--preset", "U", "--height", "2"], 1),
+    (["--gram", "[[2,1],[1,-4]]", "--height", "3"], 2)])
+def test_cusps_on_rank2_lattices(args, count, capsys):
+    # L(v) of a rank-2 lattice has rank 0: an empty Gram, a trivial group.
+    # (1, 1) and (2, -1) of 2(a + 2b)(a - b) share no root to merge them.
+    assert run(["cusps"] + args) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert len(records) == count
+    for rec in records:
+        assert rec["Lv_gram"] == [] and rec["disc_group"] == []

@@ -31,17 +31,41 @@ def _isotropic_grid(lat, height):
     return sorted(seen)
 
 
-def _orbit_bfs(vectors, generators, depth, height, frontier_cap=None,
+def classify_divisibility(vectors):
+    """Reference: primitive isotropic vectors by div(v) = gcd(G @ v), one
+    ``divisibility`` call per vector."""
+    buckets = {}
+    for v in vectors:
+        buckets.setdefault(mk.divisibility(v), []).append(v)
+    return dict(sorted(buckets.items()))
+
+
+def _coords(rows):
+    return [tuple(r) for r in rows.tolist()]
+
+
+def _classes(window, class_of):
+    """Coordinate sets of the classes of ``class_of``, keyed by the class id;
+    each id must be the index of its class's least (lex-first) row."""
+    classes = {}
+    for i, c in enumerate(class_of.tolist()):
+        classes.setdefault(c, []).append(i)
+    for c, members in classes.items():
+        assert c == min(members)
+    return {c: {tuple(window[i].tolist()) for i in members}
+            for c, members in classes.items()}
+
+
+def _orbit_bfs(lat, rows, generators, depth, height, frontier_cap=None,
                max_states=500_000):
     """Reference: one state at a time, union-find over coordinate tuples.
 
     Returns the orbits as a set of frozensets of coordinate tuples and the
     number of states added beyond the window.
     """
-    lat = vectors[0].lattice
     if frontier_cap is None:
         frontier_cap = 200 * height
-    window = {_sign_canonical(v.coords) for v in vectors}
+    window = {_sign_canonical(c) for c in _coords(rows)}
     mats = []
     for g in generators:
         for h in (g, g.inverse()):
@@ -95,17 +119,24 @@ def _orbit_bfs(vectors, generators, depth, height, frontier_cap=None,
 def test_enumerate_isotropic_U():
     u = mk.preset("U")
     vecs = cusps.enumerate_isotropic(u, 1)
-    assert {v.coords for v in vecs} == {(1, 0), (0, 1)}
+    assert vecs.dtype == np.int64
+    assert set(_coords(vecs)) == {(1, 0), (0, 1)}
 
 
 def test_enumerate_isotropic_definite():
-    assert cusps.enumerate_isotropic(mk.preset("bracket(2)"), 5) == []
+    lat = mk.preset("bracket(2)")
+    window = cusps.enumerate_isotropic(lat, 5)
+    assert window.shape == (0, 1)
+    res = cusps.orbit_partition(lat, window, cusps.default_generators(lat, 3),
+                                3)
+    assert res.class_of.shape == (0,) and res.frontier_sizes == [0]
+    assert cusps.cusp_census(lat, 5).count == 0
 
 
 def test_enumerate_isotropic_vs_scan():
     import itertools
     lat = mk.direct_sum(mk.preset("U"), mk.preset("bracket(2)"))
-    got = {v.coords for v in cusps.enumerate_isotropic(lat, 2)}
+    got = set(_coords(cusps.enumerate_isotropic(lat, 2)))
     want = set()
     for c in itertools.product(range(-2, 3), repeat=3):
         if not any(c):
@@ -123,27 +154,26 @@ def test_enumerate_isotropic_vs_scan():
                                              [0, 1, -2]], 6)])
 def test_enumerate_isotropic_vs_grid(ns, height):
     lat = mk.mukai_lattice(ns)
-    got = [v.coords for v in cusps.enumerate_isotropic(lat, height)]
+    got = _coords(cusps.enumerate_isotropic(lat, height))
     assert got == _isotropic_grid(lat, height)
 
 
 def test_enumerate_isotropic_rank5_height20():
     # 41^5 ~ 1.2e8 box points; only (2h + 1)^4 of them are scanned now
     lat = mk.mukai_lattice(RANK5_NS, "rank5")
-    vecs = cusps.enumerate_isotropic(lat, 20)
-    coords = np.array([v.coords for v in vecs], dtype=np.int64)
+    coords = cusps.enumerate_isotropic(lat, 20)
     g = np.array(lat.gram, dtype=np.int64)
-    assert len(vecs) > 0 and np.abs(coords).max() == 20
+    assert coords.dtype == np.int64
+    assert len(coords) > 0 and np.abs(coords).max() == 20
     assert not np.einsum("vi,ij,vj->v", coords, g, coords).any()
     assert (np.gcd.reduce(coords, axis=1) == 1).all()
-    assert all(_sign_canonical(c) == c for c in map(tuple, coords.tolist()))
-    assert [v.coords for v in vecs] == sorted({v.coords for v in vecs})
+    assert all(_sign_canonical(c) == c for c in _coords(coords))
+    assert _coords(coords) == sorted(set(_coords(coords)))
 
 
 def test_no_plus_minus_pairs():
     lat = mk.preset("mukai_rank1(2)")
-    vecs = cusps.enumerate_isotropic(lat, 6)
-    seen = {v.coords for v in vecs}
+    seen = set(_coords(cusps.enumerate_isotropic(lat, 6)))
     for c in seen:
         assert tuple(-x for x in c) not in seen
 
@@ -152,21 +182,22 @@ def test_classify_divisibility():
     # U(2) + <2>: e has divisibility 2
     lat = mk.direct_sum(mk.make_lattice([[0, 2], [2, 0]], "U(2)"),
                         mk.preset("bracket(2)"))
-    vecs = cusps.enumerate_isotropic(lat, 2)
-    buckets = cusps.classify_divisibility(vecs)
+    vecs = map(lat.vector, cusps.enumerate_isotropic(lat, 2))
+    buckets = classify_divisibility(vecs)
     assert 2 in buckets
     assert any(v.coords == (1, 0, 0) for v in buckets[2])
     # unimodular U: every isotropic vector is standard
     u = mk.preset("U")
-    buckets_u = cusps.classify_divisibility(cusps.enumerate_isotropic(u, 8))
+    buckets_u = classify_divisibility(
+        map(u.vector, cusps.enumerate_isotropic(u, 8)))
     assert list(buckets_u) == [1]
 
 
 def test_orbit_partition_no_generators():
     lat = mk.preset("mukai_rank1(1)")
     vecs = cusps.enumerate_isotropic(lat, 2)
-    res = cusps.orbit_partition(vecs, [], 3)
-    assert len(res.orbits) == len(vecs)
+    res = cusps.orbit_partition(lat, vecs, [], 3)
+    assert res.class_of.tolist() == list(range(len(vecs)))
 
 
 def test_orbit_partition_rejects_non_isometry():
@@ -180,7 +211,7 @@ def test_orbit_partition_rejects_non_isometry():
     lat = mk.preset("mukai_rank1(1)")
     vecs = cusps.enumerate_isotropic(lat, 2)
     with pytest.raises(InvariantError):
-        cusps.orbit_partition(vecs, [Doubling()], 1)
+        cusps.orbit_partition(lat, vecs, [Doubling()], 1)
 
 
 def test_orbit_partition_rejects_shear():
@@ -191,25 +222,23 @@ def test_orbit_partition_rejects_shear():
         def inverse(self):
             return self
 
-    vecs = cusps.enumerate_isotropic(mk.preset("U"), 1)
+    u = mk.preset("U")
+    vecs = cusps.enumerate_isotropic(u, 1)
     with pytest.raises(InvariantError, match="not an isometry"):
-        cusps.orbit_partition(vecs, [Shear()], 1)
+        cusps.orbit_partition(u, vecs, [Shear()], 1)
 
 
 def test_orbit_partition_merges_and_closure():
     lat = mk.preset("mukai_rank1(1)")
     vecs = cusps.enumerate_isotropic(lat, 3)
     gens = cusps.default_generators(lat, 3)
-    res = cusps.orbit_partition(vecs, gens, 4)
+    res = cusps.orbit_partition(lat, vecs, gens, 4)
     # v0 and (1,0,0) merge through the reflection in (1,0,1)
-    orbit_of = {}
-    for i, orb in enumerate(res.orbits):
-        for v in orb:
-            orbit_of[v.coords] = i
+    orbit_of = dict(zip(_coords(vecs), res.class_of.tolist()))
     assert orbit_of[(0, 0, 1)] == orbit_of[(1, 0, 0)]
     # applying a generator to an orbit member stays in the orbit
-    for orb in res.orbits:
-        member = orb[0]
+    for rep in np.unique(res.class_of).tolist():
+        member = lat.vector(vecs[rep])
         for g in gens[:3]:
             img = g.apply(member)
             canon = cusps._sign_canonical(img.coords)
@@ -217,14 +246,14 @@ def test_orbit_partition_merges_and_closure():
                 assert orbit_of[canon] == orbit_of[member.coords]
 
 
-def _stopped_bfs(vectors, generators, depth, height, frontier_cap,
+def _stopped_bfs(lat, rows, generators, depth, height, frontier_cap,
                  max_states):
     """Reference for the early stop: the full BFS to the least depth after
     which each divisibility bucket is one window class, else to ``depth``.
     """
-    buckets = len(cusps.classify_divisibility(vectors))
+    buckets = len(classify_divisibility(map(lat.vector, rows)))
     for d in range(depth + 1):
-        want = _orbit_bfs(vectors, generators, d, height, frontier_cap,
+        want = _orbit_bfs(lat, rows, generators, d, height, frontier_cap,
                           max_states)
         if len(want[0]) == buckets:
             break
@@ -237,21 +266,22 @@ def _check_against_bfs(lat, height, depth, root_bound, cap, max_states):
     kwargs = dict(height=height, frontier_cap=cap, max_states=max_states)
     # the stop is exact: the partition is the full-depth one, which may
     # need more states than the stopped sweep is allowed
-    full = _orbit_bfs(vecs, gens, depth, height, cap, math.inf)[0]
+    full = _orbit_bfs(lat, vecs, gens, depth, height, cap, math.inf)[0]
     try:
-        want = _stopped_bfs(vecs, gens, depth, height, cap, max_states)
+        want = _stopped_bfs(lat, vecs, gens, depth, height, cap, max_states)
     except ValueError:
         with pytest.raises(ValueError):
-            cusps.orbit_partition(vecs, gens, depth, **kwargs)
+            cusps.orbit_partition(lat, vecs, gens, depth, **kwargs)
         return
-    res = cusps.orbit_partition(vecs, gens, depth, **kwargs)
-    assert {frozenset(v.coords for v in orb) for orb in res.orbits} == full
+    res = cusps.orbit_partition(lat, vecs, gens, depth, **kwargs)
+    # each class id is the index of its least member, and the window is in
+    # lex order, so it is the lex-least member
+    classes = _classes(vecs, res.class_of)
+    assert set(map(frozenset, classes.values())) == full
     assert res.frontier_sizes == [want[1]]
-    for orb, rep in zip(res.orbits, res.representative):
-        assert [v.coords for v in orb] == sorted(v.coords for v in orb)
-        assert rep == orb[0]
-    assert [r.coords for r in res.representative] == \
-        sorted(r.coords for r in res.representative)
+    assert _coords(vecs) == sorted(_coords(vecs))
+    for c, members in classes.items():
+        assert tuple(vecs[c].tolist()) == min(members)
 
 
 @settings(max_examples=15, deadline=None)
@@ -289,12 +319,12 @@ def test_orbit_partition_state_budget_is_exact():
     lat = mk.preset("mukai_rank1(2)")
     vecs = cusps.enumerate_isotropic(lat, 6)
     gens = cusps.default_generators(lat, 4)
-    res = cusps.orbit_partition(vecs, gens, 3)
+    res = cusps.orbit_partition(lat, vecs, gens, 3)
     states = len(vecs) + res.frontier_sizes[0]
-    again = cusps.orbit_partition(vecs, gens, 3, max_states=states)
+    again = cusps.orbit_partition(lat, vecs, gens, 3, max_states=states)
     assert again.frontier_sizes == res.frontier_sizes
     with pytest.raises(ValueError):
-        cusps.orbit_partition(vecs, gens, 3, max_states=states - 1)
+        cusps.orbit_partition(lat, vecs, gens, 3, max_states=states - 1)
 
 
 def test_orbit_partition_overflow_guard():
@@ -302,7 +332,7 @@ def test_orbit_partition_overflow_guard():
     vecs = cusps.enumerate_isotropic(lat, 3)
     gens = cusps.default_generators(lat, 3)
     with pytest.raises(IntegerOverflowError):
-        cusps.orbit_partition(vecs, gens, 2, frontier_cap=2 ** 60)
+        cusps.orbit_partition(lat, vecs, gens, 2, frontier_cap=2 ** 60)
 
 
 def test_fricke_cusp_counts():
@@ -398,12 +428,11 @@ def _omega(n):
     return count + (n > 1)
 
 
-def _label_classes(vectors, n):
-    """Window vectors grouped by their Fricke label, as coordinate sets."""
-    coords = np.array([v.coords for v in vectors], dtype=np.int64)
+def _label_classes(rows, n):
+    """Window rows grouped by their Fricke label, as coordinate sets."""
     classes = {}
-    for v, label in zip(vectors, cusps._fricke_labels(coords, n).tolist()):
-        classes.setdefault(label, set()).add(v.coords)
+    for c, label in zip(_coords(rows), cusps._fricke_labels(rows, n).tolist()):
+        classes.setdefault(label, set()).add(c)
     return classes
 
 
@@ -513,7 +542,7 @@ def test_negative_word_depth_rejected():
         with pytest.raises(ValueError, match="word depth"):
             census(lat, 4, generators=gens, word_depth=-1)
     with pytest.raises(ValueError, match="word depth"):
-        cusps.orbit_partition(vecs, gens, -1)
+        cusps.orbit_partition(lat, vecs, gens, -1)
 
 
 @settings(max_examples=12, deadline=None)
@@ -530,20 +559,21 @@ def test_sweep_classes_refine_labels(n, height):
     # whose labels without the factor c/d would differ.
     lat = mk.preset(f"mukai_rank1({n})")
     vecs = cusps.enumerate_isotropic(lat, height)
-    res = cusps.orbit_partition(vecs, cusps.default_generators(lat, 8), 6,
-                                height=height)
+    res = cusps.orbit_partition(lat, vecs, cusps.default_generators(lat, 8),
+                                6, height=height)
     classes = _label_classes(vecs, n)
     owner = {c: label for label, cls in classes.items() for c in cls}
-    for orbit in res.orbits:
-        assert len({owner[v.coords] for v in orbit}) == 1
-    assert len(classes) <= len(res.orbits)
+    orbits = _classes(vecs, res.class_of).values()
+    for orbit in orbits:
+        assert len({owner[c] for c in orbit}) == 1
+    assert len(classes) <= len(orbits)
 
 
 def test_rank1_shadow_closed_form_on_every_vector():
     # L(v) = <2n / div(v)^2> against the Hermite-form quotient, per vector
     for n in range(1, 61):
         lat = mk.preset(f"mukai_rank1({n})")
-        for v in cusps.enumerate_isotropic(lat, 4 * n + 20):
+        for v in map(lat.vector, cusps.enumerate_isotropic(lat, 4 * n + 20)):
             k = 2 * n // mk.divisibility(v) ** 2
             lv = mk.quotient_lattice(v)
             assert (lv.gram, mk.discriminant_group(lv)) == (((k,),), [k]), v
@@ -564,3 +594,36 @@ def test_label_classes_keep_shadow_invariants(n):
             lv = mk.quotient_lattice(lat.vector(coords))
             assert (tuple(mk.discriminant_group(lv)), abs(lv.det)) == \
                 (rec.disc_group, abs(mk.make_lattice(rec.Lv_gram).det))
+
+
+# -- the array divisibilities against one divisibility call per vector -------
+
+def _check_census_divisibilities(lat, height, **kwargs):
+    # every record's div is div(rep), and the class sizes of each div add up
+    # to that div's bucket of the window, on the full and the standard census
+    window = map(lat.vector, cusps.enumerate_isotropic(lat, height))
+    buckets = {d: len(vs) for d, vs in classify_divisibility(window).items()}
+    for census, want in ((cusps.cusp_census, buckets),
+                         (cusps.standard_cusp_census,
+                          {d: k for d, k in buckets.items() if d == 1})):
+        sizes = {}
+        for rec in census(lat, height, **kwargs).records:
+            assert rec.div == mk.divisibility(rec.rep)
+            sizes[rec.div] = sizes.get(rec.div, 0) + rec.orbit_size_found
+        assert sizes == want
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 16))
+@example(12, 16)
+def test_census_divisibilities_vs_oracle_labels(n, height):
+    _check_census_divisibilities(mk.preset(f"mukai_rank1({n})"), height)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2),
+       st.integers(1, 4))
+@example(1, 1, 0, 4)
+def test_census_divisibilities_vs_oracle_sweep(a, b, c, height):
+    lat = mk.mukai_lattice([[2 * a, c], [c, -2 * b]])
+    _check_census_divisibilities(lat, height, word_depth=2, root_bound=3)

@@ -382,10 +382,10 @@ def _quotient_gram_by_elimination(v):
 def test_quotient_lattice_matches_elimination(lat, divs):
     # every primitive isotropic vector of the box, of every divisibility
     # the lattice has
-    buckets = cusps.classify_divisibility(
-        cusps.enumerate_isotropic(lat, 10 if lat.rank <= 3 else 3))
-    assert list(buckets) == divs
-    for v in (v for vs in buckets.values() for v in vs):
+    vecs = [lat.vector(c) for c in
+            cusps.enumerate_isotropic(lat, 10 if lat.rank <= 3 else 3)]
+    assert sorted({mk.divisibility(v) for v in vecs}) == divs
+    for v in vecs:
         assert mk.quotient_lattice(v).gram == _quotient_gram_by_elimination(v)
 
 
@@ -918,6 +918,20 @@ def test_in_L_region_sees_separating_root():
     gl = sp.gram_L_np()
     assert lam @ gl @ lam == -2 and (b @ gl @ lam) * (amp @ gl @ lam) < 0
     assert not dm.in_L_region(dm.tube_point(sp, [0, 0], b), amp)
+
+
+def test_point_predicates_reject_batches(rank3):
+    lat, sp = rank3
+    batch = dm.tube_point(sp, [[0.1], [0.0]], [[1.0], [0.7]])
+    with pytest.raises(ValueError, match="one point"):
+        dm.on_A_wall(batch)
+    with pytest.raises(ValueError, match="one point"):
+        dm.in_L_region(batch, [1.0])
+    # each row alone is answered: the second lies on an A-wall
+    assert dm.on_A_wall(dm.tube_point(sp, [0.1], [1.0])) is None
+    assert dm.on_A_wall(dm.tube_point(sp, [0.0], [0.7])) is not None
+    assert dm.in_L_region(dm.tube_point(sp, [0.1], [1.0]), [1.0])
+    assert not dm.in_L_region(dm.tube_point(sp, [0.0], [0.7]), [1.0])
 
 
 def _point_oracle(split, a, b, amp, roots):

@@ -140,3 +140,8 @@ def test_mat_inverse_unimodular_matches_rational(n, data):
         bad[i] = bad[(i + 1) % n][:]
         with pytest.raises(ValueError, match="not unimodular"):
             ila.mat_inverse_unimodular(bad)
+
+
+def test_smith_form_of_the_empty_matrix():
+    assert ila.snf([]) == ([], [], [])
+    assert ila.invariant_factors([]) == []
