@@ -34,11 +34,9 @@ from .domain import (
     HyperbolicSplit,
     PeriodPoint,
     TubePoint,
-    _orient_root,
     exp_frame,
     gl2_act,
     gl2_factor,
-    gram_np,
     pairing,
 )
 from .intlinalg import dot, mat_vec, signature
@@ -214,99 +212,6 @@ def factor_path(samples: list[tuple[float, np.ndarray]],
         prev_phi = phi
         lifts.append(LiftedGL2.make(tmat, r + 2.0 * (k + branch_offset)))
     return FactorizationResult(ts, tube, lifts, resid)
-
-
-# ---------------------------------------------------------------------------
-# wall-crossing events along paths
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WallEvent:
-    t: float
-    kind: str
-    root: LatVec
-    side_change: tuple[int, int]
-    t_interval: tuple[float, float] = (0.0, 0.0)
-
-    def to_json(self) -> dict:
-        return {"t": self.t, "kind": self.kind,
-                "root_coords": list(self.root.coords),
-                "side_change": list(self.side_change),
-                "t_interval": list(self.t_interval)}
-
-
-def wall_crossings(frame_at, t0: float, t1: float,
-                   split: HyperbolicSplit,
-                   candidates: list[LatVec]) -> list[WallEvent]:
-    """Bracket and bisect wall events of z(t) against candidate roots.
-
-    ``frame_at(t)`` returns the FrameVec of the path at time t (with
-    z.v != 0 throughout).  A-events are sign changes of Im z.delta with
-    Re z.delta <= 0 at the crossing (roots pairing negatively with v);
-    C-events are sign changes of Im z.delta for roots orthogonal to v;
-    D-events additionally have |z.delta| = 0 at the crossing.  The path is
-    sampled at 401 grid times and each sign change bisected to 1e-9 in t.
-    """
-    events: list[WallEvent] = []
-    samples = 400
-    grid = np.linspace(t0, t1, samples + 1)
-    # one wall per oriented root, one C-wall per image in L(v)
-    worklist = list(dict.fromkeys(_orient_root(split, delta)
-                                  for delta in candidates))
-    if not worklist:
-        return events
-    # z.delta on the grid: the grid frames once, all candidates in one product
-    g = gram_np(split.lattice)
-    roots = np.array([delta.coords for delta, _ in worklist], dtype=float)
-    grid_vals = np.array([frame_at(t).z for t in grid]) @ g @ roots.T
-    for dv, col, (delta, d) in zip(roots, grid_vals.T, worklist):
-        def f(t: float, dv=dv) -> complex:
-            return complex(frame_at(t).z @ g @ dv)
-
-        vals = col.tolist()
-        scale = max(1e-12, max(abs(v) for v in vals))
-        zero_tol = 1e-12 * scale
-
-        def emit(tstar: float, fstar: complex, side, interval):
-            if d > 0:
-                if fstar.real <= 1e-9 * scale:
-                    kind = "D" if abs(fstar.real) <= 1e-7 * scale else "A"
-                    events.append(WallEvent(tstar, kind, delta, side,
-                                            interval))
-            else:
-                kind = "D" if abs(fstar.real) <= 1e-7 * scale else "C"
-                events.append(WallEvent(tstar, kind, delta, side, interval))
-
-        for i in range(samples + 1):
-            if abs(vals[i].imag) <= zero_tol:
-                before = vals[i - 1].imag if i > 0 else -vals[min(i + 1, samples)].imag
-                after = vals[i + 1].imag if i < samples else -before
-                emit(float(grid[i]), vals[i],
-                     (int(math.copysign(1, before)),
-                      int(math.copysign(1, after))),
-                     (float(grid[i]), float(grid[i])))
-        for i in range(samples):
-            a, b = vals[i], vals[i + 1]
-            if abs(a.imag) <= zero_tol or abs(b.imag) <= zero_tol:
-                continue
-            if a.imag * b.imag >= 0:
-                continue
-            lo, hi = grid[i], grid[i + 1]
-            flo = a
-            while hi - lo > 1e-9:
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if flo.imag * fm.imag <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            tstar = 0.5 * (lo + hi)
-            emit(tstar, f(tstar),
-                 (int(math.copysign(1, a.imag)),
-                  int(math.copysign(1, b.imag))),
-                 (float(lo), float(hi)))
-    events.sort(key=lambda e: (e.t, e.kind, e.root.coords))
-    return events
 
 
 # ---------------------------------------------------------------------------

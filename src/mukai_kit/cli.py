@@ -255,9 +255,9 @@ def cmd_geodesic(cfg: dict) -> int:
     sp = _v0_split(lat)
     x0 = _cfg_list(cfg, "x0", "[0.0]", kind=float)
     y0 = _cfg_list(cfg, "y0", "[1.0]", kind=float)
-    t_max = float(cfg.get("t_max", 2.0))
+    t_max = _nested("t_max", cfg.get("t_max", 2.0), 0, float)
     steps = _cfg_int(cfg, "steps", 1000)
-    tol = float(cfg.get("tol", 1e-6))
+    tol = _nested("tol", cfg.get("tol", 1e-6), 0, float)
     pt = domain.tube_point(sp, x0, y0)
     result = geodesics.geodesic_oracle(pt, t_max, steps)
     dev = geodesics.oracle_deviation(pt, result)
@@ -296,8 +296,8 @@ def cmd_factor(cfg: dict) -> int:
         path = geodesics.linear_degeneration(
             sp, _cfg_list(spec, "x0", kind=float),
             _cfg_list(spec, "y0", kind=float))
-        ts = np.linspace(float(spec.get("t0", 1.0)),
-                         float(spec.get("t1", 4.0)),
+        ts = np.linspace(_nested("t0", spec.get("t0", 1.0), 0, float),
+                         _nested("t1", spec.get("t1", 4.0), 0, float),
                          _cfg_int(spec, "samples", 100))
         samples = list(zip(ts.tolist(), domain.exp_frame(path.at(ts)).z))
     elif cfg.get("path"):
@@ -317,7 +317,7 @@ def cmd_factor(cfg: dict) -> int:
     if not samples:
         raise ConfigError("factor needs at least one path sample")
     res = charges.factor_path(samples, sp)
-    tol = float(cfg.get("tol", 1e-9))
+    tol = _nested("tol", cfg.get("tol", 1e-9), 0, float)
     payload = {
         "max_residual": res.max_residual,
         "tol": tol,
@@ -357,8 +357,8 @@ def cmd_degenerate(cfg: dict) -> int:
     sp = _v0_split(lat)
     x0 = _cfg_list(cfg, "x0", "[0.0]", kind=float)
     y0 = _cfg_list(cfg, "y0", "[1.0]", kind=float)
-    t0 = float(cfg.get("t0", 1.0))
-    t1 = float(cfg.get("t1", 10.0))
+    t0 = _nested("t0", cfg.get("t0", 1.0), 0, float)
+    t1 = _nested("t1", cfg.get("t1", 10.0), 0, float)
     n = _cfg_int(cfg, "samples", 50)
     ts = np.linspace(t0, t1, n)
     pts = geodesics.linear_degeneration(sp, x0, y0).at(ts)

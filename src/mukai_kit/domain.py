@@ -496,13 +496,7 @@ class TubeBox:
         if any(l > h for l, h in zip(box.a_lo, box.a_hi)) or \
                 any(l > h for l, h in zip(box.b_lo, box.b_hi)):
             raise UnboundedBoxError("empty box")
-        corners = [(c, ila.mat_vec(split.gram_L, c)) for c in box.b_corners()]
-        for c, gc in corners:
-            if ila.dot(c, gc) <= 0:
-                raise UnboundedBoxError("box leaves the positive cone")
-        for c, gc in corners[1:]:
-            if ila.dot(corners[0][0], gc) <= 0:
-                raise UnboundedBoxError("box spans both cone components")
+        _check_cone(split.gram_L, list(box.b_corners()), "box")
         return box
 
     def a_corners(self):
@@ -523,6 +517,15 @@ class TubeBox:
         gl = self.split.gram_L
         return min(ila.dot(c, ila.mat_vec(gl, c)) for c in self.b_corners())
 
+
+def _check_cone(gl, points, what: str) -> None:
+    """Raise UnboundedBoxError unless the b-points lie in one component of
+    the positive cone (then so does their convex hull)."""
+    gp = [ila.mat_vec(gl, p) for p in points]
+    if any(ila.dot(p, g) <= 0 for p, g in zip(points, gp)):
+        raise UnboundedBoxError(f"{what} leaves the positive cone")
+    if any(ila.dot(points[0], g) <= 0 for g in gp[1:]):
+        raise UnboundedBoxError(f"{what} spans both cone components")
 
 
 def _int_box(box: TubeBox, lam, d: int) -> tuple:
@@ -868,14 +871,17 @@ def _floor_add_sqrt(q: Fraction, x: Fraction) -> int:
     return (q.numerator + math.isqrt(math.floor(m * m * x))) // m
 
 
-def _roots_near_box(split: HyperbolicSplit, box: TubeBox) -> list[LatVec]:
-    """Every root whose A-, C- or D-wall can meet the box, lex order.
+def _roots_near(split: HyperbolicSplit, a_lo, a_hi, b_points
+                ) -> list[LatVec]:
+    """Every root whose A-, C- or D-wall can meet a chart region, lex
+    order: a in the box [a_lo, a_hi], b in the hull of the cone points
+    ``b_points`` (Fractions).
 
     Write delta = c v + d f + R lam with d >= 0 (up to sign) and, for
     d > 0, u = lam/d - a.  An A- or D-wall passes through (a, b) only if
     b^T G_L u = 0 and y^2 + N_b(u) <= 2/d^2 (y^2 = b^T G_L b >= y2_min);
     a C-wall (d = 0) only if b^T G_L lam = 0, where N_b(lam) = 2.  With
-    e the b-centre of the box, ``_cone_roots`` bounds M_e by k N_b on
+    e the mean of the b-points, ``_cone_roots`` bounds M_e by k N_b on
     b^T G_L u = 0, so every such root has
 
         M_e(lam - d a) <= k (2 - d^2 y2_min),   d^2 y2_min <= 2.
@@ -887,7 +893,7 @@ def _roots_near_box(split: HyperbolicSplit, box: TubeBox) -> list[LatVec]:
     an exact rational.
     """
     gl = split.gram_L
-    e, qe, k, y2_min, l_roots = _cone_roots(gl, list(box.b_corners()))
+    e, qe, k, y2_min, l_roots = _cone_roots(gl, b_points)
     g_inv = ila.mat_inverse_rational(gl)
     m_inv = [Fraction(2 * x * x, qe) - g_inv[i][i] for i, x in enumerate(e)]
     roots = [split.root_from_data(0, 0, lam) for lam in l_roots.tolist()]
@@ -896,7 +902,7 @@ def _roots_near_box(split: HyperbolicSplit, box: TubeBox) -> list[LatVec]:
         r2 = [k * (2 - d * d * y2_min) * m for m in m_inv]
         axes = [np.arange(-_floor_add_sqrt(-d * lo, x),
                           _floor_add_sqrt(d * hi, x) + 1)
-                for lo, hi, x in zip(box.a_lo, box.a_hi, r2)]
+                for lo, hi, x in zip(a_lo, a_hi, r2)]
         lam, norms = _norms(gl, np.stack(np.meshgrid(*axes, indexing="ij"),
                                          axis=-1).reshape(-1, split.rho))
         keep = (norms + 2) % (2 * d) == 0
@@ -927,8 +933,8 @@ def enumerate_walls_region(split: HyperbolicSplit, box: TubeBox,
                            ) -> list[Wall]:
     """All walls meeting a compact chart box.
 
-    The candidates default to ``_roots_near_box``, which holds every root
-    whose wall can meet the box.
+    The candidates default to ``_roots_near`` over the box, which holds
+    every root whose wall can meet it.
 
     Every candidate passes the exact three-valued test ``wall_meets_box``;
     walls it leaves undecided are listed too, with ``undecided`` set.
@@ -936,7 +942,8 @@ def enumerate_walls_region(split: HyperbolicSplit, box: TubeBox,
     representative root having zero v- and f-components.
     """
     if candidates is None:
-        candidates = _roots_near_box(split, box)
+        candidates = _roots_near(split, box.a_lo, box.a_hi,
+                                 list(box.b_corners()))
     walls: dict[tuple, Wall] = {}
 
     def test(kind, root):
@@ -961,6 +968,121 @@ def enumerate_walls_bruteforce(split: HyperbolicSplit, box: TubeBox,
     from .lattice import roots_in_box
     cands = [r.vec for r in roots_in_box(split.lattice, coord_bound)]
     return enumerate_walls_region(split, box, candidates=cands)
+
+
+# -- wall crossings along chart segments ----------------------------------------
+
+@dataclass(frozen=True)
+class WallEvent:
+    """The ``kind`` wall of ``root`` met at t, the float nearest the exact
+    time, with the signs of Im(z.root) just before and after it."""
+
+    t: float
+    kind: str
+    root: LatVec
+    side_change: tuple[int, int]
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sign_at(poly, t) -> int:
+    """Sign of c0 + c1 t + c2 t^2 at t = (p + q sqrt(disc)) / m: m^2 times
+    it is x + y sqrt(disc), compared by squares where x and y disagree."""
+    (c0, c1, c2), (p, q, disc, m) = poly, t
+    x = c2 * (p * p + q * q * disc) + c1 * m * p + c0 * m * m
+    y = (2 * c2 * p + c1 * m) * q
+    sx, sy = _sign(x), _sign(y) * (disc > 0)
+    return (sx or sy) if sx * sy >= 0 else sx * _sign(x * x - y * y * disc)
+
+
+def _unit_zeros(c0, c1, c2) -> list[tuple[int, int, int, int]]:
+    """The zeros (p, q, disc, m) in [0, 1] of a non-zero c0 + c1 t + c2 t^2,
+    t = (p + q sqrt(disc)) / m with q = 0 where t is rational."""
+    disc = c1 * c1 - 4 * c2 * c0
+    r = math.isqrt(max(disc, 0))
+    if c2 == 0:
+        zeros = [(-c0, 0, 0, c1)] if c1 else []
+    elif r * r == disc:
+        zeros = {(-c1 + e * r, 0, 0, 2 * c2) for e in (-1, 1)}
+    else:
+        zeros = [(-c1, e, disc, 2 * c2) for e in (-1, 1)] if disc > 0 else []
+    return [t for t in zeros
+            if _sign_at((0, 1, 0), t) >= 0 and _sign_at((1, -1, 0), t) >= 0]
+
+
+def _nearest_float(t) -> float:
+    """The float nearest t = (p + q sqrt(disc)) / m: integer square roots
+    bracket it ever tighter until both ends round alike."""
+    p, q, disc, m = t
+    k = 64 if q else 0
+    while True:
+        r = math.isqrt(q * q * disc << 2 * k)  # |q| sqrt(disc) 2^k - r in [0, 1)
+        lo = (p << k) + (r if q >= 0 else -r - 1)
+        ends = {float(Fraction(x, m << k)) for x in (lo, lo + (q != 0))}
+        if len(ends) == 1:
+            return ends.pop()
+        k *= 2
+
+
+def wall_crossings(split: HyperbolicSplit, start, end) -> list[WallEvent]:
+    """Every wall event along a chart segment, exactly, sorted by
+    (t, kind, root).
+
+    The segment runs from ``start`` = (a0, b0) to ``end`` = (a1, b1),
+    chart points read as exact rationals, over t in [0, 1]; b0 and b1 must
+    lie in one cone component.  ``_roots_near`` over its a-bounding box
+    and {b0, b1} gives every root whose wall it can meet.  For an oriented
+    root delta = c v + d f + R lam, I(t) = Im(z.delta) = b^T G_L (lam - d a)
+    and R(t) = Re(z.delta) = -c + a^T G_L lam - (d/2)(a^T G_L a - b^T G_L b)
+    are rational quadratics in t.  At a zero t* of I in [0, 1] the exact
+    sign of R gives an A event (d > 0, R < 0), a C event (d = 0, R != 0),
+    a D event (R = 0) or none (d > 0, R > 0); ``side_change`` is (-s, s)
+    at a simple zero where I' has sign s, (s, s) at a double zero of
+    I = s X^2.  A segment inside the hyperplane I = 0 of a root whose wall
+    it meets raises ValueError naming the root.
+    """
+    gl = split.gram_L
+    pts = [[Fraction(x) for x in c] for c in (*start, *end)]  # a0 b0 a1 b1
+    if len(pts) != 4 or any(len(c) != split.rho for c in pts):
+        raise ValueError("start and end must be chart points (a, b)")
+    _check_cone(gl, pts[1::2], "segment")
+    s = math.lcm(*(x.denominator for c in pts for x in c))
+    a0, b0, a1, b1 = ([int(x * s) for x in c] for c in pts)
+    da, db = ([y - x for x, y in zip(*c)] for c in ((a0, a1), (b0, b1)))
+    ga0, gda, gb0, gdb = (ila.mat_vec(gl, x) for x in (a0, da, b0, db))
+    # coefficients in t of S^2 b^T G_L a and of S^2 (a^T G_L a - b^T G_L b)
+    ba = (ila.dot(b0, ga0), ila.dot(b0, gda) + ila.dot(db, ga0),
+          ila.dot(db, gda))
+    aa_bb = (ila.dot(a0, ga0) - ila.dot(b0, gb0),
+             2 * (ila.dot(a0, gda) - ila.dot(b0, gdb)),
+             ila.dot(da, gda) - ila.dot(db, gdb))
+    near = _roots_near(split, list(map(min, pts[0], pts[2])),
+                       list(map(max, pts[0], pts[2])), pts[1::2])
+    events = []
+    for root, _ in dict.fromkeys(_orient_root(split, w) for w in near):
+        c, d, lam = split.root_data(root)
+        g_lam = ila.mat_vec(gl, lam)
+        im = (s * ila.dot(b0, g_lam) - d * ba[0],                    # S^2 I
+              s * ila.dot(db, g_lam) - d * ba[1], -d * ba[2])
+        re = (2 * s * (ila.dot(a0, g_lam) - c * s) - d * aa_bb[0],  # 2 S^2 R
+              2 * s * ila.dot(da, g_lam) - d * aa_bb[1], -d * aa_bb[2])
+        if not any(im):
+            # R <= 0 somewhere on [0, 1] iff R(0) <= 0 or R has a zero there
+            if d == 0 or re[0] <= 0 or _unit_zeros(*re):
+                raise ValueError("the segment lies in the Im(z.delta) = 0 "
+                                 f"hyperplane of the root {root.coords}")
+            continue
+        for t in _unit_zeros(*im):
+            sign_re = _sign_at(re, t)
+            if d == 0 or sign_re <= 0:
+                slope = _sign_at((im[1], 2 * im[2], 0), t)
+                events.append(WallEvent(
+                    _nearest_float(t),
+                    "D" if sign_re == 0 else "A" if d else "C", root,
+                    (-slope, slope) if slope else (_sign(im[2]),) * 2))
+    return sorted(events, key=lambda e: (e.t, e.kind, e.root.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -1005,9 +1127,19 @@ def in_P0(frame: FrameVec) -> P0Certificate:
     return P0Certificate(is_in, best, witness, radius, len(roots))
 
 
+def _chart_rationals(pt: TubePoint, name: str):
+    """Chart coordinates (a, b) of one point, as the exact rationals of
+    their floats; a batch raises ValueError."""
+    if pt.x.ndim != 1:
+        raise ValueError(f"{name} takes one point, not a batch")
+    return tuple([Fraction(x) for x in c] for c in pt.chart())
+
+
 def region_gt2(pt: TubePoint) -> bool:
-    """Strictly y^2 > 2 (inside the region where no A-wall can pass)."""
-    return pt.y_norm2() > 2.0
+    """Strictly y^2 > 2 (no A-wall can pass), exact on the point's chart
+    rationals.  One point only: a batch raises ValueError."""
+    b = _chart_rationals(pt, "region_gt2")[1]
+    return ila.dot(b, ila.mat_vec(pt.split.gram_L, b)) > 2
 
 
 def on_A_wall(pt: TubePoint) -> LatVec | None:
@@ -1017,11 +1149,9 @@ def on_A_wall(pt: TubePoint) -> LatVec | None:
     coordinates, taken as the exact rationals of their floats; a point box
     is always decided.  One point only: a batch raises ValueError.
     """
-    if pt.x.ndim != 1:
-        raise ValueError("on_A_wall takes one point, not a batch")
-    a, b = pt.chart()
+    a, b = _chart_rationals(pt, "on_A_wall")
     box = TubeBox.make(pt.split, a, a, b, b)
-    for w in _roots_near_box(pt.split, box):
+    for w in _roots_near(pt.split, a, a, list(box.b_corners())):
         w, d = _orient_root(pt.split, w)
         if d > 0 and wall_meets_box(pt.split, box, w, "A"):
             return w
@@ -1037,8 +1167,7 @@ def in_L_region(pt: TubePoint, y_amp) -> bool:
     the point count as the exact rationals of their floats.  One point
     only: a batch raises ValueError.
     """
-    if pt.x.ndim != 1:
-        raise ValueError("in_L_region takes one point, not a batch")
+    b = _chart_rationals(pt, "in_L_region")[1]
     gl = pt.split.gram_L
     y_amp = [Fraction(x) for x in y_amp]
     if len(y_amp) != len(gl):
@@ -1046,7 +1175,6 @@ def in_L_region(pt: TubePoint, y_amp) -> bool:
     g_amp = ila.mat_vec(gl, y_amp)
     if ila.dot(y_amp, g_amp) <= 0:
         raise AmpNotInPositiveConeError("y_amp^2 <= 0")
-    b = [Fraction(x) for x in pt.chart()[1]]
     if ila.dot(b, g_amp) <= 0:
         return False  # opposite cone component
     # chamber agreement along the segment [y_amp, b]

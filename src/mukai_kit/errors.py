@@ -74,7 +74,7 @@ class NonPositiveDetError(MukaiKitError):
 
 
 class UnboundedBoxError(MukaiKitError):
-    """Tube-coordinate box is not compact or leaves the positive cone."""
+    """Chart box or segment is not compact or leaves the positive cone."""
 
 
 class AmpNotInPositiveConeError(MukaiKitError):

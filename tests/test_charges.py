@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -239,19 +241,95 @@ def test_factor_coarse_sampling_detected(rank3):
 
 # -- wall crossings ---------------------------------------------------------------------
 
-def test_wall_crossing_bracketing(rank3):
-    lat, sp = rank3
-    cands = [r.vec for r in mk.roots_in_box(lat, 3)]
+def _sampled_crossings(frame_at, t0, t1, split, candidates):
+    """Oracle: bracket and bisect wall events of z(t) against candidate roots.
+
+    ``frame_at(t)`` returns the FrameVec of the path at time t (with
+    z.v != 0 throughout).  A-events are sign changes of Im z.delta with
+    Re z.delta <= 0 at the crossing (roots pairing negatively with v);
+    C-events are sign changes of Im z.delta for roots orthogonal to v;
+    D-events additionally have |z.delta| = 0 at the crossing.  The path is
+    sampled at 401 grid times and each sign change bisected to 1e-9 in t.
+    """
+    events = []
+    samples = 400
+    grid = np.linspace(t0, t1, samples + 1)
+    # one wall per oriented root, one C-wall per image in L(v)
+    worklist = list(dict.fromkeys(dm._orient_root(split, delta)
+                                  for delta in candidates))
+    if not worklist:
+        return events
+    # z.delta on the grid: the grid frames once, all candidates in one product
+    g = dm.gram_np(split.lattice)
+    roots = np.array([delta.coords for delta, _ in worklist], dtype=float)
+    grid_vals = np.array([frame_at(t).z for t in grid]) @ g @ roots.T
+    for dv, col, (delta, d) in zip(roots, grid_vals.T, worklist):
+        def f(t, dv=dv):
+            return complex(frame_at(t).z @ g @ dv)
+
+        vals = col.tolist()
+        scale = max(1e-12, max(abs(v) for v in vals))
+        zero_tol = 1e-12 * scale
+
+        def emit(tstar, fstar, side):
+            if d > 0:
+                if fstar.real <= 1e-9 * scale:
+                    kind = "D" if abs(fstar.real) <= 1e-7 * scale else "A"
+                    events.append(dm.WallEvent(tstar, kind, delta, side))
+            else:
+                kind = "D" if abs(fstar.real) <= 1e-7 * scale else "C"
+                events.append(dm.WallEvent(tstar, kind, delta, side))
+
+        for i in range(samples + 1):
+            if abs(vals[i].imag) <= zero_tol:
+                before = vals[i - 1].imag if i > 0 else -vals[min(i + 1, samples)].imag
+                after = vals[i + 1].imag if i < samples else -before
+                emit(float(grid[i]), vals[i],
+                     (int(math.copysign(1, before)),
+                      int(math.copysign(1, after))))
+        for i in range(samples):
+            a, b = vals[i], vals[i + 1]
+            if abs(a.imag) <= zero_tol or abs(b.imag) <= zero_tol:
+                continue
+            if a.imag * b.imag >= 0:
+                continue
+            lo, hi = grid[i], grid[i + 1]
+            flo = a
+            while hi - lo > 1e-9:
+                mid = 0.5 * (lo + hi)
+                fm = f(mid)
+                if flo.imag * fm.imag <= 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            tstar = 0.5 * (lo + hi)
+            emit(tstar, f(tstar),
+                 (int(math.copysign(1, a.imag)),
+                  int(math.copysign(1, b.imag))))
+    events.sort(key=lambda e: (e.t, e.kind, e.root.coords))
+    return events
+
+
+def _segment_frames(split, start, end):
+    """frame_at(t) along the chart segment from start to end, in floats."""
+    (a0, b0), (a1, b1) = ([np.array([float(x) for x in c]) for c in p]
+                          for p in (start, end))
 
     def frame_at(t):
-        return dm.exp_frame(dm.tube_point(sp, [t - 0.513], [0.6]))
+        return dm.exp_frame(dm.tube_point(split, a0 + t * (a1 - a0),
+                                          b0 + t * (b1 - b0)))
+    return frame_at
 
-    ev = ch.wall_crossings(frame_at, 0.0, 1.0, sp, cands)
+
+def test_wall_crossing_bracketing(rank3):
+    lat, sp = rank3
+    start, end = ([F("-0.513")], [F("0.6")]), ([F("0.487")], [F("0.6")])
+    ev = dm.wall_crossings(sp, start, end)
     assert len(ev) == 1
     assert ev[0].kind == "A" and ev[0].root.coords == (1, 0, 1)
     assert ev[0].t == pytest.approx(0.513, abs=1e-8)
 
-    rev = ch.wall_crossings(lambda t: frame_at(1.0 - t), 0.0, 1.0, sp, cands)
+    rev = dm.wall_crossings(sp, end, start)
     assert len(rev) == 1
     assert rev[0].t == pytest.approx(1.0 - 0.513, abs=1e-8)
     assert rev[0].side_change == tuple(reversed(ev[0].side_change))
@@ -259,11 +337,129 @@ def test_wall_crossing_bracketing(rank3):
 
 def test_no_events_in_large_volume(rank3):
     lat, sp = rank3
-    cands = [r.vec for r in mk.roots_in_box(lat, 4)]
-    ev = ch.wall_crossings(
-        lambda t: dm.exp_frame(dm.tube_point(sp, [0.3], [1.5 + t])),
-        0.0, 3.0, sp, cands)
-    assert ev == []
+    assert dm.wall_crossings(sp, ([0.3], [1.5]), ([0.3], [4.5])) == []
+
+
+def test_segment_inside_a_wall_hyperplane_raises(rank3):
+    # a = 0 keeps Im(z.delta) = 0 for (1, 0, 1), whose A-wall holds b <= 1;
+    # the sampler reported one A event per grid sample there
+    lat, sp = rank3
+    with pytest.raises(ValueError, match=r"root \(1, 0, 1\)"):
+        dm.wall_crossings(sp, ([0], [F(1, 2)]), ([0], [2]))
+    # ... also when the segment starts above the wall and enters it
+    with pytest.raises(ValueError, match=r"root \(1, 0, 1\)"):
+        dm.wall_crossings(sp, ([0], [2]), ([0], [F(1, 2)]))
+    # on the same hyperplane above the A-wall nothing is crossed
+    assert dm.wall_crossings(sp, ([0], [F(3, 2)]), ([0], [2])) == []
+
+
+def test_tangent_crossing_keeps_its_side():
+    # u = lam/d - a = (t - 1/2, 0) for the root c = d = 1, lam = 0 on
+    # G_L = diag(-2, 2): Im = b^T G_L u = -(t - 1/2)^2 / 2 touches zero at
+    # t = 1/2, where y^2 = 1/2 puts the point on the A-wall
+    lat = mk.mukai_lattice([[2, 0], [0, -2]])
+    sp = dm.split_at(lat.vector([0, 0, 0, 1]))
+    assert sp.gram_L == ((-2, 0), (0, 2))
+    root = sp.root_from_data(1, 1, (0, 0))
+    start, end = ([F(1, 2), 0], [F(-1, 8), F(1, 2)]), \
+        ([F(-1, 2), 0], [F(1, 8), F(1, 2)])
+    ev = [e for e in dm.wall_crossings(sp, start, end) if e.root == root]
+    assert [(e.t, e.kind, e.side_change) for e in ev] == [(0.5, "A", (-1, -1))]
+    frame_at = _segment_frames(sp, start, end)
+    g = dm.gram_np(lat)
+    for t in (0.49, 0.51):
+        assert (frame_at(t).z @ g @ np.array(root.coords, float)).imag < 0
+
+
+def test_d_crossing_beyond_the_sampler_box(rank3):
+    # a = 2/5, b = 1/5 is the D point of (5, 2, 1): d = 5, y^2 = 2/25
+    lat, sp = rank3
+    start, end = ([F(3, 10)], [F(1, 5)]), ([F(1, 2)], [F(1, 5)])
+    ev = [e for e in dm.wall_crossings(sp, start, end)
+          if e.root.coords == (5, 2, 1)]
+    assert [(e.t, e.kind) for e in ev] == [(0.5, "D")]
+    sampled = _sampled_crossings(_segment_frames(sp, start, end), 0.0, 1.0,
+                                 sp, [r.vec for r in mk.roots_in_box(lat, 3)])
+    assert all(e.root.coords != (5, 2, 1) for e in sampled)
+
+
+@pytest.mark.parametrize("p, q, disc, m", [
+    (1, 1, 2, 3), (-7, 3, 5, 11), (3, -1, 7, -4),
+    (10**9, -1, 10**17 + 3, 3 * 10**9), (5, 0, 0, 8),
+    # 2^-135 above (below) the midpoint of two floats whose lower (upper)
+    # neighbour has the even mantissa, where a tie would round wrong
+    (2**53 + 1 - 2**80, 1, 2**160 + 1, 2**54),
+    (2**53 + 3 + 2**80, -1, 2**160 + 1, 2**54)])
+def test_crossing_times_are_nearest_floats(p, q, disc, m):
+    # t = (p + q sqrt(disc)) / m against a 60-digit decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        exact = (Decimal(p) + q * Decimal(disc).sqrt()) / m
+    assert dm._nearest_float((p, q, disc, m)) == float(exact)
+
+
+_SEGMENT_LATTICES = {"rank3": [[2]], "rank4": [[2, 0], [0, -2]]}
+
+
+def _rational(draw, lo, hi, den=8):
+    return F(draw(st.integers(lo * den, hi * den)), den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_SEGMENT_LATTICES)), st.data())
+@example("rank3", None)
+def test_segment_crossings_match_sampler(name, data):
+    """The exact events hold every event of the 401-sample oracle (t to
+    1e-6, kind, root), and each event's wall meets the segment's bounding
+    box by the exact box test."""
+    lat = mk.mukai_lattice(_SEGMENT_LATTICES[name])
+    sp = dm.split_at(lat.vector([0] * (lat.rank - 1) + [1]))
+    if data is None:     # the D point of (5, 2, 1), t = 1/2
+        start, end = ([F(3, 10)], [F(1, 5)]), ([F(1, 2)], [F(1, 5)])
+    else:
+        draw = data.draw
+        pos = int(np.argmax(np.diag(sp.gram_L)))
+
+        def b_point():
+            # the positive-norm coordinate dominates the others (G_L is
+            # diagonal with entries +-2), so both ends lie in one component
+            b = [_rational(draw, -1, 1) / 2 for _ in range(sp.rho)]
+            b[pos] = _rational(draw, 1, 10) / 8 + sum(map(abs, b)) - abs(b[pos])
+            return b
+        start = ([_rational(draw, -2, 2) for _ in range(sp.rho)], b_point())
+        end = ([_rational(draw, -2, 2) for _ in range(sp.rho)], b_point())
+    try:
+        events = dm.wall_crossings(sp, start, end)
+    except ValueError as exc:
+        # only a segment on a wall's Im = 0 hyperplane may raise
+        coords = tuple(int(x) for x in
+                       str(exc).rsplit("(", 1)[1].rstrip(")").split(","))
+        frame_at = _segment_frames(sp, start, end)
+        root = np.array(coords, dtype=float)
+        g = dm.gram_np(lat)
+        assert all(abs((frame_at(t).z @ g @ root).imag) < 1e-9
+                   for t in (0.0, 0.37, 1.0))
+        return
+    oracle = _sampled_crossings(_segment_frames(sp, start, end), 0.0, 1.0, sp,
+                                [r.vec for r in mk.roots_in_box(lat, 4)])
+    for e in oracle:
+        match = [g for g in events if (g.kind, g.root) == (e.kind, e.root)
+                 and abs(g.t - e.t) <= 1e-6]
+        assert match, (e, events)
+    lo = [min(x, y) for x, y in zip(start[0], end[0])]
+    hi = [max(x, y) for x, y in zip(start[0], end[0])]
+    b_lo = [min(x, y) for x, y in zip(start[1], end[1])]
+    b_hi = [max(x, y) for x, y in zip(start[1], end[1])]
+    try:
+        box = dm.TubeBox.make(sp, lo, hi, b_lo, b_hi)
+    except mk.errors.UnboundedBoxError:
+        return
+    walls = {(w.kind, w.root.coords) for w in dm.enumerate_walls_region(
+        sp, box, candidates=[e.root for e in events])}
+    for e in events:
+        # a box enumeration lists only the C-wall of a d = 0 root
+        kind = "C" if sp.v.dot(e.root) == 0 else e.kind
+        assert (kind, e.root.coords) in walls
 
 
 # -- large-volume threshold ----------------------------------------------------------

@@ -296,7 +296,23 @@ def test_geodesic_non_finite_span(tmp_path, capsys, t_max):
                 "--y0", "[1.1]", "--t-max", t_max, "--steps", "200",
                 "--out", str(out)])
     assert code == 2
-    assert "bad input" in capsys.readouterr().err
+    assert "t_max must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, cfg, message", [
+    (["--tol", "nan"], {}, "tol must be a finite number, got nan"),
+    ([], {"t_max": True}, "t_max must be a finite number, got True"),
+    ([], {"tol": "1e-3x"}, "tol must be a finite number, got 1e-3x"),
+])
+def test_geodesic_float_inputs_checked(tmp_path, capsys, args, cfg, message):
+    conf = tmp_path / "cfg.json"
+    conf.write_text(json.dumps(cfg))
+    out = tmp_path / "geo.json"
+    assert run(["geodesic", "--preset", "mukai_rank1(1)", "--x0", "[0.3]",
+                "--y0", "[1.1]", "--steps", "100", "--config", str(conf),
+                "--out", str(out)] + args) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -370,6 +386,20 @@ def test_factor_path_spec_without_samples(tmp_path, capsys):
     assert "at least one path sample" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, args, message", [
+    ({"t0": float("nan")}, [], "t0 must be a finite number, got nan"),
+    ({"t1": True}, [], "t1 must be a finite number, got True"),
+    ({}, ["--tol", "inf"], "tol must be a finite number, got inf"),
+])
+def test_factor_float_inputs_checked(tmp_path, capsys, spec, args, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "linear_degeneration", "x0": [0.2],
+                                "y0": [1.0], "samples": 20, **spec}))
+    assert run(["factor", "--preset", "mukai_rank1(1)", "--path-spec",
+                str(path), "--out", str(tmp_path / "trace.json")] + args) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_threshold_command(tmp_path):
     out = tmp_path / "th.json"
     assert run(["threshold", "--preset", "mukai_rank1(1)",
@@ -420,6 +450,16 @@ def test_degenerate_command(tmp_path):
              if l and not l.startswith("#")]
     assert lines[0].split(",")[0] == "t"
     assert len(lines) == 10
+
+
+@pytest.mark.parametrize("flag, value", [("--t0", "nan"), ("--t1", "inf"),
+                                         ("--t0", "inf")])
+def test_degenerate_non_finite_times_exit_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "deg.json"
+    assert run(["degenerate", "--preset", "mukai_rank1(1)", "--x0", "[0.2]",
+                "--y0", "[0.9]", flag, value, "--out", str(out)]) == 2
+    assert f"{flag[2:]} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_beta_search_command(tmp_path):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -619,7 +620,7 @@ def test_cover_contains_corner_union(name, data):
     # y^2 >= 1/4 keeps B <= 34: lower boxes enumerate 10^4-10^6 vectors
     # per sample at rank 5, seconds each for the reference
     assume(box.min_y_norm2() >= F(1, 4))
-    cover = dm._roots_near_box(sp, box)
+    cover = dm._roots_near(sp, box.a_lo, box.a_hi, list(box.b_corners()))
     union = _roots_near_box_union(sp, box)
     assert [w.coords for w in cover] == sorted(w.coords for w in cover)
 
@@ -892,6 +893,16 @@ def test_region_gt2(rank3):
     assert dm.region_gt2(dm.tube_point(sp, [0], [2]))       # y^2 = 8
     assert not dm.region_gt2(dm.tube_point(sp, [0], [0.5]))  # y^2 = 1/2
     assert not dm.region_gt2(dm.tube_point(sp, [0], [1.0]))  # y^2 = 2 strict
+    # a Python bool, decided on the exact chart rationals
+    assert dm.region_gt2(dm.tube_point(sp, [0.3], [1.0 + 2.0**-52])) is True
+    assert dm.region_gt2(dm.tube_point(sp, [0.3], [1.0])) is False
+
+
+def test_readme_library_example():
+    # the README's "Library example" block runs as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1]
+    exec(block.split("```python\n", 1)[1].split("```", 1)[0], {})
 
 
 def test_in_L_region(rank3, rank4):
@@ -927,6 +938,8 @@ def test_point_predicates_reject_batches(rank3):
         dm.on_A_wall(batch)
     with pytest.raises(ValueError, match="one point"):
         dm.in_L_region(batch, [1.0])
+    with pytest.raises(ValueError, match="one point"):
+        dm.region_gt2(batch)
     # each row alone is answered: the second lies on an A-wall
     assert dm.on_A_wall(dm.tube_point(sp, [0.1], [1.0])) is None
     assert dm.on_A_wall(dm.tube_point(sp, [0.0], [0.7])) is not None
