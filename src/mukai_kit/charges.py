@@ -199,10 +199,12 @@ def factor_path(samples: list[tuple[float, np.ndarray]],
                          / np.maximum(1.0, np.max(abs(zs), axis=-1)),
                          initial=0.0))
     ts = [float(t) for t, _ in samples]
+    # no LiftedGL2.make: gl2_act checked det T > 0, phi0 lifts r by design
+    rows = [tuple(map(tuple, m)) for m in tmats.tolist()]
+    raws = [math.atan2(m[1][0], m[0][0]) / math.pi for m in rows]
     lifts: list[LiftedGL2] = []
-    prev_phi = _col_phase(tmats[0]) if len(tmats) else 0.0
-    for t, tmat in zip(ts, tmats):
-        r = _col_phase(tmat)
+    prev_phi = raws[0] if raws else 0.0
+    for t, m, r in zip(ts, rows, raws):
         # decided without the offset, whose rounding could tip a half turn
         k = round((prev_phi - r) / 2.0)
         phi = r + 2.0 * k
@@ -210,7 +212,7 @@ def factor_path(samples: list[tuple[float, np.ndarray]],
             raise SamplingTooCoarseError(
                 f"winding jump {abs(phi - prev_phi):.3f} at t = {t}")
         prev_phi = phi
-        lifts.append(LiftedGL2.make(tmat, r + 2.0 * (k + branch_offset)))
+        lifts.append(LiftedGL2(m, r + 2.0 * (k + branch_offset)))
     return FactorizationResult(ts, tube, lifts, resid)
 
 

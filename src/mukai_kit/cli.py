@@ -159,6 +159,17 @@ def _parse_box(cfg: dict, split) -> tuple[dict, domain.TubeBox]:
         for key in ("a_lo", "a_hi", "b_lo", "b_hi")))
 
 
+def _chamber_ids(signs: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """One id per distinct sign row among the rows ``inside``, numbered by
+    first appearance; -1 for the rows outside."""
+    ids = np.full(len(signs), -1)
+    if inside.any():
+        _, first, inv = np.unique(signs[inside], axis=0, return_index=True,
+                                  return_inverse=True)
+        ids[inside] = np.argsort(np.argsort(first))[inv]
+    return ids
+
+
 def cmd_walls(cfg: dict) -> int:
     lat = _load_lattice(cfg)
     sp = _v0_split(lat)
@@ -191,13 +202,10 @@ def cmd_walls(cfg: dict) -> int:
             _, d, lam = sp.root_data(w.root)
             im = np.einsum("pi,pi->p", bg, np.array(lam, dtype=float) - d * a)
             signs[:, k] = np.sign(im)
-        ids: dict[tuple, int] = {}
-        rows = []
-        for p in range(grid * grid):
-            cid = -1
-            if y2[p] > 0:
-                cid = ids.setdefault(tuple(signs[p]), len(ids))
-            rows.append((float(a[p, 0]), float(b[p, 0]), cid))
+        a_txt, b_txt = ([float.__repr__(x) for x in axis.tolist()]
+                        for axis in (a_axis, b_axis))
+        rows = zip(a_txt * grid, [x for x in b_txt for _ in a_txt],
+                   _chamber_ids(signs, y2 > 0).tolist())
         payload["_csv"] = serialize.csv_text(["a0", "b0", "chamber_id"],
                                              rows, meta=meta)
     if cfg.get("format") == "svg":
@@ -301,17 +309,20 @@ def cmd_factor(cfg: dict) -> int:
                          _cfg_int(spec, "samples", 100))
         samples = list(zip(ts.tolist(), domain.exp_frame(path.at(ts)).z))
     elif cfg.get("path"):
+        n, rows = lat.rank, []
         with open(cfg["path"]) as fh:
-            for line in fh:
+            for i, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#") or line.startswith("t,"):
                     continue
-                vals = [float(x) for x in line.split(",")]
-                t = vals[0]
-                n = lat.rank
-                z = (np.array(vals[1:1 + n])
-                     + 1j * np.array(vals[1 + n:1 + 2 * n]))
-                samples.append((t, z))
+                row = [float(x) for x in line.split(",")]
+                if len(row) != 1 + 2 * n:
+                    raise ConfigError(f"path line {i} has {len(row)} columns,"
+                                      f" not 1 + 2 * rank = {1 + 2 * n}")
+                rows.append(row)
+        vals = np.array(rows).reshape(len(rows), 1 + 2 * n)
+        samples = list(zip(vals[:, 0].tolist(),
+                           vals[:, 1:1 + n] + 1j * vals[:, 1 + n:]))
     else:
         raise ConfigError("factor needs --path CSV or --path-spec JSON")
     if not samples:
@@ -321,8 +332,8 @@ def cmd_factor(cfg: dict) -> int:
     payload = {
         "max_residual": res.max_residual,
         "tol": tol,
-        "trace": [{"t": t, "T": [list(r) for r in g.t],
-                   "phi": g.phi0} for t, g in zip(res.ts, res.lifts)],
+        "trace": [{"t": t, "T": g.t, "phi": g.phi0}
+                  for t, g in zip(res.ts, res.lifts)],
         "winding": res.lifts[-1].phi0 - res.lifts[0].phi0,
     }
     _emit("factor", cfg, payload)

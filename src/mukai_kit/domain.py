@@ -1097,13 +1097,6 @@ class P0Certificate:
     exclusion_radius: float
     candidates_checked: int
 
-    def to_json(self) -> dict:
-        return {"is_in": self.is_in,
-                "min_abs_pairing": self.min_abs_pairing,
-                "witness": list(self.witness.coords) if self.witness else None,
-                "exclusion_radius": self.exclusion_radius,
-                "candidates_checked": self.candidates_checked}
-
 
 def in_P0(frame: FrameVec) -> P0Certificate:
     """No root pairs to zero with z, with a quantitative certificate.

@@ -248,20 +248,18 @@ class OracleResult:
     energy_drift: float
 
 
-def _christoffel(gl: list, b: list, v: list) -> tuple[list, float]:
-    """(a'', b'') and (h + h)(v, v) at b for v = (a', b'), on plain floats,
-    from s_p and m_pr over Q as in geodesic_oracle."""
-    rho = len(b)
-    ap, bp = v[:rho], v[rho:]
-    u, ga, gb = ([sum(map(mul, r, x)) for r in gl] for x in (b, ap, bp))
+def _accel(gl: list, b: list, w: list) -> tuple[list, float]:
+    """z'' and (h + h)(w, w) at b for w = z' = a' + i b', on plain floats and
+    complex numbers, from sigma and mu over Q as in geodesic_oracle."""
+    u = [sum(map(mul, r, b)) for r in gl]
+    gw = [sum(map(mul, r, w)) for r in gl]
     q = sum(map(mul, u, b))
-    s0, s1, m00, m10, m11 = (sum(map(mul, x, y)) / q for x, y in (
-        (u, ap), (u, bp), (ga, ap), (gb, ap), (gb, bp)))
-    cols = list(zip(b, ap, bp))
-    return ([-2.0 * (m10 * bi - s1 * ai - s0 * ci) for bi, ai, ci in cols]
-            + [2.0 * (s1 * ci - s0 * ai) - (m11 - m00) * bi
-               for bi, ai, ci in cols],
-            4.0 * (s0 * s0 + s1 * s1) - 2.0 * (m00 + m11))
+    sigma = sum(map(mul, u, w)) / q
+    mu = sum(map(mul, gw, w)) / q
+    c, d = 1j * mu, -2j * sigma
+    return ([c * bi + d * wi for bi, wi in zip(b, w)],
+            4.0 * (sigma * sigma.conjugate()).real
+            - 2.0 * sum(map(mul, gw, map(complex.conjugate, w))).real / q)
 
 
 def geodesic_oracle(pt: TubePoint, t_max: float, steps: int) -> OracleResult:
@@ -272,11 +270,11 @@ def geodesic_oracle(pt: TubePoint, t_max: float, steps: int) -> OracleResult:
     T(x, y) = dh(x, ., y).  Put u = G_L b, Q = b.u, s_x = u.x, m_xy =
     x^T G_L y.  h^{-1} = b b^T - (Q/2) G_L^{-1} maps G_L y to s_y b - (Q/2) y
     and u to (Q/2) b, so dh = 4 sym(G_L (x) u)/Q^2 - 16 u (x) u (x) u/Q^3
-    gives h^{-1} T(x, y) = (2/Q)(m_xy b - s_x y - s_y x).  For x_0 = a',
-    x_1 = b' the step thus needs only Gram entries of a few short vectors:
-        a'' = -(2/Q)(m_10 b - s_1 a' - s_0 b'),
-        b'' = -(1/Q)((m_11 - m_00) b - 2 s_1 b' + 2 s_0 a'),
-        g(q')(q', q') = rho sum_p (4 s_p^2/Q^2 - 2 m_pp/Q).
+    gives h^{-1} T(x, y) = (2/Q)(m_xy b - s_x y - s_y x).  In z = a + i b
+    with w = z', sigma = u.w and mu = w^T G_L w (complex bilinear) the two
+    equations are the real and imaginary parts of one:
+        w'' = (i/Q)(mu b - 2 sigma w),
+        g(q')(q', q') = rho (4 |sigma|^2/Q^2 - 2 Re(conj(w)^T G_L w)/Q).
 
     The initial velocity is that of s -> x + i e^s y at s = 0, i.e. (0, y).
     Relative energy drift beyond 1e-4 raises.  The midpoint map keeps these
@@ -288,35 +286,37 @@ def geodesic_oracle(pt: TubePoint, t_max: float, steps: int) -> OracleResult:
         raise ValueError("steps must be >= 100")
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
-    rho = pt.split.rho
     gl = pt.split.gram_L_np().tolist()
     a0, b0 = pt.chart()
-    q = a0.tolist() + b0.tolist()
-    qdot = [0.0] * rho + b0.tolist()
+    z = list(map(complex, a0.tolist(), b0.tolist()))
+    w = [complex(0.0, y) for y in b0.tolist()]
     h = t_max / steps
-    samples = [q]
-    a1, e0 = _christoffel(gl, q[rho:], qdot)
+    samples = [z]
+    a1, e0 = _accel(gl, b0.tolist(), w)
     max_drift = 0.0
     for k in range(steps):
         if h == 0.0:
             break
-        qm = [x + 0.5 * h * v for x, v in zip(q, qdot)]
-        vm = [v + 0.5 * h * a for v, a in zip(qdot, a1)]
-        a2, _ = _christoffel(gl, qm[rho:], vm)
-        q = [x + h * v for x, v in zip(q, vm)]
-        qdot = [v + h * a for v, a in zip(qdot, a2)]
-        samples.append(q)
+        zm = [x + 0.5 * h * v for x, v in zip(z, w)]
+        vm = [v + 0.5 * h * a for v, a in zip(w, a1)]
+        a2, _ = _accel(gl, [x.imag for x in zm], vm)
+        z = [x + h * v for x, v in zip(z, vm)]
+        w = [v + h * a for v, a in zip(w, a2)]
+        samples.append(z)
+        b = [x.imag for x in z]
         da = [y - x for x, y in zip(a1, a2)]
-        a1, e = _christoffel(gl, q[rho:], qdot)
+        a1, e = _accel(gl, b, w)
         max_drift = max(abs(e - e0) / e0, max_drift)  # keeps a NaN drift
         if not (max_drift <= 1e-4):
             raise StepTooLargeError(
                 f"energy drift {max_drift:.2e} after step {k + 1}")
-        local = h * math.sqrt(_christoffel(gl, q[rho:], da)[1] / e)
+        local = h * math.sqrt(_accel(gl, b, da)[1] / e)
         if not (local <= 1e-4):
             raise StepTooLargeError(
                 f"local error {local:.2e} at step {k + 1}")
-    return OracleResult(h * np.arange(len(samples)), np.array(samples),
+    chart = np.array(samples)
+    return OracleResult(h * np.arange(len(samples)),
+                        np.concatenate([chart.real, chart.imag], axis=1),
                         max_drift)
 
 

@@ -5,7 +5,8 @@ keys, repr-based float formatting.  Integers beyond 2^53 and Fractions are
 serialized as decimal strings so JSON consumers with double-precision
 numbers never see rounded values.  Keys go through str(); floats are
 float.__repr__ with json's NaN and Infinity; what json rejects raises
-TypeError.  Flat lists and matrices of plain numbers take one str.format.
+TypeError.  Rectangular nests of plain numbers, and lists of same-keyed
+records of them, take one str.format.
 """
 
 from __future__ import annotations
@@ -30,17 +31,47 @@ def _plain(values) -> bool:
     return types == {float} and all(map(math.isfinite, values))
 
 
-def _grid(rows, ok, first, sep, last, between) -> str | None:
-    """``rows``, a non-empty rectangular list of lists or tuples whose cells
-    pass ``ok``, written with one str.format template; else None."""
-    if (not rows or not {list, tuple}.issuperset(map(type, rows))
-            or len(set(map(len, rows))) != 1 or not rows[0]):
+def _shape(level, ok=_plain):
+    """(dims, cells) of a list of equal-shape nests of lists or tuples (dims
+    empty for numbers) whose cells, in order, pass ``ok``; else None."""
+    dims = []
+    while {list, tuple}.issuperset(map(type, level)):
+        lens = set(map(len, level))
+        if len(lens) != 1 or 0 in lens:
+            return None
+        dims.append(lens.pop())
+        level = list(itertools.chain.from_iterable(level))
+    return (dims, level) if ok(level) else None
+
+
+def _nest(dims, nl: str, step: str) -> str:
+    """str.format template of a nest of shape ``dims`` at indent ``nl``."""
+    if not dims:
+        return "{}"
+    inner = nl + step
+    return "[" + inner + ("," + inner).join(
+        [_nest(dims[1:], inner, step)] * dims[0]) + nl + "]"
+
+
+def _records(rows, nl: str, step: str, colon: str) -> str | None:
+    """``rows``, dicts with the same str keys whose values, key by key, are
+    plain nests of one shape, as one str.format template; else None."""
+    keys = rows[0].keys() if type(rows[0]) is dict else ()
+    if not (keys and all(type(k) is str for k in keys) and all(
+            type(r) is dict and r.keys() == keys for r in rows)):
         return None
-    cells = list(itertools.chain.from_iterable(rows))
-    if not ok(cells):
-        return None
-    row = first + sep.join(["{}"] * len(rows[0])) + last
-    return between.join([row] * len(rows)).format(*cells)
+    inner, fields, cols = nl + step, [], []
+    for k in sorted(keys):
+        shape = _shape([r[k] for r in rows])
+        if shape is None:
+            return None
+        dims, cells = shape
+        fields.append(_quote(k).replace("{", "{{").replace("}", "}}")
+                      + colon + _nest(dims, inner, step))
+        cols.append(zip(*[iter(cells)] * (len(cells) // len(rows))))
+    row = "{{" + inner + ("," + inner).join(fields) + nl + "}}"
+    flat = itertools.chain.from_iterable
+    return ("," + nl).join([row] * len(rows)).format(*flat(flat(zip(*cols))))
 
 
 def _json(obj, nl: str, step: str, colon: str) -> str:
@@ -57,16 +88,17 @@ def _json(obj, nl: str, step: str, colon: str) -> str:
     if isinstance(obj, Fraction):
         return _quote(str(obj))
     inner = nl + step
-    sep, deep = "," + inner, inner + step
+    sep = "," + inner
     if isinstance(obj, dict) and obj:
         items = sorted({str(k): v for k, v in obj.items()}.items())
         return "{" + inner + sep.join(_quote(k) + colon + _json(
             v, inner, step, colon) for k, v in items) + nl + "}"
     if isinstance(obj, (list, tuple)) and obj:
-        return "[" + inner + (
-            _grid([obj], _plain, "", sep, "", "")
-            or _grid(obj, _plain, "[" + deep, "," + deep, inner + "]", sep)
-            or sep.join(_json(v, inner, step, colon) for v in obj)) + nl + "]"
+        shape = _shape([obj])
+        if shape:
+            return _nest(shape[0], nl, step).format(*shape[1])
+        return "[" + inner + (_records(obj, inner, step, colon) or sep.join(
+            _json(v, inner, step, colon) for v in obj)) + nl + "]"
     if isinstance(obj, (dict, list, tuple)):
         return "{}" if isinstance(obj, dict) else "[]"
     raise TypeError(f"Object of type {type(obj).__name__} "
@@ -105,9 +137,10 @@ def csv_text(header: list[str], rows, meta: dict | None = None) -> str:
         lines.append(f"# {pairs}")
     lines.append(",".join(header))
     rows = list(rows)
-    grid = _grid(rows, lambda cells: {int, float}.issuperset(map(type, cells)),
-                 "", ",", "", "\n")
-    lines.extend([grid] if grid else (
+    shape = _shape(rows, lambda cells: {int, float, str}.issuperset(
+        map(type, cells)))
+    lines.extend(["\n".join([",".join(["{}"] * shape[0][0])] * len(rows))
+                  .format(*shape[1])] if shape and len(shape[0]) == 1 else (
         ",".join(float.__repr__(x) if isinstance(x, float) else str(x)
                  for x in row) for row in rows))
     return "\n".join(lines) + "\n"

@@ -180,6 +180,8 @@ def test_factor_path_matches_loop(path, data):
     assert len(res.tube_path.x) == len(samples)
     assert abs(res.max_residual - resid) <= 1e-12
     for g_batch, g_loop in zip(res.lifts, lifts, strict=True):
+        # the batch skips make's checks: they must hold all the same
+        assert ch.LiftedGL2.make(g_batch.t, g_batch.phi0) == g_batch
         assert np.max(np.abs(g_batch.t_np() - g_loop.t_np())) <= 1e-12
         assert abs(g_batch.phi0 - g_loop.phi0) <= 1e-12
 

@@ -6,10 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mukai_kit as mk
 from mukai_kit import domain as dm
-from mukai_kit.cli import main
+from mukai_kit.cli import _chamber_ids, main
 
 
 def run(args):
@@ -127,6 +129,39 @@ def test_walls_golden_digests_higher_rank(tmp_path):
         assert run(["walls", "--gram", json.dumps(mukai[rho]), "--mukai",
                     "--box", json.dumps(box), "--out", str(out)]) == 0
         assert hashlib.sha256(read(out)).hexdigest() == digest, rho
+
+
+def _chamber_ids_loop(signs, inside):
+    """The raster's ids point by point: a dict of sign rows seen so far."""
+    ids: dict[tuple, int] = {}
+    return [ids.setdefault(tuple(row), len(ids)) if ok else -1
+            for row, ok in zip(signs.tolist(), inside.tolist())]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 3), st.data())
+def test_chamber_ids_match_dict_loop(n, width, data):
+    # width 0 is a box without walls; rows outside the cone get -1
+    signs = np.array(data.draw(st.lists(
+        st.lists(st.integers(-1, 1), min_size=width, max_size=width),
+        min_size=n, max_size=n)), dtype=int).reshape(n, width)
+    inside = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                         max_size=n)), dtype=bool)
+    assert _chamber_ids(signs, inside).tolist() == _chamber_ids_loop(signs,
+                                                                     inside)
+
+
+def test_walls_csv_without_walls(tmp_path):
+    out = tmp_path / "walls.csv"
+    box = json.dumps({"a_lo": ["1/3"], "a_hi": ["2/5"],
+                      "b_lo": ["3"], "b_hi": ["4"]})
+    assert run(["walls", "--preset", "mukai_rank1(1)", "--box", box,
+                "--format", "csv", "--samples", "3", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[2:]
+    assert lines[:4] == ["0.3333333333333333,3.0,0",
+                         "0.3666666666666667,3.0,0", "0.4,3.0,0",
+                         "0.3333333333333333,3.5,0"]
+    assert len(lines) == 9 and {x.split(",")[2] for x in lines} == {"0"}
 
 
 _RANK4_GRAM = json.dumps([[0, 0, 0, -1], [0, 2, 0, 0], [0, 0, -2, 0],
@@ -367,6 +402,26 @@ def test_factor_command(tmp_path):
                 "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["winding"] == pytest.approx(3.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("edit, columns", [
+    (lambda row: row + ["0.5", "-0.5"], 9),
+    (lambda row: row[:-1], 6),
+], ids=["two_extra_columns", "one_column_short"])
+def test_factor_csv_row_width_checked(tmp_path, capsys, edit, columns):
+    # rank 3: a row is t, three real parts and three imaginary parts
+    lat = mk.preset("mukai_rank1(3)")
+    csv = tmp_path / "path.csv"
+    _write_path_csv(csv, dm.split_at(lat.vector([0, 0, 1])), lat, n=20)
+    lines = csv.read_text().splitlines()
+    lines[6] = ",".join(edit(lines[6].split(",")))
+    csv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "trace.json"
+    assert run(["factor", "--preset", "mukai_rank1(3)", "--path", str(csv),
+                "--out", str(out)]) == 2
+    assert (f"path line 7 has {columns} columns, not 1 + 2 * rank = 7"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_factor_csv_without_samples(tmp_path, capsys):

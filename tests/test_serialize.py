@@ -185,3 +185,65 @@ def test_csv_numpy_scalars_read_as_numbers():
     text = serialize.csv_text(["t", "v"], [(np.float64(0.1), np.int64(3))])
     assert text == "t,v\n0.1,3\n"
     assert math.isclose(float(text.splitlines()[1].split(",")[0]), 0.1)
+
+
+# -- lists of same-keyed records: one template, or the generic path ----------
+
+_SPOILS = [None, "int", "nan", "big", "str", "key", "shape"]
+
+
+def _first_leaf(value, new):
+    """``value`` with its first number replaced by ``new``."""
+    if not isinstance(value, (list, tuple)):
+        return new
+    return [_first_leaf(value[0], new)] + list(value[1:])
+
+
+@st.composite
+def _record_lists(draw):
+    """(records, spoil): same-shaped dicts, one of them maybe spoiled."""
+    keys = draw(st.lists(st.sampled_from(["t", "T", "phi", "{", "}", "{0}",
+                                          "a}{b", "{{}}"]),
+                         min_size=1, max_size=4, unique=True))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    cols = {k: (draw(st.lists(st.integers(1, 3), max_size=2)),
+                draw(st.sampled_from([floats, st.integers(-_BIG, _BIG)])))
+            for k in keys}
+
+    def value(dims, cells):
+        if not dims:
+            return draw(cells)
+        seq = [value(dims[1:], cells) for _ in range(dims[0])]
+        return tuple(seq) if draw(st.booleans()) else seq
+
+    spoil = draw(st.sampled_from(_SPOILS))
+    # a spoiled row is told apart from at least one clean row
+    rows = [{k: value(*cols[k]) for k in keys}
+            for _ in range(draw(st.integers(2 if spoil else 1, 5)))]
+    if spoil:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        k = draw(st.sampled_from(keys))
+        dims, cells = cols[k]
+        if spoil == "key":
+            row["zz{"] = row.pop(k)
+        elif spoil == "shape":
+            row[k] = ([row[k]] if not dims
+                      else list(row[k]) + [value(dims[1:], cells)])
+        else:
+            int_col = cells is not floats
+            row[k] = _first_leaf(row[k], {
+                "int": 1.0 if int_col else 1, "nan": float("nan"),
+                "big": _BIG + 1, "str": "x"}[spoil])
+    return rows, spoil
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_lists())
+def test_record_template_matches_json_oracle(case):
+    rows, spoil = case
+    # the template is taken exactly when nothing is spoiled
+    fast = serialize._records(rows, "\n  ", "  ", ": ")
+    assert (fast is None) == bool(spoil)
+    for obj in (rows, {"trace": rows, "n": len(rows)}):
+        assert serialize.pretty_json(obj) == oracle_pretty_json(obj)
+        assert serialize.canonical_json(obj) == oracle_canonical_json(obj)
