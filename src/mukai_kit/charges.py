@@ -38,6 +38,7 @@ from .domain import (
     gl2_act,
     gl2_factor,
     pairing,
+    _cone_roots,
 )
 from .intlinalg import dot, mat_vec, signature
 from .lattice import (
@@ -50,7 +51,6 @@ from .lattice import (
     ns_pair,
     reflection,
     vectors_of_norm,
-    _int_dtype,
 )
 
 
@@ -348,12 +348,13 @@ class BetaCertificate:
 
 def boundary_beta_search(lat: IntegerLattice, c_root: LatVec, k: int,
                          eta, coord_bound: int = 8) -> BetaCertificate:
-    """beta0 = (k + 1/2)/2 C: exp(beta0 + i eta) avoids every wall of the box.
+    """beta0 = (k + 1/2)/2 C: exp(beta0 + i eta) avoids every wall.
 
     Needs eta.C = 0, eta^2 > 2, NS of signature (1, rho - 1) as for a K3,
-    and eta.l != 0 for every NS-root l != +-C with |coords| <= coord_bound.
-    Then z = exp(beta0 + i eta) has, for every root delta of the box,
-    z.delta != 0, z.delta not in R_{<=0} if r > 0, and beta0.C + k = -1/2.
+    and eta.l != 0 for every NS-root l != +-C.  Then z = exp(beta0 + i eta)
+    has, for every root delta, z.delta != 0, z.delta not in R_{<=0} if
+    r > 0, and beta0.C + k = -1/2.  ``roots_checked`` counts the roots
+    with |coords| <= coord_bound.
 
     Proof: beta0.eta = 0, so a root delta = (r, l, s) with Im z.delta =
     l.eta = 0 has 2r Re z.delta = r^2 eta^2 - 2 - (l - r beta0)^2 > 0 for
@@ -370,28 +371,21 @@ def boundary_beta_search(lat: IntegerLattice, c_root: LatVec, k: int,
         raise NotARootError("C must be an NS-class (0, C, 0)")
     if ns_pair(lat, c_ns, c_ns) != -2:
         raise NotARootError("C^2 != -2")
-    # eta = E / d with E integral
-    d = math.lcm(*(x.denominator for x in eta))
-    e = [int(x * d) for x in eta]
-    if ns_pair(lat, e, e) <= 2 * d * d:
+    if ns_pair(lat, eta, eta) <= 2:
         raise NonPositiveOmegaError("eta^2 must exceed 2")
-    if ns_pair(lat, e, c_ns) != 0:
+    if ns_pair(lat, eta, c_ns) != 0:
         raise ValueError("eta must lie on the facet eta.C = 0")
     ns = ns_block(lat)
     sig = signature(ns)
     if sig != (1, lat.ns_rank - 1):
         raise NotHyperbolicError(f"NS has signature {sig}, not (1, rho - 1)")
 
-    roots = vectors_of_norm(lat, -2, coord_bound)
-    # genericity: no r = 0 root (0, l, s) with l != +-C and l.(NS E) = 0
-    ne = mat_vec(ns, e)
-    dtype = _int_dtype(int(abs(roots).max(initial=1)) * sum(map(abs, ne)))
-    ls = roots[:, 1:-1].astype(dtype)
-    if np.any((roots[:, 0] == 0) & (ls @ np.array(ne, dtype=dtype) == 0)
-              & (ls != c_ns).any(1) & (ls != [-x for x in c_ns]).any(1)):
+    # genericity: at the point eta, _cone_roots lists the NS-roots l.eta = 0
+    if len(_cone_roots(ns, [eta])[-1]) != 1:
         raise ValueError("eta is not generic on the facet")
     return BetaCertificate(tuple(Fraction((2 * k + 1) * c, 4) for c in c_ns),
-                           Fraction(-1, 2), len(roots))
+                           Fraction(-1, 2),
+                           len(vectors_of_norm(lat, -2, coord_bound)))
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,6 @@ def cmd_walls(cfg: dict) -> int:
         # box midpoint; line art only
         segs = []
         a_mid, b_mid = box.center()
-        glf = sp.gram_L_np()
         for w in walls:
             c, d, lam = sp.root_data(w.root)
             if w.kind in ("A", "D") and d != 0 and sp.rho == 1:
@@ -224,14 +223,13 @@ def cmd_walls(cfg: dict) -> int:
                 segs.append(((a, b0), (a, btip), w.kind))
             elif w.kind == "C":
                 # the wall omega.l = 0 restricted to the slice is the
-                # horizontal line b0 = rhs / coef
-                gl_lam = glf @ np.array([float(x) for x in lam])
-                coef = gl_lam[0]
-                if abs(coef) < 1e-12:
+                # horizontal line of b0 where (G_L lam).b = 0
+                gl_lam = [sum(g * x for g, x in zip(row, lam))
+                          for row in sp.gram_L]
+                if gl_lam[0] == 0:
                     continue
-                rhs = -sum(gl_lam[j] * float(b_mid[j])
-                           for j in range(1, sp.rho))
-                b0 = rhs / coef
+                b0 = -sum(g * float(b) for g, b in
+                          zip(gl_lam[1:], b_mid[1:])) / gl_lam[0]
                 if float(box.b_lo[0]) <= b0 <= float(box.b_hi[0]):
                     segs.append(((float(box.a_lo[0]), b0),
                                  (float(box.a_hi[0]), b0), "C"))

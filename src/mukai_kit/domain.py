@@ -808,17 +808,22 @@ def wall_meets_box(split: HyperbolicSplit, box: TubeBox, delta: LatVec,
 
 # -- candidate roots ------------------------------------------------------------
 
-def majorant_matrix(frame: FrameVec) -> np.ndarray:
-    """Positive definite majorant Q+ = 2 G pi_P - G of the ambient form.
+def _majorant(g, basis) -> tuple[int, list[list[int]]]:
+    """(det P, det P (2 G pi_S - G)) as integers, for an integer basis B
+    (one or two vectors) of a positive subspace S with Gram matrix P.
 
-    For a root delta: Q+(delta) = 2 |delta_P|^2 + 2, so roots with small
-    projection onto the frame plane are exactly the Q+-short ones.
+    2 G pi_S - G = 2 (G B) P^-1 (G B)^T - G is the majorant of G at S,
+    positive definite where S is a maximal positive subspace.  A root
+    delta takes 2 |delta_S|^2 + 2 there: 2 exactly when delta is
+    orthogonal to S.  For one vector e it is 2 G e (G e)^T - Q(e) G.
     """
-    g = gram_np(frame.lattice)
-    b = np.stack([frame.re, frame.im], axis=1)
-    pi = b @ np.linalg.solve(frame.plane_gram(), b.T @ g)
-    q = 2.0 * (g @ pi) - g
-    return 0.5 * (q + q.T)
+    gb = [ila.mat_vec(g, e) for e in basis]
+    p = [[ila.dot(x, e) for e in basis] for x in gb]
+    det = ila.det_bareiss(p)
+    h = ila.mat_mul(ila.mat_inverse_rational(p), gb)    # P^-1 (G B)^T
+    return det, [[int(2 * det * ila.dot(x, y)) - det * gij
+                  for y, gij in zip(zip(*h), row)]
+                 for x, row in zip(zip(*gb), g)]
 
 
 def _short_roots(gram, q, bound) -> np.ndarray:
@@ -852,16 +857,14 @@ def _cone_roots(gl, points) -> tuple[list[int], int, Fraction, Fraction,
     sqrt(Q) is concave on the cone.  ``roots`` are the lam with
     lam^T G_L lam = -2 and M_e(lam) <= 2 k, one per +-lam: every root
     orthogonal to a point of the hull, where N_b(lam) = 2.  They come
-    from ``short_vectors`` on the integer form Q(E) M_e.
+    from ``short_vectors`` on the integer form Q(E) M_e of ``_majorant``.
     """
     s = math.lcm(*(x.denominator for p in points for x in p))
     e = [int(sum(col) * s) for col in zip(*points)]
-    ge = ila.mat_vec(gl, e)
-    qe = ila.dot(e, ge)
-    y2_min = min(ila.dot(p, ila.mat_vec(gl, p)) for p in points)
-    k = 2 * max(ila.dot(ge, p) ** 2 for p in points) / (qe * y2_min) - 1
-    q = [[2 * x * y - qe * g for y, g in zip(ge, row)]
-         for x, row in zip(ge, gl)]
+    qe, q = _majorant(gl, [e])
+    gps = [ila.mat_vec(gl, p) for p in points]
+    y2_min = min(ila.dot(p, gp) for p, gp in zip(points, gps))
+    k = 2 * max(ila.dot(e, gp) ** 2 for gp in gps) / (qe * y2_min) - 1
     return e, qe, k, y2_min, _short_roots(gl, q, math.floor(2 * k * qe))
 
 
@@ -873,9 +876,10 @@ def _floor_add_sqrt(q: Fraction, x: Fraction) -> int:
 
 def _roots_near(split: HyperbolicSplit, a_lo, a_hi, b_points
                 ) -> list[LatVec]:
-    """Every root whose A-, C- or D-wall can meet a chart region, lex
+    """The roots whose A-, C- or D-wall can meet a chart region, lex
     order: a in the box [a_lo, a_hi], b in the hull of the cone points
-    ``b_points`` (Fractions).
+    ``b_points`` (Fractions).  Not yet listed: the D-walls of the roots
+    c v + lam with c != 0 and d = 0 (ROADMAP item 1).
 
     Write delta = c v + d f + R lam with d >= 0 (up to sign) and, for
     d > 0, u = lam/d - a.  An A- or D-wall passes through (a, b) only if
@@ -934,7 +938,8 @@ def enumerate_walls_region(split: HyperbolicSplit, box: TubeBox,
     """All walls meeting a compact chart box.
 
     The candidates default to ``_roots_near`` over the box, which holds
-    every root whose wall can meet it.
+    every root whose wall can meet it, except the D-walls of the roots
+    c v + lam with c != 0 and d = 0 (ROADMAP item 1).
 
     Every candidate passes the exact three-valued test ``wall_meets_box``;
     walls it leaves undecided are listed too, with ``undecided`` set.
@@ -1101,14 +1106,18 @@ class P0Certificate:
 def in_P0(frame: FrameVec) -> P0Certificate:
     """No root pairs to zero with z, with a quantitative certificate.
 
-    Roots with z.delta = 0 lie in the plane's orthogonal complement and have
-    majorant value exactly 2; the candidate list Q+ <= 10 is therefore
-    complete for them, and any non-candidate root keeps
-    |z.delta| > exclusion_radius = 2 sqrt(lam_min), lam_min the least
-    eigenvalue of the plane's Gram matrix.
+    Re z and Im z count as the exact rationals of their floats.  A root
+    with z.delta = 0 is orthogonal to their plane P, of majorant value
+    Q+(delta) = 2 exactly (``_majorant``), so the candidates Q+ <= 10 hold
+    every such root.  Any other root keeps |z.delta| > exclusion_radius =
+    2 sqrt(lam_min), lam_min the least eigenvalue of P's Gram matrix.
     """
-    lat = frame.lattice
-    roots = _short_roots(lat.gram_rows(), majorant_matrix(frame), 10.0)
+    lat = frame.validate().lattice
+    gram = lat.gram_rows()
+    xs = [[Fraction(x) for x in part] for part in (frame.re, frame.im)]
+    s = math.lcm(*(x.denominator for part in xs for x in part))
+    det, q = _majorant(gram, [[int(x * s) for x in part] for part in xs])
+    roots, values = _norms(q, _short_roots(gram, q, 10 * det))
     lam_min = float(np.linalg.eigvalsh(frame.plane_gram())[0])
     radius = 2.0 * math.sqrt(max(lam_min, 0.0))
     vals = abs(frame.z @ gram_np(lat) @ roots.T.astype(float))
@@ -1116,7 +1125,7 @@ def in_P0(frame: FrameVec) -> P0Certificate:
     if len(vals):
         i = int(np.argmin(vals))
         best, witness = float(vals[i]), lat.vector(roots[i].tolist())
-    is_in = best > 1e-8 * max(float(np.linalg.norm(frame.z)), 1.0)
+    is_in = 2 * det not in values.tolist()
     return P0Certificate(is_in, best, witness, radius, len(roots))
 
 

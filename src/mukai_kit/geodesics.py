@@ -17,12 +17,14 @@ h^{-1} dh(x, ., y) = (2/Q)((x^T G_L y) b - (u.x) y - (u.y) x).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
 
+from . import intlinalg as ila
 from .errors import (
     DegenerateAtVError,
     DegeneratePlaneError,
@@ -43,6 +45,7 @@ from .domain import (
     log_tube,
     proj_distance,
     tube_point,
+    _chart_rationals,
 )
 from .lattice import IntegerLattice
 
@@ -372,9 +375,16 @@ def looijenga_member(p: PeriodPoint, split: HyperbolicSplit,
     """Membership in U(K, v): translation semigroup times the box.
 
     The x-part of the semigroup is all of L(v)_R, so membership reduces to
-    the cone condition: some k in the y-box with y - k in the positive cone
-    component of the box.  There is no closure over isometries fixing v,
-    so the test is sufficient, not necessary.
+    the cone condition: some k in the y-box K (its boundary included: the
+    closure of the semigroup orbit) with y - k in the positive cone
+    component of the box centre ``ref``.  There is no closure over
+    isometries fixing v, so the test is sufficient, not necessary.
+
+    Exact on the chart rationals of y: W = y - K meets that component iff
+    Q has a positive maximum on W with w.ref >= 0, where w.ref > 0 as
+    ref-perp is negative definite.  That is the critical point G_JJ w_J =
+    -G_JI w_I of Q on a face of W (J its free coordinates) where G_JJ is
+    invertible; on a singular face Q is constant along a kernel line.
     """
     if any(l > h for l, h in zip(box.b_lo, box.b_hi)):
         raise EmptyBoxError("empty neighborhood box")
@@ -382,14 +392,22 @@ def looijenga_member(p: PeriodPoint, split: HyperbolicSplit,
         pt = log_tube(p, split)
     except DegenerateAtVError:
         return False
-    gl = split.gram_L_np()
-    ref = np.array([0.5 * float(l + h)
-                    for l, h in zip(box.b_lo, box.b_hi)])
-    # grid over the y-box; k on its boundary counts (closure of the
-    # semigroup orbit)
-    axes = [np.linspace(float(l), float(h), 5)
-            for l, h in zip(box.b_lo, box.b_hi)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    ks = np.stack(grid, -1).reshape(-1, split.rho)
-    w = pt.chart()[1] - ks
-    return bool(np.any(((w @ gl * w).sum(-1) > 0) & (w @ gl @ ref > 0)))
+    gl = split.gram_L
+    y = _chart_rationals(pt, "looijenga_member")[1]
+    ref = ila.mat_vec(gl, [l + h for l, h in zip(box.b_lo, box.b_hi)])
+    sides = [(c - h, c - l) for c, l, h in zip(y, box.b_lo, box.b_hi)]
+    for face in itertools.product((0, 1, None), repeat=split.rho):
+        free = [i for i, f in enumerate(face) if f is None]
+        w = [0 if f is None else s[f] for f, s in zip(face, sides)]
+        g_jj = [[gl[i][j] for j in free] for i in free]
+        if ila.det_bareiss(g_jj) == 0:
+            continue
+        w_j = ila.mat_vec(ila.mat_inverse_rational(g_jj),
+                          [-x for x in ila.mat_vec([gl[i] for i in free], w)])
+        for i, x in zip(free, w_j):
+            w[i] = x
+        if (all(lo <= x <= hi for x, (lo, hi) in zip(w, sides))
+                and ila.dot(w, ila.mat_vec(gl, w)) > 0
+                and ila.dot(w, ref) > 0):
+            return True
+    return False

@@ -17,6 +17,8 @@ from mukai_kit import charges as ch, cusps, domain as dm, geodesics as gd
 from mukai_kit import intlinalg as ila
 from mukai_kit.cli import main as cli_main
 
+from float_oracle import float_short_vectors, majorant_matrix
+
 RANK4_NS = [[2, 0], [0, -2]]
 RANK5_NS = [[2, 0, 0], [0, -2, 0], [0, 0, -2]]
 
@@ -364,12 +366,11 @@ def _verify_beta(lat, c_root, k, eta, cert):
     gm = dm.gram_np(lat)
     # full majorant candidate set at the point plus a coordinate box
     cands = {r.vec.coords for r in mk.roots_in_box(lat, 6)}
-    q = dm.majorant_matrix(z)
+    q = majorant_matrix(z)
     om2 = float(np.asarray(eta, dtype=float)
                 @ np.array([row[1:-1] for row in lat.gram_rows()[1:-1]],
                            dtype=float) @ np.asarray(eta, dtype=float))
-    from mukai_kit.shortvec import short_vectors
-    for coords in map(tuple, short_vectors(
+    for coords in map(tuple, float_short_vectors(
             q, 2.0 + 8.0 * max(1.0, 1.0 / om2)).tolist()):
         w = lat.vector(coords)
         if w.norm2 == -2:

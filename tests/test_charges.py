@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import mukai_kit as mk
 from mukai_kit import charges as ch, domain as dm, lattice
+from mukai_kit.lattice import _sign_canonical
 from mukai_kit.errors import (
     InconsistentLiftError,
     MukaiKitError,
@@ -726,15 +727,35 @@ def _beta_check_fractions(lat, roots, c_ns, k, eta, beta):
     return True
 
 
+def _roots_orthogonal_to(lat, eta):
+    """Reference: the NS-roots l with l.eta = 0, one per +-l, by a scan of
+    the box |l_i| <= sqrt(2 (M^-1)_ii) + 1 around the majorant ellipsoid
+    M(l) = 2 (l.eta)^2 / eta^2 - l^2 <= 2 that holds them."""
+    ns = np.array([row[1:-1] for row in lat.gram_rows()[1:-1]])
+    d = math.lcm(*(F(x).denominator for x in eta))
+    e = np.array([int(F(x) * d) for x in eta], dtype=object)
+    ge = ns.astype(object) @ e              # Python ints: eta may be huge
+    m = 2.0 * np.outer(ge, ge).astype(float) / float(ge @ e) - ns
+    radii = np.sqrt(2.0 * np.diag(np.linalg.inv(m))).astype(int) + 1
+    box = np.stack(np.meshgrid(*[np.arange(-r, r + 1) for r in radii],
+                               indexing="ij"), -1).reshape(-1, len(ns))
+    hits = box[(box.astype(object) @ ge == 0)
+               & (np.einsum("ij,jk,ik->i", box, ns, box) == -2)]
+    return {_sign_canonical(tuple(l)) for l in hits.tolist()}
+
+
 def _beta_search_oracle(lat, c_root, k, eta, bound):
     """Reference: search beta0 + t eta, t = 0, +-1/256, ..., +-63/256, in turn.
 
     beta0 = (k + 1/2)/2 C; each candidate goes through
-    ``_beta_check_fractions``, which raises on non-generic eta.
+    ``_beta_check_fractions``, which raises on non-generic eta, after
+    ``_roots_orthogonal_to`` has checked genericity outside the box.
     """
     c_ns = list(c_root.ns_part)
     if lattice.ns_pair(lat, eta, eta) <= 2:
         raise NonPositiveOmegaError("eta^2 must exceed 2")
+    if _roots_orthogonal_to(lat, eta) != {_sign_canonical(tuple(c_ns))}:
+        raise ValueError("eta is not generic on the facet")
     roots = [r.vec for r in mk.roots_in_box(lat, bound)]
     for t in (F(sign * num, 256) for num in range(64) for sign in (1, -1)):
         beta = [F(2 * k + 1, 4) * c + t * x for c, x in zip(c_ns, eta)]
@@ -775,6 +796,7 @@ def _hyperbolic_ns(draw):
 @example(_BETA_LATTICES["rank4"], 3, F(3), F(0), 0)
 @example(_BETA_LATTICES["rank5"], 3, F(2), F(2, 3), -5)
 @example(_BETA_LATTICES["rank4b"], 2, F(1, 2), F(0), 1)  # eta^2 = 3/2
+@example([[4, 0, 0], [0, -2, 0], [0, 0, -2]], 2, F(3), F(4), 0)  # (2, 0, 3)
 def test_closed_form_beta_vs_search_oracle(ns, bound, x0, x2, k):
     # eta on the facet eta.C = 0 (C = e_1 of a diagonal hyperbolic block)
     lat = mk.mukai_lattice(ns)
@@ -786,7 +808,7 @@ def test_closed_form_beta_vs_search_oracle(ns, bound, x0, x2, k):
     assert got == want
 
 
-def test_beta_search_huge_inputs_stay_exact(monkeypatch):
+def test_beta_search_huge_inputs_stay_exact():
     # k = 10^15 gives beta numerators near 10^15, exact as Fractions
     lat = mk.mukai_lattice([[2, 0], [0, -2]])
     c_root = lat.vector([0, 0, 1, 0])
@@ -798,18 +820,10 @@ def test_beta_search_huge_inputs_stay_exact(monkeypatch):
     assert F(-1) < cert.window_value < F(0)
     # NS.E = (2^63 - 2, 0, 2): the root l = (2, 1, 2) has l.(NS.E) = 2^64,
     # which int64 wraps to 0 (a false non-generic verdict)
-    dtypes = []
-
-    def spy(magnitude):
-        dtypes.append(lattice._int_dtype(magnitude))
-        return dtypes[-1]
-
-    monkeypatch.setattr(ch, "_int_dtype", spy)
     lat5 = mk.mukai_lattice(_BETA_LATTICES["rank5"])
     c5 = lat5.vector([0, 0, 1, 0, 0])
     eta = [2 ** 62 - 1, 0, -1]
     cert = ch.boundary_beta_search(lat5, c5, 0, eta, coord_bound=2)
-    assert dtypes == [object]
     assert cert.to_json() == _beta_search_oracle(lat5, c5, 0, eta,
                                                  2).to_json()
 
@@ -819,6 +833,21 @@ def test_beta_search_rejects_non_generic_eta():
     with pytest.raises(ValueError, match="not generic"):
         ch.boundary_beta_search(lat, lat.vector([0, 0, 1, 0, 0]), 0,
                                 [2, 0, 0], coord_bound=3)
+
+
+@pytest.mark.parametrize("eta, bound, root", [
+    ([17, 0, 24], 8, (12, 0, 17)), ([3, 0, 4], 2, (2, 0, 3))])
+def test_beta_search_rejects_roots_outside_the_box(eta, bound, root):
+    # NS = diag(4, -2, -2), C = (0, 1, 0): the root orthogonal to eta lies
+    # outside |coords| <= bound, and z = exp(beta0 + i eta) pairs to 0
+    # with (0; root; 0), so no box-limited scan may certify eta
+    lat = mk.mukai_lattice([[4, 0, 0], [0, -2, 0], [0, 0, -2]])
+    assert max(root) > bound and lattice.ns_pair(lat, root, root) == -2
+    assert lattice.ns_pair(lat, root, eta) == 0
+    assert _roots_orthogonal_to(lat, eta) == {(0, 1, 0), root}
+    with pytest.raises(ValueError, match="not generic"):
+        ch.boundary_beta_search(lat, lat.vector([0, 0, 1, 0, 0]), 0, eta,
+                                coord_bound=bound)
 
 
 def test_beta_search_ns_with_zero_diagonal():

@@ -542,6 +542,21 @@ def test_beta_search_non_hyperbolic_ns_exits_2(capsys):
     assert "NotHyperbolicError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eta, bound", [("[17,0,24]", []),
+                                        ("[3,0,4]", ["--root-bound", "2"])])
+def test_beta_search_root_outside_the_box_exits_2(eta, bound, tmp_path,
+                                                  capsys):
+    # NS = diag(4, -2, -2): (12, 0, 17) and (2, 0, 3) are roots orthogonal
+    # to these eta, outside the default and the given coordinate box
+    out = tmp_path / "beta.json"
+    assert run(["beta-search", "--mukai", "--gram",
+                "[[0,0,0,0,-1],[0,4,0,0,0],[0,0,-2,0,0],[0,0,0,-2,0],"
+                "[-1,0,0,0,0]]", "--c-root", "[0,0,1,0,0]", "--k", "0",
+                "--eta", eta, "--out", str(out)] + bound) == 2
+    assert "not generic" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["beta-search", "--gram", _RANK4_GRAM, "--mukai", "--c-root", "[0,0,1,0]",
      "--eta", '["1/0",0]'],

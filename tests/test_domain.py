@@ -23,6 +23,8 @@ from mukai_kit.errors import (
     UnboundedBoxError,
 )
 
+from float_oracle import float_in_P0, float_short_vectors, majorant_matrix
+
 
 @pytest.fixture(scope="module")
 def rank3():
@@ -599,8 +601,8 @@ def _roots_near_box_union(split, box, safety=4.0):
     for a, b in [box.center(), *box.corners()]:
         frame = dm.exp_frame(dm.tube_point(split, [float(x) for x in a],
                                            [float(x) for x in b]))
-        q = dm.majorant_matrix(frame)
-        cands.update(map(tuple, short_vectors(q, bound).tolist()))
+        cands.update(map(tuple, float_short_vectors(
+            majorant_matrix(frame), bound).tolist()))
     roots = [split.lattice.vector(c) for c in sorted(cands)]
     return [w for w in roots if w.norm2 == -2]
 
@@ -886,6 +888,51 @@ def test_in_P0(rank3):
     # perturbation below the exclusion radius keeps membership
     fr3 = dm.exp_frame(dm.tube_point(sp, [0.21 + 1e-6], [2.0]))
     assert dm.in_P0(fr3).is_in
+
+
+def test_in_P0_on_the_wall_and_one_ulp_off(rank3):
+    # a = 0, b = 1 pairs to zero with the root (1, 0, 1) exactly; one ulp
+    # off it the frame is in P0, which the 1e-8 |z| float tolerance missed
+    lat, sp = rank3
+    on = dm.in_P0(dm.exp_frame(dm.tube_point(sp, [0.0], [1.0])))
+    assert not on.is_in and on.witness == lat.vector([1, 0, 1])
+    off_frame = dm.exp_frame(dm.tube_point(sp, [0.0], [1.0 + 2.0 ** -52]))
+    off = dm.in_P0(off_frame)
+    assert off.is_in and off.witness == lat.vector([1, 0, 1])
+    assert 0 < off.min_abs_pairing < 1e-15
+    assert not float_in_P0(off_frame).is_in
+
+
+_P0_NS = [[[2]], [[4]], [[2, 0], [0, -2]],
+          [[2, 0, 0], [0, -2, 0], [0, 0, -2]]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_P0_NS), st.integers(0, 2 ** 16),
+       st.sampled_from(["uniform", "half-integer a", "dyadic"]))
+def test_in_P0_matches_float_oracle(ns, seed, kind):
+    # the float in_P0 as the oracle, on frames away from its tolerance:
+    # uniform chart points, half-integer a, and dyadic (a, b) whose frames
+    # are exact, so that some lie on a root's hyperplane
+    lat = mk.mukai_lattice(ns)
+    sp = dm.split_at(lat.vector([0] * (lat.rank - 1) + [1]))
+    pos = int(np.argmax(np.diag(sp.gram_L_np())))
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        a = rng.uniform(-1, 1, size=sp.rho)
+    else:
+        a = rng.integers(-4, 5, size=sp.rho) / 2
+    if kind == "dyadic":
+        b = rng.integers(-1, 2, size=sp.rho) / 4
+        b[pos] = rng.integers(2, 9) / 4
+    else:
+        b = rng.uniform(-0.2, 0.2, size=sp.rho)
+        b[pos] = rng.uniform(0.6, 2.0)
+    frame = dm.exp_frame(dm.tube_point(sp, a, b))
+    want = float_in_P0(frame)
+    scale = max(float(np.linalg.norm(frame.z)), 1.0)
+    assume(not 0 < want.min_abs_pairing < 1e-6 * scale)
+    assert dm.in_P0(frame) == want
 
 
 def test_region_gt2(rank3):

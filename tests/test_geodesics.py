@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import mukai_kit as mk
 from mukai_kit import domain as dm, geodesics as gd
 from mukai_kit.errors import (
+    DegenerateAtVError,
     NotHyperbolicError,
     NotInLieAlgebraError,
     StepTooLargeError,
@@ -537,3 +538,52 @@ def test_looijenga_zero_shift_and_opposite_cone(rank3):
     p_opp = dm.PeriodPoint(lat, np.conj(dm.exp_point(
         dm.tube_point(sp, [0.0], [1.5])).z))
     assert not gd.looijenga_member(p_opp, sp, box)
+
+
+def _looijenga_grid(p, split, box, n):
+    """Reference: the cone test at the n^rho grid points k of the y-box.
+    A grid witness is a witness, so the grid can only miss."""
+    try:
+        pt = dm.log_tube(p, split)
+    except DegenerateAtVError:
+        return False
+    gl = split.gram_L_np()
+    ref = np.array([float(l + h) for l, h in zip(box.b_lo, box.b_hi)])
+    axes = [np.linspace(float(l), float(h), n)
+            for l, h in zip(box.b_lo, box.b_hi)]
+    ks = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1,
+                                                                  split.rho)
+    w = pt.chart()[1] - ks
+    return bool(np.any(((w @ gl * w).sum(-1) > 0) & (w @ gl @ ref > 0)))
+
+
+def test_looijenga_exact_where_the_grid_misses(rank4):
+    # the y-box K meets y - C+ only near k = (0, 49/25), between the 5 x 5
+    # grid points: w = y - k = (0, 1/25) has Q(w) = 2/625 > 0, w.ref > 0
+    from fractions import Fraction as F
+    lat, sp = rank4
+    box = dm.TubeBox.make(sp, [-1, -1], [1, 1], [F(-11, 10), F(49, 25)],
+                          [F(3, 10), F(5, 2)])
+    p = dm.exp_point(dm.tube_point(sp, [0.3, 0.1], [0, 2]))
+    assert not _looijenga_grid(p, sp, box, 5)
+    assert gd.looijenga_member(p, sp, box)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(0, 2 ** 16))
+def test_looijenga_exact_holds_every_grid_witness(n, seed):
+    # y-boxes and points of both cone components around a cone direction
+    # of G_L (diag(2) at rank 3, diag(-2, 2) at rank 4)
+    from fractions import Fraction as F
+    sp = SPLITS[n]
+    rng = np.random.default_rng(seed)
+    pos = int(np.argmax(np.diag(sp.gram_L_np())))
+    lo = [F(int(rng.integers(-6, 5)), 10) for _ in range(sp.rho)]
+    lo[pos] = F(int(rng.integers(19, 40)), 10)
+    hi = [x + F(int(rng.integers(0, 15)), 10) for x in lo]
+    box = dm.TubeBox.make(sp, [-1] * sp.rho, [1] * sp.rho, lo, hi)
+    b = rng.uniform(-1.5, 1.5, size=sp.rho)
+    b[pos] = rng.uniform(1.6, 6.0) * rng.choice([1, -1], p=[0.8, 0.2])
+    p = dm.exp_point(dm.tube_point(sp, rng.uniform(-1, 1, size=sp.rho), b))
+    exact = gd.looijenga_member(p, sp, box)
+    assert exact or not _looijenga_grid(p, sp, box, 9)

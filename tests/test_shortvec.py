@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -9,47 +10,16 @@ import mukai_kit as mk
 from mukai_kit import domain as dm
 from mukai_kit import intlinalg as ila
 from mukai_kit.lattice import _sign_canonical
-from mukai_kit.shortvec import _ldl, short_vectors
+from mukai_kit.shortvec import short_vectors
 
-
-def _short_vectors_recursive(q, bound, include_zero=False):
-    """Reference: depth-first Fincke-Pohst over the whole ellipsoid, one
-    Python call per partial vector, then sign-canonical and sorted."""
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    if bound < 0:
-        return []
-    l, d = _ldl(q)
-    out = []
-    x = [0] * n
-
-    def descend(k, remaining):
-        offset = sum(l[i, k] * x[i] for i in range(k + 1, n))
-        remaining = max(remaining, 0.0)
-        half_width = (remaining / d[k]) ** 0.5
-        lo = int(np.ceil(-half_width - offset - 1e-12))
-        hi = int(np.floor(half_width - offset + 1e-12))
-        for t in range(lo, hi + 1):
-            x[k] = t
-            used = d[k] * (t + offset) ** 2
-            if used > remaining + 1e-9:
-                continue
-            if k == 0:
-                if any(x) or include_zero:
-                    out.append(tuple(x))
-            else:
-                descend(k - 1, remaining - used)
-        x[k] = 0
-
-    descend(n - 1, float(bound))
-    return sorted({_sign_canonical(v) for v in out})
+from float_oracle import float_short_vectors, majorant_matrix
 
 
 def _same(q, bound, include_zero=False):
     got = short_vectors(q, bound, include_zero)
     assert got.dtype == np.int64 and got.shape[1] == np.shape(q)[0]
-    assert list(map(tuple, got.tolist())) == \
-        _short_vectors_recursive(q, bound, include_zero)
+    assert got.tolist() == float_short_vectors(q, bound,
+                                               include_zero).tolist()
     return got
 
 
@@ -57,14 +27,23 @@ def _same(q, bound, include_zero=False):
 @given(st.integers(1, 6).flatmap(
            lambda n: st.lists(st.integers(-3, 3), min_size=n * n,
                               max_size=n * n)),
-       st.floats(1.0, 3.0), st.floats(-1.0, 8.0), st.booleans())
+       st.integers(1, 3), st.integers(-1, 8), st.booleans())
 def test_short_vectors_matches_recursive(entries, shift, bound, include_zero):
+    # integral forms put lattice points exactly on the boundary; the float
+    # enumeration of float_oracle keeps them by its slack
     n = int(round(len(entries) ** 0.5))
-    a = np.array(entries, dtype=float).reshape(n, n)
-    q = a @ a.T + shift * np.eye(n)
-    _same(q, bound, include_zero)
-    # integral forms put lattice points exactly on the boundary
-    _same(np.rint(q), round(bound), include_zero)
+    a = np.array(entries).reshape(n, n)
+    _same(a @ a.T + shift * np.eye(n, dtype=int), bound, include_zero)
+
+
+def _frame_basis(frame):
+    """Re z and Im z as one integer basis of the frame's plane."""
+    basis = []
+    for part in (frame.re, frame.im):
+        xs = [F(float(x)) for x in part]
+        s = math.lcm(*(x.denominator for x in xs))
+        basis.append([int(x * s) for x in xs])
+    return basis
 
 
 @settings(max_examples=30, deadline=None)
@@ -72,7 +51,9 @@ def test_short_vectors_matches_recursive(entries, shift, bound, include_zero):
                         [[2, 0, 0], [0, -2, 0], [0, 0, -2]]]),
        st.integers(0, 2 ** 16))
 def test_short_vectors_majorants(ns, seed):
-    # Q+ of random exp frames at ranks 3-5, at the wall-candidate bound
+    # Q+ of random exp frames at ranks 3-5, at the wall-candidate bound:
+    # the exact integer majorant det(P) Q+ of the frame's rationals against
+    # the float majorant and the float enumeration
     lat = mk.mukai_lattice(ns)
     sp = dm.split_at(lat.vector([0] * (lat.rank - 1) + [1]))
     gl = sp.gram_L_np()
@@ -82,20 +63,34 @@ def test_short_vectors_majorants(ns, seed):
     b = rng.uniform(-0.2, 0.2, size=sp.rho)
     b[pos] = rng.uniform(0.6, 2.0)
     pt = dm.tube_point(sp, a, b)
-    q = dm.majorant_matrix(dm.exp_frame(pt))
+    frame = dm.exp_frame(pt)
+    det, q = dm._majorant(lat.gram_rows(), _frame_basis(frame))
     bound = 2.0 + 8.0 * max(1.0, 1.0 / pt.y_norm2())
     for include_zero in (False, True):
-        _same(q, bound, include_zero)
+        got = short_vectors(q, F(bound) * det, include_zero)
+        assert got.tolist() == float_short_vectors(
+            majorant_matrix(frame), bound, include_zero).tolist()
 
 
 def test_short_vectors_edge_bounds():
-    q = np.array([[2.0, 1.0], [1.0, 2.0]])
+    q = np.array([[2, 1], [1, 2]])
     assert _same(q, -0.5).shape == (0, 2)
     assert _same(q, 0.0).shape == (0, 2)
     assert _same(q, 0.0, include_zero=True).tolist() == [[0, 0]]
     assert _same(q, 2.0).tolist() == [[0, 1], [1, -1], [1, 0]]
     with pytest.raises(ValueError):
         short_vectors(-q, 1.0)
+
+
+def test_short_vectors_rejects_non_integer_forms():
+    # one code path: float and rational entries raise before any work
+    for q in (np.array([[2.0, 1.0], [1.0, 2.0]]), [[2.5, 0], [0, 2]],
+              np.array([[F(2), 0], [0, F(5, 2)]], dtype=object)):
+        with pytest.raises(TypeError, match="integer form"):
+            short_vectors(q, 2)
+    # integer object arrays, numpy ints included, stay exact
+    q = np.array([[np.int64(2), 1], [1, 2]], dtype=object)
+    assert short_vectors(q, 2).tolist() == [[0, 1], [1, -1], [1, 0]]
 
 
 def _box_scan(q, bound):
@@ -149,8 +144,7 @@ def test_short_vectors_exact_edge_cases():
     # the float enumeration loses (1, -2), which lies on the bound
     q = [[9 * 10 ** 7, 8 * 10 ** 7], [8 * 10 ** 7, 9 * 10 ** 7]]
     assert [1, -2] in short_vectors(q, 13 * 10 ** 7).tolist()
-    assert [1, -2] not in short_vectors(np.array(q, dtype=float),
-                                        13 * 10 ** 7).tolist()
+    assert [1, -2] not in float_short_vectors(q, 13 * 10 ** 7).tolist()
     q = [[2, 1], [1, 2]]
     assert short_vectors(q, -1).shape == (0, 2)
     assert short_vectors(q, 1).shape == (0, 2)
