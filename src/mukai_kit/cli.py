@@ -267,16 +267,16 @@ def cmd_geodesic(cfg: dict) -> int:
     pt = domain.tube_point(sp, x0, y0)
     result = geodesics.geodesic_oracle(pt, t_max, steps)
     dev = geodesics.oracle_deviation(pt, result)
-    speeds = geodesics.speed(pt, np.linspace(0.0, t_max, 5)).tolist()
     stride = max(1, steps // 100)
     ts = result.ts[::stride]
+    speeds = geodesics.speed(
+        pt, np.concatenate([np.linspace(0.0, t_max, 5), ts])).tolist()
     rows = [(t,) + tuple(row) + (s,) for t, row, s in zip(
-        ts.tolist(), result.chart[::stride].tolist(),
-        geodesics.speed(pt, ts).tolist())]
+        ts.tolist(), result.chart[::stride].tolist(), speeds[5:])]
     payload = {
         "report": {"max_dev": dev, "tol": tol, "steps": steps,
                    "energy_drift": result.energy_drift,
-                   "speed_samples": speeds},
+                   "speed_samples": speeds[:5]},
         "samples": rows,
     }
     payload["_csv"] = serialize.csv_text(

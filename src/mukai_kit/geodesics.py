@@ -12,7 +12,8 @@ geodesics.  An independent verification oracle integrates the geodesic ODE
 in chart coordinates (a, b), where the Killing metric has the closed form
 rho (h + h), h the Hessian of the Kahler potential -log(b^T G_L b) of the
 type IV tube; with u = G_L b and Q = b.u its Christoffel contraction is
-h^{-1} dh(x, ., y) = (2/Q)((x^T G_L y) b - (u.x) y - (u.y) x).
+h^{-1} dh(x, ., y) = (2/Q)((x^T G_L y) b - (u.x) y - (u.y) x).  At rho = 1
+the tube is the upper half-plane and the oracle steps z'' = -i w^2 / Im z.
 """
 
 from __future__ import annotations
@@ -251,18 +252,52 @@ class OracleResult:
     energy_drift: float
 
 
-def _accel(gl: list, b: list, w: list) -> tuple[list, float]:
-    """z'' and (h + h)(w, w) at b for w = z' = a' + i b', on plain floats and
-    complex numbers, from sigma and mu over Q as in geodesic_oracle."""
+def _accel(gl: list, b: list, w: list, norms=None) -> list:
+    """z'' at b for w = z' = a' + i b', on plain floats and complex numbers,
+    from sigma and mu over Q as in geodesic_oracle, then (h + h)(x, x) at b
+    for each x in norms, (w,) by default."""
     u = [sum(map(mul, r, b)) for r in gl]
     gw = [sum(map(mul, r, w)) for r in gl]
     q = sum(map(mul, u, b))
     sigma = sum(map(mul, u, w)) / q
     mu = sum(map(mul, gw, w)) / q
     c, d = 1j * mu, -2j * sigma
-    return ([c * bi + d * wi for bi, wi in zip(b, w)],
-            4.0 * (sigma * sigma.conjugate()).real
-            - 2.0 * sum(map(mul, gw, map(complex.conjugate, w))).real / q)
+    out = [[c * bi + d * wi for bi, wi in zip(b, w)]]
+    for x in (w,) if norms is None else norms:
+        gx, sx = ((gw, sigma) if x is w else
+                  ([sum(map(mul, r, x)) for r in gl], sum(map(mul, u, x)) / q))
+        xgx = sum(map(mul, gx, map(complex.conjugate, x))).real
+        out.append(4.0 * (sx * sx.conjugate()).real - 2.0 * xgx / q)
+    return out
+
+
+def _half_plane_steps(z: complex, h: float):
+    """Midpoint steps at rho = 1 in s = w / Im z, finite where Q overflows:
+    yields z and (h + h) of w and of a2 - a1, 2 |s|^2 and 2 |ds|^2."""
+    w = a1 = complex(0.0, z.imag)  # z'' = -i w^2 / Im z = w at the start
+    s, ds = 1j, 0.0
+    while True:
+        yield z, 2.0 * abs(s) ** 2, 2.0 * abs(ds) ** 2
+        vm = w + 0.5 * h * a1
+        a2 = -1j * vm * (vm / (z + 0.5 * h * w).imag)
+        z, w = z + h * vm, w + h * a2
+        s, ds = w / z.imag, (a2 - a1) / z.imag
+        a1 = -1j * w * s
+
+
+def _chart_steps(gl: list, z: list, h: float):
+    """Midpoint steps at rho >= 2 on lists, yielding as _half_plane_steps."""
+    w = [complex(0.0, x.imag) for x in z]
+    (a1, e), e_da = _accel(gl, [x.imag for x in z], w), 0.0
+    while True:
+        yield z, e, e_da
+        vm = [v + 0.5 * h * a for v, a in zip(w, a1)]
+        a2, = _accel(gl, [x.imag + 0.5 * h * v.imag for x, v in zip(z, w)],
+                     vm, ())
+        z = [x + h * v for x, v in zip(z, vm)]
+        w = [v + h * a for v, a in zip(w, a2)]
+        a1, e, e_da = _accel(gl, [x.imag for x in z], w,
+                             (w, [y - x for x, y in zip(a1, a2)]))
 
 
 def geodesic_oracle(pt: TubePoint, t_max: float, steps: int) -> OracleResult:
@@ -276,8 +311,11 @@ def geodesic_oracle(pt: TubePoint, t_max: float, steps: int) -> OracleResult:
     gives h^{-1} T(x, y) = (2/Q)(m_xy b - s_x y - s_y x).  In z = a + i b
     with w = z', sigma = u.w and mu = w^T G_L w (complex bilinear) the two
     equations are the real and imaginary parts of one:
-        w'' = (i/Q)(mu b - 2 sigma w),
+        z'' = w' = (i/Q)(mu b - 2 sigma w),
         g(q')(q', q') = rho (4 |sigma|^2/Q^2 - 2 Re(conj(w)^T G_L w)/Q).
+    At rho = 1 (G_L = [g]) it is the half-plane equation z'' = -i w^2 / Im z,
+    energy 2 |w|^2 / (Im z)^2: g and rho cancel, so a step works on one
+    complex scalar.  At rho >= 2 a step takes two accelerations: midpoint, end.
 
     The initial velocity is that of s -> x + i e^s y at s = 0, i.e. (0, y).
     Relative energy drift beyond 1e-4 raises.  The midpoint map keeps these
@@ -289,35 +327,27 @@ def geodesic_oracle(pt: TubePoint, t_max: float, steps: int) -> OracleResult:
         raise ValueError("steps must be >= 100")
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
-    gl = pt.split.gram_L_np().tolist()
     a0, b0 = pt.chart()
     z = list(map(complex, a0.tolist(), b0.tolist()))
-    w = [complex(0.0, y) for y in b0.tolist()]
     h = t_max / steps
-    samples = [z]
-    a1, e0 = _accel(gl, b0.tolist(), w)
-    max_drift = 0.0
+    walk = (_half_plane_steps(z[0], h) if pt.split.rho == 1 else
+            _chart_steps(pt.split.gram_L_np().tolist(), z, h))
+    z, e0, _ = next(walk)
+    samples, max_drift = [z], 0.0
     for k in range(steps):
         if h == 0.0:
             break
-        zm = [x + 0.5 * h * v for x, v in zip(z, w)]
-        vm = [v + 0.5 * h * a for v, a in zip(w, a1)]
-        a2, _ = _accel(gl, [x.imag for x in zm], vm)
-        z = [x + h * v for x, v in zip(z, vm)]
-        w = [v + h * a for v, a in zip(w, a2)]
+        z, e, e_da = next(walk)
         samples.append(z)
-        b = [x.imag for x in z]
-        da = [y - x for x, y in zip(a1, a2)]
-        a1, e = _accel(gl, b, w)
         max_drift = max(abs(e - e0) / e0, max_drift)  # keeps a NaN drift
         if not (max_drift <= 1e-4):
             raise StepTooLargeError(
                 f"energy drift {max_drift:.2e} after step {k + 1}")
-        local = h * math.sqrt(_accel(gl, b, da)[1] / e)
+        local = h * math.sqrt(e_da / e)
         if not (local <= 1e-4):
             raise StepTooLargeError(
                 f"local error {local:.2e} at step {k + 1}")
-    chart = np.array(samples)
+    chart = np.array(samples).reshape(len(samples), -1)
     return OracleResult(h * np.arange(len(samples)),
                         np.concatenate([chart.real, chart.imag], axis=1),
                         max_drift)

@@ -379,6 +379,23 @@ def test_geodesic_values_pinned(tmp_path):
         [1.0, 0.3, 2.9900975991660275, 1.414213562373095], rel=0, abs=1e-12)
 
 
+def test_geodesic_values_pinned_rank4(tmp_path):
+    # the rank-4 (rho = 2) geodesic config of the float jobs above, pinned
+    # like the rank-one one: oracle edits stay within ulps at rho >= 2 too
+    out = tmp_path / "geo.json"
+    assert run(["geodesic", "--gram", _RANK4_GRAM, "--mukai", "--x0",
+                "[0.1,0.2]", "--y0", "[0.3,1.5]", "--steps", "150",
+                "--tol", "1e-3", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["report"]["max_dev"] == pytest.approx(
+        7.918165484811219e-06, rel=0, abs=1e-12)
+    assert data["report"]["energy_drift"] == pytest.approx(
+        0.0, rel=0, abs=1e-12)
+    assert data["samples"][-1] == pytest.approx(
+        [2.0, 0.1, 0.2, 2.216586779101435, 11.082933895507166,
+         1.9999999999999996], rel=0, abs=1e-12)
+
+
 def _write_path_csv(path, sp, lat, rate=1.0, n=120):
     rows = []
     for t in np.linspace(0.0, 1.0, n):

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mukai_kit as mk
@@ -406,13 +406,26 @@ def test_oracle_rejects_non_finite_span(rank3):
             gd.geodesic_oracle(pt, t_max, 100)
 
 
-def test_oracle_non_finite_energy_raises(rank3):
+def test_oracle_non_finite_energy_raises(rank4):
     # b^T G_L b overflows to inf, so every Gram entry over Q is inf / inf
-    lat, sp = rank3
-    pt = dm.tube_point(sp, [0.0], [1.5e154])
+    lat, sp = rank4
+    pt = dm.tube_point(sp, [0.0, 0.0], [0.0, 1.5e154])
     with pytest.raises(StepTooLargeError,
                        match="energy drift nan after step 1"):
         gd.geodesic_oracle(pt, 1.0, 100)
+
+
+def test_oracle_half_plane_scales_past_gram_overflow(rank3):
+    # at rho = 1 the steps run in s = w / Im z, where b^T G_L b overflowing
+    # does not matter; the half-plane equation and the midpoint map both
+    # commute with z -> lambda z, so the run at 1e154 times y0 is the run
+    # at y0 scaled
+    lat, sp = rank3
+    big = gd.geodesic_oracle(dm.tube_point(sp, [0.0], [1.5e154]), 1.0, 100)
+    small = gd.geodesic_oracle(dm.tube_point(sp, [0.0], [1.5]), 1.0, 100)
+    assert np.all(np.isfinite(big.chart)) and big.energy_drift <= 1e-12
+    np.testing.assert_allclose(big.chart[:, 1], 1e154 * small.chart[:, 1],
+                               rtol=1e-12, atol=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -489,6 +502,32 @@ def test_oracle_matches_reference_loop(rank3, rank4, rank5):
                               <= 1e-12 * scale), (lat.label, span, steps)
                 assert abs(got.energy_drift - ref.energy_drift) <= 1e-12
     assert passed and raised
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SPLITS)), st.integers(0, 2 ** 16),
+       st.floats(-4.0, 12.0), st.integers(100, 400))
+# h = 0.012: a local error estimate of about 0.71e-4, a factor 1.4 from the
+# bound, which a misscaled estimate crosses
+@example(3, 0, 2.4, 200)
+@example(4, 0, 2.4, 200)
+def test_oracle_matches_reference_loop_at_random_starts(n, seed, span, steps):
+    pt = sample_points(SPLITS[n], np.random.default_rng(seed), 1)[0]
+    ref, ref_err = _step_outcome(reference_oracle, pt, span, steps)
+    # skip draws with an estimate within 1e-9 relative of the 1e-4 bound:
+    # there the reference itself ends differently at 1e-4 (1 +- 1e-9)
+    for tol in (1e-4 * (1 - 1e-9), 1e-4 * (1 + 1e-9)):
+        near = _step_outcome(
+            lambda *a: reference_oracle(*a, drift_tol=tol), pt, span, steps)
+        assume(near[1] == ref_err)
+    got, err = _step_outcome(gd.geodesic_oracle, pt, span, steps)
+    assert err == ref_err
+    if err:
+        return
+    np.testing.assert_array_equal(got.ts, ref.ts)
+    scale = np.maximum(1.0, np.abs(ref.chart).max(axis=1))
+    assert np.all(np.abs(got.chart - ref.chart).max(axis=1) <= 1e-12 * scale)
+    assert abs(got.energy_drift - ref.energy_drift) <= 1e-12
 
 
 # -- degenerations and neighborhoods ----------------------------------------------
