@@ -12,7 +12,6 @@ from .lattice import (  # noqa: F401
     IntegerLattice,
     Isometry,
     LatVec,
-    Root,
     direct_sum,
     discriminant_group,
     divisibility,
@@ -30,6 +29,6 @@ from .lattice import (  # noqa: F401
     preset,
     quotient_lattice,
     reflection,
-    roots_in_box,
     standard_to_hyperbolic,
+    vectors_of_norm,
 )

@@ -19,19 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import intlinalg as ila
 from .errors import IntegerOverflowError, InvariantError
 from .lattice import (
     IntegerLattice,
-    Isometry,
     LatVec,
     discriminant_group,
     line_twist_isometry,
     minus_identity,
     quotient_lattice,
-    reflection,
-    roots_in_box,
+    reflections,
     vectors_of_norm,
-    _sign_canonical,
 )
 
 
@@ -51,11 +49,10 @@ def enumerate_isotropic(lat: IntegerLattice, height: int) -> np.ndarray:
     return iso[(lead > 0) & (np.gcd.reduce(iso, axis=1) == 1)]
 
 
-def default_generators(lat: IntegerLattice, root_bound: int
-                       ) -> list[Isometry]:
-    """Reflections in all roots of the coordinate box, -id, and (for
-    Mukai-form lattices) the line-twist transvections by the NS basis
-    vectors.
+def default_generators(lat: IntegerLattice, root_bound: int) -> np.ndarray:
+    """-id, (for Mukai-form lattices) the line-twist transvections by the NS
+    basis vectors, and the reflections in the roots of the coordinate box,
+    one per +-root, as one integer array of shape (count, rank, rank).
 
     All of these lie in the isometry group used for cusp identification:
     -2-reflections act trivially on the discriminant group and fix a
@@ -64,22 +61,17 @@ def default_generators(lat: IntegerLattice, root_bound: int
     are arithmetically too sparse on some lattices (e.g. U + <8>, where
     roots satisfy rs = 4a^2 + 1), so the transvections are needed for the
     census to converge.  Orbit merges produced by any of them are sound.
+    The dtype is that of :func:`~mukai_kit.lattice.vectors_of_norm`, whose
+    magnitude bound also bounds every reflection entry.
     """
-    gens = [minus_identity(lat)]
-    seen = set()
-    for root in roots_in_box(lat, root_bound):
-        canon = _sign_canonical(root.vec.coords)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        gens.append(reflection(lat.vector(canon)))
+    roots = vectors_of_norm(lat, -2, root_bound)
+    lead = roots[np.arange(len(roots)), np.argmax(roots != 0, axis=1)]
+    fixed = [minus_identity(lat).matrix]
     if lat.mukai:
-        k = lat.ns_rank
-        for i in range(k):
-            l = [0] * k
-            l[i] = 1
-            gens.append(line_twist_isometry(lat, l))
-    return gens
+        fixed += [line_twist_isometry(lat, e).matrix
+                  for e in np.eye(lat.ns_rank, dtype=int).tolist()]
+    return np.concatenate([np.array(fixed, dtype=roots.dtype),
+                           reflections(roots[lead > 0], lat.gram)])
 
 
 @dataclass
@@ -93,7 +85,7 @@ _SWEEP_CHUNK = 1 << 16
 
 
 def orbit_partition(lat: IntegerLattice, window: np.ndarray,
-                    generators: list[Isometry], depth: int,
+                    generators: np.ndarray, depth: int,
                     height: int | None = None,
                     frontier_cap: int | None = None,
                     max_states: int = 500_000) -> OrbitResult:
@@ -101,7 +93,9 @@ def orbit_partition(lat: IntegerLattice, window: np.ndarray,
 
     ``window`` holds distinct sign-canonical rows in lex order, as from
     :func:`enumerate_isotropic`; ``class_of[i]`` is the index of the least
-    row in row i's orbit.
+    row in row i's orbit.  ``generators`` is an integer array of shape
+    (count, rank, rank), int64 or Python ints, as from
+    :func:`default_generators`; words use each generator and its inverse.
 
     A breadth-first sweep starts from all window rows at once; +-v is
     one state.  Images that leave the height window are kept as frontier
@@ -113,15 +107,14 @@ def orbit_partition(lat: IntegerLattice, window: np.ndarray,
     split.
 
     The sweep runs one level at a time on int64 arrays: all generators act
-    on a slice of the level in one product, images are sign-canonicalised
-    row-wise, and the divisibility invariant is checked on every edge.
-    States get integer ids, merged by a union-find over those ids.
+    on a slice of the level in one product and images are sign-canonicalised
+    row-wise.  States get integer ids, merged by a union-find over those ids.
 
     Before each level the sweep stops once the window has as many classes
     as divisibilities div(v) = gcd(G v).  That is final: all generators are
-    checked to be isometries and every edge to keep div, so no class, now
-    or after more levels, spans two divisibilities; each bucket is already
-    one class.  ``frontier_sizes`` counts the states the swept levels reach.
+    checked exactly to be isometries, which keep div, so no class, now or
+    after more levels, spans two divisibilities; each bucket is already one
+    class.  ``frontier_sizes`` counts the states the swept levels reach.
 
     Lattices with large Weyl groups (several hyperbolic summands) can blow
     past ``max_states`` within-cap states; the sweep then aborts with a
@@ -132,39 +125,41 @@ def orbit_partition(lat: IntegerLattice, window: np.ndarray,
     if depth < 0:
         raise ValueError("word depth must be >= 0")
     n = lat.rank
+    gens = np.asarray(generators)
+    if gens.shape == (0,):
+        gens = np.zeros((0, n, n), dtype=np.int64)
+    if gens.shape != (len(gens), n, n):
+        raise ValueError(f"generators must have shape (count, {n}, {n}), "
+                         f"not {gens.shape}")
+    if gens.dtype != np.int64 and {type(x) for x in gens.flat} - {int}:
+        raise TypeError("generators must be int64 or Python ints, "
+                        f"not {gens.dtype}")
+    pairs = np.concatenate([gens, _inverses(lat, gens)])
     top = int(np.abs(window).max(initial=0))
     if frontier_cap is None:
         frontier_cap = 200 * (height or top)
-    mats = list(dict.fromkeys(h.matrix for g in generators
-                              for h in (g, g.inverse())))
     reach = max(frontier_cap, top)
-    grow = max((sum(map(abs, row)) for m in mats for row in m), default=0)
+    grow = int(np.abs(pairs).sum(axis=2).max(initial=0))
     if reach * grow * max(sum(map(abs, row)) for row in lat.gram) >= 1 << 62:
         raise IntegerOverflowError(
             "orbit sweep images could leave int64; lower the frontier cap")
+    mats = np.unique(pairs.astype(np.int64), axis=0)
     gram = np.array(lat.gram, dtype=np.int64)
-    gens = np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
-    if np.any(np.einsum("gji,jk,gkl->gil", gens, gram, gens) != gram):
-        raise InvariantError("generator is not an isometry of the lattice")
     sweep = _StateTable(np.asarray(window, dtype=np.int64))
     buckets = len(np.unique(np.gcd.reduce(sweep.states @ gram, axis=1)))
     level = np.arange(len(window))
     step = max(1, _SWEEP_CHUNK // max(len(mats), 1))
     within = len(window)                # states inside the frontier cap
-    for _ in range(depth if mats else 0):
+    for _ in range(depth if len(mats) else 0):
         if len(np.unique(sweep.roots(len(window)))) == buckets:
             break                       # each bucket is one class: final
         found = []
         for lo in range(0, len(level), step):
             src = level[lo:lo + step]
             x = sweep.states[src]
-            img = np.einsum("gij,mj->gmi", gens, x).reshape(-1, n)
+            img = np.einsum("gij,mj->gmi", mats, x).reshape(-1, n)
             lead = img[np.arange(len(img)), np.argmax(img != 0, axis=1)]
             img *= np.where(lead < 0, -1, 1)[:, None]
-            # divisibility is an isometry invariant; check on every edge
-            if np.any(np.gcd.reduce(img @ gram, axis=1)
-                      != np.tile(np.gcd.reduce(x @ gram, axis=1), len(mats))):
-                raise InvariantError("generator changed a divisibility")
             ids, new = sweep.ids_of(img)
             sweep.union(np.tile(src, len(mats)), ids)
             new = new[np.abs(sweep.states[new]).max(axis=1) <= frontier_cap]
@@ -177,6 +172,17 @@ def orbit_partition(lat: IntegerLattice, window: np.ndarray,
         level = np.concatenate(found) if found else level[:0]
 
     return OrbitResult(sweep.roots(len(window)), [within - len(window)])
+
+
+def _inverses(lat: IntegerLattice, gens: np.ndarray) -> np.ndarray:
+    """G^-1 m^T G for each m, exact in Python ints: the integer adjugate of
+    G, then division by det G.  InvariantError if an m is not an isometry."""
+    adj = [[int(x * lat.det) for x in row]
+           for row in ila.mat_inverse_rational(lat.gram)]
+    m, gram = gens.astype(object), np.array(lat.gram, dtype=object)
+    if np.any(m.swapaxes(1, 2) @ gram @ m != gram):
+        raise InvariantError("generator is not an isometry of the lattice")
+    return np.array(adj, dtype=object) @ m.swapaxes(1, 2) @ gram // lat.det
 
 
 class _StateTable:
@@ -289,9 +295,10 @@ class CensusReport:
         }
 
 
-def _generator_hash(generators: list[Isometry]) -> str:
+def _generator_hash(generators: np.ndarray) -> str:
     import hashlib
-    blob = repr(sorted(g.matrix for g in generators)).encode()
+    blob = repr(sorted(tuple(map(tuple, m))
+                       for m in np.asarray(generators).tolist())).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -320,7 +327,7 @@ def _fricke_labels(coords: np.ndarray, n: int) -> np.ndarray:
 
 
 def _census(lat: IntegerLattice, height: int,
-            generators: list[Isometry] | None, word_depth: int,
+            generators: np.ndarray | None, word_depth: int,
             root_bound: int, standard_only: bool) -> CensusReport:
     """Classes of the isotropic window rows, by label or by sweep."""
     window = enumerate_isotropic(lat, height)
@@ -358,7 +365,7 @@ def _census(lat: IntegerLattice, height: int,
 
 
 def standard_cusp_census(lat: IntegerLattice, height: int,
-                         generators: list[Isometry] | None = None,
+                         generators: np.ndarray | None = None,
                          word_depth: int = 6,
                          root_bound: int = 8) -> CensusReport:
     """One record per cusp class of standard vectors at this height.
@@ -370,7 +377,7 @@ def standard_cusp_census(lat: IntegerLattice, height: int,
 
 
 def cusp_census(lat: IntegerLattice, height: int,
-                generators: list[Isometry] | None = None,
+                generators: np.ndarray | None = None,
                 word_depth: int = 6,
                 root_bound: int = 8) -> CensusReport:
     """Census of all zero-dimensional cusp classes (every divisibility).
@@ -381,6 +388,8 @@ def cusp_census(lat: IntegerLattice, height: int,
     labels, exact, and the count is :func:`fricke_cusp_count` once the
     window meets every label (height 4n + 20 does for n <= 60); otherwise
     they are orbits of at most ``word_depth`` generator words, an upper bound.
+    ``generators`` is an integer array of shape (count, rank, rank), as
+    :func:`default_generators` returns for ``root_bound``, its default.
     """
     return _census(lat, height, generators, word_depth, root_bound, False)
 

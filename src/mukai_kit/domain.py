@@ -45,6 +45,7 @@ from .lattice import (
     Isometry,
     LatVec,
     standard_to_hyperbolic,
+    vectors_of_norm,
     _int_dtype,
     _sign_canonical,
 )
@@ -969,10 +970,11 @@ def enumerate_walls_region(split: HyperbolicSplit, box: TubeBox,
 
 def enumerate_walls_bruteforce(split: HyperbolicSplit, box: TubeBox,
                                coord_bound: int = 10) -> list[Wall]:
-    """Oracle: scan all roots with |coords| <= coord_bound, same filters."""
-    from .lattice import roots_in_box
-    cands = [r.vec for r in roots_in_box(split.lattice, coord_bound)]
-    return enumerate_walls_region(split, box, candidates=cands)
+    """Oracle: scan all roots with |coords| <= coord_bound, same filters;
+    kept in the package only because ``perfbench/oracles.py`` imports it."""
+    lat = split.lattice
+    return enumerate_walls_region(split, box, candidates=[
+        lat.vector(c) for c in vectors_of_norm(lat, -2, coord_bound)])
 
 
 # -- wall crossings along chart segments ----------------------------------------

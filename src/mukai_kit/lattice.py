@@ -148,14 +148,6 @@ class LatVec:
 
 
 @dataclass(frozen=True)
-class Root:
-    """A (-2)-vector together with its class relative to an isotropic v."""
-
-    vec: LatVec
-    class_rel_v: str  # "positive" | "zero" | "negative"
-
-
-@dataclass(frozen=True)
 class Isometry:
     """Integer isometry of a lattice, optionally tagged with orientation."""
 
@@ -367,16 +359,22 @@ def is_standard(v: LatVec) -> bool:
     return v.norm2 == 0 and divisibility(v) == 1
 
 
+def reflections(deltas: np.ndarray, gram) -> np.ndarray:
+    """I + delta (G delta)^T, the reflection w -> w + (delta.w) delta, for
+    each row of ``deltas``: shape (count, rank, rank), the rows' dtype."""
+    gd = deltas @ np.array(gram, dtype=deltas.dtype)
+    return (np.eye(len(gram), dtype=deltas.dtype)
+            + deltas[:, :, None] * gd[:, None, :])
+
+
 def reflection(delta: LatVec) -> Isometry:
     """s_delta : w -> w + (delta.w) delta, an involutive integer isometry."""
     if delta.norm2 != -2:
         raise NotARootError(f"reflection needs delta^2 = -2, got {delta.norm2}")
-    n = delta.lattice.rank
-    gd = delta.gram_image()
-    mat = [[(1 if i == j else 0) + delta.coords[i] * gd[j]
-            for j in range(n)] for i in range(n)]
+    mat = reflections(np.array([delta.coords], dtype=object),
+                      delta.lattice.gram)[0]
     # -2-reflections fix a positive 2-plane inside delta^perp
-    return Isometry(delta.lattice, tuple(tuple(r) for r in mat), True)
+    return Isometry(delta.lattice, tuple(map(tuple, mat.tolist())), True)
 
 
 def minus_identity(lat: IntegerLattice) -> Isometry:
@@ -399,18 +397,12 @@ def line_twist_isometry(lat: IntegerLattice, l) -> Isometry:
     if len(l) != k:
         raise ValueError("l must be an NS-vector")
     gl = ila.mat_vec(ns_block(lat), l)   # NS-Gram @ l
-    lsq = ila.dot(gl, l)  # even, as the NS block is
-    n = lat.rank
-    mat = [[0] * n for _ in range(n)]
-    mat[0][0] = 1
-    mat[n - 1][n - 1] = 1
-    mat[n - 1][0] = lsq // 2
-    for i in range(k):
-        mat[1 + i][0] = l[i]
-        mat[1 + i][1 + i] = 1
-        mat[n - 1][1 + i] = gl[i]
+    mat = [(1,) + (0,) * (k + 1),
+           *((x,) + tuple(int(i == j) for j in range(k)) + (0,)
+             for i, x in enumerate(l)),
+           (ila.dot(gl, l) // 2, *gl, 1)]  # l^2 is even, as the NS block is
     # unipotent, fixes the positive 2-plane orientation
-    return Isometry(lat, tuple(tuple(r) for r in mat), True)
+    return Isometry(lat, tuple(mat), True)
 
 
 # Largest slice of the coordinate box held as one array, in points.
@@ -505,28 +497,6 @@ def vectors_of_norm(lat: IntegerLattice, norm: int, bound: int) -> np.ndarray:
     out = np.concatenate(parts)
     out = out[np.any(out != 0, axis=1)]
     return out[np.lexsort(out.T[::-1])]
-
-
-def roots_in_box(lat: IntegerLattice, bound: int,
-                 rel_v: LatVec | None = None) -> list[Root]:
-    """All delta with max|coords| <= bound and delta^2 = -2, lex order.
-
-    :func:`vectors_of_norm` at norm -2, each root classed by -(v.delta)
-    against ``rel_v`` ("zero" for every root when it is None).  The full
-    root system of an indefinite lattice is infinite; this is an explicitly
-    bounded slice.  For completeness on compact period-domain regions use
-    the majorant enumeration in :mod:`mukai_kit.domain`.
-    """
-    coords = vectors_of_norm(lat, -2, bound).tolist()
-    if rel_v is None:
-        return [Root(LatVec(lat, tuple(c)), "zero") for c in coords]
-    gv = rel_v.gram_image()
-    out = []
-    for c in coords:
-        p = ila.dot(c, gv)
-        cls = "zero" if p == 0 else ("positive" if -p > 0 else "negative")
-        out.append(Root(LatVec(lat, tuple(c)), cls))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,9 @@ def test_criterion_1_exact_lattice_layer():
     lattices = [mk.preset(f"mukai_rank1({n})") for n in range(1, 7)]
     lattices.append(mk.direct_sum(mk.preset("U"), mk.preset("U"),
                                   label="U+U"))
-    roots_per_lat = {lat.label: [r.vec for r in mk.roots_in_box(lat, 3)]
-                     for lat in lattices}
+    roots_per_lat = {
+        lat.label: list(map(lat.vector, mk.vectors_of_norm(lat, -2, 3)))
+        for lat in lattices}
     checks = 0
     while checks < 10_000:
         lat = lattices[rng.randrange(len(lattices))]
@@ -115,7 +116,7 @@ def test_criterion_2_tube_roundtrip_and_equivariance():
     # equivariance under 50 random reflection products
     lat = mk.preset("mukai_rank1(2)")
     sp = dm.split_at(lat.vector([0, 0, 1]))
-    roots = [r.vec for r in mk.roots_in_box(lat, 4)]
+    roots = list(map(lat.vector, mk.vectors_of_norm(lat, -2, 4)))
     rng = np.random.default_rng(7)
     worst_eq = 0.0
     for _ in range(50):
@@ -365,7 +366,7 @@ def _verify_beta(lat, c_root, k, eta, cert):
     z = ch.exp_class(lat, beta, [float(e) for e in eta])
     gm = dm.gram_np(lat)
     # full majorant candidate set at the point plus a coordinate box
-    cands = {r.vec.coords for r in mk.roots_in_box(lat, 6)}
+    cands = set(map(tuple, mk.vectors_of_norm(lat, -2, 6).tolist()))
     q = majorant_matrix(z)
     om2 = float(np.asarray(eta, dtype=float)
                 @ np.array([row[1:-1] for row in lat.gram_rows()[1:-1]],

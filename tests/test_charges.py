@@ -379,8 +379,9 @@ def test_d_crossing_beyond_the_sampler_box(rank3):
     ev = [e for e in dm.wall_crossings(sp, start, end)
           if e.root.coords == (5, 2, 1)]
     assert [(e.t, e.kind) for e in ev] == [(0.5, "D")]
+    roots = list(map(lat.vector, mk.vectors_of_norm(lat, -2, 3)))
     sampled = _sampled_crossings(_segment_frames(sp, start, end), 0.0, 1.0,
-                                 sp, [r.vec for r in mk.roots_in_box(lat, 3)])
+                                 sp, roots)
     assert all(e.root.coords != (5, 2, 1) for e in sampled)
 
 
@@ -441,8 +442,9 @@ def test_segment_crossings_match_sampler(name, data):
         assert all(abs((frame_at(t).z @ g @ root).imag) < 1e-9
                    for t in (0.0, 0.37, 1.0))
         return
+    roots = list(map(lat.vector, mk.vectors_of_norm(lat, -2, 4)))
     oracle = _sampled_crossings(_segment_frames(sp, start, end), 0.0, 1.0, sp,
-                                [r.vec for r in mk.roots_in_box(lat, 4)])
+                                roots)
     for e in oracle:
         match = [g for g in events if (g.kind, g.root) == (e.kind, e.root)
                  and abs(g.t - e.t) <= 1e-6]
@@ -694,10 +696,10 @@ def test_beta_search_conditions_hold():
     eta = [2.0, 0.0]
     z = ch.exp_class(lat, beta, eta)
     gm = dm.gram_np(lat)
-    for root in mk.roots_in_box(lat, 6):
-        val = complex(z.z @ gm @ np.array(root.vec.coords, dtype=float))
+    for root in map(lat.vector, mk.vectors_of_norm(lat, -2, 6)):
+        val = complex(z.z @ gm @ np.array(root.coords, dtype=float))
         assert abs(val) > 1e-9                       # condition (1)
-        if -lat.vector([0, 0, 0, 1]).dot(root.vec) > 0:
+        if -lat.vector([0, 0, 0, 1]).dot(root) > 0:
             in_r_le0 = abs(val.imag) < 1e-9 and val.real <= 0
             assert not in_r_le0                      # condition (2)
 
@@ -756,7 +758,7 @@ def _beta_search_oracle(lat, c_root, k, eta, bound):
         raise NonPositiveOmegaError("eta^2 must exceed 2")
     if _roots_orthogonal_to(lat, eta) != {_sign_canonical(tuple(c_ns))}:
         raise ValueError("eta is not generic on the facet")
-    roots = [r.vec for r in mk.roots_in_box(lat, bound)]
+    roots = list(map(lat.vector, mk.vectors_of_norm(lat, -2, bound)))
     for t in (F(sign * num, 256) for num in range(64) for sign in (1, -1)):
         beta = [F(2 * k + 1, 4) * c + t * x for c, x in zip(c_ns, eta)]
         if _beta_check_fractions(lat, roots, c_ns, k, eta, beta):
@@ -814,7 +816,7 @@ def test_beta_search_huge_inputs_stay_exact():
     c_root = lat.vector([0, 0, 1, 0])
     k = 10 ** 15
     cert = ch.boundary_beta_search(lat, c_root, k, [2, 0], coord_bound=3)
-    roots = [r.vec for r in mk.roots_in_box(lat, 3)]
+    roots = list(map(lat.vector, mk.vectors_of_norm(lat, -2, 3)))
     assert _beta_check_fractions(lat, roots, [0, 1], k, [F(2), F(0)],
                                  list(cert.beta))
     assert F(-1) < cert.window_value < F(0)

@@ -1,14 +1,19 @@
+import hashlib
 import math
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mukai_kit as mk
 from mukai_kit import cusps
-from mukai_kit.errors import IntegerOverflowError, InvariantError
+from mukai_kit.errors import (
+    DegenerateError,
+    IntegerOverflowError,
+    InvariantError,
+)
 from mukai_kit.lattice import _sign_canonical
 
 RANK5_NS = [[2, 0, 0], [0, -2, 0], [0, 0, -2]]
@@ -67,7 +72,8 @@ def _orbit_bfs(lat, rows, generators, depth, height, frontier_cap=None,
         frontier_cap = 200 * height
     window = {_sign_canonical(c) for c in _coords(rows)}
     mats = []
-    for g in generators:
+    for m in generators.tolist():
+        g = mk.Isometry(lat, tuple(map(tuple, m)))
         for h in (g, g.inverse()):
             if h.matrix not in mats:
                 mats.append(h.matrix)
@@ -193,6 +199,74 @@ def test_classify_divisibility():
     assert list(buckets_u) == [1]
 
 
+def _generators_oracle(lat, root_bound):
+    """Reference: -id, one reflection per +-root of the box and the line
+    twists as a list of Isometry objects, each checked exactly on its own."""
+    n, gram = lat.rank, lat.gram_rows()
+    gens = [mk.minus_identity(lat)]
+    seen = set()
+    for c in mk.vectors_of_norm(lat, -2, root_bound).tolist():
+        delta = _sign_canonical(tuple(c))
+        if delta in seen:
+            continue
+        seen.add(delta)
+        gd = [sum(g * d for g, d in zip(row, delta)) for row in gram]
+        gens.append(mk.Isometry(lat, tuple(
+            tuple(int(i == j) + delta[i] * gd[j] for j in range(n))
+            for i in range(n))))
+    if lat.mukai:
+        k = lat.ns_rank
+        gens += [mk.line_twist_isometry(lat, [int(i == j) for j in range(k)])
+                 for i in range(k)]
+    return gens
+
+
+@st.composite
+def _generator_lattices(draw):
+    """Mukai lattices of rank 3 to 5 and a few lattices of other forms."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from([
+            mk.direct_sum(mk.preset("U"), mk.make_lattice([[-2]])),
+            mk.direct_sum(mk.preset("U"), mk.preset("bracket(4)")),
+            mk.direct_sum(mk.preset("U"), mk.preset("U"))]))
+    k = draw(st.integers(1, 3))
+    ns = [[0] * k for _ in range(k)]
+    for i in range(k):
+        ns[i][i] = draw(st.sampled_from([-6, -4, -2, 2, 4, 6]))
+        for j in range(i):
+            ns[i][j] = ns[j][i] = draw(st.integers(-2, 2))
+    try:
+        return mk.mukai_lattice(ns)
+    except DegenerateError:
+        assume(False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_generator_lattices(), st.integers(1, 8))
+@example(mk.mukai_lattice(RANK5_NS), 8)
+@example(mk.direct_sum(mk.preset("U"), mk.make_lattice([[-2]])), 8)
+@example(mk.mukai_lattice([[2 ** 61]]), 2)     # Python-int stack
+def test_default_generators_vs_isometry_list(lat, root_bound):
+    stack = cusps.default_generators(lat, root_bound)
+    oracle = _generators_oracle(lat, root_bound)
+    assert stack.shape == (len(oracle), lat.rank, lat.rank)
+    assert stack.dtype == mk.vectors_of_norm(lat, -2, root_bound).dtype
+    mats = [tuple(map(tuple, m)) for m in stack.tolist()]
+    assert len(set(mats)) == len(mats)
+    assert set(mats) == {g.matrix for g in oracle}
+    blob = repr(sorted(g.matrix for g in oracle)).encode()
+    assert cusps._generator_hash(stack) == \
+        hashlib.sha256(blob).hexdigest()[:16]
+    inv = cusps._inverses(lat, stack)
+    assert (stack @ inv == np.eye(lat.rank, dtype=int)).all()
+    if lat.mukai:
+        k = lat.ns_rank
+        for i in range(k):
+            minus_e = [-int(i == j) for j in range(k)]
+            assert tuple(map(tuple, inv[1 + i].tolist())) == \
+                mk.line_twist_isometry(lat, minus_e).matrix
+
+
 def test_orbit_partition_no_generators():
     lat = mk.preset("mukai_rank1(1)")
     vecs = cusps.enumerate_isotropic(lat, 2)
@@ -202,30 +276,42 @@ def test_orbit_partition_no_generators():
 
 def test_orbit_partition_rejects_non_isometry():
     # x -> 2x doubles the divisibility, which no isometry can do
-    class Doubling:
-        matrix = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-
-        def inverse(self):
-            return self
-
+    doubling = 2 * np.eye(3, dtype=np.int64)[None]
     lat = mk.preset("mukai_rank1(1)")
     vecs = cusps.enumerate_isotropic(lat, 2)
     with pytest.raises(InvariantError):
-        cusps.orbit_partition(lat, vecs, [Doubling()], 1)
+        cusps.orbit_partition(lat, vecs, doubling, 1)
 
 
 def test_orbit_partition_rejects_shear():
     # a shear of U keeps every divisibility (all are 1) but not the form
-    class Shear:
-        matrix = ((1, 1), (0, 1))
-
-        def inverse(self):
-            return self
-
+    shear = np.array([[[1, 1], [0, 1]]])
     u = mk.preset("U")
     vecs = cusps.enumerate_isotropic(u, 1)
     with pytest.raises(InvariantError, match="not an isometry"):
-        cusps.orbit_partition(u, vecs, [Shear()], 1)
+        cusps.orbit_partition(u, vecs, shear, 1)
+
+
+def test_orbit_partition_rejects_a_flat_stack():
+    # nine entries per row would reshape to 3 x 3 matrices, silently
+    lat = mk.preset("mukai_rank1(1)")
+    vecs = cusps.enumerate_isotropic(lat, 2)
+    flat = cusps.default_generators(lat, 1)[:2].reshape(2, 9)
+    with pytest.raises(ValueError, match=r"shape \(count, 3, 3\).*\(2, 9\)"):
+        cusps.orbit_partition(lat, vecs, flat, 1)
+
+
+def test_orbit_partition_rejects_a_float_stack():
+    lat = mk.preset("mukai_rank1(1)")
+    vecs = cusps.enumerate_isotropic(lat, 2)
+    gens = cusps.default_generators(lat, 2)
+    with pytest.raises(TypeError, match="float64"):
+        cusps.orbit_partition(lat, vecs, gens.astype(float), 1)
+    with pytest.raises(TypeError, match="object"):
+        cusps.orbit_partition(lat, vecs, gens.astype(float).astype(object), 1)
+    exact = cusps.orbit_partition(lat, vecs, gens.astype(object), 2)
+    assert exact.class_of.tolist() == \
+        cusps.orbit_partition(lat, vecs, gens, 2).class_of.tolist()
 
 
 def test_orbit_partition_merges_and_closure():
@@ -238,12 +324,11 @@ def test_orbit_partition_merges_and_closure():
     assert orbit_of[(0, 0, 1)] == orbit_of[(1, 0, 0)]
     # applying a generator to an orbit member stays in the orbit
     for rep in np.unique(res.class_of).tolist():
-        member = lat.vector(vecs[rep])
-        for g in gens[:3]:
-            img = g.apply(member)
-            canon = cusps._sign_canonical(img.coords)
+        member = tuple(vecs[rep].tolist())
+        for m in gens[:3]:
+            canon = _sign_canonical(tuple((m @ vecs[rep]).tolist()))
             if max(abs(c) for c in canon) <= 3:
-                assert orbit_of[canon] == orbit_of[member.coords]
+                assert orbit_of[canon] == orbit_of[member]
 
 
 def _stopped_bfs(lat, rows, generators, depth, height, frontier_cap,

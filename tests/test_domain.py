@@ -135,7 +135,7 @@ def test_tube_roundtrip(rank3, rank4):
 def test_equivariance(rank3):
     lat, sp = rank3
     rng = np.random.default_rng(3)
-    roots = [r.vec for r in mk.roots_in_box(lat, 3)]
+    roots = list(map(lat.vector, mk.vectors_of_norm(lat, -2, 3)))
     gens = [mk.reflection(d) for d in roots] + [mk.minus_identity(lat)]
     for _ in range(50):
         g = gens[rng.integers(0, len(gens))]
@@ -547,10 +547,10 @@ def test_rank1_wall_test_matches_closed_form(n, data):
     lat = mk.preset(f"mukai_rank1({n})")
     sp = dm.split_at(lat.vector([0, 0, 1]))
     box = _box_in(sp, data.draw, 0)
-    for r in mk.roots_in_box(lat, 6):
+    for r in map(lat.vector, mk.vectors_of_norm(lat, -2, 6)):
         for kind in "ACD":
-            verdict = dm.wall_meets_box(sp, box, r.vec, kind)
-            assert verdict is _rank1_meets_box(sp, box, r.vec, kind)
+            verdict = dm.wall_meets_box(sp, box, r, kind)
+            assert verdict is _rank1_meets_box(sp, box, r, kind)
 
 
 _HIGHER = {"rank4": ([[2, 0], [0, -2]], 3), "rank5": ([[2, 0, 0], [0, -2, 0],
@@ -573,8 +573,8 @@ def test_exact_wall_test_witnesses_and_misses(name, data):
         b = [float(l + (h - l) * t) for l, h, t in
              zip(box.b_lo, box.b_hi, rng.uniform(size=sp.rho))]
         samples.append(dm.exp_point(dm.tube_point(sp, a, b)))
-    for r in mk.roots_in_box(lat, bound):
-        delta, d = dm._orient_root(sp, r.vec)
+    for r in map(lat.vector, mk.vectors_of_norm(lat, -2, bound)):
+        delta, d = dm._orient_root(sp, r)
         if d == 0:
             continue
         verdicts = {}
@@ -732,8 +732,8 @@ def test_rank4_enumeration_vs_bruteforce(rank4):
         assert not any(w.undecided for w in walls)
         got = {(w.kind, w.root.coords) for w in walls}
         want = set()
-        for r in mk.roots_in_box(lat, 4):
-            delta, d = dm._orient_root(sp, r.vec)
+        for r in map(lat.vector, mk.vectors_of_norm(lat, -2, 4)):
+            delta, d = dm._orient_root(sp, r)
             if d > 0:
                 want |= {(kind, delta.coords) for kind in "AD"
                          if _grid_meets_box(sp, box, delta, kind)}
@@ -1046,8 +1046,8 @@ def test_point_predicates_match_float_oracle(name):
     b_axes = [b_pos if i == pos else b_rest for i in range(sp.rho)]
     hull = dm.TubeBox.make(sp, [min(a_axis)] * sp.rho, [max(a_axis)] * sp.rho,
                            [min(x) for x in b_axes], [max(x) for x in b_axes])
-    roots = {dm._orient_root(sp, r.vec)[0] for r in
-             mk.roots_in_box(lat, _wall_coord_bound(sp, hull))}
+    roots = {dm._orient_root(sp, lat.vector(c))[0] for c in
+             mk.vectors_of_norm(lat, -2, _wall_coord_bound(sp, hull))}
     roots = sorted(roots, key=lambda w: w.coords)
     amp = [1.0 if i == pos else 0.125 for i in range(sp.rho)]
     hits = 0
@@ -1068,8 +1068,8 @@ def test_point_predicates_on_and_off_walls():
     for n in (1, 2, 3):
         lat = mk.preset(f"mukai_rank1({n})")
         sp = dm.split_at(lat.vector([0, 0, 1]))
-        for r in mk.roots_in_box(lat, 6):
-            delta, d = dm._orient_root(sp, r.vec)
+        for r in map(lat.vector, mk.vectors_of_norm(lat, -2, 6)):
+            delta, d = dm._orient_root(sp, r)
             _, _, (lam,) = sp.root_data(delta)
             if d not in (1, 2, 4) or abs(lam) > d:
                 continue
@@ -1088,8 +1088,8 @@ def test_point_predicates_on_and_off_walls():
     assert sp.gram_L == ((-2, 0, 0), (0, -2, 0), (0, 0, 2))
     b = [0.125, 0.0, 0.5]
     seen = 0
-    for r in mk.roots_in_box(lat, 2):
-        delta, d = dm._orient_root(sp, r.vec)
+    for r in map(lat.vector, mk.vectors_of_norm(lat, -2, 2)):
+        delta, d = dm._orient_root(sp, r)
         if d != 1:
             continue
         lam = list(sp.root_data(delta)[2])

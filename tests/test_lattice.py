@@ -158,7 +158,7 @@ def test_reflection_examples():
 def test_reflection_involution_and_gram():
     rng = random.Random(3)
     m2 = mk.preset("mukai_rank1(2)")
-    roots = [r.vec for r in mk.roots_in_box(m2, 4)]
+    roots = list(map(m2.vector, mk.vectors_of_norm(m2, -2, 4)))
     for delta in roots:
         s = mk.reflection(delta)
         ss = s.compose(s)
@@ -171,7 +171,7 @@ def test_isometry_inverse_fast_path():
     # mat_inverse_unimodular, and both paths agree with it
     from mukai_kit import intlinalg as ila
     m2 = mk.preset("mukai_rank1(2)")
-    roots = [r.vec for r in mk.roots_in_box(m2, 3)]
+    roots = list(map(m2.vector, mk.vectors_of_norm(m2, -2, 3)))
     isos = [mk.reflection(delta) for delta in roots]
     isos += [mk.reflection(roots[0]).compose(mk.reflection(roots[i]))
              for i in (1, 2)]
@@ -208,29 +208,42 @@ def test_isometry_flag_composition():
 
 # -- root enumeration ------------------------------------------------------------
 
-def test_roots_in_box_U():
+def test_vectors_of_norm_roots_U():
     u = mk.preset("U")
-    roots = {r.vec.coords for r in mk.roots_in_box(u, 3)}
+    roots = set(map(tuple, mk.vectors_of_norm(u, -2, 3).tolist()))
     assert roots == {(1, -1), (-1, 1)}
 
 
-def test_roots_in_box_definite():
-    assert mk.roots_in_box(mk.preset("bracket(2)"), 5) == []
+def test_vectors_of_norm_roots_definite():
+    assert mk.vectors_of_norm(mk.preset("bracket(2)"), -2, 5).shape == (0, 1)
 
 
-def test_roots_in_box_vs_naive():
+def test_vectors_of_norm_roots_vs_naive():
     cases = [(mk.direct_sum(mk.preset("U"), mk.preset("bracket(2)")),
               (1, 2, 3, 4)),
              (mk.mukai_lattice([[2, 0], [0, -2]], "rank4"), (1, 2))]
     for lat, bounds in cases:
         for bound in bounds:
-            got = {r.vec.coords for r in mk.roots_in_box(lat, bound)}
+            got = set(map(tuple, mk.vectors_of_norm(lat, -2, bound).tolist()))
             want = set()
             rng = range(-bound, bound + 1)
             for c in itertools.product(rng, repeat=lat.rank):
                 if any(c) and lat.vector(c).norm2 == -2:
                     want.add(c)
             assert got == want
+
+
+def test_reflections_keep_the_rows_dtype():
+    # each matrix is the one reflection() builds, in int64 and, past 2**62,
+    # in Python ints
+    big = 2 ** 60
+    for lat in (mk.preset("mukai_rank1(2)"),
+                mk.make_lattice([[2 * big, 1], [1, -2]])):
+        deltas = vectors_of_norm(lat, -2, 3)
+        mats = mk.lattice.reflections(deltas, lat.gram)
+        assert len(deltas) and mats.dtype == deltas.dtype
+        assert [tuple(map(tuple, m)) for m in mats.tolist()] == \
+            [mk.reflection(lat.vector(d)).matrix for d in deltas]
 
 
 def _norm_scan(lat, norm, bound):
@@ -292,15 +305,6 @@ def test_vectors_of_norm_huge_gram_stays_exact():
             assert got.dtype == object
             assert [tuple(r) for r in got.tolist()] == \
                 _norm_scan(lat, norm, 2)
-
-
-def test_root_classification():
-    m1 = mk.preset("mukai_rank1(1)")
-    v0 = m1.vector([0, 0, 1])
-    roots = mk.roots_in_box(m1, 2, rel_v=v0)
-    classes = {r.vec.coords: r.class_rel_v for r in roots}
-    assert classes[(1, 0, 1)] == "positive"   # -v0.delta = r = 1
-    assert classes[(-1, 0, -1)] == "negative"
 
 
 # -- complements, quotients, discriminants ---------------------------------------
@@ -376,7 +380,7 @@ def test_line_twist_isometry():
 @given(st.integers(1, 6), st.data())
 def test_random_isometries_preserve_gram(n, data):
     lat = mk.preset(f"mukai_rank1({n})")
-    roots = [r.vec for r in mk.roots_in_box(lat, 4)]
+    roots = list(map(lat.vector, mk.vectors_of_norm(lat, -2, 4)))
     if not roots:
         return
     idx = data.draw(st.integers(0, len(roots) - 1))
