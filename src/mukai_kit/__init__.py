@@ -24,6 +24,7 @@ from .lattice import (  # noqa: F401
     minus_identity,
     mukai_lattice,
     mukai_vector,
+    orientation_character,
     orthogonal_complement,
     pair,
     preset,

@@ -43,13 +43,9 @@ from .domain import (
 from .intlinalg import dot, mat_vec, signature
 from .lattice import (
     IntegerLattice,
-    Isometry,
     LatVec,
-    line_twist_isometry,
-    minus_identity,
     ns_block,
     ns_pair,
-    reflection,
     vectors_of_norm,
 )
 
@@ -386,24 +382,3 @@ def boundary_beta_search(lat: IntegerLattice, c_root: LatVec, k: int,
     return BetaCertificate(tuple(Fraction((2 * k + 1) * c, 4) for c in c_ns),
                            Fraction(-1, 2),
                            len(vectors_of_norm(lat, -2, coord_bound)))
-
-
-# ---------------------------------------------------------------------------
-# cohomological actions of auto-equivalences
-# ---------------------------------------------------------------------------
-
-def coh_action(lat: IntegerLattice, kind: str, data=None) -> Isometry:
-    """Integer isometry realized by an auto-equivalence on the lattice.
-
-    kind 'shift': -id; 'spherical_twist': the reflection in a (-2)-vector;
-    'line_twist': multiplication by exp(l).  Gram preservation is verified
-    exactly by the Isometry constructor.
-    """
-    if kind == "shift":
-        return minus_identity(lat)
-    if kind == "spherical_twist":
-        delta = data if isinstance(data, LatVec) else lat.vector(data)
-        return reflection(delta)
-    if kind == "line_twist":
-        return line_twist_isometry(lat, data)
-    raise ValueError(f"unknown action kind {kind!r}")

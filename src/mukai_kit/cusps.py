@@ -27,6 +27,7 @@ from .lattice import (
     discriminant_group,
     line_twist_isometry,
     minus_identity,
+    orientation_character,
     quotient_lattice,
     reflections,
     vectors_of_norm,
@@ -54,10 +55,10 @@ def default_generators(lat: IntegerLattice, root_bound: int) -> np.ndarray:
     basis vectors, and the reflections in the roots of the coordinate box,
     one per +-root, as one integer array of shape (count, rank, rank).
 
-    All of these lie in the isometry group used for cusp identification:
-    -2-reflections act trivially on the discriminant group and fix a
-    positive 2-plane, -id is realized by the shift, and the transvections
-    are the cohomological actions of line-bundle twists.  Reflections alone
+    These are the lattice actions of the shift, of spherical twists and of
+    line-bundle twists.  On signature (2, q) the census checks that each
+    keeps the orientation of positive 2-planes, by
+    :func:`~mukai_kit.lattice.orientation_character`.  Reflections alone
     are arithmetically too sparse on some lattices (e.g. U + <8>, where
     roots satisfy rs = 4a^2 + 1), so the transvections are needed for the
     census to converge.  Orbit merges produced by any of them are sound.
@@ -344,6 +345,13 @@ def _census(lat: IntegerLattice, height: int,
     else:
         class_of = orbit_partition(lat, window, generators, word_depth,
                                    height=height).class_of
+    # after the sweep, which certifies supplied generators as isometries
+    if lat.signature[0] == 2 and len(generators):
+        bad = np.flatnonzero(orientation_character(lat, generators) < 0)
+        if len(bad):
+            raise InvariantError(
+                f"generator {bad[0]} reverses the orientation of positive "
+                f"2-planes: {np.asarray(generators)[bad[0]].tolist()}")
     # one check for both paths, as labels are not certified by isometries
     _, first, inverse, sizes = np.unique(class_of, return_index=True,
                                          return_inverse=True,

@@ -393,10 +393,6 @@ def gl2_factor(frame: FrameVec, split: HyperbolicSplit
 # isometries acting on the domain
 # ---------------------------------------------------------------------------
 
-def apply_isometry_frame(g: Isometry, frame: FrameVec) -> FrameVec:
-    return FrameVec(frame.lattice, g.matrix_np @ frame.z)
-
-
 def apply_isometry_point(g: Isometry, p: PeriodPoint) -> PeriodPoint:
     return PeriodPoint(p.lattice, g.matrix_np @ p.z)
 
@@ -405,38 +401,6 @@ def apply_isometry_tube(g: Isometry, pt: TubePoint) -> TubePoint:
     """g . (x + iy) in the tube model of w = g.v (lifts stay canonical)."""
     sp = split_at(g.apply(pt.split.v))
     return TubePoint(sp, g.matrix_np @ pt.x, g.matrix_np @ pt.y)
-
-
-def reference_frame(lat: IntegerLattice) -> FrameVec:
-    """A fixed frame spanning a positive 2-plane (eigenvector construction)."""
-    g = gram_np(lat)
-    vals, vecs = np.linalg.eigh(g)
-    pos = [i for i in range(len(vals)) if vals[i] > 0]
-    if len(pos) < 2:
-        raise NotPositiveError("lattice has no positive 2-plane")
-    p1 = vecs[:, pos[-1]]
-    p2 = vecs[:, pos[-2]]
-    return FrameVec(lat, p1 + 1j * p2).validate()
-
-
-def orientation_flag(g: Isometry) -> bool:
-    """True iff g preserves the component of the reference oriented plane.
-
-    The cross Gram of the image plane against ``reference_frame`` is
-    non-singular for positive planes; its determinant sign detects the
-    component.
-    """
-    ref = reference_frame(g.lattice)
-    img = apply_isometry_frame(g, ref)
-    gm = gram_np(g.lattice)
-    b_ref = np.stack([ref.re, ref.im], axis=1)
-    b_img = np.stack([img.re, img.im], axis=1)
-    cross = b_img.T @ gm @ b_ref
-    return bool(np.linalg.det(cross) > 0)
-
-
-def with_orientation(g: Isometry) -> Isometry:
-    return g.with_flag(orientation_flag(g))
 
 
 # ---------------------------------------------------------------------------

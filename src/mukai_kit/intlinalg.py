@@ -7,6 +7,7 @@ lists and are never mutated in place by the public functions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -74,38 +75,48 @@ def det_bareiss(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def signature(gram) -> tuple[int, int]:
-    """Signature (p, q) of a non-degenerate symmetric integer matrix.
+def diagonalize(gram) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free congruent diagonalization of a non-degenerate symmetric
+    integer matrix: (t, pivots) with t^T gram t = diag(pivots), t integer
+    and invertible.
 
-    Congruent diagonalization over the rationals; a zero diagonal pivot is
-    repaired by adding row/column j with a[k][j] != 0, or subtracting it.
+    Step k clears column k below the pivot p by row i <- (p/g) row i -
+    (c/g) row k with c = a[i][k], g = gcd(p, c), the same on column i and
+    on column i of t.  Each step is a congruence, so the pivot signs give
+    the signature.  A zero pivot is repaired by adding row/column j with
+    a[k][j] != 0, or subtracting it.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    p = q = 0
+    a = [[int(x) for x in row] for row in gram]
+    cols = identity(n)                  # cols[i] is column i of t
+
+    def combine(i, x, k, y):
+        """row, column and t-column i <- x (that of i) + y (that of k)."""
+        a[i] = [x * u + y * w for u, w in zip(a[i], a[k])]
+        for row in a:
+            row[i] = x * row[i] + y * row[k]
+        cols[i] = [x * u + y * w for u, w in zip(cols[i], cols[k])]
+
     for k in range(n):
         if a[k][k] == 0:
             j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
             if j is None:
                 raise ValueError("degenerate block in signature computation")
-            sign = -1 if a[j][j] == -2 * a[k][j] else 1
-            for t in range(n):
-                a[k][t] += sign * a[j][t]
-            for t in range(n):
-                a[t][k] += sign * a[t][j]
-        piv = a[k][k]
-        if piv > 0:
-            p += 1
-        else:
-            q += 1
+            combine(k, 1, j, -1 if a[j][j] == -2 * a[k][j] else 1)
+        p = a[k][k]
         for i in range(k + 1, n):
             if a[i][k] != 0:
-                c = a[i][k] / piv
-                for t in range(k, n):
-                    a[i][t] -= c * a[k][t]
-                for t in range(k, n):
-                    a[t][i] -= c * a[t][k]
-    return p, q
+                g = math.gcd(p, a[i][k])
+                combine(i, p // g, k, -a[i][k] // g)
+    return transpose(cols), [a[k][k] for k in range(n)]
+
+
+def signature(gram) -> tuple[int, int]:
+    """Signature (p, q) of a non-degenerate symmetric integer matrix: the
+    signs of the :func:`diagonalize` pivots."""
+    pivots = diagonalize(gram)[1]
+    p = sum(x > 0 for x in pivots)
+    return p, len(pivots) - p
 
 
 def hnf_columns(m) -> tuple[list[list[int]], list[list[int]]]:

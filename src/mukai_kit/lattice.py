@@ -1,8 +1,11 @@
 """Exact arithmetic of integer lattices.
 
 The central object is :class:`IntegerLattice`: a non-degenerate symmetric
-integer Gram matrix with a cached signature.  Vectors are integer coordinate
-tuples in the lattice basis; the pairing of u and w is ``u^T G w``.
+integer Gram matrix with a cached signature and positive frame.  Vectors are
+integer coordinate tuples in the lattice basis; the pairing of u and w is
+``u^T G w``.  On signature (2, q) the :func:`orientation_character` of an
+isometry stack tells, exactly, which isometries keep the orientation of
+positive 2-planes, as shifts, spherical twists and line-bundle twists do.
 
 Mukai-type lattices use the coordinate order (r, NS..., s), i.e. the rank
 component first, the degree component last, with pairing
@@ -34,6 +37,7 @@ from .errors import (
     NotARootError,
     NotIsotropicError,
     NotMukaiFormError,
+    NotPositiveError,
     NotPrimitiveError,
     NotStandardError,
     OddSquareError,
@@ -56,7 +60,16 @@ class IntegerLattice:
 
     @cached_property
     def signature(self) -> tuple[int, int]:
-        return ila.signature([list(r) for r in self.gram])
+        p = len(self.positive_frame)
+        return p, self.rank - p
+
+    @cached_property
+    def positive_frame(self) -> tuple[tuple[int, ...], ...]:
+        """The columns of the :func:`~mukai_kit.intlinalg.diagonalize`
+        transform with positive pivot: a basis of a positive definite
+        subspace whose orthogonal complement is negative definite."""
+        t, pivots = ila.diagonalize(self.gram)
+        return tuple(col for col, x in zip(zip(*t), pivots) if x > 0)
 
     @cached_property
     def det(self) -> int:
@@ -149,11 +162,10 @@ class LatVec:
 
 @dataclass(frozen=True)
 class Isometry:
-    """Integer isometry of a lattice, optionally tagged with orientation."""
+    """Integer isometry of a lattice."""
 
     lattice: IntegerLattice
     matrix: tuple[tuple[int, ...], ...]
-    plus_flag: bool | None = None
 
     def __post_init__(self):
         g, m = self.lattice.gram_rows(), self.matrix
@@ -166,18 +178,11 @@ class Isometry:
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other (matrix product self @ other)."""
         m = ila.mat_mul(self.matrix, other.matrix)
-        flag = None
-        if self.plus_flag is not None and other.plus_flag is not None:
-            flag = self.plus_flag == other.plus_flag
-        return Isometry(self.lattice, tuple(tuple(r) for r in m), flag)
+        return Isometry(self.lattice, tuple(tuple(r) for r in m))
 
     def inverse(self) -> "Isometry":
-        m = self.matrix
-        if ila.mat_mul(m, m) == ila.identity(len(m)):
-            return self  # an involution, e.g. a reflection
-        inv = ila.mat_inverse_unimodular(m)
-        return Isometry(self.lattice, tuple(tuple(r) for r in inv),
-                        self.plus_flag)
+        inv = ila.mat_inverse_unimodular(self.matrix)
+        return Isometry(self.lattice, tuple(tuple(r) for r in inv))
 
     @cached_property
     def matrix_np(self) -> np.ndarray:
@@ -186,11 +191,8 @@ class Isometry:
         m.setflags(write=False)
         return m
 
-    def with_flag(self, flag: bool) -> "Isometry":
-        return Isometry(self.lattice, self.matrix, flag)
-
     def __repr__(self) -> str:
-        return f"Isometry({self.matrix}, plus={self.plus_flag})"
+        return f"Isometry({self.matrix})"
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +271,8 @@ _PRESET_RE = re.compile(r"^(\w+)\((-?\d+)\)$")
 
 def preset(name: str) -> IntegerLattice:
     """Named lattices: U, E8_minus, bracket(2n), mukai_rank1(n), full_mukai."""
+    if not isinstance(name, str):
+        raise UnknownPresetError(f"preset name must be a string, not {name!r}")
     if name == "U":
         return hyperbolic_plane()
     if name == "E8_minus":
@@ -373,15 +377,13 @@ def reflection(delta: LatVec) -> Isometry:
         raise NotARootError(f"reflection needs delta^2 = -2, got {delta.norm2}")
     mat = reflections(np.array([delta.coords], dtype=object),
                       delta.lattice.gram)[0]
-    # -2-reflections fix a positive 2-plane inside delta^perp
-    return Isometry(delta.lattice, tuple(map(tuple, mat.tolist())), True)
+    return Isometry(delta.lattice, tuple(map(tuple, mat.tolist())))
 
 
 def minus_identity(lat: IntegerLattice) -> Isometry:
     mat = tuple(tuple(-1 if i == j else 0 for j in range(lat.rank))
                 for i in range(lat.rank))
-    # -id maps a frame (Re z, Im z) to (-Re z, -Im z): same oriented plane
-    return Isometry(lat, mat, True)
+    return Isometry(lat, mat)
 
 
 def line_twist_isometry(lat: IntegerLattice, l) -> Isometry:
@@ -391,7 +393,7 @@ def line_twist_isometry(lat: IntegerLattice, l) -> Isometry:
     presentation.  Gram preservation is re-checked exactly on construction.
     """
     if not lat.mukai:
-        raise ValueError("line twist needs an (r, NS, s)-form lattice")
+        raise NotMukaiFormError("line twist needs an (r, NS, s)-form lattice")
     l = [int(x) for x in l]
     k = lat.ns_rank
     if len(l) != k:
@@ -401,8 +403,34 @@ def line_twist_isometry(lat: IntegerLattice, l) -> Isometry:
            *((x,) + tuple(int(i == j) for j in range(k)) + (0,)
              for i, x in enumerate(l)),
            (ila.dot(gl, l) // 2, *gl, 1)]  # l^2 is even, as the NS block is
-    # unipotent, fixes the positive 2-plane orientation
-    return Isometry(lat, tuple(mat), True)
+    return Isometry(lat, tuple(mat))
+
+
+def orientation_character(lat: IntegerLattice, stack) -> np.ndarray:
+    """sign det(P^T G m P) for each m of a (count, rank, rank) integer
+    stack, as an int64 array of +-1, where P is the positive frame.
+
+    For an isometry m the plane m P is positive, and P^perp is negative
+    definite, so no vector of m P is orthogonal to P: the determinant is
+    never 0, and +1 means m keeps the orientation of positive 2-planes.
+    The character is multiplicative.  Exact: int64 below the
+    :func:`_int_dtype` magnitude bound, Python ints above it.  Needs
+    signature (2, q).
+    """
+    if lat.signature[0] != 2:
+        raise NotPositiveError(
+            f"orientation needs signature (2, q), not {lat.signature}")
+    frame = lat.positive_frame                               # columns of P
+    left = [ila.mat_vec(lat.gram, col) for col in frame]     # rows of P^T G
+    m = np.asarray(stack)
+    entry = (lat.rank ** 2 * int(np.abs(m).max(initial=0))
+             * max(map(abs, itertools.chain(*left)))
+             * max(map(abs, itertools.chain(*frame))))
+    dtype = _int_dtype(2 * entry * entry)
+    c = (np.array(left, dtype=dtype) @ m.astype(dtype)
+         @ np.array(frame, dtype=dtype).T)
+    det = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
+    return np.where(det > 0, 1, -1)
 
 
 # Largest slice of the coordinate box held as one array, in points.

@@ -1,12 +1,14 @@
-"""Float reference for the exact short-vector path, for tests only.
+"""Float references for exact library paths, for tests only.
 
-The library enumerates integer forms exactly (``shortvec.short_vectors``)
-and decides P0 membership on the exact rationals of a frame
-(``domain.in_P0``).  This module holds their float counterparts as
-independent oracles: the LDL^T factorisation, the level-synchronous
-Fincke-Pohst enumeration with an absolute slack of 1e-12 on each range and
-1e-9 on the partial norm, the float majorant Q+ = 2 G pi_P - G of a frame's
-plane, and a float ``in_P0`` with a 1e-8 |z| tolerance.
+The library enumerates integer forms exactly (``shortvec.short_vectors``),
+decides P0 membership on the exact rationals of a frame (``domain.in_P0``)
+and computes the orientation character of isometries in integers
+(``lattice.orientation_character``).  This module holds their float
+counterparts as independent oracles: the LDL^T factorisation, the
+level-synchronous Fincke-Pohst enumeration with an absolute slack of 1e-12
+on each range and 1e-9 on the partial norm, the float majorant
+Q+ = 2 G pi_P - G of a frame's plane, a float ``in_P0`` with a 1e-8 |z|
+tolerance, and the orientation flag of an eigenvector reference plane.
 """
 
 from __future__ import annotations
@@ -100,3 +102,16 @@ def float_in_P0(frame: dm.FrameVec) -> dm.P0Certificate:
         best, witness = float(vals[i]), lat.vector(roots[i].tolist())
     is_in = best > 1e-8 * max(float(np.linalg.norm(frame.z)), 1.0)
     return dm.P0Certificate(is_in, best, witness, radius, len(roots))
+
+
+def orientation_flag(lat, m) -> bool:
+    """True iff m keeps the orientation of positive 2-planes: the sign of
+    det(B^T G m B) for the plane B of the two largest Gram eigenvectors."""
+    g = dm.gram_np(lat)
+    vals, vecs = np.linalg.eigh(g)
+    pos = np.flatnonzero(vals > 0)
+    if len(pos) < 2:
+        raise ValueError("lattice has no positive 2-plane")
+    ref = vecs[:, [pos[-1], pos[-2]]]
+    img = np.asarray(m, dtype=float) @ ref
+    return bool(np.linalg.det(img.T @ g @ ref) > 0)

@@ -872,23 +872,3 @@ def test_beta_search_rejects_non_hyperbolic_ns(ns, c_ns):
     with pytest.raises(NotHyperbolicError):
         ch.boundary_beta_search(lat, lat.vector([0] + c_ns + [0]), 1,
                                 [2, 0, 0], coord_bound=3)
-
-
-# -- cohomological actions ---------------------------------------------------------------
-
-def test_coh_actions(rank3):
-    lat, _ = rank3
-    shift = ch.coh_action(lat, "shift")
-    assert shift.matrix == mk.minus_identity(lat).matrix
-    tw = ch.coh_action(lat, "spherical_twist", [1, 0, 1])
-    assert tw.matrix == mk.reflection(lat.vector([1, 0, 1])).matrix
-    # twist along a root orthogonal to v0 fixes v0 (rank-4 case)
-    lat4 = mk.mukai_lattice([[2, 0], [0, -2]], "rank4")
-    v0 = lat4.vector([0, 0, 0, 1])
-    tw4 = ch.coh_action(lat4, "spherical_twist", [0, 0, 1, 0])
-    assert tw4.apply(v0) == v0
-    lt = ch.coh_action(lat, "line_twist", [1])
-    assert lt.apply(lat.vector([0, 0, 1])).coords == (0, 0, 1)
-    assert lt.apply(lat.vector([1, 0, 0])).coords == (1, 1, 1)
-    with pytest.raises(Exception):
-        ch.coh_action(lat, "spherical_twist", [0, 1, 0])  # square 2, not -2

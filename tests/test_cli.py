@@ -620,6 +620,14 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["det"] == -6
 
 
+@pytest.mark.parametrize("command", ["roots", "lattice", "cusps"])
+def test_config_non_string_preset_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": 5}))
+    assert run([command, "--config", str(cfg)]) == 2
+    assert "UnknownPresetError" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path):
     box = json.dumps({"a_lo": ["-1"], "a_hi": ["1"],
                       "b_lo": ["0.5"], "b_hi": ["1.5"]})

@@ -617,6 +617,21 @@ def test_label_census_checks_the_shadow(monkeypatch):
         cusps.cusp_census(mk.preset("mukai_rank1(1)"), 6)
 
 
+@pytest.mark.parametrize("census", [cusps.cusp_census,
+                                    cusps.standard_cusp_census])
+def test_census_rejects_an_orientation_reversing_generator(census):
+    # w -> w - (delta.w) delta with delta^2 = 2 is an isometry of U + <2>
+    # that swaps the two orientations of positive 2-planes
+    lat = mk.preset("mukai_rank1(1)")
+    gens = cusps.default_generators(lat, 2)
+    delta = np.array([1, 0, -1])
+    plus2 = np.eye(3, dtype=gens.dtype) - np.outer(delta,
+                                                   np.array(lat.gram) @ delta)
+    census(lat, 6, generators=gens)
+    with pytest.raises(InvariantError, match=f"generator {len(gens)} "):
+        census(lat, 6, generators=np.concatenate([gens, plus2[None]]))
+
+
 def test_negative_word_depth_rejected():
     lat = mk.preset("mukai_rank1(2)")
     vecs = cusps.enumerate_isotropic(lat, 4)

@@ -1107,12 +1107,3 @@ def test_point_predicates_on_and_off_walls():
     assert not dm.in_L_region(dm.tube_point(sp, [0, 0], [0.0, 2.0]), amp)
     assert dm.in_L_region(dm.tube_point(sp, [0, 0], [1e-12, 2.0]), amp)
     assert not dm.in_L_region(dm.tube_point(sp, [0, 0], [-1e-12, 2.0]), amp)
-
-
-def test_orientation_flags(rank3):
-    lat, sp = rank3
-    assert dm.orientation_flag(mk.reflection(lat.vector([1, 0, 1])))
-    assert dm.orientation_flag(mk.minus_identity(lat))
-    assert dm.orientation_flag(mk.line_twist_isometry(lat, [2]))
-    tagged = dm.with_orientation(mk.reflection(lat.vector([1, 0, 1])))
-    assert tagged.plus_flag is True

@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mukai_kit import intlinalg as ila
+from mukai_kit.lattice import preset
 
 
 def rand_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -44,6 +46,37 @@ def test_signature_zero_pivot_repair():
     # adding row 1 to row 0 would leave the pivot 0 + 2 - 2 = 0
     assert ila.signature([[0, 1], [1, -2]]) == (1, 1)
     assert ila.signature([[0, 0, 1], [0, -2, 0], [1, 0, -2]]) == (1, 2)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 6))
+    upper = {(i, j): draw(st.integers(-6, 6))
+             for i in range(n) for j in range(i, n)}
+    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+@example([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])  # U + U
+@example(preset("full_mukai").gram_rows())
+@example([[0, 1], [1, -2]])
+@example([[0, 0, 1], [0, -2, 0], [1, 0, -2]])
+def test_diagonalize_matches_eigenvalue_signs(gram):
+    # T^T G T = diag(pivots) with T integer and invertible, and the pivot
+    # signs are the eigenvalue signs (|eigenvalue| >= 36^-5 here, far above
+    # the float error)
+    assume(ila.det_bareiss(gram) != 0)
+    t, pivots = ila.diagonalize(gram)
+    assert all(type(x) is int for row in t for x in row)
+    assert ila.det_bareiss(t) != 0
+    n = len(gram)
+    assert ila.mat_mul(ila.mat_mul(ila.transpose(t), gram), t) == [
+        [pivots[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    vals = np.linalg.eigvalsh(np.array(gram, dtype=float))
+    p = int((vals > 0).sum())
+    assert sum(x > 0 for x in pivots) == p
+    assert ila.signature(gram) == (p, n - p)
 
 
 def test_hnf_reproduces_input():

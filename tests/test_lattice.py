@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -12,11 +13,15 @@ from mukai_kit.errors import (
     NonSymmetricError,
     NotARootError,
     NotMukaiFormError,
+    NotPositiveError,
     NotStandardError,
     OddSquareError,
     UnknownPresetError,
 )
+from mukai_kit.cusps import default_generators
 from mukai_kit.lattice import vectors_of_norm
+
+from float_oracle import orientation_flag
 
 
 # -- construction and presets -------------------------------------------------
@@ -69,6 +74,9 @@ def test_presets():
         mk.preset("bracket(3)")
     with pytest.raises(UnknownPresetError):
         mk.preset("nope")
+    for name in (5, None, ["U"]):
+        with pytest.raises(UnknownPresetError, match="must be a string"):
+            mk.preset(name)
 
 
 # -- pairings ------------------------------------------------------------------
@@ -167,8 +175,7 @@ def test_reflection_involution_and_gram():
 
 
 def test_isometry_inverse_fast_path():
-    # an involution is its own inverse; every other matrix is inverted by
-    # mat_inverse_unimodular, and both paths agree with it
+    # involutions and the rest alike are inverted by mat_inverse_unimodular
     from mukai_kit import intlinalg as ila
     m2 = mk.preset("mukai_rank1(2)")
     roots = list(map(m2.vector, mk.vectors_of_norm(m2, -2, 3)))
@@ -181,13 +188,8 @@ def test_isometry_inverse_fast_path():
         m = [list(r) for r in g.matrix]
         inv = g.inverse()
         assert inv.matrix == tuple(map(tuple, ila.mat_inverse_unimodular(m)))
-        assert inv.plus_flag == g.plus_flag
         assert g.compose(inv).matrix == tuple(map(tuple, ila.identity(3)))
-        if ila.mat_mul(m, m) == ila.identity(3):
-            assert inv is g
-            involutions += 1
-        else:
-            assert inv is not g
+        involutions += ila.mat_mul(m, m) == ila.identity(3)
     assert involutions == len(roots)
 
 
@@ -198,12 +200,117 @@ def test_isometry_float_matrix_cached_and_read_only():
     assert m.dtype == float and m.tolist() == [list(r) for r in g.matrix]
 
 
-def test_isometry_flag_composition():
-    m1 = mk.preset("mukai_rank1(1)")
-    s = mk.reflection(m1.vector([1, 0, 1]))
-    assert s.plus_flag is True
-    prod = s.compose(mk.minus_identity(m1))
-    assert prod.plus_flag is True
+def test_auto_equivalence_constructors():
+    # the shift, a spherical twist and a line-bundle twist on U + <2>
+    lat = mk.preset("mukai_rank1(1)")
+    v0 = lat.vector([0, 0, 1])
+    assert mk.minus_identity(lat).matrix == tuple(
+        tuple(-int(i == j) for j in range(3)) for i in range(3))
+    tw = mk.reflection(lat.vector([1, 0, 1]))
+    assert tw.apply(lat.vector([1, 0, 0])).coords == (0, 0, -1)
+    with pytest.raises(NotARootError):
+        mk.reflection(lat.vector([0, 1, 0]))   # square 2, not -2
+    lt = mk.line_twist_isometry(lat, [1])
+    assert lt.apply(v0) == v0
+    assert lt.apply(lat.vector([1, 0, 0])).coords == (1, 1, 1)
+    # a twist along a root orthogonal to v0 fixes v0 (rank four)
+    lat4 = mk.mukai_lattice([[2, 0], [0, -2]], "rank4")
+    v0 = lat4.vector([0, 0, 0, 1])
+    assert mk.reflection(lat4.vector([0, 0, 1, 0])).apply(v0) == v0
+
+
+def test_line_twist_needs_mukai_form():
+    with pytest.raises(NotMukaiFormError):
+        mk.line_twist_isometry(mk.preset("U"), [])
+    with pytest.raises(NotMukaiFormError):
+        mk.line_twist_isometry(mk.preset("bracket(2)"), [1])
+
+
+# -- orientation character -----------------------------------------------------
+
+# NS Gram blocks of the Mukai lattices with their default generator counts at
+# root bound 3
+_ORIENTED = [([[2]], 7), ([[12]], 3), ([[2, 0], [0, -2]], 65),
+             ([[2, 1], [1, -4]], 24), ([[2, 0, 0], [0, -2, 0], [0, 0, -2]], 531)]
+
+
+def _plus2_reflections(lat, bound):
+    """w -> w - (delta.w) delta for the delta of square 2 in the box."""
+    deltas = vectors_of_norm(lat, 2, bound)
+    gd = deltas @ np.array(lat.gram, dtype=deltas.dtype)
+    return np.eye(lat.rank, dtype=deltas.dtype) - (
+        deltas[:, :, None] * gd[:, None, :])
+
+
+@pytest.mark.parametrize("ns, count", _ORIENTED, ids=[
+    "<2>", "<12>", "diag(2,-2)", "[[2,1],[1,-4]]", "diag(2,-2,-2)"])
+def test_orientation_character_on_default_generators(ns, count):
+    # shifts, spherical twists and line twists keep the orientation, and the
+    # float eigenvector oracle agrees on every generator
+    lat = mk.mukai_lattice(ns)
+    gens = default_generators(lat, 3)
+    assert len(gens) == count
+    assert mk.orientation_character(lat, gens).tolist() == [1] * count
+    assert all(orientation_flag(lat, m) for m in gens)
+
+
+def test_orientation_character_reverses_on_plus2_reflections():
+    for ns, _ in _ORIENTED:
+        lat = mk.mukai_lattice(ns)
+        refl = _plus2_reflections(lat, 2)
+        gram = np.array(lat.gram)
+        assert len(refl) and all(
+            np.array_equal(m.T @ gram @ m, gram) for m in refl)
+        assert mk.orientation_character(lat, refl).tolist() == [-1] * len(
+            refl)
+        assert not any(orientation_flag(lat, m) for m in refl)
+
+
+def test_positive_frame_spans_a_positive_plane():
+    for ns, _ in _ORIENTED:
+        lat = mk.mukai_lattice(ns)
+        p = np.array(lat.positive_frame, dtype=object).T
+        plane = p.T @ np.array(lat.gram, dtype=object) @ p
+        assert p.shape == (lat.rank, 2) and plane[0, 1] == plane[1, 0] == 0
+        assert plane[0, 0] > 0 and plane[1, 1] > 0
+    assert len(mk.preset("full_mukai").positive_frame) == 4
+    # L(v) of a rank-2 lattice has rank 0 and signature (0, 0)
+    assert mk.quotient_lattice(mk.preset("U").vector([1, 0])).signature == (
+        0, 0)
+
+
+@pytest.mark.parametrize("lat", [mk.preset("U"), mk.preset("full_mukai"),
+                                 mk.make_lattice([[-2]])],
+                         ids=["U", "full_mukai", "<-2>"])
+def test_orientation_character_needs_signature_2_q(lat):
+    with pytest.raises(NotPositiveError):
+        mk.orientation_character(lat, np.eye(lat.rank, dtype=int)[None])
+
+
+_WORD_LATTICES = [mk.mukai_lattice(ns) for ns, _ in _ORIENTED] + [
+    mk.mukai_lattice([[2**61]])]
+
+
+@functools.cache
+def _word_letters(i):
+    lat = _WORD_LATTICES[i]
+    gens = default_generators(lat, 2)
+    refl = _plus2_reflections(lat, 2)
+    return lat, np.concatenate([gens, refl.astype(gens.dtype)]).astype(object)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(_WORD_LATTICES) - 1), st.data())
+def test_orientation_character_is_multiplicative(i, data):
+    # words in default generators and +2 reflections, at ranks 3 to 5 and on
+    # the Python-int stack of <2^61>
+    lat, letters = _word_letters(i)
+    chars = mk.orientation_character(lat, letters)
+    word = data.draw(st.lists(st.integers(0, len(letters) - 1), min_size=1,
+                              max_size=4))
+    prod = functools.reduce(np.matmul, letters[word])
+    assert mk.orientation_character(lat, prod[None]).tolist() == [
+        int(np.prod(chars[word]))]
 
 
 # -- root enumeration ------------------------------------------------------------
