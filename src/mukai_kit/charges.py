@@ -26,6 +26,7 @@ from .errors import (
     NonPositiveSlopeError,
     NotARootError,
     NotHyperbolicError,
+    NotMukaiFormError,
     SamplingTooCoarseError,
     ZeroChargeError,
 )
@@ -57,7 +58,7 @@ from .lattice import (
 def exp_class(lat: IntegerLattice, beta, omega) -> FrameVec:
     """Exp(beta + i omega) = (1, beta + i omega, (beta + i omega)^2 / 2)."""
     if not lat.mukai:
-        raise ValueError("exp_class needs an (r, NS, s)-form lattice")
+        raise NotMukaiFormError("exp_class needs an (r, NS, s)-form lattice")
     k = lat.ns_rank
     beta = np.asarray(beta, dtype=float)
     omega = np.asarray(omega, dtype=float)
@@ -236,6 +237,8 @@ def _slope_gaps(vE: LatVec, candidates: list[LatVec], h
     dmu = (h.c_E) r_A - (h.c_A) r_E and dnu = s_E r_A - s_A r_E are
     mu_E - mu_A and nu_E - nu_A times r_E r_A > 0.
     """
+    if not vE.lattice.mukai:
+        raise NotMukaiFormError("threshold needs an (r, NS, s)-form lattice")
     if vE.r <= 0:
         raise NonPositiveRankError("r(E) must be > 0")
     h = [int(x) for x in h]
@@ -358,7 +361,8 @@ def boundary_beta_search(lat: IntegerLattice, c_root: LatVec, k: int,
     Re z.delta = -+(k + 1/2) - s != 0, and any other l is non-generic.
     """
     if not lat.mukai:
-        raise ValueError("beta search needs an (r, NS, s)-form lattice")
+        raise NotMukaiFormError(
+            "beta search needs an (r, NS, s)-form lattice")
     eta = [Fraction(x) for x in eta]
     if len(eta) != lat.ns_rank:
         raise ValueError("eta must be an NS-vector")

@@ -178,8 +178,7 @@ def orbit_partition(lat: IntegerLattice, window: np.ndarray,
 def _inverses(lat: IntegerLattice, gens: np.ndarray) -> np.ndarray:
     """G^-1 m^T G for each m, exact in Python ints: the integer adjugate of
     G, then division by det G.  InvariantError if an m is not an isometry."""
-    adj = [[int(x * lat.det) for x in row]
-           for row in ila.mat_inverse_rational(lat.gram)]
+    adj = ila.adjugate(lat.gram)
     m, gram = gens.astype(object), np.array(lat.gram, dtype=object)
     if np.any(m.swapaxes(1, 2) @ gram @ m != gram):
         raise InvariantError("generator is not an isometry of the lattice")

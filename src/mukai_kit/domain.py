@@ -784,9 +784,9 @@ def _majorant(g, basis) -> tuple[int, list[list[int]]]:
     """
     gb = [ila.mat_vec(g, e) for e in basis]
     p = [[ila.dot(x, e) for e in basis] for x in gb]
+    h = ila.mat_mul(ila.adjugate(p), gb)    # det P * P^-1 (G B)^T
     det = ila.det_bareiss(p)
-    h = ila.mat_mul(ila.mat_inverse_rational(p), gb)    # P^-1 (G B)^T
-    return det, [[int(2 * det * ila.dot(x, y)) - det * gij
+    return det, [[2 * ila.dot(x, y) - det * gij
                   for y, gij in zip(zip(*h), row)]
                  for x, row in zip(zip(*gb), g)]
 
@@ -863,8 +863,9 @@ def _roots_near(split: HyperbolicSplit, a_lo, a_hi, b_points
     """
     gl = split.gram_L
     e, qe, k, y2_min, l_roots = _cone_roots(gl, b_points)
-    g_inv = ila.mat_inverse_rational(gl)
-    m_inv = [Fraction(2 * x * x, qe) - g_inv[i][i] for i, x in enumerate(e)]
+    adj, det = ila.adjugate(gl), ila.det_bareiss(gl)
+    m_inv = [Fraction(2 * x * x, qe) - Fraction(adj[i][i], det)
+             for i, x in enumerate(e)]
     roots = [split.root_from_data(0, 0, lam) for lam in l_roots.tolist()]
     d = 1
     while d * d * y2_min <= 2:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 
 import numpy as np
@@ -430,12 +431,13 @@ def looijenga_member(p: PeriodPoint, split: HyperbolicSplit,
         free = [i for i, f in enumerate(face) if f is None]
         w = [0 if f is None else s[f] for f, s in zip(face, sides)]
         g_jj = [[gl[i][j] for j in free] for i in free]
-        if ila.det_bareiss(g_jj) == 0:
+        det = ila.det_bareiss(g_jj)
+        if det == 0:
             continue
-        w_j = ila.mat_vec(ila.mat_inverse_rational(g_jj),
+        w_j = ila.mat_vec(ila.adjugate(g_jj),
                           [-x for x in ila.mat_vec([gl[i] for i in free], w)])
         for i, x in zip(free, w_j):
-            w[i] = x
+            w[i] = Fraction(x, det)
         if (all(lo <= x <= hi for x, (lo, hi) in zip(w, sides))
                 and ila.dot(w, ila.mat_vec(gl, w)) > 0
                 and ila.dot(w, ref) > 0):

@@ -1,14 +1,18 @@
-"""Exact integer/rational linear algebra.
+"""Exact integer linear algebra.
 
-All routines work on plain Python ints (arbitrary precision) or
-``fractions.Fraction``; floats never enter.  Matrices are row-major lists of
-lists and are never mutated in place by the public functions.
+Two kernels carry the module: the column Hermite form with its unimodular
+transform (:func:`hnf_columns`), under kernels, unimodular inverses,
+primitive completion and the Smith form, and the fraction-free Bareiss
+determinant (:func:`det_bareiss`), under the adjugate.  Every kernel returns
+plain Python ints (arbitrary precision); none returns a rational, and
+floats never enter.  :func:`dot` and :func:`mat_vec` also accept
+``fractions`` rationals.  Matrices are row-major lists of lists and are
+never mutated in place by the public functions.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 
 from .errors import InvariantError
@@ -34,7 +38,7 @@ def identity(n: int) -> list[list[int]]:
 
 
 def dot(x, y):
-    """x . y, exact for ints and Fractions alike."""
+    """x . y, exact for ints and rationals alike."""
     return sum(map(mul, x, y))
 
 
@@ -56,7 +60,7 @@ def det_bareiss(m) -> int:
     n = len(m)
     if n == 0:
         return 1
-    a = [row[:] for row in m]
+    a = [list(row) for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -76,7 +80,7 @@ def det_bareiss(m) -> int:
 
 
 def diagonalize(gram) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free congruent diagonalization of a non-degenerate symmetric
+    """Congruent diagonalization, fraction-free, of a non-degenerate symmetric
     integer matrix: (t, pivots) with t^T gram t = diag(pivots), t integer
     and invertible.
 
@@ -129,7 +133,7 @@ def hnf_columns(m) -> tuple[list[list[int]], list[list[int]]]:
     h = [list(row) for row in m]
     u = identity(cols)
 
-    def col_op_add(dst, src, q):
+    def col_add(dst, src, q):
         for i in range(rows):
             h[i][dst] += q * h[i][src]
         for i in range(cols):
@@ -162,7 +166,7 @@ def hnf_columns(m) -> tuple[list[list[int]], list[list[int]]]:
                 col_swap(c0, pivot_col)
             for c in range(pivot_col + 1, cols):
                 if h[r][c] != 0:
-                    col_op_add(c, pivot_col, -(h[r][c] // h[r][pivot_col]))
+                    col_add(c, pivot_col, -(h[r][c] // h[r][pivot_col]))
             if not any(h[r][pivot_col + 1:]):
                 break
         if h[r][pivot_col] != 0:
@@ -172,7 +176,7 @@ def hnf_columns(m) -> tuple[list[list[int]], list[list[int]]]:
             for c in range(pivot_col):
                 q = h[r][c] // h[r][pivot_col]
                 if q:
-                    col_op_add(c, pivot_col, -q)
+                    col_add(c, pivot_col, -q)
             pivot_col += 1
     return h, u
 
@@ -193,90 +197,40 @@ def snf(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Smith normal form: returns (d, s, t) with s @ m @ t = d.
 
     ``d`` is diagonal with d[i] | d[i+1] and non-negative entries;
-    ``s`` and ``t`` are unimodular.  The 0 x 0 matrix is its own form.
+    ``s`` and ``t`` are unimodular.  Column and row Hermite forms alternate
+    until the matrix is diagonal, with its zeros last; then one unimodular
+    2 x 2 step per side turns each pair (p, q) of diagonal entries into
+    (gcd, lcm).  A matrix with no entries is its own form.
     """
-    rows, cols = len(m), len(m[0]) if m else 0
-    a = [row[:] for row in m]
-    s = identity(rows)
-    t = identity(cols)
-
-    def row_op(dst, src, q):
-        for j in range(cols):
-            a[dst][j] += q * a[src][j]
-        for j in range(rows):
-            s[dst][j] += q * s[src][j]
-
-    def col_op(dst, src, q):
-        for i in range(rows):
-            a[i][dst] += q * a[i][src]
-        for i in range(cols):
-            t[i][dst] += q * t[i][src]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        s[i], s[j] = s[j], s[i]
-
-    def col_swap(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            t[r][i], t[r][j] = t[r][j], t[r][i]
-
-    def row_neg(i):
-        for j in range(cols):
-            a[i][j] = -a[i][j]
-        for j in range(rows):
-            s[i][j] = -s[i][j]
-
-    k = 0
-    while k < min(rows, cols):
-        # find smallest non-zero pivot in the trailing block
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if a[i][j] != 0 and (best is None
-                                     or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    if not m or not m[0]:
+        return [[] for _ in m], identity(len(m)), []
+    a, t = hnf_columns(m)
+    s = identity(len(m))
+    while True:
+        h, u = hnf_columns(transpose(a))        # row operations on a
+        a, s = transpose(h), mat_mul(transpose(u), s)
+        if not any(x for i, row in enumerate(a)
+                   for j, x in enumerate(row) if i != j):
             break
-        bi, bj = best
-        if bi != k:
-            row_swap(bi, k)
-        if bj != k:
-            col_swap(bj, k)
-        # clear row and column k
-        dirty = False
-        for i in range(k + 1, rows):
-            if a[i][k] != 0:
-                q = a[i][k] // a[k][k]
-                row_op(i, k, -q)
-                if a[i][k] != 0:
-                    dirty = True
-        for j in range(k + 1, cols):
-            if a[k][j] != 0:
-                q = a[k][j] // a[k][k]
-                col_op(j, k, -q)
-                if a[k][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # enforce divisibility of the remaining block by the pivot
-        viol = None
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if a[i][j] % a[k][k] != 0:
-                    viol = i
-                    break
-            if viol is not None:
-                break
-        if viol is not None:
-            row_op(k, viol, 1)
-            continue
-        if a[k][k] < 0:
-            row_neg(k)
-        k += 1
-    d = [[a[i][j] if i == j else 0 for j in range(cols)] for i in range(rows)]
-    return d, s, t
+        a, u = hnf_columns(a)
+        t = mat_mul(t, u)
+    d = [a[i][i] for i in range(min(len(a), len(a[0])))]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            p, q = d[i], d[j]
+            if p and q % p:
+                # [[x, y], [-q/g, p/g]] diag(p, q) [[1, -y q/g], [1, x p/g]]
+                # = diag(g, p q/g)
+                g, x, y = xgcd(p, q)
+                p, q = p // g, q // g
+                d[i], d[j] = g, g * p * q
+                s[i], s[j] = ([x * e + y * f for e, f in zip(s[i], s[j])],
+                              [p * f - q * e for e, f in zip(s[i], s[j])])
+                for row in t:
+                    row[i], row[j] = (row[i] + row[j],
+                                      x * p * row[j] - y * q * row[i])
+    return [[d[i] if i == j else 0 for j in range(len(t))]
+            for i in range(len(s))], s, t
 
 
 def invariant_factors(m) -> list[int]:
@@ -312,41 +266,28 @@ def solve_one_equation(row: list[int], target: int) -> list[int] | None:
 
 
 def complete_primitive(col: list[int]) -> list[list[int]]:
-    """Unimodular matrix whose first column is the given primitive vector."""
-    n = len(col)
-    d, s, t = snf([[c] for c in col])
-    if d[0][0] != 1:
+    """Unimodular matrix whose first column is the given primitive vector.
+
+    The Hermite transform u of the row col^T has col^T u = e_1^T, so the
+    transposed inverse of u starts with col.
+    """
+    h, u = hnf_columns([col])
+    if h[0][0] != 1:
         raise ValueError("vector is not primitive")
-    # s @ col = e1  =>  col = s^{-1} e1: first column of s^{-1}
-    sinv = mat_inverse_unimodular(s)
-    u = [row[:] for row in sinv]
-    # u's first column equals col up to the t-scalar (+-1)
-    if t[0][0] == -1:
-        for i in range(n):
-            u[i][0] = -u[i][0]
-    if [u[i][0] for i in range(n)] != list(col):
+    w = transpose(mat_inverse_unimodular(u))
+    if [row[0] for row in w] != list(col):
         raise InvariantError("completion does not start with the column")
-    return u
+    return w
 
 
-def mat_inverse_rational(m) -> list[list[Fraction]]:
-    """Exact inverse of an invertible integer matrix, in Fractions."""
+def adjugate(m) -> list[list[int]]:
+    """Integer adjugate of a square integer matrix: entry (i, j) is
+    (-1)^(i+j) times the determinant of m without row j and column i, so
+    m adj(m) = adj(m) m = det(m) I, singular m included."""
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if a[i][k] != 0)
-        a[k], a[piv] = a[piv], a[k]
-        inv[k], inv[piv] = inv[piv], inv[k]
-        c = a[k][k]
-        a[k] = [x / c for x in a[k]]
-        inv[k] = [x / c for x in inv[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
-    return inv
+    return [[(-1) ** (i + j) * det_bareiss(
+                [row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j])
+             for j in range(n)] for i in range(n)]
 
 
 def mat_inverse_unimodular(m) -> list[list[int]]:

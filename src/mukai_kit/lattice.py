@@ -73,7 +73,7 @@ class IntegerLattice:
 
     @cached_property
     def det(self) -> int:
-        return ila.det_bareiss([list(r) for r in self.gram])
+        return ila.det_bareiss(self.gram)
 
     @cached_property
     def is_even(self) -> bool:
@@ -82,7 +82,7 @@ class IntegerLattice:
     @property
     def ns_rank(self) -> int:
         if not self.mukai:
-            raise ValueError("lattice has no (r, NS, s) presentation")
+            raise NotMukaiFormError("lattice has no (r, NS, s) presentation")
         return self.rank - 2
 
     def vector(self, coords) -> "LatVec":
@@ -217,7 +217,7 @@ def make_lattice(gram, label: str = "", mukai: bool = False) -> IntegerLattice:
                 raise NonSymmetricError(
                     f"Gram[{i}][{j}] != Gram[{j}][{i}]")
     lat = IntegerLattice(tuple(tuple(r) for r in rows), label, mukai)
-    if ila.det_bareiss(rows) == 0:
+    if lat.det == 0:
         raise DegenerateError("Gram matrix has determinant 0")
     if mukai and _hyperbolic_ends(rows) != -1:
         raise NotMukaiFormError(
@@ -323,7 +323,8 @@ def euler_pairing(u: LatVec, w: LatVec) -> int:
 def mukai_vector(lat: IntegerLattice, r: int, c1, c2: int) -> LatVec:
     """(r, c1, c1^2/2 - c2 + r) for a Mukai-form lattice."""
     if not lat.mukai:
-        raise ValueError("mukai_vector requires an (r, NS, s)-form lattice")
+        raise NotMukaiFormError(
+            "mukai_vector requires an (r, NS, s)-form lattice")
     c1 = tuple(int(x) for x in c1)
     s = ns_pair(lat, c1, c1) // 2 - int(c2) + int(r)  # the NS block is even
     return lat.vector((int(r),) + c1 + (s,))

@@ -778,6 +778,9 @@ def test_integer_input_forms(tmp_path, capsys):
     ["threshold", "--mukai", "--gram", "[[0,0,1],[0,2,0],[1,0,0]]",
      "--vE", "[1,1,0]", "--h", "[1]", "--candidates", "[[1,0,1]]"],
     ["cusps", "--mukai", "--gram", "[[0,0,1],[0,2,0],[1,0,0]]"],
+    # no --mukai: the (r, NS, s) threshold formula does not apply
+    ["threshold", "--gram", "[[2,0,0],[0,2,0],[0,0,-2]]", "--vE", "[1,1,0]",
+     "--h", "[1]", "--candidates", "[[1,0,1]]"],
 ])
 def test_mukai_flag_on_plus_u_gram_exits_2(args, capsys):
     # the (r, s) block pairs as +U, not as the -r s' - r' s of (r, NS, s)

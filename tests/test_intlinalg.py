@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import numpy as np
@@ -33,6 +35,9 @@ def test_det_bareiss():
     assert ila.det_bareiss([[2]]) == 2
     assert ila.det_bareiss([[1, 2], [2, 4]]) == 0
     assert ila.det_bareiss([[0, 0, -1], [0, 2, 0], [-1, 0, 0]]) == -2
+    # tuple rows, as in IntegerLattice.gram, are copied, not assigned into
+    assert ila.det_bareiss(((0, 1), (1, 0))) == -1
+    assert ila.det_bareiss(((0, 0, -1), (0, 2, 0), (-1, 0, 0))) == -2
 
 
 def test_signature_hyperbolic():
@@ -114,6 +119,70 @@ def test_snf_invariants():
         assert all(x >= 0 for x in diag)
 
 
+def _determinantal_divisors(m):
+    """Reference Smith diagonal: d_1 ... d_k is the gcd of the k x k
+    minors of m (Bareiss determinants), up to the rank."""
+    rows, cols = len(m), len(m[0])
+    diag, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        g = math.gcd(*(ila.det_bareiss([[m[i][j] for j in cs] for i in rs])
+                       for rs in itertools.combinations(range(rows), k)
+                       for cs in itertools.combinations(range(cols), k)))
+        if g == 0:
+            break
+        diag.append(g // prev)
+        prev = g
+    return diag
+
+
+@st.composite
+def small_matrices(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return [[draw(st.integers(-6, 6)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+@example([[2, 0, 0], [0, 0, 0], [0, 0, -3]])    # zero in the middle
+@example([[2, 1], [1, -4]])
+@example([])
+def test_snf_matches_determinantal_divisors(m):
+    d, s, t = ila.snf(m)
+    assert ila.mat_mul(ila.mat_mul(s, m), t) == d
+    if not m:
+        assert d == s == t == []
+        return
+    rows, cols = len(m), len(m[0])
+    assert abs(ila.det_bareiss(s)) == abs(ila.det_bareiss(t)) == 1
+    diag = _determinantal_divisors(m)
+    assert d == [[diag[i] if i == j and i < len(diag) else 0
+                  for j in range(cols)] for i in range(rows)]
+    assert ila.invariant_factors(m) == diag
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 6))
+    m = [[draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        m[-1] = [2 * x for x in m[0]]           # singular
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+@example([[1, 2], [2, 4]])
+@example([[0, 0], [0, 0]])
+@example([])
+def test_adjugate_times_matrix_is_det(m):
+    adj = ila.adjugate(m)
+    n, det = len(m), ila.det_bareiss(m)
+    assert ila.mat_mul(m, adj) == ila.mat_mul(adj, m) == [
+        [det if i == j else 0 for j in range(n)] for i in range(n)]
+    assert ila.adjugate(tuple(map(tuple, m))) == adj
+
+
 def test_invariant_factors_e8():
     # E8 Cartan matrix is unimodular
     from mukai_kit.lattice import _E8_GRAM
@@ -133,6 +202,18 @@ def test_complete_primitive():
     assert abs(ila.det_bareiss(u)) == 1
     with pytest.raises(ValueError):
         ila.complete_primitive([2, 4])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=7))
+@example([1])
+@example([-1, 0, 0])
+@example([0, 0, 6, 10, 15])
+def test_complete_primitive_starts_with_the_vector(col):
+    assume(math.gcd(*col) == 1)
+    u = ila.complete_primitive(col)
+    assert [row[0] for row in u] == col
+    assert abs(ila.det_bareiss(u)) == 1
 
 
 def test_mat_inverse_unimodular():
@@ -159,7 +240,8 @@ def test_mat_inverse_unimodular_matches_rational(n, data):
             if max(map(abs, row)) <= 10 ** 6:
                 m[i] = row
     inv = ila.mat_inverse_unimodular(m)
-    assert inv == [list(map(int, row)) for row in ila.mat_inverse_rational(m)]
+    det = ila.det_bareiss(m)                    # +-1, its own inverse
+    assert inv == [[det * x for x in row] for row in ila.adjugate(m)]
     assert ila.mat_mul(m, inv) == ila.identity(n)
     # scaling a row by k != +-1, or repeating a row, leaves GL_n(Z)
     i = data.draw(st.integers(0, n - 1))
@@ -178,3 +260,4 @@ def test_mat_inverse_unimodular_matches_rational(n, data):
 def test_smith_form_of_the_empty_matrix():
     assert ila.snf([]) == ([], [], [])
     assert ila.invariant_factors([]) == []
+    assert ila.snf([[], []]) == ([[], []], [[1, 0], [0, 1]], [])

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mukai_kit as mk
+from mukai_kit import charges
 from mukai_kit.errors import (
     DegenerateError,
     NonSymmetricError,
@@ -224,6 +225,20 @@ def test_line_twist_needs_mukai_form():
         mk.line_twist_isometry(mk.preset("U"), [])
     with pytest.raises(NotMukaiFormError):
         mk.line_twist_isometry(mk.preset("bracket(2)"), [1])
+    # the other readers of the (r, NS, s) layout raise the same error
+    plus_u = mk.make_lattice([[0, 0, 1], [0, 2, 0], [1, 0, 0]])
+    with pytest.raises(NotMukaiFormError):
+        plus_u.ns_rank
+    with pytest.raises(NotMukaiFormError):
+        mk.mukai_vector(plus_u, 1, [0], 0)
+    with pytest.raises(NotMukaiFormError):
+        charges.exp_class(plus_u, [0.0], [1.0])
+    with pytest.raises(NotMukaiFormError):
+        charges.boundary_beta_search(plus_u, plus_u.vector([0, 1, 0]), 0,
+                                     [2])
+    with pytest.raises(NotMukaiFormError):
+        charges.large_volume_threshold(plus_u.vector([1, 1, 0]),
+                                       [plus_u.vector([1, 0, 1])], [1])
 
 
 # -- orientation character -----------------------------------------------------

@@ -97,9 +97,9 @@ def _box_scan(q, bound):
     """Reference: every x of the box |x_i| <= sqrt(bound (q^-1)_ii), which
     holds the ellipsoid, with exact x^T q x <= bound; sign-canonical."""
     n = len(q)
-    inv = ila.mat_inverse_rational(q)
+    adj, det = ila.adjugate(q), ila.det_bareiss(q)      # q^-1 = adj / det
     axes = [np.arange(-r, r + 1) for r in
-            (math.isqrt(math.floor(bound * inv[i][i])) for i in range(n))]
+            (math.isqrt(bound * adj[i][i] // det) for i in range(n))]
     xs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     assert int(np.abs(xs).max()) ** 2 * n * n * max(
         abs(x) for row in q for x in row) < 2 ** 62
