@@ -511,6 +511,12 @@ def _int_box(box: TubeBox, lam, d: int) -> tuple:
             scaled(box.b_lo), scaled(box.b_hi))
 
 
+def _linear_range(g, lo, hi) -> tuple:
+    """Exact range of g^T x over the box [lo, hi]."""
+    return (sum(min(x * l, x * h) for x, l, h in zip(g, lo, hi)),
+            sum(max(x * l, x * h) for x, l, h in zip(g, lo, hi)))
+
+
 def _im_range_over_box(gl, ibox) -> tuple[int, int]:
     """Exact range of b^T G_L w over an integer box: S^2 Im(z.delta), divided
     by d when d > 0.
@@ -519,14 +525,9 @@ def _im_range_over_box(gl, ibox) -> tuple[int, int]:
     is exact; the extrema over b are attained at corners.
     """
     _, w_lo, w_hi, b_lo, b_hi = ibox
-    lo = hi = None
-    for beta in itertools.product(*zip(b_lo, b_hi)):
-        g = ila.mat_vec(gl, beta)
-        mn = sum(min(x * l, x * h) for x, l, h in zip(g, w_lo, w_hi))
-        mx = sum(max(x * l, x * h) for x, l, h in zip(g, w_lo, w_hi))
-        lo = mn if lo is None else min(lo, mn)
-        hi = mx if hi is None else max(hi, mx)
-    return lo, hi
+    los, his = zip(*(_linear_range(ila.mat_vec(gl, beta), w_lo, w_hi)
+                     for beta in itertools.product(*zip(b_lo, b_hi))))
+    return min(los), max(his)
 
 
 def _qform_range(gl, lo, hi) -> tuple[int, int]:
@@ -546,19 +547,6 @@ def _qform_range(gl, lo, hi) -> tuple[int, int]:
             q_lo += min(g * ends[0], g * ends[1])
             q_hi += max(g * ends[0], g * ends[1])
     return q_lo, q_hi
-
-
-def _second_order(gl, h, k=None) -> tuple[int, int]:
-    """Bounds of x^T G y over |x_i| <= h_i, |y_j| <= k_j (y = x if k is None)."""
-    lo = hi = 0
-    for i, row in enumerate(gl):
-        for j, g in enumerate(row):
-            t = g * h[i] * (h[j] if k is None else k[j])
-            if k is None and i == j:
-                lo, hi = lo + min(t, 0), hi + max(t, 0)
-            else:
-                lo, hi = lo - abs(t), hi + abs(t)
-    return lo, hi
 
 
 def _f_sign_on_zero_set(gl, d, ibox) -> int:
@@ -589,8 +577,9 @@ def _f_sign_on_zero_set(gl, d, ibox) -> int:
     grad_f = [-2 * x for x in gw] + [2 * dd * x for x in gb]
     grad_im = gb + gw
     widths = hw + hb
-    bw, bb = _second_order(gl, hw), _second_order(gl, hb)
-    cross = _second_order(gl, hb, hw)[1]
+    bw, bb = (_qform_range(gl, [-x for x in h], h) for h in (hw, hb))
+    cross = sum(abs(g) * x * y for row, x in zip(gl, hb)
+                for g, y in zip(row, hw))
     mults = [(1, 0)] + [(abs(k), -g if k > 0 else g)
                         for g, k in zip(grad_f, grad_im) if k]
     for k, m in mults:
@@ -698,9 +687,9 @@ def _bisect(ibox, d):
             (s, right[:rho], his[:rho], right[rho:], his[rho:])]
 
 
-def _wall_search(split: HyperbolicSplit, box: TubeBox, delta: LatVec,
-                 kind: str):
-    """(verdict, witness) of the exact A- or D-wall test.
+def _wall_search(gl, box: TubeBox, d: int, lam, kind: str):
+    """(verdict, witness) of the exact A- or D-wall test of the oriented
+    root data (d > 0, lam) over G_L = ``gl``.
 
     The verdict is True, False or None (undecided at WALL_TEST_DEPTH); a
     True verdict comes with a witness, a list of chart points (a, b) of
@@ -708,12 +697,6 @@ def _wall_search(split: HyperbolicSplit, box: TubeBox, delta: LatVec,
     or the same b and Re(z.delta) negative, then positive, joined by a
     segment on Im = 0.
     """
-    _, d, lam = split.root_data(delta)
-    if kind == "A" and d <= 0:
-        return False, None
-    if d < 0:
-        d, lam = -d, [-x for x in lam]
-    gl = split.gram_L
     level = [_int_box(box, lam, d)]
     for depth in range(WALL_TEST_DEPTH + 1):
         survivors = []
@@ -756,19 +739,19 @@ def wall_meets_box(split: HyperbolicSplit, box: TubeBox, delta: LatVec,
     """
     if kind not in ("A", "C", "D"):
         raise ValueError(f"unknown wall kind {kind!r}")
-    if split.v.dot(delta) != 0:
-        return kind != "C" and _wall_search(split, box, delta, kind)[0]
-    if kind == "A":
+    c, d, lam = split.root_data(delta)
+    if (kind == "A" and d <= 0) or (kind == "C" and d != 0):
         return False
+    if d < 0:
+        d, lam = -d, [-x for x in lam]
+    if d:
+        return _wall_search(split.gram_L, box, d, lam, kind)[0]
     # d = 0: z.delta = -c + a^T G_L lam + i b^T G_L lam, a and b apart
-    c, _, lam = split.root_data(delta)
     lo, hi = _im_range_over_box(split.gram_L, _int_box(box, lam, 0))
     if kind == "C" or not lo <= 0 <= hi:
         return lo <= 0 <= hi
-    g = ila.mat_vec(split.gram_L, lam)
-    return (sum(min(x * l, x * h) for x, l, h in zip(g, box.a_lo, box.a_hi))
-            <= c <=
-            sum(max(x * l, x * h) for x, l, h in zip(g, box.a_lo, box.a_hi)))
+    lo, hi = _linear_range(ila.mat_vec(split.gram_L, lam), box.a_lo, box.a_hi)
+    return lo <= c <= hi
 
 
 # -- candidate roots ------------------------------------------------------------
@@ -844,7 +827,9 @@ def _roots_near(split: HyperbolicSplit, a_lo, a_hi, b_points
     """The roots whose A-, C- or D-wall can meet a chart region, lex
     order: a in the box [a_lo, a_hi], b in the hull of the cone points
     ``b_points`` (Fractions).  Not yet listed: the D-walls of the roots
-    c v + lam with c != 0 and d = 0 (ROADMAP item 1).
+    c v + lam with c != 0 and d = 0 (ROADMAP item 1).  The rows are
+    distinct and oriented as ``_orient_root`` orients them: d >= 0, and
+    at d = 0 zero v- and f-components and a sign-canonical lam.
 
     Write delta = c v + d f + R lam with d >= 0 (up to sign) and, for
     d > 0, u = lam/d - a.  An A- or D-wall passes through (a, b) only if
@@ -907,30 +892,26 @@ def enumerate_walls_region(split: HyperbolicSplit, box: TubeBox,
     every root whose wall can meet it, except the D-walls of the roots
     c v + lam with c != 0 and d = 0 (ROADMAP item 1).
 
-    Every candidate passes the exact three-valued test ``wall_meets_box``;
-    walls it leaves undecided are listed too, with ``undecided`` set.
-    C-walls are deduplicated by their image in L(v) and reported with the
-    representative root having zero v- and f-components.
+    Each oriented candidate (``_orient_root``) is tested once per kind by
+    the exact three-valued test ``wall_meets_box``; walls it leaves
+    undecided are listed too, with ``undecided`` set.  The D-test runs
+    only when the A-test has not proved a miss: the D-wall lies inside
+    the A-wall, and both tests bisect alike, so every sub-box the A-test
+    drops the D-test drops too.  C-walls are deduplicated by their image
+    in L(v) and reported with the representative root having zero v- and
+    f-components.
     """
     if candidates is None:
         candidates = _roots_near(split, box.a_lo, box.a_hi,
                                  list(box.b_corners()))
-    walls: dict[tuple, Wall] = {}
-
-    def test(kind, root):
-        verdict = wall_meets_box(split, box, root, kind)
-        if verdict is not False:
-            walls[(kind, root.coords)] = Wall(kind, root, split.v,
-                                              undecided=verdict is None)
-
-    for delta in candidates:
-        delta, d = _orient_root(split, delta)
-        if d > 0:
-            test("A", delta)
-            test("D", delta)
-        elif ("C", delta.coords) not in walls:
-            test("C", delta)
-    return sorted(walls.values(), key=lambda w: w.sort_key())
+    walls = []
+    for delta, d in dict.fromkeys(_orient_root(split, w) for w in candidates):
+        for kind in ("A", "D") if d else ("C",):
+            verdict = wall_meets_box(split, box, delta, kind)
+            if verdict is False:
+                break
+            walls.append(Wall(kind, delta, split.v, undecided=verdict is None))
+    return sorted(walls, key=Wall.sort_key)
 
 
 def enumerate_walls_bruteforce(split: HyperbolicSplit, box: TubeBox,
@@ -1033,7 +1014,7 @@ def wall_crossings(split: HyperbolicSplit, start, end) -> list[WallEvent]:
     near = _roots_near(split, list(map(min, pts[0], pts[2])),
                        list(map(max, pts[0], pts[2])), pts[1::2])
     events = []
-    for root, _ in dict.fromkeys(_orient_root(split, w) for w in near):
+    for root in near:
         c, d, lam = split.root_data(root)
         g_lam = ila.mat_vec(gl, lam)
         im = (s * ila.dot(b0, g_lam) - d * ba[0],                    # S^2 I
@@ -1120,11 +1101,8 @@ def on_A_wall(pt: TubePoint) -> LatVec | None:
     """
     a, b = _chart_rationals(pt, "on_A_wall")
     box = TubeBox.make(pt.split, a, a, b, b)
-    for w in _roots_near(pt.split, a, a, list(box.b_corners())):
-        w, d = _orient_root(pt.split, w)
-        if d > 0 and wall_meets_box(pt.split, box, w, "A"):
-            return w
-    return None
+    return next((w for w in _roots_near(pt.split, a, a, list(box.b_corners()))
+                 if wall_meets_box(pt.split, box, w, "A")), None)
 
 
 def in_L_region(pt: TubePoint, y_amp) -> bool:

@@ -128,8 +128,9 @@ def hnf_columns(m) -> tuple[list[list[int]], list[list[int]]]:
 
     Columns of ``h`` are echelonized left-to-right with non-negative pivots;
     zero columns are pushed to the right.  Deterministic for fixed input.
+    A matrix with no rows gives ([], []).
     """
-    rows, cols = len(m), len(m[0])
+    rows, cols = len(m), len(m[0]) if m else 0
     h = [list(row) for row in m]
     u = identity(cols)
 
@@ -184,13 +185,8 @@ def hnf_columns(m) -> tuple[list[list[int]], list[list[int]]]:
 def integer_kernel(m) -> list[list[int]]:
     """Basis (list of columns) of {x integer : m @ x = 0}; saturated."""
     h, u = hnf_columns(m)
-    rows = len(m)
-    cols = len(m[0])
-    ker = []
-    for c in range(cols):
-        if all(h[r][c] == 0 for r in range(rows)):
-            ker.append([u[r][c] for r in range(cols)])
-    return ker
+    return [[row[c] for row in u] for c in range(len(u))
+            if not any(row[c] for row in h)]
 
 
 def snf(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:

@@ -579,7 +579,8 @@ def test_exact_wall_test_witnesses_and_misses(name, data):
             continue
         verdicts = {}
         for kind in "AD":
-            verdict, points = dm._wall_search(sp, box, delta, kind)
+            verdict, points = dm._wall_search(
+                sp.gram_L, box, d, sp.root_data(delta)[2], kind)
             verdicts[kind] = verdict
             if verdict:
                 assert dm.wall_meets_box(sp, box, delta, kind) is True
@@ -625,12 +626,81 @@ def test_cover_contains_corner_union(name, data):
     cover = dm._roots_near(sp, box.a_lo, box.a_hi, list(box.b_corners()))
     union = _roots_near_box_union(sp, box)
     assert [w.coords for w in cover] == sorted(w.coords for w in cover)
+    # the rows are distinct and oriented: enumerate_walls_region,
+    # wall_crossings and on_A_wall read them without _orient_root
+    assert len(set(cover)) == len(cover)
+    for w in cover:
+        c, d, lam = sp.root_data(w)
+        assert sp.v.dot(w) == -d <= 0
+        if d == 0:
+            assert c == 0 and lam == lattice_sign_canonical(lam)
 
     def walls(cands):
         return {(w.kind, w.root.coords, w.undecided) for w in
                 dm.enumerate_walls_region(sp, box, candidates=cands)}
 
     _assert_contains_witnessed(sp, box, walls(cover), walls(union))
+
+
+def _walls_reference(split, box, candidates=None):
+    """Oracle: the enumeration loop that tests A and D for every oriented
+    candidate, even after a proven A-miss, and deduplicates C-walls by
+    their image."""
+    if candidates is None:
+        candidates = dm._roots_near(split, box.a_lo, box.a_hi,
+                                    list(box.b_corners()))
+    walls = {}
+
+    def test(kind, root):
+        verdict = dm.wall_meets_box(split, box, root, kind)
+        if verdict is not False:
+            walls[(kind, root.coords)] = verdict is None
+
+    for delta in candidates:
+        delta, d = dm._orient_root(split, delta)
+        if d > 0:
+            test("A", delta)
+            test("D", delta)
+        elif ("C", delta.coords) not in walls:
+            test("C", delta)
+    return [(kind, coords, undecided)
+            for (kind, coords), undecided in sorted(walls.items())]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_COVER_LATTICES)),
+       st.sampled_from(["box", "point", "both signs"]), st.data())
+def test_walls_region_matches_reference_loop(name, how, data):
+    # one pass per root (A, then D only after no proven A-miss; each
+    # oriented root once) lists the walls of the loop that tests them all
+    lat = mk.mukai_lattice(_COVER_LATTICES[name])
+    sp = dm.split_at(lat.vector([0] * (lat.rank - 1) + [1]))
+    pos = int(np.argmax(np.diag(sp.gram_L)))
+    candidates = None
+    if how == "point":
+        # (a, b) = (lam/d, b) has u = 0, so it lies on the A-wall of
+        # delta when y^2 <= 2/d^2
+        roots = [w for w, d in (dm._orient_root(sp, lat.vector(r)) for r
+                                in mk.vectors_of_norm(lat, -2, 3)) if d]
+        _, d, lam = sp.root_data(data.draw(st.sampled_from(roots)))
+        b = [F(data.draw(st.integers(-1, 1)), 16 * d) for _ in range(sp.rho)]
+        b[pos] = F(1, 2 * d)
+        assume(0 < ila.dot(b, ila.mat_vec(sp.gram_L, b)) <= F(2, d * d))
+        a = [F(x, d) for x in lam]
+        box = dm.TubeBox.make(sp, a, a, b, b)
+    else:
+        box = _box_in(sp, data.draw, pos)
+        assume(box.min_y_norm2() >= F(1, 4))
+        if how == "both signs":
+            candidates = [w for r in mk.vectors_of_norm(lat, -2, 3)
+                          for w in (lat.vector(r), -lat.vector(r))]
+    got = [(w.kind, w.root.coords, w.undecided) for w in
+           dm.enumerate_walls_region(sp, box, candidates=candidates)]
+    assert got == _walls_reference(sp, box, candidates)
+    if how == "point":
+        assert ("A", sp.root_from_data(
+            (ila.dot(lam, ila.mat_vec(sp.gram_L, lam)) + 2) // (2 * d), d,
+            lam).coords, False) in got
 
 
 def _assert_contains_witnessed(split, box, got, want):
@@ -642,7 +712,8 @@ def _assert_contains_witnessed(split, box, got, want):
         if kind == "C":
             assert dm.wall_meets_box(split, box, delta, kind) is True
             continue
-        verdict, points = dm._wall_search(split, box, delta, kind)
+        _, d, lam = split.root_data(delta)
+        verdict, points = dm._wall_search(split.gram_L, box, d, lam, kind)
         assert verdict is True
         _check_witness(split, delta, kind, points)
 
@@ -745,8 +816,8 @@ def test_rank4_enumeration_vs_bruteforce(rank4):
                     want.add(("C", rep.coords))
         assert want <= got
         for kind, coords in got - want:
-            verdict, points = dm._wall_search(sp, box, lat.vector(coords),
-                                              kind)
+            _, d, lam = sp.root_data(lat.vector(coords))
+            verdict, points = dm._wall_search(sp.gram_L, box, d, lam, kind)
             assert verdict is True
             _check_witness(sp, lat.vector(coords), kind, points)
             extra_seen += 1
@@ -852,7 +923,7 @@ def test_wall_tangent_at_u_zero_is_certified():
                           [F(0), F(5, 4)], [F(3, 4), F(3, 2)])
     delta = sp.root_from_data(1, 1, (0, 0))
     for kind in "AD":
-        verdict, points = dm._wall_search(sp, box, delta, kind)
+        verdict, points = dm._wall_search(sp.gram_L, box, 1, (0, 0), kind)
         assert verdict is True
         assert points == [((0, 0), (F(3, 4), F(5, 4)))]
         _check_witness(sp, delta, kind, points)
@@ -871,6 +942,37 @@ def test_box_endpoints_exact(rank3):
     box = dm.TubeBox.make(sp, [0.1], ["1/2"], [1], [F(2)])
     assert box.a_lo == (F(0.1),) and box.a_lo != (F(1, 10),)
     assert (box.a_hi, box.b_lo, box.b_hi) == ((F(1, 2),), (F(1),), (F(2),))
+
+
+def _second_order(gl, h, k=None) -> tuple[int, int]:
+    """Oracle: bounds of x^T G y over |x_i| <= h_i, |y_j| <= k_j (y = x if
+    k is None), one term per entry of G."""
+    lo = hi = 0
+    for i, row in enumerate(gl):
+        for j, g in enumerate(row):
+            t = g * h[i] * (h[j] if k is None else k[j])
+            if k is None and i == j:
+                lo, hi = lo + min(t, 0), hi + max(t, 0)
+            else:
+                lo, hi = lo - abs(t), hi + abs(t)
+    return lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_centred_bounds_match_second_order(n, data):
+    # _f_sign_on_zero_set bounds x^T G x over |x| <= h by _qform_range on
+    # [-h, h], and x^T G y over |x| <= h, |y| <= k by sum |g_ij| h_i k_j
+    entries = st.integers(-9, 9)
+    gl = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gl[i][j] = gl[j][i] = data.draw(entries)
+    widths = st.lists(st.integers(0, 50), min_size=n, max_size=n)
+    h, k = data.draw(widths), data.draw(widths)
+    assert dm._qform_range(gl, [-x for x in h], h) == _second_order(gl, h)
+    assert sum(abs(g) * x * y for row, x in zip(gl, h)
+               for g, y in zip(row, k)) == _second_order(gl, h, k)[1]
 
 
 # -- region predicates ----------------------------------------------------------------

@@ -91,6 +91,7 @@ def test_hnf_reproduces_input():
         h, u = ila.hnf_columns(m)
         assert ila.mat_mul(m, u) == h
         assert abs(ila.det_bareiss(u)) == 1
+    assert ila.hnf_columns([]) == ([], [])
 
 
 def test_integer_kernel():
@@ -99,6 +100,7 @@ def test_integer_kernel():
     for col in k:
         assert col[0] + 2 * col[1] + 3 * col[2] == 0
     assert ila.integer_kernel([[1, 0], [0, 1]]) == []
+    assert ila.integer_kernel([]) == []
 
 
 def test_snf_invariants():
@@ -220,6 +222,7 @@ def test_mat_inverse_unimodular():
     m = [[1, 2], [1, 3]]
     inv = ila.mat_inverse_unimodular(m)
     assert ila.mat_mul(m, inv) == ila.identity(2)
+    assert ila.mat_inverse_unimodular([]) == []  # the 0 x 0 matrix
 
 
 @settings(max_examples=200, deadline=None)
