@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: lattice | roots | walls | cusps | geodesic | factor |
-threshold | degenerate | beta-search.  A JSON config file supplies
-defaults; explicit flags win.  Exit codes: 0 ok, 1 verification failure,
-2 bad input.
+threshold | degenerate | beta-search, all sharing one set of flags.  A JSON
+config file supplies defaults; explicit flags win.  Exit codes: 0 ok,
+1 verification failure, 2 bad input.
 """
 
 from __future__ import annotations
@@ -80,13 +80,18 @@ def _cfg_list(cfg: dict, key: str, default=None, depth: int = 1,
                    depth, kind)
 
 
-def _job_hash(cfg: dict) -> str:
-    """Hash of the compute-relevant config (output destination excluded)."""
-    core = {k: v for k, v in cfg.items() if k not in ("out",)}
-    return serialize.config_hash(core)
+def _meta(cfg: dict) -> dict:
+    """The hash of the compute-relevant config (output destination
+    excluded) and the version, which every output carries."""
+    core = {k: v for k, v in cfg.items() if k != "out"}
+    return {"config_hash": serialize.config_hash(core),
+            "version": __version__}
 
 
-def _emit(command: str, cfg: dict, payload: dict, table: str | None = None):
+def _emit(command: str, cfg: dict, payload: dict, table: str | None = None,
+          meta: dict | None = None):
+    """Write the payload as ``--format`` asks; ``meta`` is the job's
+    ``_meta``, computed here if not given."""
     fmt = cfg.get("format", "json")
     formats = ["json"] + [f for f in ("csv", "svg") if f"_{f}" in payload]
     if fmt not in formats:
@@ -94,7 +99,7 @@ def _emit(command: str, cfg: dict, payload: dict, table: str | None = None):
                           + ", ".join(formats))
     payload = dict(payload)
     payload["version"] = __version__
-    payload["config_hash"] = _job_hash(cfg)
+    payload["config_hash"] = (meta or _meta(cfg))["config_hash"]
     out = cfg.get("out")
     if table:
         print(table)
@@ -136,12 +141,10 @@ def cmd_roots(cfg: dict) -> int:
     lat = _load_lattice(cfg)
     bound = _cfg_int(cfg, "root_bound", 4)
     roots = lattice.vectors_of_norm(lat, -2, bound).tolist()
-    payload = {"root_bound": bound, "roots": roots}
-    payload["_csv"] = serialize.csv_text(
-        [f"c{i}" for i in range(lat.rank)], roots,
-        meta={"config_hash": _job_hash(cfg),
-              "version": __version__})
-    _emit("roots", cfg, payload)
+    meta = _meta(cfg)
+    payload = {"root_bound": bound, "roots": roots, "_csv": serialize.csv_text(
+        [f"c{i}" for i in range(lat.rank)], roots, meta=meta)}
+    _emit("roots", cfg, payload, meta=meta)
     return 0
 
 
@@ -162,11 +165,18 @@ def _parse_box(cfg: dict, split) -> tuple[dict, domain.TubeBox]:
 def _chamber_ids(signs: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """One id per distinct sign row among the rows ``inside``, numbered by
     first appearance; -1 for the rows outside."""
-    ids = np.full(len(signs), -1)
-    if inside.any():
-        _, first, inv = np.unique(signs[inside], axis=0, return_index=True,
-                                  return_inverse=True)
-        ids[inside] = np.argsort(np.argsort(first))[inv]
+    ids, rows = np.full(len(signs), -1), signs[inside]
+    if len(rows):
+        # stable: each group's first sorted row is its first appearance;
+        # with no walls, lexsort needs one constant key
+        order = np.lexsort(rows.T if rows.shape[1] else [ids[inside]])
+        srt = rows[order]
+        new = np.concatenate([[True], (srt[1:] != srt[:-1]).any(1)])
+        heads = order[new]
+        first = np.zeros(len(rows), dtype=int)
+        first[heads] = 1    # a group's id: the heads up to its own, less 1
+        ids[np.flatnonzero(inside)[order]] = \
+            (np.cumsum(first) - 1)[heads][np.cumsum(new) - 1]
     return ids
 
 
@@ -178,7 +188,7 @@ def cmd_walls(cfg: dict) -> int:
     walls = [w for w in found if not w.undecided]
     undecided = [w for w in found if w.undecided]
     payload = {"walls": [w.to_json() for w in walls], "box": raw_box}
-    meta = {"config_hash": _job_hash(cfg), "version": __version__}
+    meta = _meta(cfg)
     if undecided:
         payload["undecided_walls"] = [w.to_json() for w in undecided]
         meta["undecided_walls"] = len(undecided)
@@ -234,7 +244,7 @@ def cmd_walls(cfg: dict) -> int:
                     segs.append(((float(box.a_lo[0]), b0),
                                  (float(box.a_hi[0]), b0), "C"))
         payload["_svg"] = serialize.svg_segments(segs, meta=meta)
-    _emit("walls", cfg, payload)
+    _emit("walls", cfg, payload, meta=meta)
     return 0
 
 
@@ -279,12 +289,11 @@ def cmd_geodesic(cfg: dict) -> int:
                    "speed_samples": speeds[:5]},
         "samples": rows,
     }
+    meta = _meta(cfg)
     payload["_csv"] = serialize.csv_text(
         ["t"] + [f"a{i}" for i in range(sp.rho)]
-        + [f"b{i}" for i in range(sp.rho)] + ["speed"],
-        rows, meta={"config_hash": _job_hash(cfg),
-                    "version": __version__})
-    _emit("geodesic", cfg, payload)
+        + [f"b{i}" for i in range(sp.rho)] + ["speed"], rows, meta=meta)
+    _emit("geodesic", cfg, payload, meta=meta)
     return 0 if dev <= tol else 1
 
 
@@ -374,13 +383,11 @@ def cmd_degenerate(cfg: dict) -> int:
     a, b = pts.chart()
     rows = [(t,) + tuple(ai) + tuple(bi) + (y2,) for t, ai, bi, y2 in zip(
         ts.tolist(), a.tolist(), b.tolist(), pts.y_norm2().tolist())]
-    payload = {"samples": rows}
-    payload["_csv"] = serialize.csv_text(
+    meta = _meta(cfg)
+    payload = {"samples": rows, "_csv": serialize.csv_text(
         ["t"] + [f"a{i}" for i in range(sp.rho)]
-        + [f"b{i}" for i in range(sp.rho)] + ["y2"],
-        rows, meta={"config_hash": _job_hash(cfg),
-                    "version": __version__})
-    _emit("degenerate", cfg, payload)
+        + [f"b{i}" for i in range(sp.rho)] + ["y2"], rows, meta=meta)}
+    _emit("degenerate", cfg, payload, meta=meta)
     return 0
 
 
@@ -411,46 +418,45 @@ _COMMANDS = {
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser for every subcommand: all of them share the flags."""
     p = argparse.ArgumentParser(
         prog="mukai-kit",
         description="lattice toolkit for K3 Kahler moduli")
     p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", help="JSON config file (flags win)")
-        sp.add_argument("--preset")
-        sp.add_argument("--lattice", help="lattice JSON file")
-        sp.add_argument("--gram", help="inline Gram matrix JSON")
-        sp.add_argument("--mukai", action="store_true", default=None)
-        sp.add_argument("--height", type=int)
-        sp.add_argument("--root-bound", dest="root_bound", type=int)
-        sp.add_argument("--word-depth", dest="word_depth", type=int)
-        sp.add_argument("--standard-only", dest="standard_only",
-                        action="store_true", default=None)
-        sp.add_argument("--box", help="JSON {a_lo, a_hi, b_lo, b_hi}")
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--out")
-        sp.add_argument("--format", choices=["json", "csv", "svg"])
-        sp.add_argument("--x0")
-        sp.add_argument("--y0")
-        sp.add_argument("--t-max", dest="t_max", type=float)
-        sp.add_argument("--t0", type=float)
-        sp.add_argument("--t1", type=float)
-        sp.add_argument("--steps", type=int)
-        sp.add_argument("--samples", type=int)
-        sp.add_argument("--path", help="CSV path samples for factor")
-        sp.add_argument("--path-spec", dest="path_spec",
-                        help="PathSpec JSON for factor")
-        sp.add_argument("--vE")
-        sp.add_argument("--h")
-        sp.add_argument("--candidates")
-        sp.add_argument("--cand-rank", dest="cand_rank", type=int)
-        sp.add_argument("--cand-c", dest="cand_c", type=int)
-        sp.add_argument("--cand-s", dest="cand_s", type=int)
-        sp.add_argument("--c-root", dest="c_root")
-        sp.add_argument("--k", type=int)
-        sp.add_argument("--eta")
+    p.add_argument("command", choices=_COMMANDS)
+    p.add_argument("--config", help="JSON config file (flags win)")
+    p.add_argument("--preset")
+    p.add_argument("--lattice", help="lattice JSON file")
+    p.add_argument("--gram", help="inline Gram matrix JSON")
+    p.add_argument("--mukai", action="store_true", default=None)
+    p.add_argument("--height", type=int)
+    p.add_argument("--root-bound", dest="root_bound", type=int)
+    p.add_argument("--word-depth", dest="word_depth", type=int)
+    p.add_argument("--standard-only", dest="standard_only",
+                   action="store_true", default=None)
+    p.add_argument("--box", help="JSON {a_lo, a_hi, b_lo, b_hi}")
+    p.add_argument("--tol", type=float)
+    p.add_argument("--out")
+    p.add_argument("--format", choices=["json", "csv", "svg"])
+    p.add_argument("--x0")
+    p.add_argument("--y0")
+    p.add_argument("--t-max", dest="t_max", type=float)
+    p.add_argument("--t0", type=float)
+    p.add_argument("--t1", type=float)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--path", help="CSV path samples for factor")
+    p.add_argument("--path-spec", dest="path_spec",
+                   help="PathSpec JSON for factor")
+    p.add_argument("--vE")
+    p.add_argument("--h")
+    p.add_argument("--candidates")
+    p.add_argument("--cand-rank", dest="cand_rank", type=int)
+    p.add_argument("--cand-c", dest="cand_c", type=int)
+    p.add_argument("--cand-s", dest="cand_s", type=int)
+    p.add_argument("--c-root", dest="c_root")
+    p.add_argument("--k", type=int)
+    p.add_argument("--eta")
     return p
 
 

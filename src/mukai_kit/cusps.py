@@ -32,6 +32,7 @@ from .lattice import (
     reflections,
     vectors_of_norm,
 )
+from .serialize import digest
 
 
 def enumerate_isotropic(lat: IntegerLattice, height: int) -> np.ndarray:
@@ -296,10 +297,9 @@ class CensusReport:
 
 
 def _generator_hash(generators: np.ndarray) -> str:
-    import hashlib
-    blob = repr(sorted(tuple(map(tuple, m))
-                       for m in np.asarray(generators).tolist())).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """``serialize.digest`` of the repr of the sorted generator matrices."""
+    return digest(repr(sorted(tuple(map(tuple, m)) for m in
+                              np.asarray(generators).tolist())).encode())
 
 
 def _fricke_level(lat: IntegerLattice) -> int:

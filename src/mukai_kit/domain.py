@@ -482,10 +482,26 @@ class TubeBox:
         gl = self.split.gram_L
         return min(ila.dot(c, ila.mat_vec(gl, c)) for c in self.b_corners())
 
+    @cached_property
+    def scaled(self) -> tuple:
+        """(S, S a_lo, S a_hi, S b_lo, S b_hi) as integers, S the common
+        denominator of the endpoints."""
+        s, ends = _integral([self.a_lo, self.a_hi, self.b_lo, self.b_hi])
+        return (s, *ends)
+
+
+def _integral(points) -> tuple[int, list[list[int]]]:
+    """(S, the points times S): S is the common denominator of the
+    rational coordinates, so the scaled points are integral."""
+    s = math.lcm(*(x.denominator for p in points for x in p))
+    return s, [[x.numerator * (s // x.denominator) for x in p]
+               for p in points]
+
 
 def _check_cone(gl, points, what: str) -> None:
     """Raise UnboundedBoxError unless the b-points lie in one component of
     the positive cone (then so does their convex hull)."""
+    points = _integral(points)[1]
     gp = [ila.mat_vec(gl, p) for p in points]
     if any(ila.dot(p, g) <= 0 for p, g in zip(points, gp)):
         raise UnboundedBoxError(f"{what} leaves the positive cone")
@@ -499,16 +515,9 @@ def _int_box(box: TubeBox, lam, d: int) -> tuple:
     w = lam - d a (d >= 0) and b range over [w_lo, w_hi] / S and
     [b_lo, b_hi] / S, with S the common denominator of the endpoints.
     """
-    s = math.lcm(*(x.denominator for x in
-                   box.a_lo + box.a_hi + box.b_lo + box.b_hi))
-
-    def scaled(xs):
-        return [x.numerator * (s // x.denominator) for x in xs]
-
-    a_lo, a_hi = scaled(box.a_lo), scaled(box.a_hi)
+    s, a_lo, a_hi, b_lo, b_hi = box.scaled
     return (s, [l * s - d * h for l, h in zip(lam, a_hi)],
-            [l * s - d * x for l, x in zip(lam, a_lo)],
-            scaled(box.b_lo), scaled(box.b_hi))
+            [l * s - d * x for l, x in zip(lam, a_lo)], b_lo, b_hi)
 
 
 def _linear_range(g, lo, hi) -> tuple:
@@ -807,13 +816,14 @@ def _cone_roots(gl, points) -> tuple[list[int], int, Fraction, Fraction,
     orthogonal to a point of the hull, where N_b(lam) = 2.  They come
     from ``short_vectors`` on the integer form Q(E) M_e of ``_majorant``.
     """
-    s = math.lcm(*(x.denominator for p in points for x in p))
-    e = [int(sum(col) * s) for col in zip(*points)]
+    s, points = _integral(points)   # k is the same for S p
+    e = [sum(col) for col in zip(*points)]
     qe, q = _majorant(gl, [e])
     gps = [ila.mat_vec(gl, p) for p in points]
     y2_min = min(ila.dot(p, gp) for p, gp in zip(points, gps))
-    k = 2 * max(ila.dot(e, gp) ** 2 for gp in gps) / (qe * y2_min) - 1
-    return e, qe, k, y2_min, _short_roots(gl, q, math.floor(2 * k * qe))
+    k = Fraction(2 * max(ila.dot(e, gp) ** 2 for gp in gps), qe * y2_min) - 1
+    return (e, qe, k, Fraction(y2_min, s * s),
+            _short_roots(gl, q, math.floor(2 * k * qe)))
 
 
 def _floor_add_sqrt(q: Fraction, x: Fraction) -> int:
@@ -1001,8 +1011,7 @@ def wall_crossings(split: HyperbolicSplit, start, end) -> list[WallEvent]:
     if len(pts) != 4 or any(len(c) != split.rho for c in pts):
         raise ValueError("start and end must be chart points (a, b)")
     _check_cone(gl, pts[1::2], "segment")
-    s = math.lcm(*(x.denominator for c in pts for x in c))
-    a0, b0, a1, b1 = ([int(x * s) for x in c] for c in pts)
+    s, (a0, b0, a1, b1) = _integral(pts)
     da, db = ([y - x for x, y in zip(*c)] for c in ((a0, a1), (b0, b1)))
     ga0, gda, gb0, gdb = (ila.mat_vec(gl, x) for x in (a0, da, b0, db))
     # coefficients in t of S^2 b^T G_L a and of S^2 (a^T G_L a - b^T G_L b)
@@ -1063,8 +1072,7 @@ def in_P0(frame: FrameVec) -> P0Certificate:
     lat = frame.validate().lattice
     gram = lat.gram_rows()
     xs = [[Fraction(x) for x in part] for part in (frame.re, frame.im)]
-    s = math.lcm(*(x.denominator for part in xs for x in part))
-    det, q = _majorant(gram, [[int(x * s) for x in part] for part in xs])
+    det, q = _majorant(gram, _integral(xs)[1])
     roots, values = _norms(q, _short_roots(gram, q, 10 * det))
     lam_min = float(np.linalg.eigvalsh(frame.plane_gram())[0])
     radius = 2.0 * math.sqrt(max(lam_min, 0.0))

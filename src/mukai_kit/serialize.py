@@ -6,18 +6,26 @@ serialized as decimal strings so JSON consumers with double-precision
 numbers never see rounded values.  Keys go through str(); floats are
 float.__repr__ with json's NaN and Infinity; what json rejects raises
 TypeError.  Rectangular nests of plain numbers, and lists of same-keyed
-records of them, take one str.format.
+records of them, take one str.format.  Digests use CPython's built-in
+SHA-256 module, as ``random`` does for SHA-512, so OpenSSL is never loaded.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import os
 import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+
+try:
+    from _sha2 import sha256 as _sha256    # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 _BIG = 2 ** 53
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -113,8 +121,13 @@ def pretty_json(obj) -> str:
     return _json(obj, "\n", "  ", ": ") + "\n"
 
 
+def digest(data: bytes) -> str:
+    """The first 16 hex digits of the SHA-256 of ``data``."""
+    return _sha256(data).hexdigest()[:16]
+
+
 def config_hash(config: dict) -> str:
-    return hashlib.sha256(canonical_json(config).encode()).hexdigest()[:16]
+    return digest(canonical_json(config).encode())
 
 
 def atomic_write(path: str, text: str):

@@ -280,6 +280,44 @@ def test_parser_built_once():
     assert cli._build_parser() is cli._build_parser()
 
 
+_SWITCHES = ["--mukai", "--standard-only"]
+_VALUED = ["--config", "--preset", "--lattice", "--gram", "--height",
+           "--root-bound", "--word-depth", "--box", "--tol", "--out",
+           "--x0", "--y0", "--t-max", "--t0", "--t1", "--steps", "--samples",
+           "--path", "--path-spec", "--vE", "--h", "--candidates",
+           "--cand-rank", "--cand-c", "--cand-s", "--c-root", "--k", "--eta"]
+
+
+@pytest.mark.parametrize("command", ["lattice", "roots", "walls", "cusps",
+                                     "geodesic", "factor", "threshold",
+                                     "degenerate", "beta-search"])
+def test_every_command_takes_every_flag(command):
+    from mukai_kit import cli
+    argv = [command, "--format", "csv", *_SWITCHES]
+    for flag in _VALUED:
+        argv += [flag, "1"]
+    args = vars(cli._build_parser().parse_args(argv))
+    assert (args.pop("command"), args.pop("format")) == (command, "csv")
+    assert args.pop("mukai") is args.pop("standard_only") is True
+    assert set(args) == {f[2:].replace("-", "_") for f in _VALUED}
+    assert all(float(v) == 1 for v in args.values())
+    # the command may also come after the flags
+    assert vars(cli._build_parser().parse_args(argv[1:] + [command])) == \
+        vars(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["lattices", "--preset", "U"], 2),
+    (["lattice", "--preset", "U", "--format", "xml"], 2),
+    (["lattice", "--preset", "U", "--no-such-flag"], 2),
+])
+def test_parser_exits(argv, code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == code
+
+
 def test_cusps_command(tmp_path):
     out = tmp_path / "census.json"
     assert run(["cusps", "--preset", "mukai_rank1(6)", "--height", "14",
@@ -649,15 +687,19 @@ def test_determinism_byte_identical(tmp_path):
         assert read(a) == read(b), f"{tag} not deterministic"
 
 
-def test_entry_point_subprocess():
-    # the child imports the same package as this process, wherever the
-    # test run put it on sys.path (pytest's pythonpath does not reach it)
+def _child_env() -> dict:
+    """The environment of a child that imports the same package as this
+    process, wherever the test run put it on sys.path (pytest's
+    pythonpath does not reach it)."""
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(mk.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_entry_point_subprocess():
     proc = subprocess.run([sys.executable, "-m", "mukai_kit.cli",
                            "lattice", "--preset", "U"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["det"] == -1
 
@@ -665,15 +707,32 @@ def test_entry_point_subprocess():
 def test_cli_import_needs_no_scipy():
     # numpy is the only runtime dependency: importing the CLI, and with it
     # every module of the package, loads no scipy module
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(mk.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, mukai_kit.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_jobs_load_no_openssl(tmp_path):
+    # digests use CPython's built-in SHA-256: a cusps job (config and
+    # generator hashes) and a walls CSV job load neither hashlib nor ssl
+    box = json.dumps({"a_lo": ["-1"], "a_hi": ["1"],
+                      "b_lo": ["0.5"], "b_hi": ["1.5"]})
+    jobs = [["cusps", "--preset", "mukai_rank1(2)", "--height", "8",
+             "--out", str(tmp_path / "cusps.json")],
+            ["walls", "--preset", "mukai_rank1(1)", "--box", box,
+             "--format", "csv", "--out", str(tmp_path / "walls.csv")]]
+    code = ("import json, sys\nfrom mukai_kit.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(codes, sorted({'hashlib', '_hashlib', 'ssl'} "
+            "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(jobs)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    assert (tmp_path / "walls.csv").read_text().count("\n") == 32 * 32 + 2
 
 
 _THRESHOLD = ["threshold", "--preset", "mukai_rank1(1)"]

@@ -116,6 +116,12 @@ def test_config_hash_stable_and_order_free():
     assert h1 != serialize.config_hash({"a": 2, "b": [1, 2]})
 
 
+@given(st.binary(max_size=300))
+def test_digest_is_sha256_prefix(data):
+    import hashlib
+    assert serialize.digest(data) == hashlib.sha256(data).hexdigest()[:16]
+
+
 def test_atomic_write_and_csv(tmp_path):
     out = tmp_path / "x.csv"
     text = serialize.csv_text(["t", "v"], [(0.1, 2), (0.25, -3)],
