@@ -2,8 +2,12 @@
 
 Subcommands: lattice | roots | walls | cusps | geodesic | factor |
 threshold | degenerate | beta-search, all sharing one set of flags.  A JSON
-config file supplies defaults; explicit flags win.  Exit codes: 0 ok,
-1 verification failure, 2 bad input.
+config file supplies defaults; explicit flags win.  A subcommand only
+computes its payload; ``main`` loads the lattice, stamps the job with its
+config hash and version, and writes the payload: to ``--out`` in the
+``--format`` asked (printing the summary table, if the command has one),
+else as JSON to stdout.  Exit codes: 0 ok, 1 verification failure, 2 bad
+input.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ def _load_lattice(cfg: dict) -> lattice.IntegerLattice:
                                     src.get("label", ""),
                                     bool(src.get("mukai", False)))
     if cfg.get("gram"):
-        return lattice.make_lattice(_cfg_list(cfg, "gram", depth=2),
+        return lattice.make_lattice(_cfg(cfg, "gram", depth=2),
                                     mukai=bool(cfg.get("mukai", False)))
     raise ConfigError("no lattice given: use --preset, --lattice or --gram")
 
@@ -66,18 +70,13 @@ def _nested(key: str, val, depth: int, kind=int):
     raise ConfigError(f"{key} must be {_KINDS[kind]}, got {val}")
 
 
-def _cfg_int(cfg: dict, key: str, default) -> int:
-    """cfg[key] (or ``default``) as an int."""
-    return _nested(key, cfg.get(key, default), 0)
-
-
-def _cfg_list(cfg: dict, key: str, default=None, depth: int = 1,
-              kind=int) -> list:
-    """cfg[key] (or ``default``), JSON text or lists, as ``kind`` values
-    ``depth`` deep."""
+def _cfg(cfg: dict, key: str, default=None, depth: int = 0, kind=int):
+    """cfg[key] (or ``default``) as ``_nested`` reads it; at depth > 0 a
+    string is JSON text of the lists."""
     val = cfg.get(key, default)
-    return _nested(key, json.loads(val) if isinstance(val, str) else val,
-                   depth, kind)
+    if depth and isinstance(val, str):
+        val = json.loads(val)
+    return _nested(key, val, depth, kind)
 
 
 def _meta(cfg: dict) -> dict:
@@ -88,28 +87,26 @@ def _meta(cfg: dict) -> dict:
             "version": __version__}
 
 
-def _emit(command: str, cfg: dict, payload: dict, table: str | None = None,
-          meta: dict | None = None):
-    """Write the payload as ``--format`` asks; ``meta`` is the job's
-    ``_meta``, computed here if not given."""
+def _emit(command: str, cfg: dict, meta: dict, payload: dict,
+          table: str | None):
+    """Write the payload, stamped with the job's ``meta``, as ``--format``
+    asks to ``--out`` after printing the summary ``table``; without
+    ``--out``, print the payload's JSON instead."""
     fmt = cfg.get("format", "json")
     formats = ["json"] + [f for f in ("csv", "svg") if f"_{f}" in payload]
     if fmt not in formats:
         raise ConfigError(f"{command} has no {fmt} output; its formats are "
                           + ", ".join(formats))
-    payload = dict(payload)
-    payload["version"] = __version__
-    payload["config_hash"] = (meta or _meta(cfg))["config_hash"]
+    payload = {**payload, "config_hash": meta["config_hash"],
+               "version": meta["version"]}
     out = cfg.get("out")
+    if not out:
+        print(serialize.pretty_json(payload), end="")
+        return
     if table:
         print(table)
-    if out:
-        if fmt == "json":
-            serialize.atomic_write(out, serialize.pretty_json(payload))
-        else:
-            serialize.atomic_write(out, payload[f"_{fmt}"])
-    elif not table:
-        print(serialize.pretty_json(payload), end="")
+    serialize.atomic_write(out, serialize.pretty_json(payload)
+                           if fmt == "json" else payload[f"_{fmt}"])
 
 
 def _v0_split(lat) -> domain.HyperbolicSplit:
@@ -119,10 +116,9 @@ def _v0_split(lat) -> domain.HyperbolicSplit:
     return domain.split_at(v0)
 
 
-# -- subcommands ------------------------------------------------------------
+# -- subcommands: cmd_x(cfg, lat, meta) -> (payload, table, exit code) -----
 
-def cmd_lattice(cfg: dict) -> int:
-    lat = _load_lattice(cfg)
+def cmd_lattice(cfg: dict, lat, meta: dict):
     disc = lattice.discriminant_group(lat)
     p, q = lat.signature
     payload = {
@@ -133,19 +129,15 @@ def cmd_lattice(cfg: dict) -> int:
     disc_str = " x ".join(f"Z/{d}" for d in disc) or "trivial"
     table = (f"{lat.label or 'lattice'}: rank {lat.rank}, "
              f"signature ({p},{q}), det {lat.det}, disc {disc_str}")
-    _emit("lattice", cfg, payload, table if cfg.get("out") else None)
-    return 0
+    return payload, table, 0
 
 
-def cmd_roots(cfg: dict) -> int:
-    lat = _load_lattice(cfg)
-    bound = _cfg_int(cfg, "root_bound", 4)
+def cmd_roots(cfg: dict, lat, meta: dict):
+    bound = _cfg(cfg, "root_bound", 4)
     roots = lattice.vectors_of_norm(lat, -2, bound).tolist()
-    meta = _meta(cfg)
     payload = {"root_bound": bound, "roots": roots, "_csv": serialize.csv_text(
         [f"c{i}" for i in range(lat.rank)], roots, meta=meta)}
-    _emit("roots", cfg, payload, meta=meta)
-    return 0
+    return payload, None, 0
 
 
 def _parse_box(cfg: dict, split) -> tuple[dict, domain.TubeBox]:
@@ -180,15 +172,13 @@ def _chamber_ids(signs: np.ndarray, inside: np.ndarray) -> np.ndarray:
     return ids
 
 
-def cmd_walls(cfg: dict) -> int:
-    lat = _load_lattice(cfg)
+def cmd_walls(cfg: dict, lat, meta: dict):
     sp = _v0_split(lat)
     raw_box, box = _parse_box(cfg, sp)
     found = domain.enumerate_walls_region(sp, box)
     walls = [w for w in found if not w.undecided]
     undecided = [w for w in found if w.undecided]
     payload = {"walls": [w.to_json() for w in walls], "box": raw_box}
-    meta = _meta(cfg)
     if undecided:
         payload["undecided_walls"] = [w.to_json() for w in undecided]
         meta["undecided_walls"] = len(undecided)
@@ -196,7 +186,7 @@ def cmd_walls(cfg: dict) -> int:
         # raster of chamber ids over a 2D slice (first a- and b-coordinates
         # vary; all others pinned to the box midpoint), from the signs of
         # Im(z.delta) = b^T G_L (lam - d a); -1 where y^2 <= 0
-        grid = _cfg_int(cfg, "samples", 32)
+        grid = _cfg(cfg, "samples", 32)
         a_mid, b_mid = box.center()
         a = np.tile([float(x) for x in a_mid], (grid * grid, 1))
         b = np.tile([float(x) for x in b_mid], (grid * grid, 1))
@@ -244,36 +234,31 @@ def cmd_walls(cfg: dict) -> int:
                     segs.append(((float(box.a_lo[0]), b0),
                                  (float(box.a_hi[0]), b0), "C"))
         payload["_svg"] = serialize.svg_segments(segs, meta=meta)
-    _emit("walls", cfg, payload, meta=meta)
-    return 0
+    return payload, None, 0
 
 
-def cmd_cusps(cfg: dict) -> int:
-    lat = _load_lattice(cfg)
-    height = _cfg_int(cfg, "height", 20)
-    bound = _cfg_int(cfg, "root_bound", 8)
-    depth = _cfg_int(cfg, "word_depth", 6)
+def cmd_cusps(cfg: dict, lat, meta: dict):
+    height = _cfg(cfg, "height", 20)
+    bound = _cfg(cfg, "root_bound", 8)
+    depth = _cfg(cfg, "word_depth", 6)
     fn = (cusps.standard_cusp_census if cfg.get("standard_only")
           else cusps.cusp_census)
     report = fn(lat, height, word_depth=depth, root_bound=bound)
-    payload = report.to_json()
     rows = [f"  div {r.div}: rep {list(r.rep.coords)}, orbit size "
             f"{r.orbit_size_found}, disc {list(r.disc_group)}"
             for r in report.records]
     table = (f"census of {lat.label or 'lattice'} at height {height}: "
              f"{report.count} classes\n" + "\n".join(rows))
-    _emit("cusps", cfg, payload, table if cfg.get("out") else None)
-    return 0
+    return report.to_json(), table, 0
 
 
-def cmd_geodesic(cfg: dict) -> int:
-    lat = _load_lattice(cfg)
+def cmd_geodesic(cfg: dict, lat, meta: dict):
     sp = _v0_split(lat)
-    x0 = _cfg_list(cfg, "x0", "[0.0]", kind=float)
-    y0 = _cfg_list(cfg, "y0", "[1.0]", kind=float)
-    t_max = _nested("t_max", cfg.get("t_max", 2.0), 0, float)
-    steps = _cfg_int(cfg, "steps", 1000)
-    tol = _nested("tol", cfg.get("tol", 1e-6), 0, float)
+    x0 = _cfg(cfg, "x0", "[0.0]", depth=1, kind=float)
+    y0 = _cfg(cfg, "y0", "[1.0]", depth=1, kind=float)
+    t_max = _cfg(cfg, "t_max", 2.0, kind=float)
+    steps = _cfg(cfg, "steps", 1000)
+    tol = _cfg(cfg, "tol", 1e-6, kind=float)
     pt = domain.tube_point(sp, x0, y0)
     result = geodesics.geodesic_oracle(pt, t_max, steps)
     dev = geodesics.oracle_deviation(pt, result)
@@ -288,17 +273,14 @@ def cmd_geodesic(cfg: dict) -> int:
                    "energy_drift": result.energy_drift,
                    "speed_samples": speeds[:5]},
         "samples": rows,
+        "_csv": serialize.csv_text(
+            ["t"] + [f"a{i}" for i in range(sp.rho)]
+            + [f"b{i}" for i in range(sp.rho)] + ["speed"], rows, meta=meta),
     }
-    meta = _meta(cfg)
-    payload["_csv"] = serialize.csv_text(
-        ["t"] + [f"a{i}" for i in range(sp.rho)]
-        + [f"b{i}" for i in range(sp.rho)] + ["speed"], rows, meta=meta)
-    _emit("geodesic", cfg, payload, meta=meta)
-    return 0 if dev <= tol else 1
+    return payload, None, 0 if dev <= tol else 1
 
 
-def cmd_factor(cfg: dict) -> int:
-    lat = _load_lattice(cfg)
+def cmd_factor(cfg: dict, lat, meta: dict):
     sp = _v0_split(lat)
     samples = []
     if cfg.get("path_spec"):
@@ -309,11 +291,11 @@ def cmd_factor(cfg: dict) -> int:
         if spec.get("kind") != "linear_degeneration":
             raise ConfigError("path-spec supports kind linear_degeneration")
         path = geodesics.linear_degeneration(
-            sp, _cfg_list(spec, "x0", kind=float),
-            _cfg_list(spec, "y0", kind=float))
-        ts = np.linspace(_nested("t0", spec.get("t0", 1.0), 0, float),
-                         _nested("t1", spec.get("t1", 4.0), 0, float),
-                         _cfg_int(spec, "samples", 100))
+            sp, _cfg(spec, "x0", depth=1, kind=float),
+            _cfg(spec, "y0", depth=1, kind=float))
+        ts = np.linspace(_cfg(spec, "t0", 1.0, kind=float),
+                         _cfg(spec, "t1", 4.0, kind=float),
+                         _cfg(spec, "samples", 100))
         samples = list(zip(ts.tolist(), domain.exp_frame(path.at(ts)).z))
     elif cfg.get("path"):
         n, rows = lat.rank, []
@@ -335,7 +317,7 @@ def cmd_factor(cfg: dict) -> int:
     if not samples:
         raise ConfigError("factor needs at least one path sample")
     res = charges.factor_path(samples, sp)
-    tol = _nested("tol", cfg.get("tol", 1e-9), 0, float)
+    tol = _cfg(cfg, "tol", 1e-9, kind=float)
     payload = {
         "max_residual": res.max_residual,
         "tol": tol,
@@ -343,22 +325,18 @@ def cmd_factor(cfg: dict) -> int:
                   for t, g in zip(res.ts, res.lifts)],
         "winding": res.lifts[-1].phi0 - res.lifts[0].phi0,
     }
-    _emit("factor", cfg, payload)
-    return 0 if res.max_residual <= tol else 1
+    return payload, None, 0 if res.max_residual <= tol else 1
 
 
-def cmd_threshold(cfg: dict) -> int:
-    lat = _load_lattice(cfg)
-    vE = lat.vector(_cfg_list(cfg, "vE"))
-    h = _cfg_list(cfg, "h", "[1]")
+def cmd_threshold(cfg: dict, lat, meta: dict):
+    vE = lat.vector(_cfg(cfg, "vE", depth=1))
+    h = _cfg(cfg, "h", "[1]", depth=1)
     if cfg.get("candidates"):
-        cands = [lat.vector(c)
-                 for c in _cfg_list(cfg, "candidates", depth=2)]
+        cands = [lat.vector(c) for c in _cfg(cfg, "candidates", depth=2)]
     else:
-        r_max = _cfg_int(cfg, "cand_rank", vE.coords[0])
-        cands = charges.candidate_box(lat, r_max,
-                                      _cfg_int(cfg, "cand_c", 2),
-                                      _cfg_int(cfg, "cand_s", 2))
+        r_max = _cfg(cfg, "cand_rank", vE.coords[0])
+        cands = charges.candidate_box(lat, r_max, _cfg(cfg, "cand_c", 2),
+                                      _cfg(cfg, "cand_s", 2))
     n0, certs = charges.large_volume_threshold(vE, cands, h)
     # confirm at the boundary: holds for [n0, n0+100], fails at n0 - 1
     *above, below = charges.threshold_holds(vE, cands, h,
@@ -366,41 +344,34 @@ def cmd_threshold(cfg: dict) -> int:
     confirmed = all(map(all, above)) and (n0 == 1 or not all(below))
     payload = {"n0": n0, "confirmed": confirmed,
                "certificates": [c.to_json() for c in certs]}
-    _emit("threshold", cfg, payload)
-    return 0 if confirmed else 1
+    return payload, None, 0 if confirmed else 1
 
 
-def cmd_degenerate(cfg: dict) -> int:
-    lat = _load_lattice(cfg)
+def cmd_degenerate(cfg: dict, lat, meta: dict):
     sp = _v0_split(lat)
-    x0 = _cfg_list(cfg, "x0", "[0.0]", kind=float)
-    y0 = _cfg_list(cfg, "y0", "[1.0]", kind=float)
-    t0 = _nested("t0", cfg.get("t0", 1.0), 0, float)
-    t1 = _nested("t1", cfg.get("t1", 10.0), 0, float)
-    n = _cfg_int(cfg, "samples", 50)
-    ts = np.linspace(t0, t1, n)
+    x0 = _cfg(cfg, "x0", "[0.0]", depth=1, kind=float)
+    y0 = _cfg(cfg, "y0", "[1.0]", depth=1, kind=float)
+    ts = np.linspace(_cfg(cfg, "t0", 1.0, kind=float),
+                     _cfg(cfg, "t1", 10.0, kind=float),
+                     _cfg(cfg, "samples", 50))
     pts = geodesics.linear_degeneration(sp, x0, y0).at(ts)
     a, b = pts.chart()
     rows = [(t,) + tuple(ai) + tuple(bi) + (y2,) for t, ai, bi, y2 in zip(
         ts.tolist(), a.tolist(), b.tolist(), pts.y_norm2().tolist())]
-    meta = _meta(cfg)
     payload = {"samples": rows, "_csv": serialize.csv_text(
         ["t"] + [f"a{i}" for i in range(sp.rho)]
         + [f"b{i}" for i in range(sp.rho)] + ["y2"], rows, meta=meta)}
-    _emit("degenerate", cfg, payload, meta=meta)
-    return 0
+    return payload, None, 0
 
 
-def cmd_beta_search(cfg: dict) -> int:
-    lat = _load_lattice(cfg)
-    c_root = lat.vector(_cfg_list(cfg, "c_root"))
-    k = _cfg_int(cfg, "k", 0)
-    eta = _cfg_list(cfg, "eta", kind=Fraction)
-    bound = _cfg_int(cfg, "root_bound", 8)
+def cmd_beta_search(cfg: dict, lat, meta: dict):
+    c_root = lat.vector(_cfg(cfg, "c_root", depth=1))
+    k = _cfg(cfg, "k", 0)
+    eta = _cfg(cfg, "eta", depth=1, kind=Fraction)
+    bound = _cfg(cfg, "root_bound", 8)
     cert = charges.boundary_beta_search(lat, c_root, k, eta,
                                         coord_bound=bound)
-    _emit("beta-search", cfg, {"certificate": cert.to_json()})
-    return 0
+    return {"certificate": cert.to_json()}, None, 0
 
 
 _COMMANDS = {
@@ -475,7 +446,11 @@ def main(argv: list[str] | None = None) -> int:
             continue
         cfg[key] = val
     try:
-        return _COMMANDS[args.command](cfg)
+        lat = _load_lattice(cfg)
+        meta = _meta(cfg)
+        payload, table, code = _COMMANDS[args.command](cfg, lat, meta)
+        _emit(args.command, cfg, meta, payload, table)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

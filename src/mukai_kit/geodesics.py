@@ -370,34 +370,21 @@ def oracle_deviation(pt: TubePoint, result: OracleResult) -> float:
 
 @dataclass(frozen=True)
 class PathSpec:
-    """Path in the tube model of v.
+    """The linear degeneration t -> exp_v(x0 + i t y0) in the tube model of
+    v, in chart coordinates a0 = x0, b0 = y0."""
 
-    kind 'linear_degeneration': t -> exp_v(x0 + i t y0) in chart coordinates;
-    kind 'piecewise_tube': explicit (t, a, b) samples.
-    """
-
-    kind: str
     split: HyperbolicSplit
-    a0: tuple[float, ...] = ()
-    b0: tuple[float, ...] = ()
-    samples: tuple = ()
+    a0: tuple[float, ...]
+    b0: tuple[float, ...]
 
     def at(self, t: float | np.ndarray) -> TubePoint:
         """The tube point at time t; an array of times gives a batch."""
-        if self.kind == "linear_degeneration":
-            return tube_point(self.split, self.a0,
-                              np.multiply.outer(t, self.b0))
-        if not self.samples:
-            raise ValueError("empty piecewise path")
-        ts, a, b = (np.array(c, dtype=float) for c in zip(*self.samples))
-        idx = np.minimum(np.searchsorted(ts, t), len(ts) - 1)
-        return tube_point(self.split, a[idx], b[idx])
+        return tube_point(self.split, self.a0, np.multiply.outer(t, self.b0))
 
 
 def linear_degeneration(split: HyperbolicSplit, x0, y0) -> PathSpec:
     tube_point(split, x0, y0)  # validates the tube data
-    return PathSpec("linear_degeneration", split,
-                    tuple(float(x) for x in x0),
+    return PathSpec(split, tuple(float(x) for x in x0),
                     tuple(float(x) for x in y0))
 
 

@@ -23,14 +23,14 @@ import numbers
 import numpy as np
 
 
-def short_vectors(q, bound, include_zero: bool = False) -> np.ndarray:
+def short_vectors(q, bound) -> np.ndarray:
     """All integer x with x^T q x <= bound, one per +-x, as an int64 array.
 
     q is an integer form: an integer array, an object array of integers,
     or nested lists of ints; any other entries raise TypeError.  Rows are
     sorted lex; the representative of {x, -x} has positive first non-zero
-    coordinate.  The zero vector is a row only with ``include_zero``; a
-    negative bound gives no rows.
+    coordinate.  The zero vector is never a row; a negative bound gives no
+    rows.
     """
     q = np.asarray(q)
     n = q.shape[0]
@@ -62,8 +62,7 @@ def short_vectors(q, bound, include_zero: bool = False) -> np.ndarray:
         starts = np.cumsum(counts) - counts
         xs = xs[parent]
         xs[:, k] = lo[parent] + np.arange(len(parent)) - starts[parent]
-    if not include_zero:
-        xs = xs[xs.any(axis=1)]
+    xs = xs[xs.any(axis=1)]
     # canonical sign: flip the rows whose first non-zero coordinate is < 0
     first = xs[np.arange(len(xs)), np.argmax(xs != 0, axis=1)]
     xs[first < 0] *= -1

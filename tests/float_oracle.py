@@ -86,11 +86,12 @@ def majorant_matrix(frame: dm.FrameVec) -> np.ndarray:
     return 0.5 * (q + q.T)
 
 
-def float_in_P0(frame: dm.FrameVec) -> dm.P0Certificate:
-    """``in_P0`` in floats: the Q+ <= 10 candidates of the float majorant,
-    and ``is_in`` iff every candidate has |z.delta| > 1e-8 max(|z|, 1)."""
+def float_in_P0(frame: dm.FrameVec, bound: float = 10.0) -> dm.P0Certificate:
+    """``in_P0`` in floats: the Q+ <= ``bound`` candidates of the float
+    majorant, and ``is_in`` iff every candidate has
+    |z.delta| > 1e-8 max(|z|, 1)."""
     lat = frame.lattice
-    xs = float_short_vectors(majorant_matrix(frame), 10.0)
+    xs = float_short_vectors(majorant_matrix(frame), bound)
     gram = np.array(lat.gram_rows())
     roots = xs[np.einsum("ij,jk,ik->i", xs, gram, xs) == -2]
     lam_min = float(np.linalg.eigvalsh(frame.plane_gram())[0])

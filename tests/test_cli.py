@@ -666,25 +666,51 @@ def test_config_non_string_preset_exits_2(tmp_path, capsys, command):
     assert "UnknownPresetError" in capsys.readouterr().err
 
 
-def test_determinism_byte_identical(tmp_path):
+def test_determinism_byte_identical(tmp_path, capsys):
+    # every subcommand: two runs give the same bytes; without --out the
+    # JSON that --out writes goes to stdout (a CSV job's file is the _csv
+    # field of that JSON); with --out, stdout holds only the summary of
+    # lattice and cusps
     box = json.dumps({"a_lo": ["-1"], "a_hi": ["1"],
                       "b_lo": ["0.5"], "b_hi": ["1.5"]})
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "linear_degeneration", "x0": [0.2],
+                                "y0": [0.9], "t1": 3.0, "samples": 40}))
     jobs = [
-        (["lattice", "--preset", "mukai_rank1(3)"], "lat"),
-        (["roots", "--preset", "mukai_rank1(1)", "--root-bound", "4"], "rt"),
-        (["walls", "--preset", "mukai_rank1(1)", "--box", box], "wl"),
-        (["cusps", "--preset", "mukai_rank1(4)", "--height", "10"], "cu"),
+        (["lattice", "--preset", "mukai_rank1(3)"], "lat",
+         ["mukai_rank1(3): rank 3, signature (2,1), det -6, disc Z/6"]),
+        (["roots", "--preset", "mukai_rank1(1)", "--root-bound", "4"], "rt",
+         []),
+        (["walls", "--preset", "mukai_rank1(1)", "--box", box], "wl", []),
+        (["cusps", "--preset", "mukai_rank1(4)", "--height", "10"], "cu",
+         ["census of mukai_rank1(4) at height 10: 2 classes",
+          "  div 1: rep [0, 0, 1], orbit size 10, disc [8]",
+          "  div 2: rep [2, -1, 2], orbit size 2, disc [2]"]),
+        (["geodesic", "--preset", "mukai_rank1(1)", "--x0", "[0.3]",
+          "--y0", "[1.1]", "--t-max", "1.0", "--steps", "200",
+          "--tol", "1e-4"], "gd", []),
+        (["factor", "--preset", "mukai_rank1(1)", "--path-spec", str(spec)],
+         "fc", []),
         (["threshold", "--preset", "mukai_rank1(1)", "--vE", "[1,1,0]",
-          "--h", "[1]", "--candidates", "[[1,0,1]]"], "th"),
+          "--h", "[1]", "--candidates", "[[1,0,1]]"], "th", []),
         (["degenerate", "--preset", "mukai_rank1(1)", "--x0", "[0.2]",
-          "--y0", "[0.9]", "--format", "csv"], "dg"),
+          "--y0", "[0.9]", "--format", "csv"], "dg", []),
+        (["beta-search", "--gram", _RANK4_GRAM, "--mukai", "--c-root",
+          "[0,0,1,0]", "--k", "0", "--eta", "[2,0]"], "bs", []),
     ]
-    for args, tag in jobs:
+    for args, tag, summary in jobs:
         a = tmp_path / f"{tag}-a"
         b = tmp_path / f"{tag}-b"
         assert run(args + ["--out", str(a)]) == 0
+        assert capsys.readouterr().out.splitlines() == summary, tag
         assert run(args + ["--out", str(b)]) == 0
         assert read(a) == read(b), f"{tag} not deterministic"
+        capsys.readouterr()
+        assert run(args) == 0
+        printed = capsys.readouterr().out
+        if "--format" in args:
+            printed = json.loads(printed)["_csv"]
+        assert printed.encode() == read(a), f"{tag}: stdout is not the file"
 
 
 def _child_env() -> dict:

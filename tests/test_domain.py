@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mukai_kit as mk
@@ -863,6 +864,10 @@ def test_near_touching_wall_is_undecided(tmp_path):
     assert cli_main(["walls", "--lattice", str(lat_file), "--box", box_arg,
                      "--format", "svg", "--out", str(svg)]) == 0
     assert "undecided_walls=2" in svg.read_text()
+    csv = tmp_path / "walls.csv"
+    assert cli_main(["walls", "--lattice", str(lat_file), "--box", box_arg,
+                     "--format", "csv", "--out", str(csv)]) == 0
+    assert "undecided_walls=2" in csv.read_text().splitlines()[0]
     # a box well clear of the walls decides them and has no such key
     box_arg = box_arg.replace(str(beta), "1/2")
     assert cli_main(["walls", "--lattice", str(lat_file), "--box", box_arg,
@@ -1012,6 +1017,7 @@ _P0_NS = [[[2]], [[4]], [[2, 0], [0, -2]],
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(_P0_NS), st.integers(0, 2 ** 16),
        st.sampled_from(["uniform", "half-integer a", "dyadic"]))
+@example(_P0_NS[3], 4610, "dyadic")     # a root on the bound: see below
 def test_in_P0_matches_float_oracle(ns, seed, kind):
     # the float in_P0 as the oracle, on frames away from its tolerance:
     # uniform chart points, half-integer a, and dyadic (a, b) whose frames
@@ -1034,7 +1040,30 @@ def test_in_P0_matches_float_oracle(ns, seed, kind):
     want = float_in_P0(frame)
     scale = max(float(np.linalg.norm(frame.z)), 1.0)
     assume(not 0 < want.min_abs_pairing < 1e-6 * scale)
-    assert dm.in_P0(frame) == want
+    got = dm.in_P0(frame)
+    assert dataclasses.replace(
+        got, candidates_checked=want.candidates_checked) == want
+    # the float enumeration may drop a candidate exactly on Q+ = 10
+    lo, hi = (float_in_P0(frame, 10.0 + eps).candidates_checked
+              for eps in (-1e-6, 1e-6))
+    assert lo <= got.candidates_checked <= hi
+
+
+def test_in_P0_counts_the_candidate_on_the_bound():
+    # the root (8, -17, -1, -17, 0) has majorant value Q+ = 10 exactly at
+    # this exact dyadic frame, and in_P0 lists the candidates Q+ <= 10
+    lat = mk.mukai_lattice(_P0_NS[3])
+    sp = dm.split_at(lat.vector([0, 0, 0, 0, 1]))
+    frame = dm.exp_frame(dm.tube_point(sp, [0.0, -2.0, -2.0],
+                                       [0.25, 0.25, 0.5]))
+    gram = lat.gram_rows()
+    det, q = dm._majorant(gram, dm._integral(
+        [[F(x) for x in part] for part in (frame.re, frame.im)])[1])
+    delta = [8, -17, -1, -17, 0]
+    assert F(ila.dot(delta, ila.mat_vec(q, delta)), det) == 10
+    roots = dm._short_roots(gram, q, 10 * det).tolist()
+    assert len(roots) == 76 and delta in roots
+    assert dm.in_P0(frame).candidates_checked == 76
 
 
 def test_region_gt2(rank3):

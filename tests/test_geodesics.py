@@ -540,18 +540,6 @@ def test_linear_degeneration_path(rank3):
     assert np.allclose(a, [0.3]) and np.allclose(b, [1.6])
 
 
-def test_piecewise_path_lookup(rank3):
-    lat, sp = rank3
-    path = gd.PathSpec("piecewise_tube", sp,
-                       samples=((0.0, (0.1,), (1.0,)),
-                                (1.0, (0.2,), (1.5,)),
-                                (2.0, (0.3,), (2.0,))))
-    a, b = path.at(1.0).chart()
-    assert np.allclose(a, [0.2]) and np.allclose(b, [1.5])
-    a, b = path.at(5.0).chart()
-    assert np.allclose(b, [2.0])
-
-
 def test_looijenga_monotone_entry(rank3):
     from fractions import Fraction as F
     lat, sp = rank3

@@ -15,11 +15,11 @@ from mukai_kit.shortvec import short_vectors
 from float_oracle import float_short_vectors, majorant_matrix
 
 
-def _same(q, bound, include_zero=False):
-    got = short_vectors(q, bound, include_zero)
+def _same(q, bound):
+    got = short_vectors(q, bound)
     assert got.dtype == np.int64 and got.shape[1] == np.shape(q)[0]
     assert got.tolist() == float_short_vectors(q, bound,
-                                               include_zero).tolist()
+                                               include_zero=False).tolist()
     return got
 
 
@@ -27,13 +27,13 @@ def _same(q, bound, include_zero=False):
 @given(st.integers(1, 6).flatmap(
            lambda n: st.lists(st.integers(-3, 3), min_size=n * n,
                               max_size=n * n)),
-       st.integers(1, 3), st.integers(-1, 8), st.booleans())
-def test_short_vectors_matches_recursive(entries, shift, bound, include_zero):
+       st.integers(1, 3), st.integers(-1, 8))
+def test_short_vectors_matches_recursive(entries, shift, bound):
     # integral forms put lattice points exactly on the boundary; the float
     # enumeration of float_oracle keeps them by its slack
     n = int(round(len(entries) ** 0.5))
     a = np.array(entries).reshape(n, n)
-    _same(a @ a.T + shift * np.eye(n, dtype=int), bound, include_zero)
+    _same(a @ a.T + shift * np.eye(n, dtype=int), bound)
 
 
 def _frame_basis(frame):
@@ -66,17 +66,15 @@ def test_short_vectors_majorants(ns, seed):
     frame = dm.exp_frame(pt)
     det, q = dm._majorant(lat.gram_rows(), _frame_basis(frame))
     bound = 2.0 + 8.0 * max(1.0, 1.0 / pt.y_norm2())
-    for include_zero in (False, True):
-        got = short_vectors(q, F(bound) * det, include_zero)
-        assert got.tolist() == float_short_vectors(
-            majorant_matrix(frame), bound, include_zero).tolist()
+    got = short_vectors(q, F(bound) * det)
+    assert got.tolist() == float_short_vectors(
+        majorant_matrix(frame), bound, include_zero=False).tolist()
 
 
 def test_short_vectors_edge_bounds():
     q = np.array([[2, 1], [1, 2]])
     assert _same(q, -0.5).shape == (0, 2)
     assert _same(q, 0.0).shape == (0, 2)
-    assert _same(q, 0.0, include_zero=True).tolist() == [[0, 0]]
     assert _same(q, 2.0).tolist() == [[0, 1], [1, -1], [1, 0]]
     with pytest.raises(ValueError):
         short_vectors(-q, 1.0)
@@ -126,17 +124,16 @@ def _integer_form(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_integer_form(), st.booleans())
-def test_short_vectors_exact_on_integer_forms(form, include_zero):
+@given(_integer_form())
+def test_short_vectors_exact_on_integer_forms(form):
     # the bound Q(x) puts x exactly on the ellipsoid; an integer form is
     # enumerated exactly, so x is a row and the rows are the box scan's
     q, x = form
     bound = ila.dot(x, ila.mat_vec(q, x))
-    got = short_vectors(q, bound, include_zero)
+    got = short_vectors(q, bound)
     assert got.dtype == np.int64
     want = _box_scan(q, bound)
-    assert list(map(tuple, got.tolist())) == \
-        ([tuple([0] * len(q))] if include_zero else []) + want
+    assert list(map(tuple, got.tolist())) == want
     assert not any(x) or _sign_canonical(tuple(x)) in want
 
 
@@ -149,7 +146,6 @@ def test_short_vectors_exact_edge_cases():
     assert short_vectors(q, -1).shape == (0, 2)
     assert short_vectors(q, 1).shape == (0, 2)
     assert short_vectors(q, 2).tolist() == [[0, 1], [1, -1], [1, 0]]
-    assert short_vectors(q, 0, include_zero=True).tolist() == [[0, 0]]
     # entries past int64: Python ints throughout
     big = [[x * 10 ** 30 for x in row] for row in q]
     assert short_vectors(big, 2 * 10 ** 30).tolist() == \
