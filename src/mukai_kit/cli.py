@@ -27,16 +27,27 @@ from .errors import ConfigError, MukaiKitError
 from . import charges, cusps, domain, geodesics, lattice, serialize
 
 
+def _json_object(name: str, val, inline: bool = False) -> dict:
+    """``val`` as a JSON object: a dict as it is, a string as the path of a
+    JSON file or, if ``inline``, as JSON text.  Any other JSON value raises
+    ConfigError."""
+    if isinstance(val, str):
+        if inline:
+            val = json.loads(val)
+        else:
+            with open(val) as fh:
+                val = json.load(fh)
+    if not isinstance(val, dict):
+        raise ConfigError(f"{name} must be a JSON object, "
+                          f"got {type(val).__name__}")
+    return val
+
+
 def _load_lattice(cfg: dict) -> lattice.IntegerLattice:
     if cfg.get("preset"):
         return lattice.preset(cfg["preset"])
     if cfg.get("lattice"):
-        src = cfg["lattice"]
-        if isinstance(src, str):
-            with open(src) as fh:
-                src = json.load(fh)
-        if not isinstance(src, dict):
-            raise ConfigError("a lattice file holds a JSON object")
+        src = _json_object("a lattice file", cfg["lattice"])
         return lattice.make_lattice(_nested("gram", src["gram"], 2),
                                     src.get("label", ""),
                                     bool(src.get("mukai", False)))
@@ -142,13 +153,9 @@ def cmd_roots(cfg: dict, lat, meta: dict):
 
 def _parse_box(cfg: dict, split) -> tuple[dict, domain.TubeBox]:
     """The --box object and the chart box it names."""
-    box = cfg.get("box")
-    if box is None:
+    if cfg.get("box") is None:
         raise ConfigError("walls need --box")
-    if isinstance(box, str):
-        box = json.loads(box)
-    if not isinstance(box, dict):
-        raise ConfigError("box must be a JSON object {a_lo, a_hi, b_lo, b_hi}")
+    box = _json_object("box", cfg["box"], inline=True)
     return box, domain.TubeBox.make(split, *(
         _nested(f"box.{key}", box[key], 1, Fraction)
         for key in ("a_lo", "a_hi", "b_lo", "b_hi")))
@@ -284,10 +291,7 @@ def cmd_factor(cfg: dict, lat, meta: dict):
     sp = _v0_split(lat)
     samples = []
     if cfg.get("path_spec"):
-        spec = cfg["path_spec"]
-        if isinstance(spec, str):
-            with open(spec) as fh:
-                spec = json.load(fh)
+        spec = _json_object("a path-spec file", cfg["path_spec"])
         if spec.get("kind") != "linear_degeneration":
             raise ConfigError("path-spec supports kind linear_degeneration")
         path = geodesics.linear_degeneration(
@@ -433,19 +437,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg: dict = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                cfg.update(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    for key, val in vars(args).items():
-        if key in ("command", "config") or val is None:
-            continue
-        cfg[key] = val
     try:
+        cfg = _json_object("a config file", args.config) if args.config else {}
+        cfg.update((key, val) for key, val in vars(args).items()
+                   if key not in ("command", "config") and val is not None)
         lat = _load_lattice(cfg)
         meta = _meta(cfg)
         payload, table, code = _COMMANDS[args.command](cfg, lat, meta)

@@ -330,9 +330,9 @@ def _census(lat: IntegerLattice, height: int,
             generators: np.ndarray | None, word_depth: int,
             root_bound: int, standard_only: bool) -> CensusReport:
     """Classes of the isotropic window rows, by label or by sweep."""
-    window = enumerate_isotropic(lat, height)
     if word_depth < 0:
         raise ValueError("word depth must be >= 0")
+    window = enumerate_isotropic(lat, height)
     divs = np.gcd.reduce(window @ np.array(lat.gram), axis=1)
     if standard_only:
         window, divs = window[divs == 1], divs[divs == 1]

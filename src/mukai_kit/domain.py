@@ -55,29 +55,13 @@ PAIR_TOL = 1e-9
 # Bisection levels after which an exact wall test reports undecided.
 WALL_TEST_DEPTH = 24
 
-_GRAM_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def gram_np(lat: IntegerLattice) -> np.ndarray:
-    g = _GRAM_CACHE.get(lat.gram)
-    if g is None:
-        g = np.array(lat.gram_rows(), dtype=float)
-        g.setflags(write=False)
-        _GRAM_CACHE[lat.gram] = g
-    return g
-
-
 def pairing(lat: IntegerLattice, u, w):
     """Bilinear pairing of coordinate vectors (real or complex, no bar).
 
     Arguments of shape (N, n) pair row by row; a single vector broadcasts.
     """
-    return _rowdot(np.asarray(u) @ gram_np(lat), w)
-
-
-def _rowdot(u, w):
-    """Row-wise u . w, rounded as the 1-D product u @ w is."""
-    return (u[..., None, :] @ np.asarray(w)[..., :, None])[..., 0, 0]
+    # vecdot conjugates its first argument; conjugating it first undoes that
+    return np.vecdot(np.conj(np.asarray(u) @ lat.gram_np), w)
 
 
 def _raise_first(*checks):
@@ -188,21 +172,21 @@ class TubePoint:
 
     @np.errstate(over="ignore")     # a y^2 past the float range is inf > 0
     def validate(self):
-        g = gram_np(self.split.lattice)
+        g = self.split.lattice.gram_np
         x, y, vv = self.x, self.y, self.split.v_np()
         xg, yg = x @ g, y @ g
         _raise_first(
-            (abs(_rowdot(xg, x)) > 1e-9, ValueError, "x^2 != 0"),
-            (abs(_rowdot(xg, vv) + 1.0) > 1e-9, ValueError, "x.v != -1"),
-            (abs(_rowdot(yg, vv)) > 1e-9, ValueError, "y.v != 0"),
-            (abs(_rowdot(yg, x)) > 1e-9, ValueError, "y.x != 0"),
-            (_rowdot(yg, y) <= 0, NotPositiveError, "y^2 <= 0"))
+            (abs(np.vecdot(xg, x)) > 1e-9, ValueError, "x^2 != 0"),
+            (abs(np.vecdot(xg, vv) + 1.0) > 1e-9, ValueError, "x.v != -1"),
+            (abs(np.vecdot(yg, vv)) > 1e-9, ValueError, "y.v != 0"),
+            (abs(np.vecdot(yg, x)) > 1e-9, ValueError, "y.x != 0"),
+            (np.vecdot(yg, y) <= 0, NotPositiveError, "y^2 <= 0"))
         return self
 
     def chart(self) -> tuple[np.ndarray, np.ndarray]:
         """Chart coordinates (a, b) in the complement basis."""
         sp = self.split
-        m, inv = gram_np(sp.lattice) @ sp.comp_np(), sp._arrays["gram_L_inv"]
+        m, inv = sp.lattice.gram_np @ sp.comp_np(), sp._arrays["gram_L_inv"]
         return self.x @ m @ inv.T, self.y @ m @ inv.T
 
 
@@ -254,7 +238,7 @@ class FrameVec:
 
     def plane_gram(self) -> np.ndarray:
         b = np.stack([self.re, self.im], axis=-1)
-        return np.swapaxes(b, -1, -2) @ gram_np(self.lattice) @ b
+        return np.swapaxes(b, -1, -2) @ self.lattice.gram_np @ b
 
     def validate(self):
         m = self.plane_gram()
@@ -262,6 +246,13 @@ class FrameVec:
         _raise_first((~ok, NotPositiveError,
                       "span(Re z, Im z) is not a positive plane"))
         return self
+
+    def projector(self) -> np.ndarray:
+        """G-orthogonal projector onto span(Re z, Im z), which must be a
+        positive plane."""
+        b = np.stack([self.re, self.im], axis=-1)
+        bt_g = np.swapaxes(b, -1, -2) @ self.lattice.gram_np
+        return b @ np.linalg.solve(self.validate().plane_gram(), bt_g)
 
     def pair_v(self, v: LatVec):
         return pairing(self.lattice, self.z, np.array(v.coords, dtype=float))
@@ -297,10 +288,9 @@ def proj_distance(p: PeriodPoint, q: PeriodPoint):
     stable for nearly-equal lines (no 1 - cos^2 cancellation).
     """
     a, b = p.z, q.z
-    ab = _rowdot(a.conj(), b) / _rowdot(a.conj(), a).real
+    ab = np.vecdot(a, b) / np.vecdot(a, a).real
     resid = b - ab[..., None] * a
-    return np.sqrt(_rowdot(resid.conj(), resid).real
-                   / _rowdot(b.conj(), b).real)
+    return np.sqrt(np.vecdot(resid, resid).real / np.vecdot(b, b).real)
 
 
 def exp_frame(pt: TubePoint) -> FrameVec:
@@ -382,7 +372,7 @@ def gl2_factor(frame: FrameVec, split: HyperbolicSplit
     pt = log_tube(p, split)
     w = exp_frame(pt)
     m = w.plane_gram()
-    bg = np.stack([w.re, w.im], axis=-2) @ gram_np(frame.lattice)
+    bg = np.stack([w.re, w.im], axis=-2) @ frame.lattice.gram_np
     # rows of T: the coefficients of Re z and of Im z, one solve each (a
     # two-column solve rounds T differently and moves factor output bytes)
     return pt, np.stack([np.linalg.solve(m, bg @ part[..., None])[..., 0]
@@ -1076,7 +1066,7 @@ def in_P0(frame: FrameVec) -> P0Certificate:
     roots, values = _norms(q, _short_roots(gram, q, 10 * det))
     lam_min = float(np.linalg.eigvalsh(frame.plane_gram())[0])
     radius = 2.0 * math.sqrt(max(lam_min, 0.0))
-    vals = abs(frame.z @ gram_np(lat) @ roots.T.astype(float))
+    vals = abs(frame.z @ lat.gram_np @ roots.T.astype(float))
     best, witness = math.inf, None
     if len(vals):
         i = int(np.argmin(vals))

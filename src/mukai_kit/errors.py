@@ -91,10 +91,6 @@ class NotHyperbolicError(MukaiKitError):
     """Not hyperbolic: A^3 != A, or a lattice of signature != (1, rank - 1)."""
 
 
-class DegeneratePlaneError(MukaiKitError):
-    """Spanning vectors do not give a positive definite 2-plane."""
-
-
 class StepTooLargeError(MukaiKitError):
     """Integrator energy drift exceeded tolerance."""
 

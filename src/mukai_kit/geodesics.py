@@ -29,7 +29,6 @@ import numpy as np
 from . import intlinalg as ila
 from .errors import (
     DegenerateAtVError,
-    DegeneratePlaneError,
     EmptyBoxError,
     NonFiniteError,
     NotHyperbolicError,
@@ -43,7 +42,6 @@ from .domain import (
     TubeBox,
     TubePoint,
     exp_point,
-    gram_np,
     log_tube,
     proj_distance,
     tube_point,
@@ -64,7 +62,7 @@ class LieElem:
     matrix: np.ndarray
 
     def validate(self, tol: float = 1e-10):
-        g = gram_np(self.lattice)
+        g = self.lattice.gram_np
         x = self.matrix
         resid = np.max(np.abs(x.T @ g + g @ x))
         scale = max(1.0, float(np.max(np.abs(x))))
@@ -73,15 +71,9 @@ class LieElem:
         return self
 
 
-_SO_BASIS_CACHE: dict[tuple, tuple] = {}
-
-
 def so_basis(lat: IntegerLattice) -> tuple[LieElem, ...]:
     """Basis u w^T G - w u^T G over coordinate pairs u = e_i, w = e_j."""
-    cached = _SO_BASIS_CACHE.get(lat.gram)
-    if cached is not None:
-        return cached
-    g = gram_np(lat)
+    g = lat.gram_np
     n = lat.rank
     out = []
     for i in range(n):
@@ -89,10 +81,8 @@ def so_basis(lat: IntegerLattice) -> tuple[LieElem, ...]:
             x = np.zeros((n, n))
             x[i, :] += g[j, :]
             x[j, :] -= g[i, :]
-            x.setflags(write=False)
             out.append(LieElem(lat, x))
-    _SO_BASIS_CACHE[lat.gram] = tuple(out)
-    return _SO_BASIS_CACHE[lat.gram]
+    return tuple(out)
 
 
 def killing_form(x: LieElem, y: LieElem) -> float:
@@ -103,49 +93,25 @@ def killing_form(x: LieElem, y: LieElem) -> float:
     return float(rho * np.trace(x.matrix @ y.matrix))
 
 
-@dataclass(frozen=True)
-class PlaneFrame:
-    """Positive definite 2-plane given by two spanning vectors."""
-
-    lattice: IntegerLattice
-    p1: np.ndarray
-    p2: np.ndarray
-
-    @staticmethod
-    def from_frame(frame: FrameVec) -> "PlaneFrame":
-        return PlaneFrame(frame.lattice, frame.re.copy(), frame.im.copy())
-
-    def basis(self) -> np.ndarray:
-        return np.stack([self.p1, self.p2], axis=1)
-
-    def projector(self) -> np.ndarray:
-        """G-orthogonal projector onto the plane."""
-        g = gram_np(self.lattice)
-        b = self.basis()
-        m = b.T @ g @ b
-        if np.linalg.det(m) <= 0 or np.trace(m) <= 0:
-            raise DegeneratePlaneError("plane is not positive definite")
-        return b @ np.linalg.solve(m, b.T @ g)
-
-
-def cartan_project(x: LieElem, plane: PlaneFrame
+def cartan_project(x: LieElem, frame: FrameVec
                    ) -> tuple[LieElem, LieElem]:
-    """X = k + m with k preserving P and P^perp, m swapping them.
+    """X = k + m with k preserving the frame's plane P and P^perp, m
+    swapping them.
 
     Uses the G-orthogonal involution s = 2 pi_P - 1: k and m are the +1/-1
     conjugation eigenparts, and the split is B-orthogonal.
     """
     x.validate()
-    s = 2.0 * plane.projector() - np.eye(x.lattice.rank)
+    s = 2.0 * frame.projector() - np.eye(x.lattice.rank)
     sxs = s @ x.matrix @ s
     k = LieElem(x.lattice, 0.5 * (x.matrix + sxs))
     m = LieElem(x.lattice, 0.5 * (x.matrix - sxs))
     return k, m
 
 
-def m_basis(lat: IntegerLattice, plane: PlaneFrame) -> list[LieElem]:
-    """B-orthonormal basis of m_P (dimension 2 rho)."""
-    s = 2.0 * plane.projector() - np.eye(lat.rank)
+def m_basis(lat: IntegerLattice, frame: FrameVec) -> list[LieElem]:
+    """B-orthonormal basis of m_P (dimension 2 rho), P the frame's plane."""
+    s = 2.0 * frame.projector() - np.eye(lat.rank)
     rho = lat.rank - 2
     basis: list[np.ndarray] = []
     for x in so_basis(lat):
@@ -173,7 +139,7 @@ def a_generator(pt: TubePoint) -> LieElem:
     Exponentials scale y: exp(lambda A) exp_v(x + iy) = exp_v(x + i e^lambda y).
     """
     lat = pt.split.lattice
-    g = gram_np(lat)
+    g = lat.gram_np
     v0 = pt.split.v_np()
     x1 = -pt.x
     a = np.outer(v0, g @ x1) - np.outer(x1, g @ v0)

@@ -13,9 +13,10 @@ component first, the degree component last, with pairing
     (r, l, s) . (r', l', s') = l.l' - r s' - r' s.
 
 Everything in this module is exact; the only floats are the cached copies
-:attr:`Isometry.matrix_np` that the numeric layers apply.  Bulk kernels run
-on integer numpy arrays whose dtype is chosen from a magnitude bound: int64
-when every intermediate fits, Python ints (dtype object) otherwise.
+:attr:`IntegerLattice.gram_np` and :attr:`Isometry.matrix_np` that the
+numeric layers apply.  Bulk kernels run on integer numpy arrays whose dtype
+is chosen from a magnitude bound: int64 when every intermediate fits, Python
+ints (dtype object) otherwise.
 """
 
 from __future__ import annotations
@@ -90,6 +91,14 @@ class IntegerLattice:
 
     def gram_rows(self) -> list[list[int]]:
         return [list(r) for r in self.gram]
+
+    @cached_property
+    def gram_np(self) -> np.ndarray:
+        """The Gram matrix as a read-only float array, for the numeric
+        layers."""
+        g = np.array(self.gram, dtype=float)
+        g.setflags(write=False)
+        return g
 
     def to_json(self) -> dict:
         return {"label": self.label, "gram": self.gram_rows(),

@@ -182,7 +182,7 @@ def test_criterion_4_cartan_structure():
         for _ in range(10):
             pt = _sample_tube(sp, rng)
             a = gd.a_generator(pt)
-            plane = gd.PlaneFrame.from_frame(dm.exp_frame(pt))
+            plane = dm.exp_frame(pt)
             k, _ = gd.cartan_project(a, plane)
             worst_k = max(worst_k, float(np.max(np.abs(k.matrix))))
             basis = gd.m_basis(lat, plane)
@@ -364,7 +364,7 @@ def _verify_beta(lat, c_root, k, eta, cert):
     v0 = lat.vector([0] * (lat.rank - 1) + [1])
     beta = [float(b) for b in cert.beta]
     z = ch.exp_class(lat, beta, [float(e) for e in eta])
-    gm = dm.gram_np(lat)
+    gm = lat.gram_np
     # full majorant candidate set at the point plus a coordinate box
     cands = set(map(tuple, mk.vectors_of_norm(lat, -2, 6).tolist()))
     q = majorant_matrix(z)

@@ -261,7 +261,7 @@ def _sampled_crossings(frame_at, t0, t1, split, candidates):
     if not worklist:
         return events
     # z.delta on the grid: the grid frames once, all candidates in one product
-    g = dm.gram_np(split.lattice)
+    g = split.lattice.gram_np
     roots = np.array([delta.coords for delta, _ in worklist], dtype=float)
     grid_vals = np.array([frame_at(t).z for t in grid]) @ g @ roots.T
     for dv, col, (delta, d) in zip(roots, grid_vals.T, worklist):
@@ -367,7 +367,7 @@ def test_tangent_crossing_keeps_its_side():
     ev = [e for e in dm.wall_crossings(sp, start, end) if e.root == root]
     assert [(e.t, e.kind, e.side_change) for e in ev] == [(0.5, "A", (-1, -1))]
     frame_at = _segment_frames(sp, start, end)
-    g = dm.gram_np(lat)
+    g = lat.gram_np
     for t in (0.49, 0.51):
         assert (frame_at(t).z @ g @ np.array(root.coords, float)).imag < 0
 
@@ -438,7 +438,7 @@ def test_segment_crossings_match_sampler(name, data):
                        str(exc).rsplit("(", 1)[1].rstrip(")").split(","))
         frame_at = _segment_frames(sp, start, end)
         root = np.array(coords, dtype=float)
-        g = dm.gram_np(lat)
+        g = lat.gram_np
         assert all(abs((frame_at(t).z @ g @ root).imag) < 1e-9
                    for t in (0.0, 0.37, 1.0))
         return
@@ -695,7 +695,7 @@ def test_beta_search_conditions_hold():
     beta = [float(b) for b in cert.beta]
     eta = [2.0, 0.0]
     z = ch.exp_class(lat, beta, eta)
-    gm = dm.gram_np(lat)
+    gm = lat.gram_np
     for root in map(lat.vector, mk.vectors_of_norm(lat, -2, 6)):
         val = complex(z.z @ gm @ np.array(root.coords, dtype=float))
         assert abs(val) > 1e-9                       # condition (1)

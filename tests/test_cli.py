@@ -658,6 +658,24 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["det"] == -6
 
 
+@pytest.mark.parametrize("command, flag, text", [
+    ("lattice", "--config", "[1, 2]"),
+    ("lattice", "--config", '"x"'),
+    ("lattice", "--config", "[[1, 2]]"),    # not the config {"1": 2}
+    ("factor", "--path-spec", "[1, 2]"),
+])
+def test_object_file_that_is_no_object_exits_2(tmp_path, capsys, command,
+                                               flag, text):
+    # --lattice and --box take the same path: test_integer_input_forms and
+    # test_malformed_integer_input_exits_2
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert run([command, flag, str(path),
+                "--preset", "mukai_rank1(1)"]) == 2
+    assert (f"config error: a {flag[2:]} file must be a JSON object"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["roots", "lattice", "cusps"])
 def test_config_non_string_preset_exits_2(tmp_path, capsys, command):
     cfg = tmp_path / "cfg.json"

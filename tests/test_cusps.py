@@ -645,6 +645,17 @@ def test_negative_word_depth_rejected():
         cusps.orbit_partition(lat, vecs, gens, -1)
 
 
+def test_negative_word_depth_rejected_before_the_window(monkeypatch):
+    def no_window(*args, **kwargs):
+        raise AssertionError("enumerate_isotropic called")
+
+    monkeypatch.setattr(cusps, "enumerate_isotropic", no_window)
+    lat = mk.make_lattice([[2, 0, 0], [0, -2, 0], [0, 0, -2]])
+    for census in (cusps.cusp_census, cusps.standard_cusp_census):
+        with pytest.raises(ValueError, match="word depth"):
+            census(lat, 20, word_depth=-1)
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.integers(1, 60), st.integers(6, 12))
 @example(10, 12)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mukai_kit as mk
 from mukai_kit import cusps
@@ -24,6 +25,7 @@ from mukai_kit.errors import (
     UnboundedBoxError,
 )
 
+import float_oracle
 from float_oracle import float_in_P0, float_short_vectors, majorant_matrix
 
 
@@ -149,6 +151,86 @@ def test_equivariance(rank3):
         lhs = dm.apply_isometry_point(g, dm.exp_point(pt))
         rhs = dm.exp_point(dm.apply_isometry_tube(g, pt))
         assert dm.proj_distance(lhs, rhs) < 1e-10
+
+
+# -- row pairings against the matmul oracle -----------------------------------
+
+def _row_pair(data, n, complex_u, complex_w):
+    """Two real or complex float arrays of n columns that pair row by row:
+    one row each, N rows each, or one row against N."""
+    one, many = (n,), (data.draw(st.integers(1, 5)), n)
+    shapes = data.draw(st.sampled_from([(one, one), (many, many),
+                                        (one, many), (many, one)]))
+    floats = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+    def draw(shape, is_complex):
+        x = data.draw(arrays(np.float64, shape, elements=floats))
+        if is_complex:
+            x = x + 1j * data.draw(arrays(np.float64, shape, elements=floats))
+        return x
+
+    return draw(shapes[0], complex_u), draw(shapes[1], complex_w)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+_PAIRING_LATTICES = (mk.preset("mukai_rank1(1)"),
+                     mk.mukai_lattice([[2, 0], [0, -2]], "rank4"),
+                     mk.mukai_lattice([[2, 1, 0], [1, -2, 0], [0, 0, -4]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_PAIRING_LATTICES), st.booleans(), st.booleans(),
+       st.data())
+def test_pairing_matches_matmul_oracle(lat, complex_u, complex_w, data):
+    u, w = _row_pair(data, lat.rank, complex_u, complex_w)
+    _same_bits(dm.pairing(lat, u, w), float_oracle.pairing(lat, u, w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_PAIRING_LATTICES), st.booleans(), st.booleans(),
+       st.data())
+def test_proj_distance_matches_matmul_oracle(lat, complex_a, complex_b,
+                                             data):
+    a, b = _row_pair(data, lat.rank, complex_a, complex_b)
+    assume(np.all(np.linalg.norm(a, axis=-1) > 1e-3)
+           and np.all(np.linalg.norm(b, axis=-1) > 1e-3))
+    got = dm.proj_distance(dm.PeriodPoint(lat, a), dm.PeriodPoint(lat, b))
+    _same_bits(got, float_oracle.proj_distance(a, b))
+
+
+# -- plane projector ----------------------------------------------------------
+
+def test_projector_is_a_self_adjoint_idempotent(rank3, rank4):
+    for lat, sp in (rank3, rank4):
+        rng = np.random.default_rng(7)
+        g = lat.gram_np
+        for _ in range(20):
+            fr = dm.exp_frame(rand_tube(sp, rng))
+            pi = fr.projector()
+            tol = 1e-9 * max(1.0, float(np.max(np.abs(pi))))
+            assert np.max(np.abs(pi @ pi - pi)) < tol
+            # G-self-adjoint: (pi x).y = x.(pi y)
+            assert np.max(np.abs(pi.T @ g - g @ pi)) < tol * np.max(abs(g))
+            assert np.max(np.abs(pi @ fr.re - fr.re)) < tol * max(
+                1.0, float(np.max(np.abs(fr.re))))
+            assert abs(np.trace(pi) - 2.0) < 1e-9
+
+
+def test_projector_rejects_a_plane_that_is_not_positive(rank4):
+    lat, _ = rank4
+    # in (r, l1, l2, s): (0,1,0,0)^2 = 2, (0,0,1,0)^2 = (1,0,0,1)^2 = -2;
+    # an indefinite, a negative definite and a degenerate plane
+    planes = [([0, 1, 0, 0], [0, 0, 1, 0]), ([1, 0, 0, 1], [0, 0, 1, 0]),
+              ([0, 1, 0, 0], [0, 1, 0, 0])]
+    for re, im in planes:
+        z = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+        with pytest.raises(NotPositiveError):
+            dm.FrameVec(lat, z).projector()
 
 
 # -- GL2 factorization -------------------------------------------------------------
@@ -1133,7 +1215,7 @@ def _point_oracle(split, a, b, amp, roots):
     or with Im(z.delta) of opposite signs at b and at amp, then no A-wall
     through the point.  Only roots with |Im(z.delta)| below 1e-6 of the
     scale go to _wall_membership; the others are off every wall."""
-    g = dm.gram_np(split.lattice)
+    g = split.lattice.gram_np
     coords = np.array([w.coords for w in roots], dtype=float)
     p = dm.exp_point(dm.tube_point(split, a, b))
     im = (p.z @ g @ coords.T).imag

@@ -106,6 +106,20 @@ def test_pairing_examples():
     assert mk.pair(m1.vector([1, 0, 1]), m1.vector([0, 0, 1])) == -1
 
 
+def test_gram_np_is_a_cached_read_only_copy():
+    for gram in ([[0, 0, -1], [0, 2, 0], [-1, 0, 0]], [[2, 1], [1, -2]]):
+        lat = mk.make_lattice(gram)
+        g = lat.gram_np
+        assert g is lat.gram_np
+        assert g.dtype == np.float64 and g.tolist() == gram
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = 1.0
+        # the cache belongs to the lattice, not to its Gram matrix
+        twin = mk.make_lattice(gram)
+        assert twin == lat and twin.gram_np is not g
+
+
 def test_euler_pairing():
     m1 = mk.preset("mukai_rank1(1)")
     ox = m1.vector([1, 0, 1])
