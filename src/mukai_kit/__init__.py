@@ -16,6 +16,7 @@ from .lattice import (  # noqa: F401
     discriminant_group,
     divisibility,
     euler_pairing,
+    hyperbolic_frame,
     hyperbolic_plane,
     is_primitive,
     is_standard,
@@ -30,6 +31,5 @@ from .lattice import (  # noqa: F401
     preset,
     quotient_lattice,
     reflection,
-    standard_to_hyperbolic,
     vectors_of_norm,
 )

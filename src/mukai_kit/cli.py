@@ -90,6 +90,17 @@ def _cfg(cfg: dict, key: str, default=None, depth: int = 0, kind=int):
     return _nested(key, val, depth, kind)
 
 
+def _chart_start(cfg: dict, sp, x0=None, y0=None) -> list[list[float]]:
+    """cfg's x0 and y0 (or the defaults) as chart vectors of length rho."""
+    vecs = [_cfg(cfg, k, d, depth=1, kind=float) for k, d in
+            (("x0", x0), ("y0", y0))]
+    for key, vec in zip(("x0", "y0"), vecs):
+        if len(vec) != sp.rho:
+            raise ConfigError(f"{key} has {len(vec)} entries, but the chart "
+                              f"has rho = {sp.rho}")
+    return vecs
+
+
 def _meta(cfg: dict) -> dict:
     """The hash of the compute-relevant config (output destination
     excluded) and the version, which every output carries."""
@@ -261,8 +272,7 @@ def cmd_cusps(cfg: dict, lat, meta: dict):
 
 def cmd_geodesic(cfg: dict, lat, meta: dict):
     sp = _v0_split(lat)
-    x0 = _cfg(cfg, "x0", "[0.0]", depth=1, kind=float)
-    y0 = _cfg(cfg, "y0", "[1.0]", depth=1, kind=float)
+    x0, y0 = _chart_start(cfg, sp, "[0.0]", "[1.0]")
     t_max = _cfg(cfg, "t_max", 2.0, kind=float)
     steps = _cfg(cfg, "steps", 1000)
     tol = _cfg(cfg, "tol", 1e-6, kind=float)
@@ -294,9 +304,7 @@ def cmd_factor(cfg: dict, lat, meta: dict):
         spec = _json_object("a path-spec file", cfg["path_spec"])
         if spec.get("kind") != "linear_degeneration":
             raise ConfigError("path-spec supports kind linear_degeneration")
-        path = geodesics.linear_degeneration(
-            sp, _cfg(spec, "x0", depth=1, kind=float),
-            _cfg(spec, "y0", depth=1, kind=float))
+        path = geodesics.linear_degeneration(sp, *_chart_start(spec, sp))
         ts = np.linspace(_cfg(spec, "t0", 1.0, kind=float),
                          _cfg(spec, "t1", 4.0, kind=float),
                          _cfg(spec, "samples", 100))
@@ -353,8 +361,7 @@ def cmd_threshold(cfg: dict, lat, meta: dict):
 
 def cmd_degenerate(cfg: dict, lat, meta: dict):
     sp = _v0_split(lat)
-    x0 = _cfg(cfg, "x0", "[0.0]", depth=1, kind=float)
-    y0 = _cfg(cfg, "y0", "[1.0]", depth=1, kind=float)
+    x0, y0 = _chart_start(cfg, sp, "[0.0]", "[1.0]")
     ts = np.linspace(_cfg(cfg, "t0", 1.0, kind=float),
                      _cfg(cfg, "t1", 10.0, kind=float),
                      _cfg(cfg, "samples", 50))

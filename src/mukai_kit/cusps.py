@@ -25,12 +25,14 @@ from .lattice import (
     IntegerLattice,
     LatVec,
     discriminant_group,
+    hyperbolic_frame,
     line_twist_isometry,
     minus_identity,
     orientation_character,
     quotient_lattice,
     reflections,
     vectors_of_norm,
+    _hyperbolic_ends,
 )
 from .serialize import digest
 
@@ -326,6 +328,24 @@ def _fricke_labels(coords: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(d * n + x, n // d * n + (-x) % m)
 
 
+def _shadow(rep: LatVec, div: int) -> IntegerLattice:
+    """L(v), certified.  At div 1 on an even lattice it is the complement R
+    of the frame B = (f | R | v), and B^T G B must be the Mukai form over R
+    with B e_last = v; every L(v) must have |det L(v)| div^2 = |det L|, so
+    det(B)^2 det L = -det L(v) gives |det B| = 1."""
+    lat = rep.lattice
+    if div == 1 and lat.is_even:
+        b = hyperbolic_frame(rep)
+        full = ila.gram_of(b, lat.gram)
+        lv = IntegerLattice(tuple(tuple(row[1:-1]) for row in full[1:-1]))
+        bad = _hyperbolic_ends(full) != -1 or b[-1] != rep.coords
+    else:
+        lv, bad = quotient_lattice(rep), False
+    if bad or abs(lv.det) * div**2 != abs(lat.det):
+        raise InvariantError(f"L(v) at {rep.coords} fails its certificate")
+    return lv
+
+
 def _census(lat: IntegerLattice, height: int,
             generators: np.ndarray | None, word_depth: int,
             root_bound: int, standard_only: bool) -> CensusReport:
@@ -360,11 +380,9 @@ def _census(lat: IntegerLattice, height: int,
     records = []
     for i, size in zip(first.tolist(), sizes.tolist()):
         rep, div = lat.vector(window[i]), int(divs[i])
-        lv = quotient_lattice(rep)
-        disc, k = tuple(discriminant_group(lv)), 2 * n // div**2
-        if n and (lv.gram, disc) != (((k,),), (k,)):
-            raise InvariantError("L(v) is not <2n / div(v)^2>")
-        records.append(CuspRecord(rep, div, size, lv.gram, disc))
+        lv = _shadow(rep, div)
+        records.append(CuspRecord(rep, div, size, lv.gram,
+                                  tuple(discriminant_group(lv))))
     records.sort(key=lambda r: (r.div, r.rep.coords))
     return CensusReport(lat, height, root_bound, word_depth, records,
                         generator_count=len(generators),

@@ -9,8 +9,9 @@ standard vector v the tube model writes points as x + iy with canonical lifts
 
 and Exp_v(x + iy) = x + iy - (y^2 / 2) v, the unique frame with z.v = -1.
 
-Chart coordinates: after splitting off the hyperbolic plane <v, f> the
-complement basis R models L(v) = v^perp / v, and (a, b) in R^rho x R^rho
+Chart coordinates: the hyperbolic frame (f | R | v) of v, as the census
+builds it, splits off the plane <v, f>; the complement basis R models
+L(v) = v^perp / v, and (a, b) in R^rho x R^rho
 parametrize x = f + R a (+ lift correction), y = R b (+ lift correction).
 For a root delta = c v + d f + R lam (all integer) one gets
 
@@ -44,7 +45,7 @@ from .lattice import (
     IntegerLattice,
     Isometry,
     LatVec,
-    standard_to_hyperbolic,
+    hyperbolic_frame,
     vectors_of_norm,
     _int_dtype,
     _sign_canonical,
@@ -89,7 +90,8 @@ def _raise_first(*checks):
 
 @dataclass(frozen=True)
 class HyperbolicSplit:
-    """Split N = <v, f> + R with v standard, f isotropic, v.f = -1."""
+    """Split N = <v, f> + R with v standard, f isotropic, v.f = -1: the
+    hyperbolic frame (f | R | v) of v, or a hand-built split."""
 
     lattice: IntegerLattice
     v: LatVec
@@ -148,11 +150,12 @@ class HyperbolicSplit:
 
 
 def split_at(v: LatVec) -> HyperbolicSplit:
-    e, f, comp = standard_to_hyperbolic(v)
-    gl = ila.gram_of(comp, v.lattice.gram_rows())
-    return HyperbolicSplit(v.lattice, e, f,
-                           tuple(tuple(c) for c in comp),
-                           tuple(tuple(r) for r in gl))
+    """The split read off :func:`~mukai_kit.lattice.hyperbolic_frame`."""
+    f, *comp, _ = hyperbolic_frame(v)
+    lat = v.lattice
+    gl = ila.gram_of(comp, lat.gram)
+    return HyperbolicSplit(lat, v, LatVec(lat, f), tuple(comp),
+                           tuple(map(tuple, gl)))
 
 
 @dataclass(frozen=True)

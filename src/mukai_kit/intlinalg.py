@@ -235,32 +235,6 @@ def invariant_factors(m) -> list[int]:
     return [row[i] for i, row in enumerate(d) if i < len(row) and row[i]]
 
 
-def solve_one_equation(row: list[int], target: int) -> list[int] | None:
-    """Integer solution x of sum(row[i] * x[i]) = target, or None."""
-    n = len(row)
-    # fold with extended gcd: g = gcd(row), coeffs expressing g
-    coeffs = [0] * n
-    g = 0
-    for i, a in enumerate(row):
-        if a == 0:
-            continue
-        if g == 0:
-            g = abs(a)
-            coeffs = [0] * n
-            coeffs[i] = 1 if a > 0 else -1
-        else:
-            g2, x, y = xgcd(g, a)
-            coeffs = [c * x for c in coeffs]
-            coeffs[i] += y
-            g = g2
-    if g == 0:
-        return None if target != 0 else [0] * n
-    if target % g != 0:
-        return None
-    q = target // g
-    return [c * q for c in coeffs]
-
-
 def complete_primitive(col: list[int]) -> list[list[int]]:
     """Unimodular matrix whose first column is the given primitive vector.
 

@@ -32,7 +32,6 @@ import numpy as np
 from . import intlinalg as ila
 from .errors import (
     DegenerateError,
-    InvariantError,
     LatticeMismatchError,
     NonSymmetricError,
     NotARootError,
@@ -541,15 +540,6 @@ def vectors_of_norm(lat: IntegerLattice, norm: int, bound: int) -> np.ndarray:
 # complements, quotients, discriminants
 # ---------------------------------------------------------------------------
 
-def _check_primitive_isotropic(v: LatVec):
-    if v.is_zero():
-        raise ZeroVectorError("need a non-zero vector")
-    if v.norm2 != 0:
-        raise NotIsotropicError(f"v^2 = {v.norm2} != 0")
-    if not is_primitive(v):
-        raise NotPrimitiveError("v is not primitive")
-
-
 def orthogonal_complement(v: LatVec) -> list[list[int]]:
     """Basis columns of {w : v.w = 0}, saturated, deterministic order."""
     if v.is_zero():
@@ -557,23 +547,27 @@ def orthogonal_complement(v: LatVec) -> list[list[int]]:
     return ila.integer_kernel([v.gram_image()])
 
 
-def quotient_lattice(v: LatVec) -> IntegerLattice:
-    """L(v) = v^perp / Zv for a primitive isotropic v.
+def _hermite_perp(v: LatVec, u) -> list[list[int]]:
+    """Columns 2..n-1 of a basis of v^perp that starts with v: u is the
+    Hermite transform of the row G v, its columns 1..n-1 span v^perp, and
+    v's coordinates there, (u^-1 v)[1:], are completed to a basis."""
+    coeffs = ila.mat_vec(ila.mat_inverse_unimodular(u), v.coords)[1:]
+    perp = [row[1:] for row in u]
+    return [ila.mat_vec(perp, col)
+            for col in list(zip(*ila.complete_primitive(coeffs)))[1:]]
 
-    The Hermite transform u of the row G v has columns 1..n-1 spanning
-    v^perp (the basis :func:`orthogonal_complement` returns) and v.u_0 != 0,
-    so v's coordinates in that basis are (u^-1 v)[1:].  Extending them to a
-    unimodular matrix puts v first; the other columns give the Gram, the
-    same on every run.  It is symmetric and, as the radical of v^perp is
-    Zv, non-degenerate (of rank 0 on a rank-2 lattice).
-    """
-    _check_primitive_isotropic(v)
+
+def quotient_lattice(v: LatVec) -> IntegerLattice:
+    """L(v) = v^perp / Zv for a primitive isotropic v of any divisibility:
+    the Gram of the :func:`_hermite_perp` columns, non-degenerate as the
+    radical of v^perp is Zv (of rank 0 on a rank-2 lattice)."""
+    if v.norm2 != 0:
+        raise NotIsotropicError(f"v^2 = {v.norm2} != 0")
+    if not is_primitive(v):   # raises ZeroVectorError on 0
+        raise NotPrimitiveError("v is not primitive")
     lat = v.lattice
     _, u = ila.hnf_columns([v.gram_image()])
-    coeffs = ila.mat_vec(ila.mat_inverse_unimodular(u), v.coords)[1:]
-    newb = ila.mat_mul([row[1:] for row in u], ila.complete_primitive(coeffs))
-    cols = [[row[c] for row in newb] for c in range(1, lat.rank - 1)]
-    gram = ila.gram_of(cols, lat.gram_rows())
+    gram = ila.gram_of(_hermite_perp(v, u), lat.gram_rows())
     return IntegerLattice(tuple(map(tuple, gram)), f"L({lat.label or 'N'})")
 
 
@@ -584,27 +578,26 @@ def discriminant_group(lat: IntegerLattice) -> list[int]:
     return [d for d in ila.invariant_factors(lat.gram_rows()) if d != 1]
 
 
-def standard_to_hyperbolic(v: LatVec):
-    """Split off the hyperbolic plane spanned by a standard vector.
-
-    Returns (e, f, complement) with e = v, f isotropic, e.f = -1 and
-    ``complement`` an integer column basis of <e,f>^perp, isometric to L(v).
-    The sign convention e.f = -1 matches the z.v = -1 normalization of the
-    tube model; the opposite choice flips tube coordinates.
-    """
-    if not is_standard(v):
+def hyperbolic_frame(v: LatVec) -> tuple[tuple[int, ...], ...]:
+    """B = (f | R | v) for a standard v, as columns: unimodular, with B^T G B
+    the Mukai form over the Gram of R, so R models L(v) and v.f = -1 (the
+    z.v = -1 of the tube model).  The Hermite transform u of the row G v
+    has pivot 1 exactly at divisibility 1; w = -u_0 has v.w = -1, f = w +
+    (w^2 / 2) v, and each :func:`_hermite_perp` column c moves to
+    c + (c.f) v, which keeps the Gram.  An odd w^2 raises OddSquareError."""
+    if v.is_zero():
+        raise ZeroVectorError("0 is not a standard vector")
+    gv = v.gram_image()
+    h, u = ila.hnf_columns([gv])
+    if ila.dot(gv, v.coords) != 0 or h[0][0] != 1:
         raise NotStandardError("need v isotropic with divisibility 1")
-    lat = v.lattice
-    w_coords = ila.solve_one_equation(v.gram_image(), -1)
-    if w_coords is None:
-        raise NotStandardError("divisibility 1 violated")  # unreachable
-    w = lat.vector(w_coords)
-    wsq = w.norm2
-    if wsq % 2 != 0:
+    w = [-row[0] for row in u]
+    gw = ila.mat_vec(v.lattice.gram, w)
+    half, odd = divmod(ila.dot(w, gw), 2)
+    if odd:
         raise OddSquareError("lattice is not even")
-    f = w + v.scale(wsq // 2)
-    if f.norm2 != 0 or v.dot(f) != -1:
-        raise InvariantError("hyperbolic partner needs f^2 = 0, v.f = -1")
-    rows = [v.gram_image(), f.gram_image()]
-    comp = ila.integer_kernel(rows)
-    return v, f, comp
+    f = [a + half * b for a, b in zip(w, v.coords)]
+    gf = [a + half * b for a, b in zip(gw, gv)]
+    comp = (tuple(a + ila.dot(col, gf) * b for a, b in zip(col, v.coords))
+            for col in _hermite_perp(v, u))
+    return (tuple(f), *comp, v.coords)

@@ -572,6 +572,29 @@ def test_degenerate_non_finite_times_exit_2(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, x0, y0, message", [
+    ("degenerate", "[0.2, 0.3]", "[1.0]", "x0 has 2 entries"),
+    ("geodesic", "[]", "[1.0]", "x0 has 0 entries"),
+    ("factor", [0.2], [1.0, 0.5], "y0 has 2 entries"),
+], ids=["degenerate", "geodesic", "factor-path-spec"])
+def test_chart_vectors_of_the_wrong_length_exit_2(tmp_path, capsys, command,
+                                                  x0, y0, message):
+    # every site that reads x0 and y0 checks them against rho = 1 here
+    out = tmp_path / "out.json"
+    args = [command, "--preset", "mukai_rank1(1)", "--out", str(out)]
+    if command == "factor":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "linear_degeneration",
+                                    "x0": x0, "y0": y0}))
+        args += ["--path-spec", str(spec)]
+    else:
+        args += ["--x0", x0, "--y0", y0]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert f"{message}, but the chart has rho = 1" in err
+    assert "matmul" not in err and not out.exists()
+
+
 def test_beta_search_command(tmp_path):
     out = tmp_path / "beta.json"
     lat_file = tmp_path / "lat.json"

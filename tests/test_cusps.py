@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import mukai_kit as mk
 from mukai_kit import cusps
+from mukai_kit import intlinalg as ila
 from mukai_kit.errors import (
     DegenerateError,
     IntegerOverflowError,
@@ -610,11 +611,59 @@ def test_label_class_with_two_divisibilities_raises(monkeypatch):
         cusps.cusp_census(mk.preset("mukai_rank1(4)"), 10)
 
 
+def _planted(kind):
+    """A hyperbolic frame (f | R | v) broken one way."""
+    def frame(v):
+        f, *comp, v_ = mk.hyperbolic_frame(v)
+        if kind == "swapped":        # (v | R | f): B e_last is not v
+            return (v_, *comp, f)
+        if kind == "bent":           # f + v: f^2 = -2
+            return (tuple(a + b for a, b in zip(f, v_)), *comp, v_)
+        # R doubled: B^T G B is still a Mukai form, but det B = 2^rho
+        return (f, *(tuple(2 * x for x in c) for c in comp), v_)
+    return frame
+
+
 def test_label_census_checks_the_shadow(monkeypatch):
+    # every vector of U + <2> has divisibility 1, so every record reads
+    # the frame
+    for kind in ("swapped", "bent", "doubled"):
+        monkeypatch.setattr(cusps, "hyperbolic_frame", _planted(kind))
+        for census in (cusps.cusp_census, cusps.standard_cusp_census):
+            with pytest.raises(InvariantError, match="L\\(v\\)"):
+                census(mk.preset("mukai_rank1(1)"), 6)
+
+
+def test_census_checks_the_shadow_at_divisibility_two(monkeypatch):
+    # U + <8>: L(v) = <2> at div 2, and |det| 4 * 2^2 != 8 for <4>
     monkeypatch.setattr(cusps, "quotient_lattice",
                         lambda v: mk.make_lattice([[4]]))
+    cusps.standard_cusp_census(mk.preset("mukai_rank1(4)"), 6)
     with pytest.raises(InvariantError, match="L\\(v\\)"):
-        cusps.cusp_census(mk.preset("mukai_rank1(1)"), 6)
+        cusps.cusp_census(mk.preset("mukai_rank1(4)"), 6)
+
+
+@pytest.mark.parametrize("lat, generators", [
+    (mk.preset("mukai_rank1(6)"), None),
+    (mk.preset("mukai_rank1(6)"), 8),
+    (mk.mukai_lattice([[2, 0], [0, -2]]), None),
+    (mk.direct_sum(mk.preset("U"), mk.preset("U")), None),
+], ids=["labels", "sweep", "rank4", "U+U"])
+def test_census_records_carry_their_certificate(lat, generators):
+    # div 1: B^T G B is the Mukai form over the record's L(v), B e_last = v
+    # and |det B| = 1; every div: |det L(v)| div^2 = |det L|
+    gens = None if generators is None else \
+        cusps.default_generators(lat, generators)
+    for census in (cusps.cusp_census, cusps.standard_cusp_census):
+        for rec in census(lat, 8, generators=gens).records:
+            lv = mk.IntegerLattice(rec.Lv_gram)
+            assert abs(lv.det) * rec.div ** 2 == abs(lat.det)
+            if rec.div == 1:
+                b = mk.hyperbolic_frame(rec.rep)
+                assert b[-1] == rec.rep.coords
+                assert tuple(map(tuple, ila.gram_of(b, lat.gram))) == \
+                    mk.mukai_lattice(rec.Lv_gram).gram
+                assert abs(ila.det_bareiss([list(r) for r in zip(*b)])) == 1
 
 
 @pytest.mark.parametrize("census", [cusps.cusp_census,

@@ -191,13 +191,6 @@ def test_invariant_factors_e8():
     assert ila.invariant_factors(_E8_GRAM) == [1] * 8
 
 
-def test_solve_one_equation():
-    x = ila.solve_one_equation([2, 3], 1)
-    assert 2 * x[0] + 3 * x[1] == 1
-    assert ila.solve_one_equation([2, 4], 1) is None
-    assert ila.solve_one_equation([0, 0], 0) == [0, 0]
-
-
 def test_complete_primitive():
     u = ila.complete_primitive([2, 3, 5])
     assert [u[i][0] for i in range(3)] == [2, 3, 5]

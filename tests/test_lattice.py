@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mukai_kit as mk
-from mukai_kit import charges
+from mukai_kit import charges, cusps
+from mukai_kit import domain as dm
+from mukai_kit import intlinalg as ila
 from mukai_kit.errors import (
     DegenerateError,
     NonSymmetricError,
@@ -18,6 +20,7 @@ from mukai_kit.errors import (
     NotStandardError,
     OddSquareError,
     UnknownPresetError,
+    ZeroVectorError,
 )
 from mukai_kit.cusps import default_generators
 from mukai_kit.lattice import vectors_of_norm
@@ -390,9 +393,10 @@ def _norm_scan(lat, norm, bound):
 
 
 @st.composite
-def _even_blocks(draw):
-    """A non-degenerate even symmetric Gram block of rank 1 to 3."""
-    k = draw(st.integers(1, 3))
+def _even_blocks(draw, max_rank=3):
+    """A non-degenerate even symmetric Gram block of rank 1 to
+    ``max_rank``."""
+    k = draw(st.integers(1, max_rank))
     g = [[0] * k for _ in range(k)]
     for i in range(k):
         g[i][i] = 2 * draw(st.integers(-3, 3))
@@ -477,31 +481,95 @@ def test_discriminant_group():
     assert mk.discriminant_group(mk.preset("mukai_rank1(3)")) == [6]
 
 
-def test_standard_to_hyperbolic_on_U():
+def _frame_cols(v):
+    b = mk.hyperbolic_frame(v)
+    assert b[-1] == v.coords
+    return v.lattice.vector(b[0]), [v.lattice.vector(c) for c in b[1:-1]]
+
+
+def test_hyperbolic_frame_on_U():
     u = mk.preset("U")
-    e, f, comp = mk.standard_to_hyperbolic(u.vector([1, 0]))
-    assert f.norm2 == 0 and mk.pair(e, f) == -1
+    f, comp = _frame_cols(u.vector([1, 0]))
+    assert f.norm2 == 0 and mk.pair(u.vector([1, 0]), f) == -1
     assert comp == []  # rank-zero complement
 
 
-def test_standard_to_hyperbolic():
+def test_hyperbolic_frame():
     m1 = mk.preset("mukai_rank1(1)")
     v = m1.vector([0, 0, 1])
-    e, f, comp = mk.standard_to_hyperbolic(v)
-    assert e == v
-    assert f.norm2 == 0 and mk.pair(e, f) == -1
+    f, comp = _frame_cols(v)
+    assert f.norm2 == 0 and mk.pair(v, f) == -1
     assert len(comp) == 1
-    for col in comp:
-        w = m1.vector(col)
-        assert mk.pair(w, e) == 0 and mk.pair(w, f) == 0
+    for w in comp:
+        assert mk.pair(w, v) == 0 and mk.pair(w, f) == 0
     # non-split standard vector in U + U
     uu = mk.direct_sum(mk.preset("U"), mk.preset("U"))
     v2 = uu.vector([1, 0, 0, 1])  # e1 + f2: isotropic, div 1
     assert mk.is_standard(v2)
-    e2, f2, comp2 = mk.standard_to_hyperbolic(v2)
-    assert f2.norm2 == 0 and mk.pair(e2, f2) == -1
-    with pytest.raises(NotStandardError):
-        mk.standard_to_hyperbolic(m1.vector([0, 1, 0]))
+    f2, _ = _frame_cols(v2)
+    assert f2.norm2 == 0 and mk.pair(v2, f2) == -1
+    for bad in ([0, 1, 0], [0, 0, 2]):   # not isotropic; divisibility 2
+        with pytest.raises(NotStandardError):
+            mk.hyperbolic_frame(m1.vector(bad))
+    with pytest.raises(ZeroVectorError):
+        mk.hyperbolic_frame(m1.vector([0, 0, 0]))
+    # I(1,1) is odd: v = (1, 1) is standard, but its partner w = (-1, 0)
+    # has w^2 = 1, so no f = w + k v is isotropic
+    odd = mk.make_lattice([[1, 0], [0, -1]])
+    assert mk.is_standard(odd.vector([1, 1]))
+    with pytest.raises(OddSquareError):
+        mk.hyperbolic_frame(odd.vector([1, 1]))
+
+
+# f, R and Gram(R) of the frame at v0 = (0, .., 0, 1), one per NS block:
+# the chart basis of every CLI subcommand, so pinned byte for byte
+_V0_FRAMES = [
+    ([[2]], (1, 0, 0), ((0, 1, 0),), ((2,),)),
+    ([[6]], (1, 0, 0), ((0, 1, 0),), ((6,),)),
+    ([[2, 0], [0, -2]], (1, 0, 0, 0), ((0, 0, 1, 0), (0, 1, 0, 0)),
+     ((-2, 0), (0, 2))),
+    ([[2, 1], [1, -2]], (1, 0, 0, 0), ((0, 0, 1, 0), (0, 1, 0, 0)),
+     ((-2, 1), (1, 2))),
+    ([[4, 0], [0, -6]], (1, 0, 0, 0), ((0, 0, 1, 0), (0, 1, 0, 0)),
+     ((-6, 0), (0, 4))),
+    ([[2, 0, 0], [0, -2, 0], [0, 0, -2]], (1, 0, 0, 0, 0),
+     ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 1, 0, 0, 0)),
+     ((-2, 0, 0), (0, -2, 0), (0, 0, 2))),
+    ([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], (1, 0, 0, 0, 0),
+     ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 1, 0, 0, 0)),
+     ((-2, 1, 1), (1, -2, 0), (1, 0, -2))),
+]
+
+
+@pytest.mark.parametrize("ns, f, comp, gram", _V0_FRAMES)
+def test_hyperbolic_frame_at_v0_is_pinned(ns, f, comp, gram):
+    lat = mk.mukai_lattice(ns)
+    v0 = lat.vector([0] * (lat.rank - 1) + [1])
+    assert mk.hyperbolic_frame(v0) == (f, *comp, v0.coords)
+    sp = dm.split_at(v0)
+    assert (sp.f.coords, sp.comp, sp.gram_L) == (f, comp, gram)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_even_blocks(max_rank=4))
+def test_hyperbolic_frame_identities(ns):
+    # B = (f | R | v) on every standard vector of the box: <v, f> is a
+    # hyperbolic plane orthogonal to R, B is unimodular, and R has the
+    # Gram that quotient_lattice gives L(v)
+    lat = mk.mukai_lattice(ns)
+    g = lat.gram_rows()
+    for coords in cusps.enumerate_isotropic(lat, 2 if lat.rank < 6 else 1):
+        v = lat.vector(coords)
+        if mk.divisibility(v) != 1:
+            continue
+        b = mk.hyperbolic_frame(v)
+        f, comp = lat.vector(b[0]), [lat.vector(c) for c in b[1:-1]]
+        assert b[-1] == v.coords
+        assert (f.norm2, mk.pair(v, f)) == (0, -1)
+        assert all(mk.pair(w, v) == 0 == mk.pair(w, f) for w in comp)
+        assert abs(ila.det_bareiss([list(r) for r in zip(*b)])) == 1
+        assert tuple(map(tuple, ila.gram_of(b[1:-1], g))) == \
+            mk.quotient_lattice(v).gram
 
 
 def test_line_twist_isometry():
