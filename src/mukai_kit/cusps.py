@@ -26,13 +26,13 @@ from .lattice import (
     LatVec,
     discriminant_group,
     hyperbolic_frame,
+    is_mukai_form,
     line_twist_isometry,
     minus_identity,
     orientation_character,
     quotient_lattice,
     reflections,
     vectors_of_norm,
-    _hyperbolic_ends,
 )
 from .serialize import digest
 
@@ -329,18 +329,20 @@ def _fricke_labels(coords: np.ndarray, n: int) -> np.ndarray:
 
 
 def _shadow(rep: LatVec, div: int) -> IntegerLattice:
-    """L(v), certified.  At div 1 on an even lattice it is the complement R
-    of the frame B = (f | R | v), and B^T G B must be the Mukai form over R
-    with B e_last = v; every L(v) must have |det L(v)| div^2 = |det L|, so
-    det(B)^2 det L = -det L(v) gives |det B| = 1."""
+    """L(v), certified.  At div 1 on an even lattice it is R of the frame
+    B = (f | R | v), B^T G B must be the Mukai form over R and B e_last = v;
+    other L(v) must have signature (p - 1, q - 1).  Every L(v) must have
+    |det L(v)| div^2 = |det L|.  At div 1, det(B)^2 det L = -det L(v) then
+    gives |det B| = 1, so B^T G B is L in a new basis, of L's signature."""
     lat = rep.lattice
     if div == 1 and lat.is_even:
         b = hyperbolic_frame(rep)
         full = ila.gram_of(b, lat.gram)
         lv = IntegerLattice(tuple(tuple(row[1:-1]) for row in full[1:-1]))
-        bad = _hyperbolic_ends(full) != -1 or b[-1] != rep.coords
+        bad = not is_mukai_form(full) or b[-1] != rep.coords
     else:
-        lv, bad = quotient_lattice(rep), False
+        lv = quotient_lattice(rep)
+        bad = lv.signature != tuple(x - 1 for x in lat.signature)
     if bad or abs(lv.det) * div**2 != abs(lat.det):
         raise InvariantError(f"L(v) at {rep.coords} fails its certificate")
     return lv

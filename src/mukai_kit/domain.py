@@ -152,9 +152,8 @@ class HyperbolicSplit:
 def split_at(v: LatVec) -> HyperbolicSplit:
     """The split read off :func:`~mukai_kit.lattice.hyperbolic_frame`."""
     f, *comp, _ = hyperbolic_frame(v)
-    lat = v.lattice
-    gl = ila.gram_of(comp, lat.gram)
-    return HyperbolicSplit(lat, v, LatVec(lat, f), tuple(comp),
+    gl = ila.gram_of(comp, v.lattice.gram)
+    return HyperbolicSplit(v.lattice, v, LatVec(v.lattice, f), tuple(comp),
                            tuple(map(tuple, gl)))
 
 

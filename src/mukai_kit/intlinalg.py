@@ -1,11 +1,11 @@
 """Exact integer linear algebra.
 
 Two kernels carry the module: the column Hermite form with its unimodular
-transform (:func:`hnf_columns`), under kernels, unimodular inverses,
-primitive completion and the Smith form, and the fraction-free Bareiss
-determinant (:func:`det_bareiss`), under the adjugate.  Every kernel returns
-plain Python ints (arbitrary precision); none returns a rational, and
-floats never enter.  :func:`dot` and :func:`mat_vec` also accept
+transform and its inverse (:func:`hnf_columns`), under kernels, unimodular
+inverses, primitive completion and the Smith form, and the fraction-free
+Bareiss determinant (:func:`det_bareiss`), under the adjugate.  Every kernel
+returns plain Python ints (arbitrary precision); none returns a rational,
+and floats never enter.  :func:`dot` and :func:`mat_vec` also accept
 ``fractions`` rationals.  Matrices are row-major lists of lists and are
 never mutated in place by the public functions.
 """
@@ -34,7 +34,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def dot(x, y):
@@ -123,68 +126,68 @@ def signature(gram) -> tuple[int, int]:
     return p, len(pivots) - p
 
 
-def hnf_columns(m) -> tuple[list[list[int]], list[list[int]]]:
-    """Column-style Hermite form: returns (h, u) with h = m @ u, u unimodular.
+def hnf_columns(m) -> tuple[list, list, list]:
+    """Column-style Hermite form: returns (h, u, u_inv) with h = m @ u, u
+    unimodular and u_inv = u^-1, each column step u <- u E mirrored as the
+    row step u_inv <- E^-1 u_inv.
 
     Columns of ``h`` are echelonized left-to-right with non-negative pivots;
     zero columns are pushed to the right.  Deterministic for fixed input.
-    A matrix with no rows gives ([], []).
+    A matrix with no rows gives ([], [], []).
     """
-    rows, cols = len(m), len(m[0]) if m else 0
+    cols = len(m[0]) if m else 0
     h = [list(row) for row in m]
-    u = identity(cols)
+    u, u_inv = identity(cols), identity(cols)
+    hu = h + u              # the rows of h and u take the same column steps
 
     def col_add(dst, src, q):
-        for i in range(rows):
-            h[i][dst] += q * h[i][src]
-        for i in range(cols):
-            u[i][dst] += q * u[i][src]
+        for row in hu:
+            row[dst] += q * row[src]
+        u_inv[src] = [a - q * b for a, b in zip(u_inv[src], u_inv[dst])]
 
     def col_swap(i, j):
-        for r in range(rows):
-            h[r][i], h[r][j] = h[r][j], h[r][i]
-        for r in range(cols):
-            u[r][i], u[r][j] = u[r][j], u[r][i]
+        for row in hu:
+            row[i], row[j] = row[j], row[i]
+        u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
 
     def col_neg(j):
-        for r in range(rows):
-            h[r][j] = -h[r][j]
-        for r in range(cols):
-            u[r][j] = -u[r][j]
+        for row in hu:
+            row[j] = -row[j]
+        u_inv[j] = [-x for x in u_inv[j]]
 
     pivot_col = 0
-    for r in range(rows):
+    for hr in h:
         if pivot_col >= cols:
             break
         # gcd-reduce the row segment [pivot_col:] into one pivot
         while True:
-            nz = [c for c in range(pivot_col, cols) if h[r][c] != 0]
+            nz = [c for c in range(pivot_col, cols) if hr[c] != 0]
             if not nz:
                 break
             # move the smallest non-zero entry (by abs) to pivot_col
-            c0 = min(nz, key=lambda c: abs(h[r][c]))
+            c0 = min(nz, key=lambda c: abs(hr[c]))
             if c0 != pivot_col:
                 col_swap(c0, pivot_col)
             for c in range(pivot_col + 1, cols):
-                if h[r][c] != 0:
-                    col_add(c, pivot_col, -(h[r][c] // h[r][pivot_col]))
-            if not any(h[r][pivot_col + 1:]):
+                if hr[c] != 0:
+                    col_add(c, pivot_col, -(hr[c] // hr[pivot_col]))
+            if not any(hr[pivot_col + 1:]):
                 break
-        if h[r][pivot_col] != 0:
-            if h[r][pivot_col] < 0:
+        if hr[pivot_col] != 0:
+            if hr[pivot_col] < 0:
                 col_neg(pivot_col)
             # reduce entries to the left of the pivot in this row
             for c in range(pivot_col):
-                q = h[r][c] // h[r][pivot_col]
+                q = hr[c] // hr[pivot_col]
                 if q:
                     col_add(c, pivot_col, -q)
             pivot_col += 1
-    return h, u
+    return h, u, u_inv
 
 
 def integer_kernel(m) -> list[list[int]]:
     """Basis (list of columns) of {x integer : m @ x = 0}; saturated."""
-    h, u = hnf_columns(m)
+    h, u, _ = hnf_columns(m)
     return [[row[c] for row in u] for c in range(len(u))
             if not any(row[c] for row in h)]
 
@@ -200,15 +203,15 @@ def snf(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """
     if not m or not m[0]:
         return [[] for _ in m], identity(len(m)), []
-    a, t = hnf_columns(m)
+    a, t, _ = hnf_columns(m)
     s = identity(len(m))
     while True:
-        h, u = hnf_columns(transpose(a))        # row operations on a
+        h, u, _ = hnf_columns(transpose(a))     # row operations on a
         a, s = transpose(h), mat_mul(transpose(u), s)
         if not any(x for i, row in enumerate(a)
                    for j, x in enumerate(row) if i != j):
             break
-        a, u = hnf_columns(a)
+        a, u, _ = hnf_columns(a)
         t = mat_mul(t, u)
     d = [a[i][i] for i in range(min(len(a), len(a[0])))]
     for i in range(len(d)):
@@ -241,13 +244,12 @@ def complete_primitive(col: list[int]) -> list[list[int]]:
     The Hermite transform u of the row col^T has col^T u = e_1^T, so the
     transposed inverse of u starts with col.
     """
-    h, u = hnf_columns([col])
+    h, _, u_inv = hnf_columns([col])
     if h[0][0] != 1:
         raise ValueError("vector is not primitive")
-    w = transpose(mat_inverse_unimodular(u))
-    if [row[0] for row in w] != list(col):
+    if u_inv[0] != list(col):
         raise InvariantError("completion does not start with the column")
-    return w
+    return transpose(u_inv)
 
 
 def adjugate(m) -> list[list[int]]:
@@ -266,7 +268,7 @@ def mat_inverse_unimodular(m) -> list[list[int]]:
     The Hermite form of a unimodular m is the identity, so the transform u
     with m @ u = h is the inverse; any other m raises ValueError.
     """
-    h, u = hnf_columns(m)
+    h, u, _ = hnf_columns(m)
     if h != identity(len(m)):
         raise ValueError("matrix is not unimodular")
     return u

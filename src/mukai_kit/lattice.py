@@ -227,7 +227,7 @@ def make_lattice(gram, label: str = "", mukai: bool = False) -> IntegerLattice:
     lat = IntegerLattice(tuple(tuple(r) for r in rows), label, mukai)
     if lat.det == 0:
         raise DegenerateError("Gram matrix has determinant 0")
-    if mukai and _hyperbolic_ends(rows) != -1:
+    if mukai and not is_mukai_form(rows):
         raise NotMukaiFormError(
             "Gram matrix is not in (r, NS, s) form: r and s must pair as "
             "-r s' - r' s, orthogonal to NS")
@@ -369,7 +369,8 @@ def is_standard(v: LatVec) -> bool:
     """Isotropic with divisibility 1 (defines a zero-dimensional cusp)."""
     if v.is_zero():
         raise ZeroVectorError("0 is not a standard vector")
-    return v.norm2 == 0 and divisibility(v) == 1
+    gv = v.gram_image()
+    return ila.dot(gv, v.coords) == 0 and math.gcd(*gv) == 1
 
 
 def reflections(deltas: np.ndarray, gram) -> np.ndarray:
@@ -489,6 +490,11 @@ def _hyperbolic_ends(gram) -> int:
     return first[-1]
 
 
+def is_mukai_form(gram) -> bool:
+    """The (r, NS, s) form: r and s pair as -r s' - r' s, orthogonal to NS."""
+    return _hyperbolic_ends(gram) == -1
+
+
 def vectors_of_norm(lat: IntegerLattice, norm: int, bound: int) -> np.ndarray:
     """All non-zero x with max|x_i| <= bound and x.x = norm, in lex order.
 
@@ -547,27 +553,26 @@ def orthogonal_complement(v: LatVec) -> list[list[int]]:
     return ila.integer_kernel([v.gram_image()])
 
 
-def _hermite_perp(v: LatVec, u) -> list[list[int]]:
-    """Columns 2..n-1 of a basis of v^perp that starts with v: u is the
-    Hermite transform of the row G v, its columns 1..n-1 span v^perp, and
-    v's coordinates there, (u^-1 v)[1:], are completed to a basis."""
-    coeffs = ila.mat_vec(ila.mat_inverse_unimodular(u), v.coords)[1:]
+def _hermite_perp(v: LatVec) -> tuple[list[list[int]], list[list[int]]]:
+    """(u, R): u is the Hermite transform of the row G v, its columns 1..n-1
+    span v^perp, and v's coordinates there, (u^-1 v)[1:], are completed to
+    a basis of v^perp that starts with v; R holds its other columns."""
+    _, u, u_inv = ila.hnf_columns([v.gram_image()])
+    w = ila.complete_primitive(ila.mat_vec(u_inv[1:], v.coords))
     perp = [row[1:] for row in u]
-    return [ila.mat_vec(perp, col)
-            for col in list(zip(*ila.complete_primitive(coeffs)))[1:]]
+    return u, [ila.mat_vec(perp, col) for col in list(zip(*w))[1:]]
 
 
 def quotient_lattice(v: LatVec) -> IntegerLattice:
     """L(v) = v^perp / Zv for a primitive isotropic v of any divisibility:
-    the Gram of the :func:`_hermite_perp` columns, non-degenerate as the
+    the Gram of the :func:`_hermite_perp` columns R, non-degenerate as the
     radical of v^perp is Zv (of rank 0 on a rank-2 lattice)."""
     if v.norm2 != 0:
         raise NotIsotropicError(f"v^2 = {v.norm2} != 0")
     if not is_primitive(v):   # raises ZeroVectorError on 0
         raise NotPrimitiveError("v is not primitive")
     lat = v.lattice
-    _, u = ila.hnf_columns([v.gram_image()])
-    gram = ila.gram_of(_hermite_perp(v, u), lat.gram_rows())
+    gram = ila.gram_of(_hermite_perp(v)[1], lat.gram_rows())
     return IntegerLattice(tuple(map(tuple, gram)), f"L({lat.label or 'N'})")
 
 
@@ -581,23 +586,19 @@ def discriminant_group(lat: IntegerLattice) -> list[int]:
 def hyperbolic_frame(v: LatVec) -> tuple[tuple[int, ...], ...]:
     """B = (f | R | v) for a standard v, as columns: unimodular, with B^T G B
     the Mukai form over the Gram of R, so R models L(v) and v.f = -1 (the
-    z.v = -1 of the tube model).  The Hermite transform u of the row G v
-    has pivot 1 exactly at divisibility 1; w = -u_0 has v.w = -1, f = w +
-    (w^2 / 2) v, and each :func:`_hermite_perp` column c moves to
-    c + (c.f) v, which keeps the Gram.  An odd w^2 raises OddSquareError."""
-    if v.is_zero():
-        raise ZeroVectorError("0 is not a standard vector")
-    gv = v.gram_image()
-    h, u = ila.hnf_columns([gv])
-    if ila.dot(gv, v.coords) != 0 or h[0][0] != 1:
+    z.v = -1 of the tube model).  At divisibility 1 the :func:`_hermite_perp`
+    transform u has G v . u_0 = 1, so w = -u_0 has v.w = -1; f = w +
+    (w^2 / 2) v, and each column c of R moves to c + (c.f) v = c + (c.w) v,
+    which keeps the Gram.  An odd w^2 raises OddSquareError."""
+    if not is_standard(v):   # raises ZeroVectorError on 0
         raise NotStandardError("need v isotropic with divisibility 1")
+    u, cols = _hermite_perp(v)
     w = [-row[0] for row in u]
     gw = ila.mat_vec(v.lattice.gram, w)
     half, odd = divmod(ila.dot(w, gw), 2)
     if odd:
         raise OddSquareError("lattice is not even")
-    f = [a + half * b for a, b in zip(w, v.coords)]
-    gf = [a + half * b for a, b in zip(gw, gv)]
-    comp = (tuple(a + ila.dot(col, gf) * b for a, b in zip(col, v.coords))
-            for col in _hermite_perp(v, u))
-    return (tuple(f), *comp, v.coords)
+    f = tuple(a + half * b for a, b in zip(w, v.coords))
+    comp = (tuple(a + t * b for a, b in zip(c, v.coords))
+            for c, t in zip(cols, ila.mat_vec(cols, gw)))
+    return (f, *comp, v.coords)

@@ -635,12 +635,14 @@ def test_label_census_checks_the_shadow(monkeypatch):
 
 
 def test_census_checks_the_shadow_at_divisibility_two(monkeypatch):
-    # U + <8>: L(v) = <2> at div 2, and |det| 4 * 2^2 != 8 for <4>
-    monkeypatch.setattr(cusps, "quotient_lattice",
-                        lambda v: mk.make_lattice([[4]]))
-    cusps.standard_cusp_census(mk.preset("mukai_rank1(4)"), 6)
-    with pytest.raises(InvariantError, match="L\\(v\\)"):
-        cusps.cusp_census(mk.preset("mukai_rank1(4)"), 6)
+    # U + <8>: L(v) = <2> at div 2; <4> fails |det L(v)| 2^2 = 8 and <-2>,
+    # of the right det, fails the signature (1, 0)
+    for planted in ([[4]], [[-2]]):
+        monkeypatch.setattr(cusps, "quotient_lattice",
+                            lambda v: mk.make_lattice(planted))
+        cusps.standard_cusp_census(mk.preset("mukai_rank1(4)"), 6)
+        with pytest.raises(InvariantError, match="L\\(v\\)"):
+            cusps.cusp_census(mk.preset("mukai_rank1(4)"), 6)
 
 
 @pytest.mark.parametrize("lat, generators", [

@@ -88,10 +88,11 @@ def test_hnf_reproduces_input():
     rng = random.Random(11)
     for _ in range(50):
         m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        h, u = ila.hnf_columns(m)
+        h, u, u_inv = ila.hnf_columns(m)
         assert ila.mat_mul(m, u) == h
         assert abs(ila.det_bareiss(u)) == 1
-    assert ila.hnf_columns([]) == ([], [])
+        assert ila.mat_mul(u, u_inv) == ila.identity(len(u))
+    assert ila.hnf_columns([]) == ([], [], [])
 
 
 def test_integer_kernel():
