@@ -12,6 +12,7 @@ from .lattice import (  # noqa: F401
     IntegerLattice,
     Isometry,
     LatVec,
+    count_of_norm,
     direct_sum,
     discriminant_group,
     divisibility,

@@ -45,9 +45,9 @@ from .intlinalg import dot, mat_vec, signature
 from .lattice import (
     IntegerLattice,
     LatVec,
+    count_of_norm,
     ns_block,
     ns_pair,
-    vectors_of_norm,
 )
 
 
@@ -385,4 +385,4 @@ def boundary_beta_search(lat: IntegerLattice, c_root: LatVec, k: int,
         raise ValueError("eta is not generic on the facet")
     return BetaCertificate(tuple(Fraction((2 * k + 1) * c, 4) for c in c_ns),
                            Fraction(-1, 2),
-                           len(vectors_of_norm(lat, -2, coord_bound)))
+                           count_of_norm(lat, -2, coord_bound))

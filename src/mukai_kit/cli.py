@@ -156,7 +156,7 @@ def cmd_lattice(cfg: dict, lat, meta: dict):
 
 def cmd_roots(cfg: dict, lat, meta: dict):
     bound = _cfg(cfg, "root_bound", 4)
-    roots = lattice.vectors_of_norm(lat, -2, bound).tolist()
+    roots = serialize.Table(lattice.vectors_of_norm(lat, -2, bound))
     payload = {"root_bound": bound, "roots": roots, "_csv": serialize.csv_text(
         [f"c{i}" for i in range(lat.rank)], roots, meta=meta)}
     return payload, None, 0
@@ -282,13 +282,13 @@ def cmd_geodesic(cfg: dict, lat, meta: dict):
     stride = max(1, steps // 100)
     ts = result.ts[::stride]
     speeds = geodesics.speed(
-        pt, np.concatenate([np.linspace(0.0, t_max, 5), ts])).tolist()
-    rows = [(t,) + tuple(row) + (s,) for t, row, s in zip(
-        ts.tolist(), result.chart[::stride].tolist(), speeds[5:])]
+        pt, np.concatenate([np.linspace(0.0, t_max, 5), ts]))
+    rows = serialize.Table(np.column_stack(
+        [ts, result.chart[::stride], speeds[5:]]))
     payload = {
         "report": {"max_dev": dev, "tol": tol, "steps": steps,
                    "energy_drift": result.energy_drift,
-                   "speed_samples": speeds[:5]},
+                   "speed_samples": speeds[:5].tolist()},
         "samples": rows,
         "_csv": serialize.csv_text(
             ["t"] + [f"a{i}" for i in range(sp.rho)]
@@ -367,8 +367,7 @@ def cmd_degenerate(cfg: dict, lat, meta: dict):
                      _cfg(cfg, "samples", 50))
     pts = geodesics.linear_degeneration(sp, x0, y0).at(ts)
     a, b = pts.chart()
-    rows = [(t,) + tuple(ai) + tuple(bi) + (y2,) for t, ai, bi, y2 in zip(
-        ts.tolist(), a.tolist(), b.tolist(), pts.y_norm2().tolist())]
+    rows = serialize.Table(np.column_stack([ts, a, b, pts.y_norm2()]))
     payload = {"samples": rows, "_csv": serialize.csv_text(
         ["t"] + [f"a{i}" for i in range(sp.rho)]
         + [f"b{i}" for i in range(sp.rho)] + ["y2"], rows, meta=meta)}

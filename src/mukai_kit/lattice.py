@@ -495,6 +495,53 @@ def is_mukai_form(gram) -> bool:
     return _hyperbolic_ends(gram) == -1
 
 
+def _norm_slices(lat: IntegerLattice, norm: int, bound: int):
+    """The scan behind :func:`vectors_of_norm` and :func:`count_of_norm`:
+    (dtype, c, slices), c from :func:`_hyperbolic_ends`.
+
+    With c = 0 each slice is (head, tail, hit): head + t has norm ``norm``
+    for every row t of tail[hit].  Otherwise each slice is (ls, on, mask,
+    s) over NS vectors ls: ``on`` marks l.l = norm, whose r = 0 rows
+    (0, l, s) take every s of the box, and mask[i, j] marks the row
+    (r_i, ls[j], s[i, j]), r_i the i-th non-zero r of the box, in
+    increasing order.  Slices come in lex order of their NS part and hold
+    at most ``_CHUNK`` NS points.  The zero vector is a hit when norm = 0.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    gram = lat.gram
+    dtype = _int_dtype(
+        bound * bound * sum(abs(x) for row in gram for x in row) + abs(norm))
+    c = _hyperbolic_ends(gram)
+    if not c:
+        return dtype, c, ((head, tail, norms == norm) for head, tail, norms
+                          in _box_slices(gram, bound, dtype))
+    den = 2 * c * np.array([r for r in range(-bound, bound + 1) if r],
+                           dtype=dtype)[:, None]
+
+    def slices():
+        for head, tail, ll in _box_slices(
+                [row[1:-1] for row in gram[1:-1]], bound, dtype):
+            ls = np.hstack([np.broadcast_to(head, (len(tail), len(head))),
+                            tail])
+            num = (norm - ll)[None, :]
+            s = num // den
+            yield ls, ll == norm, (num % den == 0) & (abs(s) <= bound), s
+    return dtype, c, slices()
+
+
+def count_of_norm(lat: IntegerLattice, norm: int, bound: int) -> int:
+    """len(vectors_of_norm(lat, norm, bound)), from the same scan without
+    building the rows."""
+    _, c, slices = _norm_slices(lat, norm, bound)
+    if not c:
+        hits = sum(np.count_nonzero(hit) for *_, hit in slices)
+    else:
+        hits = sum(np.count_nonzero(on) * (2 * bound + 1)
+                   + np.count_nonzero(mask) for _, on, mask, _ in slices)
+    return int(hits) - (norm == 0)
+
+
 def vectors_of_norm(lat: IntegerLattice, norm: int, bound: int) -> np.ndarray:
     """All non-zero x with max|x_i| <= bound and x.x = norm, in lex order.
 
@@ -503,43 +550,40 @@ def vectors_of_norm(lat: IntegerLattice, norm: int, bound: int) -> np.ndarray:
     hyperbolic plane c*U orthogonal to the rest, as in the (r, NS, s) form,
     x.x = l.l + 2c r s.  The (r, l) part is scanned and s is solved exactly:
     s = (norm - l.l) / (2 c r) for r != 0, every s in the box for r = 0 and
-    l.l = norm.  That costs (2 bound + 1)^(rank - 1) points.  Other lattices
-    scan the whole box, one slice at a time.
+    l.l = norm.  That costs (2 bound + 1)^(rank - 1) points, and the rows
+    are written in lex order as found: negative r, r = 0, positive r, each
+    in l order.  Other lattices scan the whole box, one slice at a time,
+    slices and rows within them in lex order.  :func:`count_of_norm` counts
+    the same scan's hits.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    gram = lat.gram
+    dtype, c, slices = _norm_slices(lat, norm, bound)
     n = lat.rank
-    dtype = _int_dtype(
-        bound * bound * sum(abs(x) for row in gram for x in row) + abs(norm))
-    c = _hyperbolic_ends(gram)
-    parts = [np.zeros((0, n), dtype=dtype)]
     if not c:
-        for head, tail, norms in _box_slices(gram, bound, dtype):
-            hit = tail[norms == norm]
-            parts.append(np.hstack(
-                [np.broadcast_to(head, (len(hit), len(head))), hit]))
-    else:
-        side = 2 * bound + 1
-        s_axis = np.arange(-bound, bound + 1).astype(dtype)
-        r_axis = np.array([r for r in range(-bound, bound + 1) if r],
-                          dtype=dtype)
-        for head, tail, ll in _box_slices(
-                [row[1:-1] for row in gram[1:-1]], bound, dtype):
-            ls = np.hstack([np.broadcast_to(head, (len(tail), len(head))),
-                            tail])
-            on = ls[ll == norm]
-            parts.append(np.column_stack([
-                np.zeros(len(on) * side, dtype=dtype),
-                np.repeat(on, side, axis=0), np.tile(s_axis, len(on))]))
-            num = (norm - ll)[None, :]
-            den = 2 * c * r_axis[:, None]
-            s = num // den
-            ri, li = np.nonzero((num % den == 0) & (abs(s) <= bound))
-            parts.append(np.column_stack([r_axis[ri], ls[li], s[ri, li]]))
-    out = np.concatenate(parts)
-    out = out[np.any(out != 0, axis=1)]
-    return out[np.lexsort(out.T[::-1])]
+        out = np.concatenate([np.zeros((0, n), dtype=dtype)] + [np.hstack(
+            [np.broadcast_to(head, (np.count_nonzero(hit), len(head))),
+             tail[hit]]) for head, tail, hit in slices])
+        return out[np.any(out != 0, axis=1)] if norm == 0 else out
+    side = 2 * bound + 1
+    r_axis = np.array([r for r in range(-bound, bound + 1) if r], dtype=dtype)
+    s_axis = np.arange(-bound, bound + 1).astype(dtype)
+    pieces = []     # per slice, its rows in lex order
+    for ls, on, mask, s in slices:
+        ri, li = np.nonzero(mask)           # sorted by r, then by l
+        k, z = np.searchsorted(ri, bound), np.count_nonzero(on) * side
+        rows = np.empty((len(ri) + z, n), dtype=dtype)
+        pos = np.arange(len(ri)) + z * (ri >= bound)    # r != 0 rows
+        rows[pos, 0], rows[pos, 1:-1], rows[pos, -1] = (
+            r_axis[ri], ls[li], s[ri, li])
+        rows[k:k + z, 0], rows[k:k + z, -1] = 0, np.tile(s_axis, z // side)
+        rows[k:k + z, 1:-1] = np.repeat(ls[on], side, axis=0)
+        pieces.append(rows[np.any(rows != 0, axis=1)] if norm == 0 else rows)
+    if len(pieces) == 1:
+        return pieces[0]
+    # several slices: one r at a time, the slices in order
+    cuts = [np.searchsorted(rows[:, 0], np.arange(-bound, bound + 2))
+            for rows in pieces]
+    return np.concatenate([rows[cut[i]:cut[i + 1]] for i in range(side)
+                           for rows, cut in zip(pieces, cuts)])
 
 
 # ---------------------------------------------------------------------------
@@ -589,15 +633,27 @@ def hyperbolic_frame(v: LatVec) -> tuple[tuple[int, ...], ...]:
     z.v = -1 of the tube model).  At divisibility 1 the :func:`_hermite_perp`
     transform u has G v . u_0 = 1, so w = -u_0 has v.w = -1; f = w +
     (w^2 / 2) v, and each column c of R moves to c + (c.f) v = c + (c.w) v,
-    which keeps the Gram.  An odd w^2 raises OddSquareError."""
+    which keeps the Gram.  An odd w^2 (on an odd lattice) takes w + c for
+    the first column c of R with c^2 odd: c is orthogonal to v, so v.w
+    stays -1, and (w + c)^2 = w^2 + c^2 mod 2.  With every c^2 even, v^perp
+    is even, every f with v.f = -1 has f^2 = w^2 mod 2, and no f exists:
+    OddSquareError."""
     if not is_standard(v):   # raises ZeroVectorError on 0
         raise NotStandardError("need v isotropic with divisibility 1")
     u, cols = _hermite_perp(v)
+    gram = v.lattice.gram
     w = [-row[0] for row in u]
-    gw = ila.mat_vec(v.lattice.gram, w)
+    gw = ila.mat_vec(gram, w)
     half, odd = divmod(ila.dot(w, gw), 2)
     if odd:
-        raise OddSquareError("lattice is not even")
+        c = next((c for c in cols if ila.dot(c, ila.mat_vec(gram, c)) % 2),
+                 None)
+        if c is None:
+            raise OddSquareError(
+                "v^perp is even and v has no isotropic partner f, v.f = -1")
+        w = [a + b for a, b in zip(w, c)]
+        gw = ila.mat_vec(gram, w)
+        half = ila.dot(w, gw) // 2
     f = tuple(a + half * b for a, b in zip(w, v.coords))
     comp = (tuple(a + t * b for a, b in zip(c, v.coords))
             for c, t in zip(cols, ila.mat_vec(cols, gw)))

@@ -5,9 +5,11 @@ keys, repr-based float formatting.  Integers beyond 2^53 and Fractions are
 serialized as decimal strings so JSON consumers with double-precision
 numbers never see rounded values.  Keys go through str(); floats are
 float.__repr__ with json's NaN and Infinity; what json rejects raises
-TypeError.  Rectangular nests of plain numbers, and lists of same-keyed
-records of them, take one str.format.  Digests use CPython's built-in
-SHA-256 module, as ``random`` does for SHA-512, so OpenSSL is never loaded.
+TypeError.  A :class:`Table` (a 2-d int or float array) spells each cell
+once for ``csv_text`` and the JSON writers alike; rectangular nests of
+plain numbers, or of strings and Nones, and lists of same-keyed records of
+them, go out in one str.join.  Digests use CPython's built-in SHA-256
+module, as ``random`` does for SHA-512, so OpenSSL is never loaded.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ import math
 import os
 import tempfile
 from fractions import Fraction
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
+
+import numpy as np
 
 try:
     from _sha2 import sha256 as _sha256    # CPython 3.12+
@@ -29,19 +34,31 @@ except ImportError:
 
 _BIG = 2 ** 53
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SPELL = {int: int.__repr__, float: float.__repr__, str: _quote,
+          type(None): lambda _: "null"}
 
 
-def _plain(values) -> bool:
-    """All exact ints within +-2^53, or all finite exact floats."""
-    types = set(map(type, values))
+def _texts(cells: list) -> list[str] | None:
+    """The JSON text of each cell when the cells are all ints within
+    +-2^53, all finite floats, or all strs and Nones; else None."""
+    types = set(map(type, cells))
     if types == {int}:
-        return -_BIG <= min(values) and max(values) <= _BIG
-    return types == {float} and all(map(math.isfinite, values))
+        if not (-_BIG <= min(cells) and max(cells) <= _BIG):
+            return None
+    elif types == {float}:
+        if not all(map(math.isfinite, cells)):
+            return None
+    elif not {str, type(None)}.issuperset(types):
+        return None
+    if len(types) == 1:
+        return list(map(_SPELL[types.pop()], cells))
+    return [_SPELL[type(x)](x) for x in cells]
 
 
-def _shape(level, ok=_plain):
-    """(dims, cells) of a list of equal-shape nests of lists or tuples (dims
-    empty for numbers) whose cells, in order, pass ``ok``; else None."""
+def _shape(level):
+    """(dims, cells) of a list of equal-shape nests of lists or tuples: the
+    dims of one nest (empty for scalars) and every cell, in order; None for
+    ragged or empty nests."""
     dims = []
     while {list, tuple}.issuperset(map(type, level)):
         lens = set(map(len, level))
@@ -49,37 +66,86 @@ def _shape(level, ok=_plain):
             return None
         dims.append(lens.pop())
         level = list(itertools.chain.from_iterable(level))
-    return (dims, level) if ok(level) else None
+    return dims, level
 
 
-def _nest(dims, nl: str, step: str) -> str:
-    """str.format template of a nest of shape ``dims`` at indent ``nl``."""
-    if not dims:
-        return "{}"
+def _weave(head: str, gaps: list[str], tail: str, texts: list[str]) -> str:
+    """``head``, the ``texts`` with ``gaps[i]`` between texts i and i + 1,
+    then ``tail``: one str.join."""
+    parts = [head] * (2 * len(texts) + 1)
+    parts[1::2] = texts
+    parts[2:-1:2] = gaps
+    parts[-1] = tail
+    return "".join(parts)
+
+
+def _list_frame(elem, count: int, nl: str, step: str):
+    """(head, gaps, tail) of a JSON list at indent ``nl`` of ``count``
+    elements that each have the frame ``elem`` at indent nl + step."""
+    head, gaps, tail = elem
     inner = nl + step
-    return "[" + inner + ("," + inner).join(
-        [_nest(dims[1:], inner, step)] * dims[0]) + nl + "]"
+    return ("[" + inner + head,
+            ((gaps + [tail + "," + inner + head]) * count)[:-1],
+            tail + nl + "]")
 
 
-def _records(rows, nl: str, step: str, colon: str) -> str | None:
-    """``rows``, dicts with the same str keys whose values, key by key, are
-    plain nests of one shape, as one str.format template; else None."""
+def _nest(dims, nl: str, step: str):
+    """(head, gaps, tail) of a nest of shape ``dims`` at indent ``nl``."""
+    if not dims:
+        return "", [], ""
+    return _list_frame(_nest(dims[1:], nl + step, step), dims[0], nl, step)
+
+
+def _records(rows, nl: str, step: str, colon: str):
+    """(head, gaps, tail, texts) of the JSON list at indent ``nl`` of
+    ``rows``, dicts with the same str keys whose values, key by key, are
+    nests of one shape whose cells ``_texts`` spells; else None."""
     keys = rows[0].keys() if type(rows[0]) is dict else ()
     if not (keys and all(type(k) is str for k in keys) and all(
             type(r) is dict and r.keys() == keys for r in rows)):
         return None
-    inner, fields, cols = nl + step, [], []
+    field = nl + step + step
+    seps, cols = ["{"], []      # the text before each cell, then after all
     for k in sorted(keys):
         shape = _shape([r[k] for r in rows])
-        if shape is None:
+        texts = shape and _texts(shape[1])
+        if texts is None:
             return None
-        dims, cells = shape
-        fields.append(_quote(k).replace("{", "{{").replace("}", "}}")
-                      + colon + _nest(dims, inner, step))
-        cols.append(zip(*[iter(cells)] * (len(cells) // len(rows))))
-    row = "{{" + inner + ("," + inner).join(fields) + nl + "}}"
+        v_head, v_gaps, v_tail = _nest(shape[0], field, step)
+        seps[-1] += field + _quote(k) + colon + v_head
+        seps += v_gaps + [v_tail + ","]
+        cols.append(zip(*[iter(texts)] * (len(texts) // len(rows))))
+    head, *gaps, tail = seps
     flat = itertools.chain.from_iterable
-    return ("," + nl).join([row] * len(rows)).format(*flat(flat(zip(*cols))))
+    return (*_list_frame((head, gaps, tail[:-1] + nl + step + "}"),
+                         len(rows), nl, step), list(flat(flat(zip(*cols)))))
+
+
+class Table:
+    """A 2-d int or float array that ``csv_text`` and the JSON writers
+    write alike.  When every cell is an int within +-2^53 or a finite
+    float, CSV and JSON spell it the same way, so ``texts`` turns each cell
+    into text once, for both; otherwise ``texts`` is None and the writers
+    read ``values.tolist()`` as they read any list."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    @cached_property
+    def texts(self) -> list[str] | None:
+        a = self.values
+        if not a.size:
+            return None
+        if a.dtype.kind == "i":
+            lo, hi = int(a.min()), int(a.max())
+            if -_BIG <= lo and hi <= _BIG and hi - lo < a.size:
+                # one lookup of str(lo ... hi)
+                spelled = np.array(list(map(str, range(lo, hi + 1))),
+                                   dtype=object)
+                return spelled[(a - lo).ravel()].tolist()
+        cells = a.ravel().tolist()
+        return _texts(cells) if {int, float}.issuperset(
+            map(type, cells)) else None
 
 
 def _json(obj, nl: str, step: str, colon: str) -> str:
@@ -95,6 +161,10 @@ def _json(obj, nl: str, step: str, colon: str) -> str:
         return _NONFINITE.get(text, text)
     if isinstance(obj, Fraction):
         return _quote(str(obj))
+    if isinstance(obj, Table):
+        if obj.texts is None:
+            return _json(obj.values.tolist(), nl, step, colon)
+        return _weave(*_nest(obj.values.shape, nl, step), obj.texts)
     inner = nl + step
     sep = "," + inner
     if isinstance(obj, dict) and obj:
@@ -103,10 +173,14 @@ def _json(obj, nl: str, step: str, colon: str) -> str:
             v, inner, step, colon) for k, v in items) + nl + "}"
     if isinstance(obj, (list, tuple)) and obj:
         shape = _shape([obj])
-        if shape:
-            return _nest(shape[0], nl, step).format(*shape[1])
-        return "[" + inner + (_records(obj, inner, step, colon) or sep.join(
-            _json(v, inner, step, colon) for v in obj)) + nl + "]"
+        texts = shape and _texts(shape[1])
+        if texts:
+            return _weave(*_nest(shape[0], nl, step), texts)
+        records = _records(obj, nl, step, colon)
+        if records:
+            return _weave(*records)
+        return "[" + inner + sep.join(
+            _json(v, inner, step, colon) for v in obj) + nl + "]"
     if isinstance(obj, (dict, list, tuple)):
         return "{}" if isinstance(obj, dict) else "[]"
     raise TypeError(f"Object of type {type(obj).__name__} "
@@ -144,18 +218,28 @@ def atomic_write(path: str, text: str):
 
 
 def csv_text(header: list[str], rows, meta: dict | None = None) -> str:
+    """CSV of ``rows``, a Table or an iterable of rows: a cell is
+    float.__repr__ of a float and str of anything else."""
     lines = []
     if meta:
         pairs = ",".join(f"{k}={v}" for k, v in sorted(meta.items()))
         lines.append(f"# {pairs}")
     lines.append(",".join(header))
-    rows = list(rows)
-    shape = _shape(rows, lambda cells: {int, float, str}.issuperset(
-        map(type, cells)))
-    lines.extend(["\n".join([",".join(["{}"] * shape[0][0])] * len(rows))
-                  .format(*shape[1])] if shape and len(shape[0]) == 1 else (
-        ",".join(float.__repr__(x) if isinstance(x, float) else str(x)
-                 for x in row) for row in rows))
+    if isinstance(rows, Table) and rows.texts is not None:
+        width, texts = rows.values.shape[1], rows.texts
+    else:
+        rows = rows.values.tolist() if isinstance(rows, Table) else list(rows)
+        shape, texts = _shape(rows), None
+        if shape and len(shape[0]) == 1 and {int, float, str}.issuperset(
+                map(type, shape[1])):
+            width, texts = shape[0][0], list(map(str, shape[1]))
+    if texts is not None:
+        gaps = [","] * (width - 1) + ["\n"]
+        lines.append(_weave("", (gaps * (len(texts) // width))[:-1], "",
+                            texts))
+    else:
+        lines.extend(",".join(float.__repr__(x) if isinstance(x, float)
+                              else str(x) for x in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mukai_kit as mk
-from mukai_kit import charges, cusps
+from mukai_kit import charges, cusps, lattice
 from mukai_kit import domain as dm
 from mukai_kit import intlinalg as ila
 from mukai_kit.errors import (
@@ -447,6 +448,72 @@ def test_vectors_of_norm_huge_gram_stays_exact():
                 _norm_scan(lat, norm, 2)
 
 
+def _lexsorted_scan(lat, norm, bound):
+    """Reference: the same slices as vectors_of_norm, concatenated, the
+    zero vector dropped, then put in lex order by one np.lexsort."""
+    gram, n = lat.gram, lat.rank
+    dtype = lattice._int_dtype(
+        bound * bound * sum(abs(x) for row in gram for x in row) + abs(norm))
+    c = lattice._hyperbolic_ends(gram)
+    parts = [np.zeros((0, n), dtype=dtype)]
+    if not c:
+        for head, tail, norms in lattice._box_slices(gram, bound, dtype):
+            hit = tail[norms == norm]
+            parts.append(np.hstack(
+                [np.broadcast_to(head, (len(hit), len(head))), hit]))
+    else:
+        side = 2 * bound + 1
+        s_axis = np.arange(-bound, bound + 1).astype(dtype)
+        r_axis = np.array([r for r in range(-bound, bound + 1) if r],
+                          dtype=dtype)
+        for head, tail, ll in lattice._box_slices(
+                [row[1:-1] for row in gram[1:-1]], bound, dtype):
+            ls = np.hstack([np.broadcast_to(head, (len(tail), len(head))),
+                            tail])
+            on = ls[ll == norm]
+            parts.append(np.column_stack([
+                np.zeros(len(on) * side, dtype=dtype),
+                np.repeat(on, side, axis=0), np.tile(s_axis, len(on))]))
+            num = (norm - ll)[None, :]
+            den = 2 * c * r_axis[:, None]
+            s = num // den
+            ri, li = np.nonzero((num % den == 0) & (abs(s) <= bound))
+            parts.append(np.column_stack([r_axis[ri], ls[li], s[ri, li]]))
+    out = np.concatenate(parts)
+    out = out[np.any(out != 0, axis=1)]
+    return out[np.lexsort(out.T[::-1])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_even_blocks(), st.sampled_from(["mukai", "scaled_u", "plus_bracket"]),
+       st.booleans(), st.integers(1, 5), st.sampled_from([1 << 3, 1 << 6,
+                                                          lattice._CHUNK]))
+def test_vectors_of_norm_and_count_match_lexsorted_scan(ns, shape, huge,
+                                                        bound, chunk):
+    # the (r, NS, s) form and U(2) + NS take the solved-s path, the others
+    # the box scan; a small _CHUNK splits the box into many slices, and a
+    # Gram entry near 10^18 takes the Python-int (object) path
+    if huge:
+        ns = [row[:] for row in ns]
+        ns[0][0] = 6 * 10 ** 18   # past 2**62 at every bound
+    if shape == "mukai":
+        lat = mk.mukai_lattice(ns)
+    elif shape == "scaled_u":    # the ends span U(2): c = 2
+        lat = mk.make_lattice([[0] * (len(ns) + 1) + [2],
+                               *([0, *r, 0] for r in ns),
+                               [2] + [0] * (len(ns) + 1)])
+    else:
+        lat = mk.direct_sum(mk.make_lattice(ns), mk.preset("bracket(2)"))
+    assume((2 * bound + 1) ** lat.rank <= 11 ** 4)
+    with mock.patch.object(lattice, "_CHUNK", chunk):
+        for norm in (-2, 0, 2):
+            got = vectors_of_norm(lat, norm, bound)
+            want = _lexsorted_scan(lat, norm, bound)
+            assert got.dtype == want.dtype == (object if huge else np.int64)
+            assert got.shape == want.shape and (got == want).all()
+            assert mk.count_of_norm(lat, norm, bound) == len(want)
+
+
 # -- complements, quotients, discriminants ---------------------------------------
 
 def test_quotient_lattice_examples():
@@ -519,6 +586,50 @@ def test_hyperbolic_frame():
     assert mk.is_standard(odd.vector([1, 1]))
     with pytest.raises(OddSquareError):
         mk.hyperbolic_frame(odd.vector([1, 1]))
+
+
+def _check_frame(v, b):
+    """B = (f | R | v): B e_last = v, |det B| = 1, B^T G B the Mukai form
+    over the Gram of R."""
+    g = v.lattice.gram_rows()
+    full = ila.gram_of(b, g)
+    assert b[-1] == v.coords
+    assert abs(ila.det_bareiss([list(r) for r in zip(*b)])) == 1
+    assert mk.lattice.is_mukai_form(full)
+    f = v.lattice.vector(b[0])
+    assert (f.norm2, mk.pair(v, f)) == (0, -1)
+
+
+def test_hyperbolic_frame_on_odd_lattice():
+    # on diag(1, -1, -1) the Hermite partner of v = (1, 1, 0) has odd
+    # square; f = (-1, 0, 1) is isotropic with v.f = -1
+    lat = mk.make_lattice([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    v = lat.vector([1, 1, 0])
+    b = mk.hyperbolic_frame(v)
+    _check_frame(v, b)
+    assert b[0] == (-1, 0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=3,
+                max_size=5).filter(lambda d: any(x % 2 for x in d)),
+       st.data())
+def test_hyperbolic_frame_on_odd_diagonal_lattices(diag, data):
+    # the frame exists, or v^perp is even and no isotropic f has v.f = -1
+    n = len(diag)
+    lat = mk.make_lattice([[diag[i] if i == j else 0 for j in range(n)]
+                           for i in range(n)])
+    standard = [c for c in vectors_of_norm(lat, 0, 2).tolist()
+                if mk.is_standard(lat.vector(c))]
+    assume(standard)
+    v = lat.vector(data.draw(st.sampled_from(standard)))
+    try:
+        b = mk.hyperbolic_frame(v)
+    except OddSquareError:
+        perp = mk.orthogonal_complement(v)
+        assert all(lat.vector(c).norm2 % 2 == 0 for c in perp)
+        return
+    _check_frame(v, b)
 
 
 # f, R and Gram(R) of the frame at v0 = (0, .., 0, 1), one per NS block:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -6,15 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from json.encoder import encode_basestring_ascii as _quote
 
 from mukai_kit import serialize
 
 _BIG = 2 ** 53
 
 
-# -- oracle writers: json.dumps over a normalised copy -----------------------
+# -- oracle writers: json.dumps over a normalised copy, Tables as lists -----
 
 def _normalize(obj):
+    if isinstance(obj, serialize.Table):
+        return _normalize(obj.values.tolist())
     if isinstance(obj, dict):
         return {str(k): _normalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -42,9 +46,113 @@ def oracle_csv_text(header, rows, meta=None) -> str:
         pairs = ",".join(f"{k}={v}" for k, v in sorted(meta.items()))
         lines.append(f"# {pairs}")
     lines.append(",".join(header))
+    if isinstance(rows, serialize.Table):
+        rows = rows.values.tolist()
     for row in rows:
         lines.append(",".join(float.__repr__(x) if isinstance(x, float)
                               else str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+# -- the pre-Table writer: one str.format template per plain nest ------------
+
+def _pre_plain(values) -> bool:
+    types = set(map(type, values))
+    if types == {int}:
+        return -_BIG <= min(values) and max(values) <= _BIG
+    return types == {float} and all(map(math.isfinite, values))
+
+
+def _pre_shape(level, ok=_pre_plain):
+    dims = []
+    while {list, tuple}.issuperset(map(type, level)):
+        lens = set(map(len, level))
+        if len(lens) != 1 or 0 in lens:
+            return None
+        dims.append(lens.pop())
+        level = list(itertools.chain.from_iterable(level))
+    return (dims, level) if ok(level) else None
+
+
+def _pre_nest(dims, nl, step):
+    if not dims:
+        return "{}"
+    inner = nl + step
+    return "[" + inner + ("," + inner).join(
+        [_pre_nest(dims[1:], inner, step)] * dims[0]) + nl + "]"
+
+
+def _pre_records(rows, nl, step, colon):
+    keys = rows[0].keys() if type(rows[0]) is dict else ()
+    if not (keys and all(type(k) is str for k in keys) and all(
+            type(r) is dict and r.keys() == keys for r in rows)):
+        return None
+    inner, fields, cols = nl + step, [], []
+    for k in sorted(keys):
+        shape = _pre_shape([r[k] for r in rows])
+        if shape is None:
+            return None
+        dims, cells = shape
+        fields.append(_quote(k).replace("{", "{{").replace("}", "}}")
+                      + colon + _pre_nest(dims, inner, step))
+        cols.append(zip(*[iter(cells)] * (len(cells) // len(rows))))
+    row = "{{" + inner + ("," + inner).join(fields) + nl + "}}"
+    flat = itertools.chain.from_iterable
+    return ("," + nl).join([row] * len(rows)).format(*flat(flat(zip(*cols))))
+
+
+def _pre_json(obj, nl, step, colon):
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or isinstance(obj, bool):
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj) if -_BIG <= obj <= _BIG else _quote(str(obj))
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(
+            text, text)
+    if isinstance(obj, Fraction):
+        return _quote(str(obj))
+    inner = nl + step
+    sep = "," + inner
+    if isinstance(obj, dict) and obj:
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        return "{" + inner + sep.join(_quote(k) + colon + _pre_json(
+            v, inner, step, colon) for k, v in items) + nl + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        shape = _pre_shape([obj])
+        if shape:
+            return _pre_nest(shape[0], nl, step).format(*shape[1])
+        return "[" + inner + (_pre_records(obj, inner, step, colon) or sep.join(
+            _pre_json(v, inner, step, colon) for v in obj)) + nl + "]"
+    if isinstance(obj, (dict, list, tuple)):
+        return "{}" if isinstance(obj, dict) else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    "is not JSON serializable")
+
+
+def prechange_canonical_json(obj) -> str:
+    return _pre_json(obj, "", "", ":")
+
+
+def prechange_pretty_json(obj) -> str:
+    return _pre_json(obj, "\n", "  ", ": ") + "\n"
+
+
+def prechange_csv_text(header, rows, meta=None) -> str:
+    lines = []
+    if meta:
+        pairs = ",".join(f"{k}={v}" for k, v in sorted(meta.items()))
+        lines.append(f"# {pairs}")
+    lines.append(",".join(header))
+    rows = list(rows)
+    shape = _pre_shape(rows, lambda cells: {int, float, str}.issuperset(
+        map(type, cells)))
+    lines.extend(["\n".join([",".join(["{}"] * shape[0][0])] * len(rows))
+                  .format(*shape[1])] if shape and len(shape[0]) == 1 else (
+        ",".join(float.__repr__(x) if isinstance(x, float) else str(x)
+                 for x in row) for row in rows))
     return "\n".join(lines) + "\n"
 
 
@@ -193,6 +301,64 @@ def test_csv_numpy_scalars_read_as_numbers():
     assert math.isclose(float(text.splitlines()[1].split(",")[0]), 0.1)
 
 
+# -- Tables: each cell spelled once for CSV and JSON -------------------------
+
+_TEXT = st.text(st.sampled_from(list(',"\n\\ aZ{}\u00e9\u2603\U0001f600')),
+                max_size=5)
+_TABLE_CELLS = {
+    "int64": (np.int64, st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                  _EDGE_INTS)),
+    "small": (np.int64, st.integers(-3, 3)),
+    "python_int": (object, st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                                     _EDGE_INTS)),
+    "float": (float, st.one_of(_FLOATS, st.sampled_from([1e300, -1e300,
+                                                         2.2e-308]))),
+    "text": (object, st.one_of(st.none(), _TEXT)),
+}
+
+
+@st.composite
+def _tables(draw):
+    """A 2-d array of 0 to 5 rows and 0 to 4 columns: int64 (wide or small
+    range), Python ints, floats, or strs and Nones."""
+    dtype, cells = _TABLE_CELLS[draw(st.sampled_from(sorted(_TABLE_CELLS)))]
+    a = np.empty((draw(st.integers(0, 5)), draw(st.integers(0, 4))),
+                 dtype=dtype)
+    for i, j in np.ndindex(a.shape):
+        a[i, j] = draw(cells)
+    return a
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tables())
+def test_table_matches_prechange_writer(a):
+    table, rows = serialize.Table(a), a.tolist()
+    header = [f"c{i}" for i in range(a.shape[1])]
+    for meta in (None, {"k": 1}):
+        assert serialize.csv_text(header, table, meta) == \
+            prechange_csv_text(header, rows, meta)
+        assert serialize.csv_text(header, rows, meta) == \
+            prechange_csv_text(header, rows, meta)
+    for obj, plain in ((table, rows), ({"t": table, "n": [table]},
+                                       {"t": rows, "n": [rows]})):
+        assert serialize.pretty_json(obj) == prechange_pretty_json(plain)
+        assert serialize.canonical_json(obj) == \
+            prechange_canonical_json(plain)
+        assert serialize.pretty_json(plain) == prechange_pretty_json(plain)
+
+
+def test_table_spells_each_cell_once():
+    # small int ranges go through one lookup, and CSV and JSON share it
+    table = serialize.Table(np.array([[-2, 0, 1], [1, 1, -2]]))
+    assert table.texts == ["-2", "0", "1", "1", "1", "-2"]
+    assert serialize.csv_text(["a", "b", "c"], table) == \
+        "a,b,c\n-2,0,1\n1,1,-2\n"
+    assert serialize.canonical_json(table) == "[[-2,0,1],[1,1,-2]]"
+    for a in (np.array([[1.0, float("nan")]]), np.array([[2 ** 53 + 1]]),
+              np.array([["x"]], dtype=object), np.zeros((0, 3))):
+        assert serialize.Table(a).texts is None
+
+
 # -- lists of same-keyed records: one template, or the generic path ----------
 
 _SPOILS = [None, "int", "nan", "big", "str", "key", "shape"]
@@ -212,8 +378,10 @@ def _record_lists(draw):
                                           "a}{b", "{{}}"]),
                          min_size=1, max_size=4, unique=True))
     floats = st.floats(allow_nan=False, allow_infinity=False)
+    texts = st.one_of(st.none(), _TEXT)
     cols = {k: (draw(st.lists(st.integers(1, 3), max_size=2)),
-                draw(st.sampled_from([floats, st.integers(-_BIG, _BIG)])))
+                draw(st.sampled_from([floats, st.integers(-_BIG, _BIG),
+                                      texts])))
             for k in keys}
 
     def value(dims, cells):
@@ -239,7 +407,8 @@ def _record_lists(draw):
             int_col = cells is not floats
             row[k] = _first_leaf(row[k], {
                 "int": 1.0 if int_col else 1, "nan": float("nan"),
-                "big": _BIG + 1, "str": "x"}[spoil])
+                "big": _BIG + 1,
+                "str": 1.5 if cells is texts else "x"}[spoil])
     return rows, spoil
 
 
@@ -251,5 +420,18 @@ def test_record_template_matches_json_oracle(case):
     fast = serialize._records(rows, "\n  ", "  ", ": ")
     assert (fast is None) == bool(spoil)
     for obj in (rows, {"trace": rows, "n": len(rows)}):
+        assert serialize.pretty_json(obj) == oracle_pretty_json(obj) == \
+            prechange_pretty_json(obj)
+        assert serialize.canonical_json(obj) == oracle_canonical_json(obj)
+
+
+def test_records_of_strings_and_nulls_take_the_template():
+    # threshold certificates: a str column, and one of strs and Nones
+    certs = [{"candidate": [1, -2, 3], "branch": "quadratic", "n_min": 2,
+              "bound": "7/2"},
+             {"candidate": [2, 0, -1], "branch": "higher_slope", "n_min": 1,
+              "bound": None}]
+    assert serialize._records(certs, "\n  ", "  ", ": ") is not None
+    for obj in (certs, {"certificates": certs}):
         assert serialize.pretty_json(obj) == oracle_pretty_json(obj)
         assert serialize.canonical_json(obj) == oracle_canonical_json(obj)

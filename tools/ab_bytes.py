@@ -1,0 +1,171 @@
+"""Byte-for-byte A/B check of two mukai-kit source trees.
+
+    python3 tools/ab_bytes.py PARENT CHANGE
+
+PARENT and CHANGE are source checkouts (each with ``src/mukai_kit``).  One
+round of each benchmark workload at seeds 1, 7 and 41 is generated with
+PARENT's ``perfbench/jobs.py`` and package, together with the
+criterion-10 invocations of ``tests/test_acceptance.py``, into one inputs
+directory that both trees read: ``config_hash`` covers input file paths,
+so the trees must see the same ones.  Every job then runs through both
+trees, each run in a fresh interpreter, once printing its JSON to stdout
+and once with ``--out``.  The exit code and the sha256 of stdout and of
+the output file are compared; every difference is printed, and the exit
+code is 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+SEEDS = (1, 7, 41)
+WORKERS = 2
+
+# one job in a fresh interpreter: argv[1] is the tree's src directory
+_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from mukai_kit.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _rotation(phi: float):
+    import numpy as np
+    c, s = math.cos(math.pi * phi), math.sin(math.pi * phi)
+    return np.array([[c, -s], [s, c]])
+
+
+def criterion_10_jobs(inputs: Path) -> list[tuple[str, list[str]]]:
+    """The subcommand invocations of criterion 10, with their input files
+    written under ``inputs`` (the package on sys.path builds the path)."""
+    from mukai_kit import domain as dm
+    from mukai_kit import lattice
+    inputs.mkdir(parents=True, exist_ok=True)
+    lat_file = inputs / "rank4.json"
+    lat_file.write_text(json.dumps(
+        {"label": "rank4", "mukai": True,
+         "gram": [[0, 0, 0, -1], [0, 2, 0, 0], [0, 0, -2, 0],
+                  [-1, 0, 0, 0]]}))
+    import numpy as np
+    sp = dm.split_at(lattice.preset("mukai_rank1(1)").vector([0, 0, 1]))
+    lines = []
+    for t in np.linspace(0.0, 1.0, 80):
+        pt = dm.tube_point(sp, [0.2], [1.0 + 0.3 * t])
+        fr = dm.gl2_act(dm.exp_frame(pt), _rotation(2.0 * t))
+        row = [t] + list(fr.z.real) + list(fr.z.imag)
+        lines.append(",".join(repr(float(x)) for x in row) + "\n")
+    path_csv = inputs / "path.csv"
+    path_csv.write_text("".join(lines))
+    box = json.dumps({"a_lo": ["-1"], "a_hi": ["1"],
+                      "b_lo": ["0.5"], "b_hi": ["1.5"]})
+    rank1 = ["--preset", "mukai_rank1(1)"]
+    jobs = [
+        ["lattice", "--preset", "mukai_rank1(3)"],
+        ["roots", *rank1, "--root-bound", "4"],
+        ["walls", *rank1, "--box", box],
+        ["walls", *rank1, "--box", box, "--format", "svg"],
+        ["walls", *rank1, "--box", box, "--format", "csv"],
+        ["cusps", "--preset", "mukai_rank1(6)", "--height", "12"],
+        ["geodesic", *rank1, "--x0", "[0.3]", "--y0", "[1.1]",
+         "--t-max", "1.0", "--steps", "200", "--tol", "1e-4"],
+        ["factor", *rank1, "--path", str(path_csv)],
+        ["threshold", *rank1, "--vE", "[1,1,0]", "--h", "[1]",
+         "--candidates", "[[1,0,1]]"],
+        ["degenerate", *rank1, "--x0", "[0.2]", "--y0", "[0.9]",
+         "--format", "csv"],
+        ["beta-search", "--lattice", str(lat_file), "--c-root",
+         "[0,0,1,0]", "--k", "0", "--eta", "[2,0]"],
+    ]
+    return [(f"criterion-10/{i}.{argv[0]}", argv) for i, argv in
+            enumerate(jobs)]
+
+
+def generate(tree: Path, inputs: Path) -> list[tuple[str, list[str]]]:
+    """(id, argv) of every job, inputs written with ``tree``'s generator
+    and package, each seed in its own subdirectory."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import jobs
+    found = []
+    for seed in SEEDS:
+        for workload in sorted(jobs.WORKLOADS):
+            (rnd,) = jobs.generate(workload, seed, 1, inputs / f"s{seed}")
+            found += [(f"{workload}/s{seed}/{job.key}", [job.cmd, *job.args])
+                      for job in rnd]
+    return found + criterion_10_jobs(inputs / "criterion-10")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_one(tree: Path, argv: list[str], out: Path | None) -> dict:
+    """Exit code and the sha256 of stdout (and of ``out``) of one job."""
+    extra = [] if out is None else ["--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN, str(tree / "src"), *argv, *extra],
+        capture_output=True, timeout=600, check=False)
+    record = {"exit": proc.returncode, "stdout": _sha(proc.stdout)}
+    if out is not None:
+        record["file"] = _sha(out.read_bytes()) if out.exists() else None
+    return record
+
+
+def run_all(tree: Path, jobs, outdir: Path) -> dict:
+    """{(id, mode): record} for every job, mode "stdout" or "out"."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    tasks = [((job_id, mode), argv,
+              None if mode == "stdout" else outdir / f"{n}.out")
+             for n, (job_id, argv) in enumerate(jobs)
+             for mode in ("stdout", "out")]
+    with ThreadPoolExecutor(WORKERS) as pool:
+        records = pool.map(lambda t: run_one(tree, t[1], t[2]), tasks)
+        return {key: rec for (key, _, _), rec in zip(tasks, records)}
+
+
+def differences(parent: dict, change: dict) -> list[str]:
+    """One line per (job, mode, field) whose value differs."""
+    lines = []
+    for key in sorted(parent.keys() | change.keys()):
+        a, b = parent.get(key, {}), change.get(key, {})
+        for field in sorted(a.keys() | b.keys()):
+            if a.get(field) != b.get(field):
+                lines.append(f"{key[0]} [{key[1]}] {field}: "
+                             f"{a.get(field)} != {b.get(field)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    args = p.parse_args(argv)
+    trees = [t.resolve() for t in (args.parent, args.change)]
+    for tree in trees:
+        if not (tree / "src" / "mukai_kit" / "__init__.py").is_file():
+            p.error(f"no package source under {tree / 'src'}")
+    with tempfile.TemporaryDirectory(prefix="ab-bytes-") as tmp:
+        work = Path(tmp)
+        jobs = generate(trees[0], work / "inputs")
+        parent, change = (run_all(tree, jobs, work / side) for tree, side
+                          in zip(trees, ("parent", "change")))
+        diff = differences(parent, change)
+    for line in diff:
+        print(line)
+    for side, records in (("parent", parent), ("change", change)):
+        failed = sum(rec["exit"] != 0 for rec in records.values())
+        print(f"{side}: {len(records)} runs, {failed} with a non-zero exit")
+    print(f"{len(jobs)} jobs, {len(diff)} differences")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
