@@ -11,6 +11,7 @@ with r > 0 and phi in [0, 2).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -319,7 +320,6 @@ def threshold_inequality_holds(vE: LatVec, vA: LatVec, h, n: int) -> bool:
 def candidate_box(lat: IntegerLattice, r_max: int, c_bound: int,
                   s_bound: int) -> list[LatVec]:
     """All (r, c1, s) with 0 < r <= r_max, |c1| <= c_bound, |s| <= s_bound."""
-    import itertools
     k = lat.ns_rank
     out = []
     for r in range(1, r_max + 1):

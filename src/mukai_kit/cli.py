@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, MukaiKitError
 from . import charges, cusps, domain, geodesics, lattice, serialize
+from . import intlinalg as ila
 
 
 def _json_object(name: str, val, inline: bool = False) -> dict:
@@ -175,18 +176,14 @@ def _parse_box(cfg: dict, split) -> tuple[dict, domain.TubeBox]:
 def _chamber_ids(signs: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """One id per distinct sign row among the rows ``inside``, numbered by
     first appearance; -1 for the rows outside."""
-    ids, rows = np.full(len(signs), -1), signs[inside]
-    if len(rows):
-        # stable: each group's first sorted row is its first appearance;
-        # with no walls, lexsort needs one constant key
-        order = np.lexsort(rows.T if rows.shape[1] else [ids[inside]])
-        srt = rows[order]
-        new = np.concatenate([[True], (srt[1:] != srt[:-1]).any(1)])
-        heads = order[new]
-        first = np.zeros(len(rows), dtype=int)
-        first[heads] = 1    # a group's id: the heads up to its own, less 1
-        ids[np.flatnonzero(inside)[order]] = \
-            (np.cumsum(first) - 1)[heads][np.cumsum(new) - 1]
+    # one void key per int8 row, behind a zero column so that a box without
+    # walls still has 1-byte keys; return_index gives first appearances
+    rows = np.zeros((int(inside.sum()), signs.shape[1] + 1), dtype=np.int8)
+    rows[:, 1:] = signs[inside]
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    ids = np.full(len(signs), -1)
+    ids[inside] = np.argsort(np.argsort(first))[group]
     return ids
 
 
@@ -230,9 +227,9 @@ def cmd_walls(cfg: dict, lat, meta: dict):
         # 2D slice: first a- and b-coordinates vary, the rest pinned at the
         # box midpoint; line art only
         segs = []
-        a_mid, b_mid = box.center()
+        b_mid = box.center()[1]
         for w in walls:
-            c, d, lam = sp.root_data(w.root)
+            _, d, lam = sp.root_data(w.root)
             if w.kind in ("A", "D") and d != 0 and sp.rho == 1:
                 m = sp.gram_L[0][0]
                 a = float(Fraction(lam[0], d))
@@ -242,8 +239,7 @@ def cmd_walls(cfg: dict, lat, meta: dict):
             elif w.kind == "C":
                 # the wall omega.l = 0 restricted to the slice is the
                 # horizontal line of b0 where (G_L lam).b = 0
-                gl_lam = [sum(g * x for g, x in zip(row, lam))
-                          for row in sp.gram_L]
+                gl_lam = ila.mat_vec(sp.gram_L, lam)
                 if gl_lam[0] == 0:
                     continue
                 b0 = -sum(g * float(b) for g, b in
@@ -270,6 +266,15 @@ def cmd_cusps(cfg: dict, lat, meta: dict):
     return report.to_json(), table, 0
 
 
+def _chart_samples(sp, last: str, columns, meta: dict) -> dict:
+    """The ``samples`` table of t, the chart's a and b and a ``last``
+    column, and its CSV."""
+    rows = serialize.Table(np.column_stack(columns))
+    return {"samples": rows, "_csv": serialize.csv_text(
+        ["t"] + [f"a{i}" for i in range(sp.rho)]
+        + [f"b{i}" for i in range(sp.rho)] + [last], rows, meta=meta)}
+
+
 def cmd_geodesic(cfg: dict, lat, meta: dict):
     sp = _v0_split(lat)
     x0, y0 = _chart_start(cfg, sp, "[0.0]", "[1.0]")
@@ -283,16 +288,12 @@ def cmd_geodesic(cfg: dict, lat, meta: dict):
     ts = result.ts[::stride]
     speeds = geodesics.speed(
         pt, np.concatenate([np.linspace(0.0, t_max, 5), ts]))
-    rows = serialize.Table(np.column_stack(
-        [ts, result.chart[::stride], speeds[5:]]))
     payload = {
         "report": {"max_dev": dev, "tol": tol, "steps": steps,
                    "energy_drift": result.energy_drift,
                    "speed_samples": speeds[:5].tolist()},
-        "samples": rows,
-        "_csv": serialize.csv_text(
-            ["t"] + [f"a{i}" for i in range(sp.rho)]
-            + [f"b{i}" for i in range(sp.rho)] + ["speed"], rows, meta=meta),
+        **_chart_samples(sp, "speed", [ts, result.chart[::stride],
+                                       speeds[5:]], meta),
     }
     return payload, None, 0 if dev <= tol else 1
 
@@ -367,11 +368,7 @@ def cmd_degenerate(cfg: dict, lat, meta: dict):
                      _cfg(cfg, "samples", 50))
     pts = geodesics.linear_degeneration(sp, x0, y0).at(ts)
     a, b = pts.chart()
-    rows = serialize.Table(np.column_stack([ts, a, b, pts.y_norm2()]))
-    payload = {"samples": rows, "_csv": serialize.csv_text(
-        ["t"] + [f"a{i}" for i in range(sp.rho)]
-        + [f"b{i}" for i in range(sp.rho)] + ["y2"], rows, meta=meta)}
-    return payload, None, 0
+    return _chart_samples(sp, "y2", [ts, a, b, pts.y_norm2()], meta), None, 0
 
 
 def cmd_beta_search(cfg: dict, lat, meta: dict):
@@ -411,31 +408,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gram", help="inline Gram matrix JSON")
     p.add_argument("--mukai", action="store_true", default=None)
     p.add_argument("--height", type=int)
-    p.add_argument("--root-bound", dest="root_bound", type=int)
-    p.add_argument("--word-depth", dest="word_depth", type=int)
-    p.add_argument("--standard-only", dest="standard_only",
-                   action="store_true", default=None)
+    p.add_argument("--root-bound", type=int)
+    p.add_argument("--word-depth", type=int)
+    p.add_argument("--standard-only", action="store_true", default=None)
     p.add_argument("--box", help="JSON {a_lo, a_hi, b_lo, b_hi}")
     p.add_argument("--tol", type=float)
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv", "svg"])
     p.add_argument("--x0")
     p.add_argument("--y0")
-    p.add_argument("--t-max", dest="t_max", type=float)
+    p.add_argument("--t-max", type=float)
     p.add_argument("--t0", type=float)
     p.add_argument("--t1", type=float)
     p.add_argument("--steps", type=int)
     p.add_argument("--samples", type=int)
     p.add_argument("--path", help="CSV path samples for factor")
-    p.add_argument("--path-spec", dest="path_spec",
-                   help="PathSpec JSON for factor")
+    p.add_argument("--path-spec", help="PathSpec JSON for factor")
     p.add_argument("--vE")
     p.add_argument("--h")
     p.add_argument("--candidates")
-    p.add_argument("--cand-rank", dest="cand_rank", type=int)
-    p.add_argument("--cand-c", dest="cand_c", type=int)
-    p.add_argument("--cand-s", dest="cand_s", type=int)
-    p.add_argument("--c-root", dest="c_root")
+    p.add_argument("--cand-rank", type=int)
+    p.add_argument("--cand-c", type=int)
+    p.add_argument("--cand-s", type=int)
+    p.add_argument("--c-root")
     p.add_argument("--k", type=int)
     p.add_argument("--eta")
     return p

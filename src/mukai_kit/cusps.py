@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intlinalg as ila
-from .errors import IntegerOverflowError, InvariantError
+from .errors import BudgetExceededError, IntegerOverflowError, InvariantError
 from .lattice import (
     IntegerLattice,
     LatVec,
@@ -122,8 +122,8 @@ def orbit_partition(lat: IntegerLattice, window: np.ndarray,
 
     Lattices with large Weyl groups (several hyperbolic summands) can blow
     past ``max_states`` within-cap states; the sweep then aborts with a
-    ValueError rather than churn - reduce the generator set, depth or
-    frontier cap.  A cap so large that images could leave int64 raises
+    :class:`~mukai_kit.errors.BudgetExceededError` rather than churn -
+    reduce the generator set, depth or frontier cap.  A cap so large that images could leave int64 raises
     :class:`~mukai_kit.errors.IntegerOverflowError`.
     """
     if depth < 0:
@@ -169,7 +169,7 @@ def orbit_partition(lat: IntegerLattice, window: np.ndarray,
             new = new[np.abs(sweep.states[new]).max(axis=1) <= frontier_cap]
             within += len(new)
             if within > max_states:
-                raise ValueError(
+                raise BudgetExceededError(
                     "orbit sweep exceeded the state budget "
                     f"({max_states}); reduce generators, depth or cap")
             found.append(new)

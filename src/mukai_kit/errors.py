@@ -9,6 +9,10 @@ class InvariantError(MukaiKitError):
     """Internal invariant failed: a bug, or an input outside the contract."""
 
 
+class BudgetExceededError(MukaiKitError, ValueError):
+    """A search outgrew its state budget (a ValueError, as it used to be)."""
+
+
 # -- lattice layer -----------------------------------------------------------
 
 class NonSymmetricError(MukaiKitError):

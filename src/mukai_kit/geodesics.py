@@ -61,12 +61,12 @@ class LieElem:
     lattice: IntegerLattice
     matrix: np.ndarray
 
-    def validate(self, tol: float = 1e-10):
+    def validate(self):
         g = self.lattice.gram_np
         x = self.matrix
         resid = np.max(np.abs(x.T @ g + g @ x))
         scale = max(1.0, float(np.max(np.abs(x))))
-        if resid > tol * scale:
+        if resid > 1e-10 * scale:
             raise NotInLieAlgebraError(f"X^T G + G X residual {resid:.2e}")
         return self
 
@@ -355,14 +355,18 @@ def linear_degeneration(split: HyperbolicSplit, x0, y0) -> PathSpec:
 
 
 def looijenga_member(p: PeriodPoint, split: HyperbolicSplit,
-                     box: TubeBox) -> bool:
-    """Membership in U(K, v): translation semigroup times the box.
+                     box: TubeBox) -> bool | None:
+    """Membership in U(K, v), the translation semigroup times the box closed
+    under the isometries h fixing v: True, False, or None when undecided.
 
-    The x-part of the semigroup is all of L(v)_R, so membership reduces to
-    the cone condition: some k in the y-box K (its boundary included: the
-    closure of the semigroup orbit) with y - k in the positive cone
-    component of the box centre ``ref``.  There is no closure over
-    isometries fixing v, so the test is sufficient, not necessary.
+    The x-part of the semigroup is all of L(v)_R, so for h = 1 membership
+    is the cone condition: some k in the y-box K (its boundary included:
+    the closure of the semigroup orbit) with y - k in the positive cone
+    component of the box centre ``ref``.  The h act on y through O+(L(v)),
+    which is trivial at rho = 1, so there the cone test is the answer.  At
+    rho >= 2 a failed cone test is False only when Q(y) < min_K Q: h.y = k
+    + c with c in the closed cone gives Q(y) = Q(h.y) >= Q(k), and the
+    minimum sits at a corner of K as sqrt(Q) is concave on the cone.
 
     Exact on the chart rationals of y: W = y - K meets that component iff
     Q has a positive maximum on W with w.ref >= 0, where w.ref > 0 as
@@ -395,4 +399,6 @@ def looijenga_member(p: PeriodPoint, split: HyperbolicSplit,
                 and ila.dot(w, ila.mat_vec(gl, w)) > 0
                 and ila.dot(w, ref) > 0):
             return True
-    return False
+    if split.rho == 1 or ila.dot(y, ila.mat_vec(gl, y)) < box.min_y_norm2():
+        return False
+    return None

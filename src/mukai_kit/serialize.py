@@ -6,9 +6,9 @@ serialized as decimal strings so JSON consumers with double-precision
 numbers never see rounded values.  Keys go through str(); floats are
 float.__repr__ with json's NaN and Infinity; what json rejects raises
 TypeError.  A :class:`Table` (a 2-d int or float array) spells each cell
-once for ``csv_text`` and the JSON writers alike; rectangular nests of
-plain numbers, or of strings and Nones, and lists of same-keyed records of
-them, go out in one str.join.  Digests use CPython's built-in SHA-256
+once for ``csv_text`` and the JSON writers alike; lists of same-keyed
+records whose values are rectangular nests of plain numbers, or of strings
+and Nones, go out in one str.join.  Digests use CPython's built-in SHA-256
 module, as ``random`` does for SHA-512, so OpenSSL is never loaded.
 """
 
@@ -172,10 +172,6 @@ def _json(obj, nl: str, step: str, colon: str) -> str:
         return "{" + inner + sep.join(_quote(k) + colon + _json(
             v, inner, step, colon) for k, v in items) + nl + "}"
     if isinstance(obj, (list, tuple)) and obj:
-        shape = _shape([obj])
-        texts = shape and _texts(shape[1])
-        if texts:
-            return _weave(*_nest(shape[0], nl, step), texts)
         records = _records(obj, nl, step, colon)
         if records:
             return _weave(*records)
@@ -227,19 +223,13 @@ def csv_text(header: list[str], rows, meta: dict | None = None) -> str:
     lines.append(",".join(header))
     if isinstance(rows, Table) and rows.texts is not None:
         width, texts = rows.values.shape[1], rows.texts
-    else:
-        rows = rows.values.tolist() if isinstance(rows, Table) else list(rows)
-        shape, texts = _shape(rows), None
-        if shape and len(shape[0]) == 1 and {int, float, str}.issuperset(
-                map(type, shape[1])):
-            width, texts = shape[0][0], list(map(str, shape[1]))
-    if texts is not None:
         gaps = [","] * (width - 1) + ["\n"]
         lines.append(_weave("", (gaps * (len(texts) // width))[:-1], "",
                             texts))
     else:
-        lines.extend(",".join(float.__repr__(x) if isinstance(x, float)
-                              else str(x) for x in row) for row in rows)
+        # str of a float, numpy floats included, is float.__repr__
+        rows = rows.values.tolist() if isinstance(rows, Table) else rows
+        lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

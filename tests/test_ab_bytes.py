@@ -19,6 +19,19 @@ def test_differences_lists_every_field():
         "k [stdout] exit: 0 != None", "k [stdout] stdout: y != None"]
 
 
+def test_pass_line_differences_read_canned_output():
+    parent = ("tests/test_acceptance.py \nPASS criterion 1: 10 checks\n.\n"
+              "PASS criterion 2: worst 1.87e-12\n.\n2 passed in 1.0s\n")
+    change = parent.replace("1.87e-12", "1.88e-12").replace(
+        "PASS criterion 1: 10 checks\n", "")
+    assert ab_bytes.pass_lines(parent) == {"criterion 1": "10 checks",
+                                           "criterion 2": "worst 1.87e-12"}
+    assert ab_bytes.pass_line_differences(parent, parent) == []
+    assert ab_bytes.pass_line_differences(parent, change) == [
+        "criterion 1: 10 checks != None",
+        "criterion 2: worst 1.87e-12 != worst 1.88e-12"]
+
+
 def test_a_changed_root_digit_is_reported(tmp_path):
     # a copy whose roots output has one digit changed differs in both
     # modes; the tree against itself does not

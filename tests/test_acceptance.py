@@ -4,10 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Tolerances are fixed here and nowhere else.
 """
 
-import json
+import importlib.util
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,13 @@ from mukai_kit import intlinalg as ila
 from mukai_kit.cli import main as cli_main
 
 from float_oracle import float_short_vectors, majorant_matrix
+
+# criterion 10's invocations live once, in the A/B byte harness
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "ab_bytes", ROOT / "tools" / "ab_bytes.py")
+ab_bytes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_bytes)
 
 RANK4_NS = [[2, 0], [0, -2]]
 RANK5_NS = [[2, 0, 0], [0, -2, 0], [0, 0, -2]]
@@ -423,42 +431,7 @@ def test_criterion_9_beta_search():
 
 def test_criterion_10_cli_determinism(tmp_path):
     """Every subcommand with fixed config produces byte-identical output."""
-    lat_file = tmp_path / "rank4.json"
-    lat_file.write_text(json.dumps(
-        {"label": "rank4", "mukai": True,
-         "gram": [[0, 0, 0, -1], [0, 2, 0, 0], [0, 0, -2, 0],
-                  [-1, 0, 0, 0]]}))
-    path_csv = tmp_path / "path.csv"
-    lat = mk.preset("mukai_rank1(1)")
-    sp = dm.split_at(lat.vector([0, 0, 1]))
-    with open(path_csv, "w") as fh:
-        for t in np.linspace(0.0, 1.0, 80):
-            pt = dm.tube_point(sp, [0.2], [1.0 + 0.3 * t])
-            fr = dm.gl2_act(dm.exp_frame(pt), _rotation(2.0 * t))
-            row = [t] + list(fr.z.real) + list(fr.z.imag)
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    box = json.dumps({"a_lo": ["-1"], "a_hi": ["1"],
-                      "b_lo": ["0.5"], "b_hi": ["1.5"]})
-    jobs = [
-        ["lattice", "--preset", "mukai_rank1(3)"],
-        ["roots", "--preset", "mukai_rank1(1)", "--root-bound", "4"],
-        ["walls", "--preset", "mukai_rank1(1)", "--box", box],
-        ["walls", "--preset", "mukai_rank1(1)", "--box", box,
-         "--format", "svg"],
-        ["walls", "--preset", "mukai_rank1(1)", "--box", box,
-         "--format", "csv"],
-        ["cusps", "--preset", "mukai_rank1(6)", "--height", "12"],
-        ["geodesic", "--preset", "mukai_rank1(1)", "--x0", "[0.3]",
-         "--y0", "[1.1]", "--t-max", "1.0", "--steps", "200",
-         "--tol", "1e-4"],
-        ["factor", "--preset", "mukai_rank1(1)", "--path", str(path_csv)],
-        ["threshold", "--preset", "mukai_rank1(1)", "--vE", "[1,1,0]",
-         "--h", "[1]", "--candidates", "[[1,0,1]]"],
-        ["degenerate", "--preset", "mukai_rank1(1)", "--x0", "[0.2]",
-         "--y0", "[0.9]", "--format", "csv"],
-        ["beta-search", "--lattice", str(lat_file), "--c-root",
-         "[0,0,1,0]", "--k", "0", "--eta", "[2,0]"],
-    ]
+    jobs = [argv for _, argv in ab_bytes.criterion_10_jobs(tmp_path)]
     for i, args in enumerate(jobs):
         a = tmp_path / f"out-{i}-a"
         b = tmp_path / f"out-{i}-b"

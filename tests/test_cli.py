@@ -139,7 +139,7 @@ def _chamber_ids_loop(signs, inside):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 40), st.integers(0, 3), st.data())
+@given(st.integers(0, 40), st.integers(0, 48), st.data())
 def test_chamber_ids_match_dict_loop(n, width, data):
     # width 0 is a box without walls; rows outside the cone get -1
     signs = np.array(data.draw(st.lists(
@@ -340,6 +340,15 @@ def test_cusps_negative_word_depth_exit_code(capsys):
     assert run(["cusps", "--preset", "mukai_rank1(2)", "--height", "12",
                 "--word-depth", "-1"]) == 2
     assert "word depth" in capsys.readouterr().err
+
+
+def test_cusps_state_budget_is_a_typed_error(capsys):
+    # U + U + <-2>: the orbit sweep outgrows its 500,000-state budget, a
+    # resource limit rather than bad input
+    gram = "[[0,1,0,0,0],[1,0,0,0,0],[0,0,0,1,0],[0,0,1,0,0],[0,0,0,0,-2]]"
+    assert run(["cusps", "--gram", gram, "--height", "3"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: BudgetExceededError: orbit sweep exceeded the state budget")
 
 
 def test_geodesic_command(tmp_path):

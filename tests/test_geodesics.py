@@ -137,12 +137,19 @@ def reference_oracle(pt, t_max, steps, drift_tol=1e-4):
 
 # -- Lie algebra / Killing form ----------------------------------------------------
 
+def _assert_in_lie_algebra(x):
+    # tighter than LieElem.validate's fixed 1e-10
+    g, m = x.lattice.gram_np, x.matrix
+    assert np.max(np.abs(m.T @ g + g @ m)) <= 1e-12 * max(1.0,
+                                                          np.max(np.abs(m)))
+
+
 def test_so_basis_dimension(rank3):
     lat, _ = rank3
     basis = gd.so_basis(lat)
     assert len(basis) == lat.rank * (lat.rank - 1) // 2
     for x in basis:
-        x.validate(1e-12)
+        _assert_in_lie_algebra(x)
 
 
 def test_killing_symmetric(rank3):
@@ -217,7 +224,7 @@ def test_a_generator_action(rank3):
     rng = np.random.default_rng(3)
     pt = sample_points(sp, rng, 1)[0]
     a = gd.a_generator(pt)
-    a.validate(1e-12)
+    _assert_in_lie_algebra(a)
     v0 = sp.v_np()
     x1 = -pt.x
     assert np.max(np.abs(a.matrix @ v0 - v0)) < 1e-12
@@ -612,6 +619,25 @@ def test_looijenga_exact_where_the_grid_misses(rank4):
     p = dm.exp_point(dm.tube_point(sp, [0.3, 0.1], [0, 2]))
     assert not _looijenga_grid(p, sp, box, 5)
     assert gd.looijenga_member(p, sp, box)
+
+
+def test_looijenga_undecided_where_an_isometry_may_clear_the_box(rank4):
+    # the reflection in the root (0, 0, 1, 0) fixes v0, keeps orientation
+    # and maps b = (0.9, 1.3) to (-0.9, 1.3), which the cone test certifies,
+    # so the cone test's miss at (0.9, 1.3) proves nothing
+    from fractions import Fraction as F
+    lat, sp = rank4
+    box = dm.TubeBox.make(sp, [-1, -1], [1, 1], [F(-19, 20), 1],
+                          [F(-17, 20), F(6, 5)])
+
+    def member(b):
+        return gd.looijenga_member(
+            dm.exp_point(dm.tube_point(sp, [0, 0], b)), sp, box)
+
+    assert member([-0.9, 1.3]) is True
+    assert member([0.9, 1.3]) is None
+    # Q(y) = 9/50 < 39/200 = min_K Q: no isometry clears the box
+    assert member([0.0, 0.3]) is False
 
 
 @settings(max_examples=80, deadline=None)

@@ -5,13 +5,16 @@
 PARENT and CHANGE are source checkouts (each with ``src/mukai_kit``).  One
 round of each benchmark workload at seeds 1, 7 and 41 is generated with
 PARENT's ``perfbench/jobs.py`` and package, together with the
-criterion-10 invocations of ``tests/test_acceptance.py``, into one inputs
-directory that both trees read: ``config_hash`` covers input file paths,
-so the trees must see the same ones.  Every job then runs through both
-trees, each run in a fresh interpreter, once printing its JSON to stdout
-and once with ``--out``.  The exit code and the sha256 of stdout and of
-the output file are compared; every difference is printed, and the exit
-code is 1 if there is any.
+criterion-10 invocations (``criterion_10_jobs``, which
+``tests/test_acceptance.py`` also runs), into one inputs directory that
+both trees read: ``config_hash`` covers input file paths, so the trees
+must see the same ones.  Every job then runs through both trees, each run
+in a fresh interpreter, once printing its JSON to stdout and once with
+``--out``.  The exit code and the sha256 of stdout and of the output file
+are compared.  Each tree's acceptance suite also runs once, in a fresh
+interpreter with that tree's ``src`` first on the path, and its
+``PASS criterion`` lines are compared.  Every difference is printed, and
+the exit code is 1 if there is any.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -143,6 +147,35 @@ def differences(parent: dict, change: dict) -> list[str]:
     return lines
 
 
+def acceptance_output(tree: Path) -> str:
+    """stdout of ``tree``'s acceptance suite, run in a fresh interpreter
+    with the tree's ``src`` first on the path."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-q",
+         "-s", "-p", "no:cacheprovider"], cwd=tree,
+        env={**os.environ, "PYTHONPATH": str(tree / "src")},
+        capture_output=True, text=True, timeout=600, check=False)
+    return proc.stdout
+
+
+def pass_lines(output: str) -> dict[str, str]:
+    """{"criterion N": text} of every ``PASS criterion N: text`` line."""
+    found = {}
+    for line in output.splitlines():
+        if line.startswith("PASS criterion"):
+            key, _, text = line.removeprefix("PASS ").partition(": ")
+            found[key] = text
+    return found
+
+
+def pass_line_differences(parent: str, change: str) -> list[str]:
+    """One line per criterion whose PASS line differs between the two
+    acceptance outputs, or is in only one of them."""
+    a, b = pass_lines(parent), pass_lines(change)
+    return [f"{key}: {a.get(key)} != {b.get(key)}"
+            for key in dict.fromkeys([*a, *b]) if a.get(key) != b.get(key)]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
@@ -158,13 +191,18 @@ def main(argv=None) -> int:
         parent, change = (run_all(tree, jobs, work / side) for tree, side
                           in zip(trees, ("parent", "change")))
         diff = differences(parent, change)
-    for line in diff:
+    accepted = [acceptance_output(tree) for tree in trees]
+    pass_diff = pass_line_differences(*accepted)
+    for line in diff + pass_diff:
         print(line)
     for side, records in (("parent", parent), ("change", change)):
         failed = sum(rec["exit"] != 0 for rec in records.values())
         print(f"{side}: {len(records)} runs, {failed} with a non-zero exit")
     print(f"{len(jobs)} jobs, {len(diff)} differences")
-    return 1 if diff else 0
+    counts = [len(pass_lines(out)) for out in accepted]
+    print(f"acceptance PASS lines: {counts[0]} in parent, {counts[1]} in "
+          f"change, {len(pass_diff)} differences")
+    return 1 if diff or pass_diff else 0
 
 
 if __name__ == "__main__":
