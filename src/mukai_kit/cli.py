@@ -75,7 +75,7 @@ def _nested(key: str, val, depth: int, kind=int):
                 for i, x in enumerate(val)]
     if isinstance(val, (int, float, str)) and not isinstance(val, bool) \
             and not (kind is int and isinstance(val, float) and val % 1):
-        with contextlib.suppress(ValueError, OverflowError):
+        with contextlib.suppress(ArithmeticError, ValueError):
             x = kind(str(val) if kind is Fraction else val)
             if kind is not float or math.isfinite(x):
                 return x

@@ -174,6 +174,8 @@ class TubePoint:
 
     @np.errstate(over="ignore")     # a y^2 past the float range is inf > 0
     def validate(self):
+        """Check the conditions of a canonical lift, in floats, on a lift
+        built elsewhere; tube_point and log_tube meet them by construction."""
         g = self.split.lattice.gram_np
         x, y, vv = self.x, self.y, self.split.v_np()
         xg, yg = x @ g, y @ g
@@ -196,25 +198,23 @@ def tube_point(split: HyperbolicSplit, a, b) -> TubePoint:
     """Tube point with chart coordinates (a, b); b must be in the cone.
 
     (N, rho) coordinate arrays, broadcast together, give a batch of N points.
+    The lift is canonical by construction, so only y^2 > 0 is checked: the
+    first row with y^2 <= 0 raises NotPositiveError.
     """
     a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
     r = split.comp_np()
-    return tube_from_lifts(split, split.f_np() + a @ r.T, b @ r.T)
-
-
-def tube_from_lifts(split: HyperbolicSplit, x_raw, y_raw,
-                    validate: bool = True) -> TubePoint:
-    """Canonicalize arbitrary lifts: x.(v) = -1 assumed, y.v = 0 assumed."""
-    lat = split.lattice
-    vv = split.v_np()
-    x_raw = np.asarray(x_raw, dtype=float)
-    y_raw = np.asarray(y_raw, dtype=float)
-    x = x_raw + 0.5 * pairing(lat, x_raw, x_raw)[..., None] * vv
-    y = y_raw + pairing(lat, y_raw, x)[..., None] * vv
-    pt = TubePoint(split, x, y)
-    if validate:
-        pt.validate()
+    pt = _lift(split, split.f_np() + a @ r.T, b @ r.T)
+    with np.errstate(over="ignore"):    # a y^2 past the float range is inf
+        _raise_first((pt.y_norm2() <= 0, NotPositiveError, "y^2 <= 0"))
     return pt
+
+
+def _lift(split: HyperbolicSplit, x_raw, y_raw) -> TubePoint:
+    """Canonical lifts x = x~ + (x~^2 / 2) v, y = y~ + (y~.x) v of lifts
+    with x~.v = -1 and y~.v = 0."""
+    lat, vv = split.lattice, split.v_np()
+    x = x_raw + 0.5 * pairing(lat, x_raw, x_raw)[..., None] * vv
+    return TubePoint(split, x, y_raw + pairing(lat, y_raw, x)[..., None] * vv)
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +329,18 @@ def exp_point(pt: TubePoint) -> PeriodPoint:
 
 
 def q_section(p: PeriodPoint, v: LatVec) -> FrameVec:
-    """Section of theta: the representative with z.v = -1, z^2 = 0."""
+    """Section of theta: the representative with z.v = -1, z^2 = 0; the
+    first row with |z.v| < PAIR_TOL |z| raises DegenerateAtVError."""
     zv = p.pair_v(v)
     _raise_first((abs(zv) < PAIR_TOL * np.linalg.norm(p.z, axis=-1),
-                  DegenerateAtVError,
-                  "z.v = 0: point at infinity relative to v"))
+                  DegenerateAtVError, "z.v = 0"))
     return FrameVec(p.lattice, -p.z / zv[..., None])
 
 
 def log_tube(p: PeriodPoint, split: HyperbolicSplit) -> TubePoint:
     """Inverse of exp_v: tube coordinates of a period point."""
     w = q_section(p, split.v)
-    return tube_from_lifts(split, w.re, w.im, validate=False)
+    return _lift(split, w.re, w.im)
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +366,10 @@ def gl2_factor(frame: FrameVec, split: HyperbolicSplit
     """Write z = gl2_act(Exp_v(pt), T); T is unique for z.v != 0.
 
     A batch of frames gives a batch of tube points and T of shape (N, 2, 2).
+    theta raises NotPositiveError on a frame that is no positive plane, and
+    log_tube (through q_section) DegenerateAtVError where z.v = 0.
     """
-    p = theta(frame)
-    zv = p.pair_v(split.v)
-    _raise_first((abs(zv) < PAIR_TOL * np.linalg.norm(p.z, axis=-1),
-                  DegenerateAtVError, "z.v = 0"))
-    pt = log_tube(p, split)
+    pt = log_tube(theta(frame), split)
     w = exp_frame(pt)
     m = w.plane_gram()
     bg = np.stack([w.re, w.im], axis=-2) @ frame.lattice.gram_np

@@ -99,10 +99,6 @@ class StepTooLargeError(MukaiKitError):
     """Integrator energy drift exceeded tolerance."""
 
 
-class EmptyBoxError(MukaiKitError):
-    """Neighborhood box is empty."""
-
-
 class NonFiniteError(MukaiKitError):
     """A float result overflowed to inf or NaN."""
 

@@ -29,7 +29,6 @@ import numpy as np
 from . import intlinalg as ila
 from .errors import (
     DegenerateAtVError,
-    EmptyBoxError,
     NonFiniteError,
     NotHyperbolicError,
     NotInLieAlgebraError,
@@ -349,7 +348,7 @@ class PathSpec:
 
 
 def linear_degeneration(split: HyperbolicSplit, x0, y0) -> PathSpec:
-    tube_point(split, x0, y0)  # validates the tube data
+    tube_point(split, x0, y0)  # checks y0^2 > 0
     return PathSpec(split, tuple(float(x) for x in x0),
                     tuple(float(x) for x in y0))
 
@@ -364,9 +363,12 @@ def looijenga_member(p: PeriodPoint, split: HyperbolicSplit,
     the closure of the semigroup orbit) with y - k in the positive cone
     component of the box centre ``ref``.  The h act on y through O+(L(v)),
     which is trivial at rho = 1, so there the cone test is the answer.  At
-    rho >= 2 a failed cone test is False only when Q(y) < min_K Q: h.y = k
-    + c with c in the closed cone gives Q(y) = Q(h.y) >= Q(k), and the
-    minimum sits at a corner of K as sqrt(Q) is concave on the cone.
+    rho >= 2 a failed cone test is False when y lies in the other cone
+    component (y.ref < 0), which O+(L(v)) keeps, or when Q(y) < min_K Q:
+    h.y = k + c with c in the closed cone gives Q(y) = Q(h.y) >= Q(k), and
+    the minimum sits at a corner of K as sqrt(Q) is concave on the cone.
+    Otherwise it is None.  ``box`` comes from TubeBox.make, which rejects
+    an empty box.
 
     Exact on the chart rationals of y: W = y - K meets that component iff
     Q has a positive maximum on W with w.ref >= 0, where w.ref > 0 as
@@ -374,8 +376,6 @@ def looijenga_member(p: PeriodPoint, split: HyperbolicSplit,
     -G_JI w_I of Q on a face of W (J its free coordinates) where G_JJ is
     invertible; on a singular face Q is constant along a kernel line.
     """
-    if any(l > h for l, h in zip(box.b_lo, box.b_hi)):
-        raise EmptyBoxError("empty neighborhood box")
     try:
         pt = log_tube(p, split)
     except DegenerateAtVError:
@@ -399,6 +399,7 @@ def looijenga_member(p: PeriodPoint, split: HyperbolicSplit,
                 and ila.dot(w, ila.mat_vec(gl, w)) > 0
                 and ila.dot(w, ref) > 0):
             return True
-    if split.rho == 1 or ila.dot(y, ila.mat_vec(gl, y)) < box.min_y_norm2():
+    if (split.rho == 1 or ila.dot(y, ref) < 0
+            or ila.dot(y, ila.mat_vec(gl, y)) < box.min_y_norm2()):
         return False
     return None

@@ -32,13 +32,14 @@ def short_vectors(q, bound) -> np.ndarray:
     coordinate.  The zero vector is never a row; a negative bound gives no
     rows.
     """
-    q = np.asarray(q)
+    q = np.asarray(q, dtype=object)  # nested ints >= 2^63 would read as float
     n = q.shape[0]
-    if not all(isinstance(x, numbers.Integral) for x in q.flat):
+    # int first: an ABC check costs a microsecond per entry
+    if not all(isinstance(x, (int, numbers.Integral)) for x in q.flat):
         raise TypeError("short_vectors needs an integer form")
     if bound < 0:
         return np.zeros((0, n), dtype=np.int64)
-    bound, m, dk, levels = math.floor(bound), q.astype(object), 1, []
+    bound, m, dk, levels = math.floor(bound), q, 1, []
     for _ in range(n):      # Bareiss: (D_k, M_k) for k = 0 .. n-1
         if m[0, 0] <= 0:
             raise ValueError("form is not positive definite")

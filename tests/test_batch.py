@@ -5,6 +5,7 @@ maps (a batch of one) once per sample, in the order the batch replaces.
 """
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import mukai_kit as mk
 from mukai_kit import charges as ch, domain as dm, geodesics as gd
+from mukai_kit import intlinalg as ila
 from mukai_kit.errors import (
     DegenerateAtVError,
     NotPositiveError,
@@ -294,6 +296,68 @@ def test_tube_validation_parity(n, check, k):
         other = CHECKS[(CHECKS.index(check) + 2) % len(CHECKS)]
         x[6], y[6] = _spoil(sp, pts.x[6], pts.y[6], other)
         assert _raised(dm.TubePoint(sp, x, y).validate) == (kind, message, k)
+
+
+# relative roundoff allowed against the exact lift: a few units of 2^-52
+# per term of the n-term float pairings x~.x~ and y~.x
+LIFT_RTOL = 1e-13
+
+
+def _exact_lift(split, a, b):
+    """The canonical lift x = x~ + (x~^2 / 2) v, y = y~ + (y~.x) v of one
+    chart row, in Fractions of its floats, with the terms that bound the
+    float roundoff of each: 1 + |x~|_max + |x~|^T |G| |x~| for x and
+    1 + |y~|_max + |y~|^T |G| |x| for y."""
+    g, v = split.lattice.gram, split.v.coords
+    x = [F(fi) + sum(F(ai) * c[i] for ai, c in zip(a, split.comp))
+         for i, fi in enumerate(split.f.coords)]
+    y = [sum(F(bi) * c[i] for bi, c in zip(b, split.comp))
+         for i in range(len(v))]
+
+    def scale(u, w):
+        return 1 + max(map(abs, u)) + ila.dot(
+            list(map(abs, u)), ila.mat_vec([list(map(abs, r)) for r in g],
+                                           list(map(abs, w))))
+
+    sx = scale(x, x)
+    x = [xi + ila.dot(x, ila.mat_vec(g, x)) / 2 * vi for xi, vi in zip(x, v)]
+    sy = scale(y, x)
+    y = [yi + ila.dot(y, ila.mat_vec(g, x)) * vi for yi, vi in zip(y, v)]
+    return x, sx, y, sy
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LATTICES)), st.data())
+def test_tube_point_is_the_exact_lift(n, data):
+    # far chart points (|a| up to 1e6) lift without error, and x and y are
+    # the lift computed exactly from the same floats
+    sp = SPLITS[n]
+    gl = sp.gram_L_np()
+    pos = int(np.argmax(np.diag(gl)))
+    rows = data.draw(st.integers(1, 5))
+    a = np.array([[data.draw(st.floats(-1e6, 1e6)) for _ in range(sp.rho)]
+                  for _ in range(rows)])
+    b = np.array([[data.draw(st.floats(-0.3, 0.3)) for _ in range(sp.rho)]
+                  for _ in range(rows)])
+    b[:, pos] = 1.0     # Q(b) >= 2 - 0.18 - 0.36 - 0.6 > 0 at ranks 3-5
+    b *= np.array([data.draw(st.floats(1e-3, 1e3)) for _ in range(rows)]
+                  )[:, None]
+    pt = dm.tube_point(sp, a, b)
+    for k in range(rows):
+        x, sx, y, sy = _exact_lift(sp, a[k].tolist(), b[k].tolist())
+        assert max(abs(F(p) - q) for p, q in zip(pt.x[k].tolist(), x)) \
+            <= LIFT_RTOL * sx
+        assert max(abs(F(p) - q) for p, q in zip(pt.y[k].tolist(), y)) \
+            <= LIFT_RTOL * sy
+    # rows with y^2 <= 0 (b = 0, or a negative direction of G_L) raise at
+    # the first of them
+    bad = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    if any(bad):
+        neg = [np.eye(sp.rho)[j] for j in range(sp.rho) if gl[j, j] < 0]
+        b[bad] = data.draw(st.sampled_from([np.zeros(sp.rho)] + neg))
+        with pytest.raises(NotPositiveError, match=r"^y\^2 <= 0$") as info:
+            dm.tube_point(sp, a, b)
+        assert info.value.row == bad.index(True)
 
 
 def _cone_b(split):

@@ -652,7 +652,9 @@ def test_beta_search_root_outside_the_box_exits_2(eta, bound, tmp_path,
 ])
 def test_zero_denominator_exits_2(args, capsys):
     assert run(args) == 2
-    assert "bad input: ZeroDivisionError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be a rational number, got 1/0" in err
+    assert err.startswith("config error: ")
 
 
 @pytest.mark.parametrize("command, key", [
@@ -878,6 +880,40 @@ def test_walls_point_box_on_l_root_wall(capsys):
     want = {(w.kind, w.root.coords) for w in dm.enumerate_walls_bruteforce(
         sp, dm.TubeBox.make(sp, [0] * 3, [0] * 3, b, b), 4)}
     assert got == want == {("C", (0, -3, 3, -1, 0))}
+
+
+def _rank4_lattice_file(tmp_path):
+    path = tmp_path / "rank4.json"
+    path.write_text(json.dumps({"mukai": True,
+                                "gram": json.loads(_RANK4_GRAM)}))
+    return str(path)
+
+
+def test_walls_point_box_past_int64_majorant(tmp_path, capsys):
+    # at b = (0, 450000000) the majorant form has entries in [2^63, 2^64),
+    # which short_vectors once read as float64 and rejected; the walls are
+    # those of the box at b = (0, 600000000): one C-wall of (0, 0, 1, 0)
+    lat, walls = _rank4_lattice_file(tmp_path), []
+    for b in ("450000000", "600000000"):
+        box = {"a_lo": ["0", "0"], "a_hi": ["0", "0"], "b_lo": ["0", b],
+               "b_hi": ["0", b]}
+        assert run(["walls", "--lattice", lat, "--box", json.dumps(box)]) == 0
+        walls.append(json.loads(capsys.readouterr().out)["walls"])
+    assert walls[0] == walls[1] == [
+        {"kind": "C", "root_coords": [0, 0, 1, 0], "v": [0, 0, 0, 1]}]
+
+
+def test_degenerate_far_from_the_chart_origin(tmp_path):
+    # x^2 = 0 holds by construction of the lift; its float value here is
+    # 1.9e-9, which an absolute 1e-9 check on x^2 rejected
+    out = tmp_path / "deg.csv"
+    assert run(["degenerate", "--lattice", _rank4_lattice_file(tmp_path),
+                "--x0", "[3000.7, 1000.3]", "--y0", "[0.1, 1.0]",
+                "--samples", "3", "--format", "csv", "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines()
+            if l and not l.startswith("#")]
+    assert rows[0] == ["t", "a0", "a1", "b0", "b1", "y2"]
+    assert [r[1:3] for r in rows[1:]] == [["3000.7", "1000.3"]] * 3
 
 
 def test_empty_gram_exits_2(capsys):

@@ -638,6 +638,12 @@ def test_looijenga_undecided_where_an_isometry_may_clear_the_box(rank4):
     assert member([0.9, 1.3]) is None
     # Q(y) = 9/50 < 39/200 = min_K Q: no isometry clears the box
     assert member([0.0, 0.3]) is False
+    # the conjugate of b = (0, 1.3) has y = (0, -1.3), Q(y) >= min_K Q, in
+    # the cone component opposite to K, which every isometry fixing v keeps
+    assert member([0.0, 1.3]) is None
+    p = dm.exp_point(dm.tube_point(sp, [0, 0], [0, 1.3]))
+    conj = dm.PeriodPoint(lat, np.conj(p.z))
+    assert gd.looijenga_member(conj, sp, box) is False
 
 
 @settings(max_examples=80, deadline=None)

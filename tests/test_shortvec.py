@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mukai_kit as mk
@@ -152,3 +152,21 @@ def test_short_vectors_exact_edge_cases():
         [[0, 1], [1, -1], [1, 0]]
     with pytest.raises(ValueError):
         short_vectors([[-2, 1], [1, -2]], 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(
+           lambda n: st.lists(st.integers(-2, 2), min_size=n * n,
+                              max_size=n * n)),
+       st.integers(1, 3), st.integers(0, 8), st.integers(2 ** 61, 2 ** 64))
+@example([1, -1, 0, 1], 1, 2, 2 ** 62)  # K M = [[3, -1], [-1, 2]] 2^62
+def test_short_vectors_scaled_past_int64(entries, shift, bound, k):
+    # K M on nested Python ints for a small positive definite M has entries
+    # of 62 bits and more, among them the range [2^63, 2^64) that a plain
+    # np.asarray reads as float64; x^T (K M) x <= K B iff x^T M x <= B
+    n = int(round(len(entries) ** 0.5))
+    a = np.array(entries).reshape(n, n)
+    m = (a @ a.T + shift * np.eye(n, dtype=int)).tolist()
+    scaled = [[k * x for x in row] for row in m]
+    assert short_vectors(scaled, k * bound).tolist() == \
+        short_vectors(m, bound).tolist()
