@@ -187,6 +187,17 @@ def _chamber_ids(signs: np.ndarray, inside: np.ndarray) -> np.ndarray:
     return ids
 
 
+def _raster_csv(a_txt, b_txt, ids: list[int], meta: dict) -> str:
+    """The raster CSV, a varying fastest, in one str.join over the axis
+    texts and the int.__repr__ of the ids, each spelled once."""
+    parts = ["\n"] * (4 * len(ids))
+    parts[0::4] = [a + "," for a in a_txt] * len(b_txt)
+    parts[1::4] = [b + "," for b in b_txt for _ in a_txt]
+    parts[2::4] = map(int.__repr__, ids)
+    return serialize.csv_text(["a0", "b0", "chamber_id"], [],
+                              meta=meta) + "".join(parts)
+
+
 def cmd_walls(cfg: dict, lat, meta: dict):
     sp = _v0_split(lat)
     raw_box, box = _parse_box(cfg, sp)
@@ -219,10 +230,8 @@ def cmd_walls(cfg: dict, lat, meta: dict):
             signs[:, k] = np.sign(im)
         a_txt, b_txt = ([float.__repr__(x) for x in axis.tolist()]
                         for axis in (a_axis, b_axis))
-        rows = zip(a_txt * grid, [x for x in b_txt for _ in a_txt],
-                   _chamber_ids(signs, y2 > 0).tolist())
-        payload["_csv"] = serialize.csv_text(["a0", "b0", "chamber_id"],
-                                             rows, meta=meta)
+        payload["_csv"] = _raster_csv(
+            a_txt, b_txt, _chamber_ids(signs, y2 > 0).tolist(), meta)
     if cfg.get("format") == "svg":
         # 2D slice: first a- and b-coordinates vary, the rest pinned at the
         # box midpoint; line art only

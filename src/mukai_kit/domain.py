@@ -37,6 +37,7 @@ from . import intlinalg as ila
 from .errors import (
     AmpNotInPositiveConeError,
     DegenerateAtVError,
+    NonFiniteError,
     NonPositiveDetError,
     NotPositiveError,
     UnboundedBoxError,
@@ -198,14 +199,18 @@ def tube_point(split: HyperbolicSplit, a, b) -> TubePoint:
     """Tube point with chart coordinates (a, b); b must be in the cone.
 
     (N, rho) coordinate arrays, broadcast together, give a batch of N points.
-    The lift is canonical by construction, so only y^2 > 0 is checked: the
-    first row with y^2 <= 0 raises NotPositiveError.
+    The lift is canonical by construction, so only two things are checked:
+    the first row whose lift is not finite raises NonFiniteError, the first
+    with y^2 <= 0 NotPositiveError (a y^2 past the float range is inf > 0).
     """
     a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
     r = split.comp_np()
-    pt = _lift(split, split.f_np() + a @ r.T, b @ r.T)
-    with np.errstate(over="ignore"):    # a y^2 past the float range is inf
-        _raise_first((pt.y_norm2() <= 0, NotPositiveError, "y^2 <= 0"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pt = _lift(split, split.f_np() + a @ r.T, b @ r.T)
+        zero = 0.0 * split.v_np()   # x.0 is NaN where x has an inf or NaN
+        _raise_first((np.isnan(pt.x.dot(zero) + pt.y.dot(zero)),
+                      NonFiniteError, "tube point lift overflowed"),
+                     (pt.y_norm2() <= 0, NotPositiveError, "y^2 <= 0"))
     return pt
 
 
@@ -829,7 +834,8 @@ def _roots_near(split: HyperbolicSplit, a_lo, a_hi, b_points
     ``b_points`` (Fractions).  Not yet listed: the D-walls of the roots
     c v + lam with c != 0 and d = 0 (ROADMAP item 1).  The rows are
     distinct and oriented as ``_orient_root`` orients them: d >= 0, and
-    at d = 0 zero v- and f-components and a sign-canonical lam.
+    at d = 0 zero v- and f-components and a sign-canonical lam.  At rho = 1
+    there are no d = 0 roots, and ``_rank1_walls`` lists the walls instead.
 
     Write delta = c v + d f + R lam with d >= 0 (up to sign) and, for
     d > 0, u = lam/d - a.  An A- or D-wall passes through (a, b) only if
@@ -883,14 +889,37 @@ def _orient_root(split: HyperbolicSplit, delta: LatVec) -> tuple[LatVec, int]:
     return delta, d
 
 
+def _rank1_walls(split: HyperbolicSplit, box: TubeBox) -> list[Wall]:
+    """The walls meeting a box at rho = 1 in closed form, on Python ints:
+    G_L = (g > 0) has no roots, so d > 0 and there are no C-walls, and
+    Im(z.delta) = d b g (lam/d - a) is 0 only at a = lam/d, where the A-wall
+    is g d^2 b^2 <= 2 (Re(z.delta) <= 0) and its top end the D-wall."""
+    _check_cone(split.gram_L, list(box.b_corners()), "box")  # b^2 > 0
+    g = split.gram_L[0][0]
+    (a_lo,), (a_hi,) = box.a_lo, box.a_hi
+    b2_lo, b2_hi = sorted((box.b_lo[0] ** 2, box.b_hi[0] ** 2))
+    walls = []
+    d = 1
+    while g * d * d * b2_lo <= 2:
+        kinds = ("A", "D") if g * d * d * b2_hi >= 2 else ("A",)
+        for lam in range(math.ceil(d * a_lo), math.floor(d * a_hi) + 1):
+            c, r = divmod(g * lam * lam + 2, 2 * d)
+            if not r:
+                root = split.root_from_data(c, d, (lam,))
+                walls += [Wall(kind, root, split.v) for kind in kinds]
+        d += 1
+    return sorted(walls, key=Wall.sort_key)
+
+
 def enumerate_walls_region(split: HyperbolicSplit, box: TubeBox,
                            candidates: list[LatVec] | None = None
                            ) -> list[Wall]:
     """All walls meeting a compact chart box.
 
-    The candidates default to ``_roots_near`` over the box, which holds
-    every root whose wall can meet it, except the D-walls of the roots
-    c v + lam with c != 0 and d = 0 (ROADMAP item 1).
+    At rho = 1 the default is the closed-form listing ``_rank1_walls``.
+    Otherwise the candidates default to ``_roots_near`` over the box, which
+    holds every root whose wall can meet it, except the D-walls of the
+    roots c v + lam with c != 0 and d = 0 (ROADMAP item 1).
 
     Each oriented candidate (``_orient_root``) is tested once per kind by
     the exact three-valued test ``wall_meets_box``; walls it leaves
@@ -902,6 +931,8 @@ def enumerate_walls_region(split: HyperbolicSplit, box: TubeBox,
     f-components.
     """
     if candidates is None:
+        if split.rho == 1:
+            return _rank1_walls(split, box)
         candidates = _roots_near(split, box.a_lo, box.a_hi,
                                  list(box.b_corners()))
     walls = []

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -51,3 +52,48 @@ def test_a_changed_root_digit_is_reported(tmp_path):
         mutant, jobs, tmp_path / "mutant-out"))
     assert [d.split(":")[0] for d in diff] == [
         "roots [out] file", "roots [stdout] stdout"]
+
+
+def test_pair_summary_reads_canned_result_lines():
+    # result lines as perfbench/run.py prints them last; no run is started
+    def line(jobs_per_s, rss):
+        return json.dumps({"correct": True, "attempted": 60, "failed": 0,
+                           "metrics": {
+                               "jobs_per_s": {"value": jobs_per_s,
+                                              "unit": "1/s"},
+                               "peak_rss_mb": {"value": rss, "unit": "MB"}}})
+
+    parent = [ab_bytes.result_line("run_record {}\nsetup_s = 0.1 s\n"
+                                   + line(x, 36.0) + "\n")
+              for x in (700, 680, 720, 690, 710, 705, 695, 685, 715, 700)]
+    change = [ab_bytes.result_line(line(x, 36.5))
+              for x in (900, 910, 890, 920, 905, 880, 915, 895, 690, 900)]
+
+    def values(runs, name):
+        return [r["metrics"][name]["value"] for r in runs]
+
+    lines = ab_bytes.pair_summary("jobs_per_s", "higher", 0.25,
+                                  *(values(r, "jobs_per_s")
+                                    for r in (parent, change)))
+    assert lines[0] == ("  jobs_per_s parent: 700 680 720 690 710 705 695 "
+                        "685 715 700")
+    assert lines[2] == ("  jobs_per_s: median 700 -> 900 (+28.6%), parent "
+                        "quartiles 688.8-711.2, better in 9/10, gain rule "
+                        "holds, within bound 0.25")
+    # one more lost pair breaks the 9/10 rule; a lower-is-better metric
+    # that grew by more than its bound is reported beyond it
+    lost = ab_bytes.pair_summary("jobs_per_s", "higher", 0.25,
+                                 values(parent, "jobs_per_s"),
+                                 values(change, "jobs_per_s")[:9] + [600])
+    assert "better in 8/10, gain rule not met" in lost[2]
+    rss = ab_bytes.pair_summary("peak_rss_mb", "lower", 0.01,
+                                values(parent, "peak_rss_mb"),
+                                values(change, "peak_rss_mb"))
+    assert rss[2].endswith("better in 0/10, gain rule not met, beyond "
+                           "bound 0.01")
+    # a gap inside the parent's interquartile distance is no gain
+    close = ab_bytes.pair_summary("jobs_per_s", "higher", 0.25,
+                                  values(parent, "jobs_per_s"),
+                                  [x + 5 for x in values(parent,
+                                                         "jobs_per_s")])
+    assert "better in 10/10, gain rule not met" in close[2]

@@ -17,6 +17,7 @@ from mukai_kit import charges as ch, domain as dm, geodesics as gd
 from mukai_kit import intlinalg as ila
 from mukai_kit.errors import (
     DegenerateAtVError,
+    NonFiniteError,
     NotPositiveError,
     SamplingTooCoarseError,
 )
@@ -358,6 +359,25 @@ def test_tube_point_is_the_exact_lift(n, data):
         with pytest.raises(NotPositiveError, match=r"^y\^2 <= 0$") as info:
             dm.tube_point(sp, a, b)
         assert info.value.row == bad.index(True)
+
+
+@pytest.mark.parametrize("n", sorted(LATTICES))
+def test_tube_point_refuses_an_overflowed_lift(n):
+    # |a| = 1e200 puts x~^2 past the float range, which left NaN in x and
+    # y; a y^2 past it (b of size 1e154) is still a point
+    sp = SPLITS[n]
+    a, b = np.zeros((4, sp.rho)), np.tile(_cone_b(sp), (4, 1))
+    big = dm.tube_point(sp, a, 1.5e154 * b)
+    with np.errstate(over="ignore"):
+        assert np.all(np.isinf(big.y_norm2()))
+    a[2:, 0] = 1e200, -1e200
+    with pytest.raises(NonFiniteError, match="lift overflowed") as info:
+        dm.tube_point(sp, a, b)     # and no RuntimeWarning, an error here
+    assert info.value.row == 2
+    b[1] = 0.0      # an earlier row with y^2 <= 0 is raised first
+    with pytest.raises(NotPositiveError) as info:
+        dm.tube_point(sp, a, b)
+    assert info.value.row == 1
 
 
 def _cone_b(split):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import mukai_kit as mk
 from mukai_kit import domain as dm
-from mukai_kit.cli import _chamber_ids, main
+from mukai_kit import serialize
+from mukai_kit.cli import _chamber_ids, _raster_csv, main
 
 
 def run(args):
@@ -149,6 +150,26 @@ def test_chamber_ids_match_dict_loop(n, width, data):
                                          max_size=n)), dtype=bool)
     assert _chamber_ids(signs, inside).tolist() == _chamber_ids_loop(signs,
                                                                      inside)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 48), st.integers(0, 2 ** 32 - 1),
+       st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.booleans())
+def test_raster_csv_matches_row_writer(grid, width, seed, a0, b0, undecided):
+    # the one-join raster against the former row writer: csv_text over
+    # (a, b, id) rows, a varying fastest
+    rng = np.random.default_rng(seed)
+    signs = rng.integers(-1, 2, size=(grid * grid, width))
+    ids = _chamber_ids(signs, rng.random(grid * grid) < 0.9).tolist()
+    a_txt, b_txt = ([float.__repr__(x) for x in
+                     np.linspace(lo, lo + rng.random() * 3, grid).tolist()]
+                    for lo in (a0, b0))
+    meta = {"config_hash": "0123456789abcdef", "version": mk.__version__}
+    if undecided:
+        meta["undecided_walls"] = 2
+    rows = zip(a_txt * grid, [x for x in b_txt for _ in a_txt], ids)
+    assert _raster_csv(a_txt, b_txt, ids, meta) == serialize.csv_text(
+        ["a0", "b0", "chamber_id"], rows, meta=meta)
 
 
 def test_walls_csv_without_walls(tmp_path):
@@ -914,6 +935,16 @@ def test_degenerate_far_from_the_chart_origin(tmp_path):
             if l and not l.startswith("#")]
     assert rows[0] == ["t", "a0", "a1", "b0", "b1", "y2"]
     assert [r[1:3] for r in rows[1:]] == [["3000.7", "1000.3"]] * 3
+
+
+def test_degenerate_lift_overflow_exits_2(tmp_path, capsys):
+    # at a = 1e200 the lift's x~^2 is past the float range: no NaN rows
+    out = tmp_path / "deg.csv"
+    assert run(["degenerate", "--lattice", _rank4_lattice_file(tmp_path),
+                "--x0", "[1e200, 0]", "--y0", "[0.1, 1.0]", "--samples", "2",
+                "--format", "csv", "--out", str(out)]) == 2
+    assert "NonFiniteError" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_gram_exits_2(capsys):

@@ -636,6 +636,105 @@ def test_rank1_wall_test_matches_closed_form(n, data):
             assert verdict is _rank1_meets_box(sp, box, r, kind)
 
 
+@st.composite
+def _rank1_boxes(draw):
+    """(n, a_lo, a_hi, b_lo, b_hi) on mukai_rank1(n): |a| <= 2 with small
+    denominators, so endpoints fall on feet a = lam/d; b in either cone
+    component, often at a D-point height b^2 = 1/(n d^2) when n is a
+    square; zero widths when two draws agree."""
+    n = draw(st.integers(1, 12))
+    q = draw(st.integers(1, 6))
+    a_lo, a_hi = sorted(F(draw(st.integers(-2 * q, 2 * q)), q)
+                        for _ in range(2))
+    root = math.isqrt(n)
+    tips = [F(1, root * d) for d in range(1, 5)] if root * root == n else []
+    ends = [F(k, 16) for k in range(2, 33)] + tips * 8
+    b_lo, b_hi = sorted(draw(st.sampled_from(ends)) for _ in range(2))
+    if draw(st.booleans()):
+        b_lo, b_hi = -b_hi, -b_lo
+    return n, a_lo, a_hi, b_lo, b_hi
+
+
+def _rank1_root_bound(split, box):
+    """Exact bound on the coordinates (d, lam, c) of every oriented root
+    whose wall meets a box of mukai_rank1(n), where v, f and R are unit
+    vectors: a wall through (a, b) has a = lam/d and g d^2 b^2 <= 2, so
+    d <= D with g D^2 min b^2 <= 2, |lam| <= d max|a| and
+    c = (g lam^2 + 2) / (2 d)."""
+    assert (split.v.coords, split.f.coords, split.comp) == \
+        ((0, 0, 1), (1, 0, 0), ((0, 1, 0),))
+    g = split.gram_L[0][0]
+    b2 = min(x * x for x in box.b_lo + box.b_hi)
+    a_max = max(abs(x) for x in box.a_lo + box.a_hi)
+    bound, d = 1, 1
+    while g * d * d * b2 <= 2:
+        lam = math.floor(d * a_max)
+        bound = max(bound, d, lam, (g * lam * lam + 2) // (2 * d))
+        d += 1
+    return bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rank1_boxes())
+@example((1, F(-1), F(1), F(1, 2), F(1)))        # b_lo = 1/d at d = 2
+@example((1, F(-1), F(1), F(-1), F(-1, 2)))      # the other component
+@example((4, F(0), F(3, 2), F(1, 8), F(1, 4)))   # b_hi = 1/(2d) at d = 2
+@example((4, F(1, 2), F(1, 2), F(1, 4), F(1, 4)))  # a point: a foot, a tip
+@example((3, F(-1, 3), F(-1, 3), F(1, 4), F(3, 4)))  # zero-width a
+def test_rank1_walls_closed_form(case):
+    # the closed-form listing against the general path over the majorant
+    # scan (same verdicts, same order) and against the former rank-one test
+    # over every root of a proven coordinate bound
+    n, a_lo, a_hi, b_lo, b_hi = case
+    lat = mk.preset(f"mukai_rank1({n})")
+    sp = dm.split_at(lat.vector([0, 0, 1]))
+    box = dm.TubeBox.make(sp, [a_lo], [a_hi], [b_lo], [b_hi])
+    got = [(w.kind, w.root.coords, w.undecided)
+           for w in dm.enumerate_walls_region(sp, box)]
+    general = dm.enumerate_walls_region(sp, box, candidates=dm._roots_near(
+        sp, box.a_lo, box.a_hi, list(box.b_corners())))
+    assert got == [(w.kind, w.root.coords, w.undecided) for w in general]
+    want = {(kind, r.coords) for r in map(lat.vector, mk.vectors_of_norm(
+        lat, -2, _rank1_root_bound(sp, box))) if sp.v.dot(r) < 0
+            for kind in "AD" if _rank1_meets_box(sp, box, r, kind)}
+    assert {(kind, coords) for kind, coords, _ in got} == want
+    # past 2^63 in a: the integer translate a -> a + t is an isometry that
+    # takes the foot lam/d to (lam + d t)/d, on Python ints throughout
+    t = 2 ** 63 + 5
+    far = dm.TubeBox.make(sp, [a_lo + t], [a_hi + t], [b_lo], [b_hi])
+    g = sp.gram_L[0][0]
+    moved = []
+    for kind, (d, lam, _), _ in got:
+        lam += d * t
+        moved.append((kind, sp.root_from_data((g * lam * lam + 2) // (2 * d),
+                                              d, (lam,)).coords, False))
+    far_walls = dm.enumerate_walls_region(sp, far)
+    assert [(w.kind, w.root.coords, w.undecided)
+            for w in far_walls] == sorted(moved)
+    assert all(w.root.dot(w.root) == -2 for w in far_walls)
+
+
+def test_rank1_walls_make_no_candidate_scan(monkeypatch):
+    # at rho = 1 the default listing runs no majorant scan, no short-vector
+    # search and no per-root test
+    lat = mk.preset("mukai_rank1(1)")
+    sp = dm.split_at(lat.vector([0, 0, 1]))
+    box = dm.TubeBox.make(sp, [-1], [1], [F(1, 2)], [F(3, 2)])
+    want = dm.enumerate_walls_region(sp, box)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called at rho = 1")
+
+    for name in ("_roots_near", "short_vectors", "wall_meets_box"):
+        monkeypatch.setattr(dm, name, refuse)
+    assert dm.enumerate_walls_region(sp, box) == want
+    assert {w.kind for w in want} == {"A", "D"}
+    # a box built without TubeBox.make that reaches b = 0, where the
+    # listing would never end, is refused
+    with pytest.raises(UnboundedBoxError, match="leaves the positive cone"):
+        dm.enumerate_walls_region(sp, dataclasses.replace(box, b_lo=(F(0),)))
+
+
 _HIGHER = {"rank4": ([[2, 0], [0, -2]], 3), "rank5": ([[2, 0, 0], [0, -2, 0],
                                                      [0, 0, -2]], 2)}
 

@@ -15,6 +15,19 @@ are compared.  Each tree's acceptance suite also runs once, in a fresh
 interpreter with that tree's ``src`` first on the path, and its
 ``PASS criterion`` lines are compared.  Every difference is printed, and
 the exit code is 1 if there is any.
+
+    python3 tools/ab_bytes.py PARENT CHANGE --pairs N [--workload W] [--seed S]
+
+runs N alternating pairs of ``perfbench/run.py --trace 0`` per workload
+(every workload, or W) instead: pair i runs both trees at seed S + i
+(default PAIR_SEED, away from the byte-check seeds), PARENT first in even
+pairs and CHANGE first in odd ones, each run in a fresh copy of its tree's
+``src``, ``perfbench`` and ``BENCHMARK.json`` for ``run_seconds`` of
+PARENT's ``BENCHMARK.json``.  For each end-to-end metric it prints every
+run, both medians, PARENT's quartiles, "better in k/N", whether the gain
+rule holds (the change better in at least 9/10 of the pairs, ties counting
+for neither, and the medians apart by more than PARENT's interquartile
+distance) and whether the change's median stays within the metric's bound.
 """
 
 from __future__ import annotations
@@ -24,6 +37,8 @@ import hashlib
 import json
 import math
 import os
+import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -32,6 +47,7 @@ from pathlib import Path
 
 SEEDS = (1, 7, 41)
 WORKERS = 2
+PAIR_SEED = 5001
 
 # one job in a fresh interpreter: argv[1] is the tree's src directory
 _RUN = """
@@ -176,15 +192,104 @@ def pass_line_differences(parent: str, change: str) -> list[str]:
             for key in dict.fromkeys([*a, *b]) if a.get(key) != b.get(key)]
 
 
+def bench_run(tree: Path, workload: str, seed: int, seconds: float,
+              work: Path) -> dict:
+    """The result line of one ``perfbench/run.py --trace 0`` run in a fresh
+    copy of the files of ``tree`` that a run reads."""
+    with tempfile.TemporaryDirectory(dir=work) as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".bench_build")
+        for name in ("src", "perfbench"):
+            shutil.copytree(tree / name, copy / name, ignore=skip)
+        shutil.copy2(tree / "BENCHMARK.json", copy)
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=copy, capture_output=True, text=True, timeout=1800,
+            check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"perfbench exit {proc.returncode} on {tree}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    return result_line(proc.stdout)
+
+
+def result_line(stdout: str) -> dict:
+    """The JSON result of a perfbench run: the last line of its stdout."""
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def pair_summary(name: str, better: str, bound: float, parent: list[float],
+                 change: list[float]) -> list[str]:
+    """The lines reporting one metric over paired runs: every run, then
+    the medians, PARENT's quartiles, the pairs won, the gain rule and the
+    bound on the change's median."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    mp, mc = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = (statistics.quantiles(parent, n=4) if len(parent) > 1
+                 else parent * 3)
+    holds = wins >= 0.9 * len(parent) and sign * (mc - mp) > q3 - q1
+    worse = sign * (mp - mc) / abs(mp) if mp else 0.0
+    return [
+        f"  {name} parent: {' '.join(f'{x:.4g}' for x in parent)}",
+        f"  {name} change: {' '.join(f'{x:.4g}' for x in change)}",
+        f"  {name}: median {mp:.4g} -> {mc:.4g} "
+        f"({(mc - mp) / abs(mp) if mp else 0.0:+.1%}), parent quartiles "
+        f"{q1:.4g}-{q3:.4g}, better in {wins}/{len(parent)}, gain rule "
+        f"{'holds' if holds else 'not met'}, "
+        f"{'within' if worse <= bound else 'beyond'} bound {bound:g}"]
+
+
+def pairs_main(trees: list[Path], spec: dict, workloads: list[str],
+               pairs: int, seed: int) -> None:
+    """Run ``pairs`` alternating pairs per workload and print the report."""
+    seconds = spec["run_seconds"]
+    with tempfile.TemporaryDirectory(prefix="ab-pairs-") as tmp:
+        for workload in workloads:
+            runs: tuple[list, list] = ([], [])
+            for i in range(pairs):
+                for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                    runs[side].append(bench_run(
+                        trees[side], workload, seed + i, seconds, Path(tmp)))
+            print(f"{workload}: {pairs} pairs, seeds {seed}-"
+                  f"{seed + pairs - 1}, {seconds} s runs")
+            for side, name in enumerate(("parent", "change")):
+                failed = sum(r["failed"] for r in runs[side])
+                attempted = sum(r["attempted"] for r in runs[side])
+                print(f"  {name}: {failed} of {attempted} jobs failed")
+            for metric in spec["end_to_end"]:
+                name = metric["name"]
+                print("\n".join(pair_summary(
+                    name, metric["better"], metric["bound"],
+                    *([r["metrics"][name]["value"] for r in side]
+                      for side in runs))), flush=True)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
+    p.add_argument("--pairs", type=int, default=0,
+                   help="run N alternating perfbench pairs per workload "
+                        "instead of the byte check")
+    p.add_argument("--workload", help="only this workload (with --pairs)")
+    p.add_argument("--seed", type=int, default=PAIR_SEED,
+                   help="seed of the first pair (with --pairs)")
     args = p.parse_args(argv)
     trees = [t.resolve() for t in (args.parent, args.change)]
     for tree in trees:
         if not (tree / "src" / "mukai_kit" / "__init__.py").is_file():
             p.error(f"no package source under {tree / 'src'}")
+    if args.pairs < 0:
+        p.error("--pairs must be >= 0")
+    if args.pairs:
+        spec = json.loads((trees[0] / "BENCHMARK.json").read_text())
+        names = [w["name"] for w in spec["workloads"]]
+        if args.workload and args.workload not in names:
+            p.error(f"--workload must be one of {', '.join(names)}")
+        pairs_main(trees, spec, [args.workload] if args.workload else names,
+                   args.pairs, args.seed)
+        return 0
     with tempfile.TemporaryDirectory(prefix="ab-bytes-") as tmp:
         work = Path(tmp)
         jobs = generate(trees[0], work / "inputs")
