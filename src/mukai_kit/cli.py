@@ -168,9 +168,11 @@ def _parse_box(cfg: dict, split) -> tuple[dict, domain.TubeBox]:
     if cfg.get("box") is None:
         raise ConfigError("walls need --box")
     box = _json_object("box", cfg["box"], inline=True)
+    keys = ("a_lo", "a_hi", "b_lo", "b_hi")
+    if missing := [key for key in keys if key not in box]:
+        raise ConfigError(f"box needs {', '.join(missing)}")
     return box, domain.TubeBox.make(split, *(
-        _nested(f"box.{key}", box[key], 1, Fraction)
-        for key in ("a_lo", "a_hi", "b_lo", "b_hi")))
+        _nested(f"box.{key}", box[key], 1, Fraction) for key in keys))
 
 
 def _chamber_ids(signs: np.ndarray, inside: np.ndarray) -> np.ndarray:

@@ -432,8 +432,8 @@ class Wall:
 class TubeBox:
     """Product box in chart coordinates: a in [a_lo, a_hi], b in [b_lo, b_hi].
 
-    Endpoints are stored as exact rationals.  The b-corners must all lie in
-    one component of the positive cone.
+    Endpoints are exact rationals.  The constructor checks the dimension,
+    the order of the ends and that the b-corners lie in one cone component.
     """
 
     split: HyperbolicSplit
@@ -442,22 +442,20 @@ class TubeBox:
     b_lo: tuple[Fraction, ...]
     b_hi: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        ends = (self.a_lo, self.a_hi, self.b_lo, self.b_hi)
+        if any(len(x) != self.split.rho for x in ends):
+            raise UnboundedBoxError("box dimension mismatch")
+        if any(l > h for l, h in zip(self.a_lo + self.b_lo,
+                                     self.a_hi + self.b_hi)):
+            raise UnboundedBoxError("empty box")
+        _check_cone(self.split.gram_L, list(self.b_corners()), "box")
+
     @staticmethod
     def make(split: HyperbolicSplit, a_lo, a_hi, b_lo, b_hi) -> "TubeBox":
-        box = TubeBox(split,
-                      tuple(Fraction(x) for x in a_lo),
-                      tuple(Fraction(x) for x in a_hi),
-                      tuple(Fraction(x) for x in b_lo),
-                      tuple(Fraction(x) for x in b_hi))
-        rho = split.rho
-        if (len(box.a_lo), len(box.a_hi), len(box.b_lo), len(box.b_hi)) != \
-                (rho, rho, rho, rho):
-            raise UnboundedBoxError("box dimension mismatch")
-        if any(l > h for l, h in zip(box.a_lo, box.a_hi)) or \
-                any(l > h for l, h in zip(box.b_lo, box.b_hi)):
-            raise UnboundedBoxError("empty box")
-        _check_cone(split.gram_L, list(box.b_corners()), "box")
-        return box
+        """The box with its endpoints read as Fractions."""
+        return TubeBox(split, *(tuple(Fraction(x) for x in ends)
+                                for ends in (a_lo, a_hi, b_lo, b_hi)))
 
     def a_corners(self):
         return itertools.product(*zip(self.a_lo, self.a_hi))
@@ -835,7 +833,8 @@ def _roots_near(split: HyperbolicSplit, a_lo, a_hi, b_points
     c v + lam with c != 0 and d = 0 (ROADMAP item 1).  The rows are
     distinct and oriented as ``_orient_root`` orients them: d >= 0, and
     at d = 0 zero v- and f-components and a sign-canonical lam.  At rho = 1
-    there are no d = 0 roots, and ``_rank1_walls`` lists the walls instead.
+    (no d = 0 roots) only ``wall_crossings`` still scans: ``_rank1_walls``
+    lists the walls of boxes and so of the point predicates.
 
     Write delta = c v + d f + R lam with d >= 0 (up to sign) and, for
     d > 0, u = lam/d - a.  An A- or D-wall passes through (a, b) only if
@@ -893,8 +892,8 @@ def _rank1_walls(split: HyperbolicSplit, box: TubeBox) -> list[Wall]:
     """The walls meeting a box at rho = 1 in closed form, on Python ints:
     G_L = (g > 0) has no roots, so d > 0 and there are no C-walls, and
     Im(z.delta) = d b g (lam/d - a) is 0 only at a = lam/d, where the A-wall
-    is g d^2 b^2 <= 2 (Re(z.delta) <= 0) and its top end the D-wall."""
-    _check_cone(split.gram_L, list(box.b_corners()), "box")  # b^2 > 0
+    is g d^2 b^2 <= 2 (Re(z.delta) <= 0) and its top end the D-wall; b^2 > 0
+    on a checked box, so the loop ends."""
     g = split.gram_L[0][0]
     (a_lo,), (a_hi,) = box.a_lo, box.a_hi
     b2_lo, b2_hi = sorted((box.b_lo[0] ** 2, box.b_hi[0] ** 2))
@@ -1121,29 +1120,32 @@ def region_gt2(pt: TubePoint) -> bool:
     return ila.dot(b, ila.mat_vec(pt.split.gram_L, b)) > 2
 
 
-def on_A_wall(pt: TubePoint) -> LatVec | None:
-    """Return a root whose A-wall contains the point, if any does.
+def _point_walls(split: HyperbolicSplit, a, b) -> list[Wall]:
+    """The walls ``enumerate_walls_region`` lists on the zero-width box at
+    the chart point (a, b), less undecided ones (a point box has none)."""
+    return [w for w in enumerate_walls_region(
+        split, TubeBox.make(split, a, a, b, b)) if not w.undecided]
 
-    The exact wall test on the zero-width box at the point's chart
-    coordinates, taken as the exact rationals of their floats; a point box
-    is always decided.  One point only: a batch raises ValueError.
-    """
-    a, b = _chart_rationals(pt, "on_A_wall")
-    box = TubeBox.make(pt.split, a, a, b, b)
-    return next((w for w in _roots_near(pt.split, a, a, list(box.b_corners()))
-                 if wall_meets_box(pt.split, box, w, "A")), None)
+
+def on_A_wall(pt: TubePoint) -> LatVec | None:
+    """Return a root whose A-wall contains the point, if any does: the
+    first A-wall of ``_point_walls`` at the point's chart coordinates, as
+    the exact rationals of their floats.  One point only: a batch raises
+    ValueError."""
+    walls = _point_walls(pt.split, *_chart_rationals(pt, "on_A_wall"))
+    return next((w.root for w in walls if w.kind == "A"), None)
 
 
 def in_L_region(pt: TubePoint, y_amp) -> bool:
     """Distinguished-chamber membership.
 
     True iff y lies in the chamber of the witness y_amp (no L(v)-root wall
-    separates them, and none passes through the point) and no A-wall
-    passes through the point.  y_amp is given in chart coordinates; it and
-    the point count as the exact rationals of their floats.  One point
-    only: a batch raises ValueError.
+    separates them) and the point's wall listing (``_point_walls``) holds
+    no A- or C-wall; a D-wall lies inside its A-wall.  y_amp is given in
+    chart coordinates; it and the point count as the exact rationals of
+    their floats.  One point only: a batch raises ValueError.
     """
-    b = _chart_rationals(pt, "in_L_region")[1]
+    a, b = _chart_rationals(pt, "in_L_region")
     gl = pt.split.gram_L
     y_amp = [Fraction(x) for x in y_amp]
     if len(y_amp) != len(gl):
@@ -1156,7 +1158,6 @@ def in_L_region(pt: TubePoint, y_amp) -> bool:
     # chamber agreement along the segment [y_amp, b]
     for lam in _cone_roots(gl, [y_amp, b])[-1].tolist():
         g_lam = ila.mat_vec(gl, lam)
-        s_amp, s_b = ila.dot(y_amp, g_lam), ila.dot(b, g_lam)
-        if s_b == 0 or s_amp * s_b < 0:
+        if ila.dot(y_amp, g_lam) * ila.dot(b, g_lam) < 0:
             return False
-    return on_A_wall(pt) is None
+    return not any(w.kind in "AC" for w in _point_walls(pt.split, a, b))

@@ -367,8 +367,7 @@ def looijenga_member(p: PeriodPoint, split: HyperbolicSplit,
     component (y.ref < 0), which O+(L(v)) keeps, or when Q(y) < min_K Q:
     h.y = k + c with c in the closed cone gives Q(y) = Q(h.y) >= Q(k), and
     the minimum sits at a corner of K as sqrt(Q) is concave on the cone.
-    Otherwise it is None.  ``box`` comes from TubeBox.make, which rejects
-    an empty box.
+    Otherwise it is None.
 
     Exact on the chart rationals of y: W = y - K meets that component iff
     Q has a positive maximum on W with w.ref >= 0, where w.ref > 0 as

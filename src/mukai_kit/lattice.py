@@ -54,6 +54,22 @@ class IntegerLattice:
     label: str = ""
     mukai: bool = False  # coordinates are (r, NS..., s)
 
+    def __post_init__(self):
+        g = self.gram
+        if any(len(r) != len(g) for r in g):
+            raise NonSymmetricError("Gram matrix is not square")
+        for i, j in itertools.combinations(range(len(g)), 2):
+            if g[i][j] != g[j][i]:
+                raise NonSymmetricError(f"Gram[{i}][{j}] != Gram[{j}][{i}]")
+        if self.det == 0:
+            raise DegenerateError("Gram matrix has determinant 0")
+        if self.mukai and not is_mukai_form(g):
+            raise NotMukaiFormError(
+                "Gram matrix is not in (r, NS, s) form: r and s must pair as "
+                "-r s' - r' s, orthogonal to NS")
+        if self.mukai and not self.is_even:
+            raise OddSquareError("NS block is not even")
+
     @property
     def rank(self) -> int:
         return len(self.gram)
@@ -208,32 +224,16 @@ class Isometry:
 # ---------------------------------------------------------------------------
 
 def make_lattice(gram, label: str = "", mukai: bool = False) -> IntegerLattice:
-    """Build a lattice from a symmetric integer matrix with det != 0.
+    """Build a lattice from a symmetric integer matrix with det != 0; the
+    entries are read as ints and :class:`IntegerLattice` checks the rest.
 
     ``mukai`` declares the (r, NS..., s) form, which is checked: the first
     and last coordinates pair as -r s' - r' s, orthogonal to an even NS block.
     """
-    rows = [list(int(x) for x in r) for r in gram]
-    n = len(rows)
-    if n == 0:
+    rows = tuple(tuple(int(x) for x in r) for r in gram)
+    if not rows:
         raise DegenerateError("Gram matrix is empty")
-    if any(len(r) != n for r in rows):
-        raise NonSymmetricError("Gram matrix is not square")
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] != rows[j][i]:
-                raise NonSymmetricError(
-                    f"Gram[{i}][{j}] != Gram[{j}][{i}]")
-    lat = IntegerLattice(tuple(tuple(r) for r in rows), label, mukai)
-    if lat.det == 0:
-        raise DegenerateError("Gram matrix has determinant 0")
-    if mukai and not is_mukai_form(rows):
-        raise NotMukaiFormError(
-            "Gram matrix is not in (r, NS, s) form: r and s must pair as "
-            "-r s' - r' s, orthogonal to NS")
-    if mukai and not lat.is_even:
-        raise OddSquareError("NS block is not even")
-    return lat
+    return IntegerLattice(rows, label, mukai)
 
 
 def direct_sum(*lattices: IntegerLattice, label: str = "") -> IntegerLattice:
@@ -622,8 +622,6 @@ def quotient_lattice(v: LatVec) -> IntegerLattice:
 
 def discriminant_group(lat: IntegerLattice) -> list[int]:
     """Elementary divisors (> 1) of the Gram matrix: A(N) = N^dual / N."""
-    if lat.det == 0:
-        raise DegenerateError("discriminant group needs det != 0")
     return [d for d in ila.invariant_factors(lat.gram_rows()) if d != 1]
 
 

@@ -97,3 +97,27 @@ def test_pair_summary_reads_canned_result_lines():
                                   [x + 5 for x in values(parent,
                                                          "jobs_per_s")])
     assert "better in 10/10, gain rule not met" in close[2]
+
+
+def test_pair_summary_calls_a_wide_spread_unresolved():
+    # parent quartiles 587.5-812.5: a spread of 225 runs/s, wider than the
+    # bound times the median (0.25 * 700 = 175), so a change inside it is
+    # unresolved; one whose every run beats every parent run is not, and
+    # neither is a spread inside the bound
+    parent = [500, 900, 600, 800, 700, 650, 750, 550, 850, 700]
+    close = ab_bytes.pair_summary("jobs_per_s", "higher", 0.25, parent,
+                                  [x + 5 for x in parent])
+    assert close[2].endswith("within bound 0.25, unresolved")
+    above = ab_bytes.pair_summary("jobs_per_s", "higher", 0.25, parent,
+                                  [901] * 10)
+    assert above[2].endswith("better in 10/10, gain rule not met, within "
+                             "bound 0.25")
+    below = ab_bytes.pair_summary("setup_s", "lower", 0.25, parent,
+                                  [499] * 10)
+    assert below[2].endswith("within bound 0.25")
+    slower = ab_bytes.pair_summary("setup_s", "lower", 0.25, parent,
+                                   [x + 5 for x in parent])
+    assert slower[2].endswith(", unresolved")
+    narrow = ab_bytes.pair_summary("jobs_per_s", "higher", 0.4, parent,
+                                   [x + 5 for x in parent])
+    assert narrow[2].endswith("within bound 0.4")

@@ -885,6 +885,16 @@ def test_malformed_vector_input_exits_2(args, message, capsys):
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("box, missing", [
+    ('{"a_lo":["0"],"a_hi":["1"],"b_lo":["1"]}', "b_hi"),
+    ('{"a_lo":["0"],"b_lo":["1"]}', "a_hi, b_hi"),
+])
+def test_walls_box_names_missing_keys(box, missing, capsys):
+    # a box without an endpoint key is a config error naming every one
+    assert run(["walls", "--preset", "mukai_rank1(1)", "--box", box]) == 2
+    assert f"config error: box needs {missing}\n" == capsys.readouterr().err
+
+
 def test_walls_point_box_on_l_root_wall(capsys):
     # a zero-width box at a rational b on an L-root wall: the root lies
     # exactly on the bound of the d = 0 candidate enumeration

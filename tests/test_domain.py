@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -1123,6 +1124,28 @@ def test_box_validation(rank4):
         dm.TubeBox.make(sp, [0, 0], [-1, 0], [0, 2], [0, 3])  # empty
 
 
+_DIAG_NS = {1: [[2]], 2: [[2, 0], [0, -2]], 3: [[2, 0, 0], [0, -2, 0],
+                                            [0, 0, -2]]}
+
+
+@pytest.mark.parametrize("rho", sorted(_DIAG_NS))
+def test_direct_box_checks_itself(rho):
+    # a TubeBox built without make is checked as make checks it
+    lat = mk.mukai_lattice(_DIAG_NS[rho])
+    sp = dm.split_at(lat.vector([0] * (lat.rank - 1) + [1]))
+    assert np.argmax(np.diag(sp.gram_L)) == rho - 1
+    zero, e0 = (F(0),) * rho, (F(1),) + (F(0),) * (rho - 1)
+    b_lo, b_hi = zero[1:] + (F(1),), (F(1, 5),) * (rho - 1) + (F(6, 5),)
+    ok = dm.TubeBox(sp, zero, (F(1),) * rho, b_lo, b_hi)
+    assert ok == dm.TubeBox.make(sp, zero, [1] * rho, b_lo, b_hi)
+    bad = {"empty box": dict(a_lo=e0, a_hi=(F(0),) + (F(1),) * (rho - 1)),
+           "box leaves the positive cone": dict(b_lo=zero, b_hi=e0),
+           "box dimension mismatch": dict(b_lo=(F(1),) * (rho + 1))}
+    for message, ends in bad.items():
+        with pytest.raises(UnboundedBoxError, match=message):
+            dataclasses.replace(ok, **ends)
+
+
 def test_box_endpoints_exact(rank3):
     lat, sp = rank3
     box = dm.TubeBox.make(sp, [0.1], ["1/2"], [1], [F(2)])
@@ -1419,3 +1442,97 @@ def test_point_predicates_on_and_off_walls():
     assert not dm.in_L_region(dm.tube_point(sp, [0, 0], [0.0, 2.0]), amp)
     assert dm.in_L_region(dm.tube_point(sp, [0, 0], [1e-12, 2.0]), amp)
     assert not dm.in_L_region(dm.tube_point(sp, [0, 0], [-1e-12, 2.0]), amp)
+
+
+def _on_A_wall_oracle(split, a, b):
+    """The former on_A_wall: every _roots_near candidate of the point,
+    lex order, through the exact A-test on its zero-width box."""
+    box = dm.TubeBox.make(split, a, a, b, b)
+    return next((w for w in dm._roots_near(split, a, a, [b])
+                 if dm.wall_meets_box(split, box, w, "A")), None)
+
+
+def _in_L_region_oracle(split, a, b, y_amp):
+    """The former in_L_region past its checks of y_amp: the cone component,
+    no L(v)-root through b or separating it from y_amp, no A-wall."""
+    gl = split.gram_L
+    if ila.dot(b, ila.mat_vec(gl, y_amp)) <= 0:
+        return False
+    for lam in dm._cone_roots(gl, [y_amp, b])[-1].tolist():
+        g_lam = ila.mat_vec(gl, lam)
+        s_amp, s_b = ila.dot(y_amp, g_lam), ila.dot(b, g_lam)
+        if s_b == 0 or s_amp * s_b < 0:
+            return False
+    return _on_A_wall_oracle(split, a, b) is None
+
+
+_PREDICATE_NS = {**{f"mukai_rank1({n})": [[2 * n]] for n in range(1, 7)},
+                 "diag(2, -2)": _DIAG_NS[2], "diag(2, -2, -2)": _DIAG_NS[3],
+                 "diag(2, -4)": [[2, 0], [0, -4]]}
+
+
+@functools.cache
+def _predicate_split(name):
+    """(split, L(v)-roots with entries in [-3, 3]) of a _PREDICATE_NS
+    lattice; G_L is diagonal with its one positive entry last."""
+    lat = mk.mukai_lattice(_PREDICATE_NS[name])
+    sp = dm.split_at(lat.vector([0] * (lat.rank - 1) + [1]))
+    roots = [lam for lam in itertools.product(range(-3, 4), repeat=sp.rho)
+             if ila.dot(lam, ila.mat_vec(sp.gram_L, lam)) == -2]
+    return sp, roots
+
+
+def _dyadic(lo, hi, den):
+    return st.integers(lo * den, hi * den).map(lambda n: F(n, den))
+
+
+@st.composite
+def _predicate_points(draw):
+    """(lattice name, a, b, y_amp): exact dyadic chart points, free, at
+    the feet a = lam/d of A-walls (at rho = 1 also on the tip g d^2 b^2 =
+    2 where it is dyadic) or, at rho >= 2, on the C-wall of an L(v)-root."""
+    names = sorted(_PREDICATE_NS)
+    name = draw(st.sampled_from([x for x in names if "rank1" in x])
+                | st.sampled_from([x for x in names if "rank1" not in x]))
+    sp, roots = _predicate_split(name)
+    gl, rho = sp.gram_L, sp.rho
+    a = [draw(_dyadic(-2, 2, 32)) for _ in range(rho)]
+    b = [draw(_dyadic(-1, 1, 128)) / 2 for _ in range(rho - 1)]
+    b.append(draw(_dyadic(-1, 3, 64)))
+    kind = draw(st.sampled_from(["free", "foot"] + ["C"] * (rho > 1)))
+    if kind == "foot":     # b of order 1/d, where the feet's A-walls reach
+        d = draw(st.sampled_from([1, 2, 4, 8] if rho == 1 else [1, 2]))
+        a = [F(draw(st.integers(-2 * d, 2 * d)), d) for _ in range(rho)]
+        b = [x / (2 * d) for x in b[:-1]] + [F(draw(st.integers(1, 32)),
+                                                32 * d)]
+        n = gl[0][0] // 2
+        if rho == 1 and math.isqrt(n) ** 2 == n and draw(st.booleans()):
+            b = [F(1, d * math.isqrt(n))]
+    elif kind == "C":
+        lam = draw(st.sampled_from(roots))
+        s = ila.dot(b, ila.mat_vec(gl, lam))
+        b = [x + s / 2 * l for x, l in zip(b, lam)]   # b^T G_L lam = 0
+    amp = [draw(_dyadic(-1, 1, 8)) for _ in range(rho - 1)] + [F(1)]
+    if draw(st.booleans()):
+        amp = b    # no root separates b from itself
+    assume(ila.dot(b, ila.mat_vec(gl, b)) > 0)
+    assume(ila.dot(amp, ila.mat_vec(gl, amp)) > 0)
+    return name, a, b, amp
+
+
+@settings(max_examples=200, deadline=None)
+@given(_predicate_points())
+@example(("diag(2, -4)", [F(0)] * 2, [F(1.0), F(1.9)], [F(0.7064), F(1.0)]))
+def test_point_predicates_match_candidate_loop_oracles(point):
+    # the point predicates read the wall listing of their zero-width box;
+    # they agree with the candidate loops they replaced, at rho = 1 too,
+    # where the listing is the closed form of _rank1_walls.  The example
+    # is test_in_L_region_sees_separating_root's point: lam = (5, 7)
+    # separates b from y_amp
+    name, a, b, amp = point
+    sp = _predicate_split(name)[0]
+    pt = dm.tube_point(sp, [float(x) for x in a], [float(x) for x in b])
+    assert [list(map(F, c)) for c in pt.chart()] == [a, b]
+    assert dm.on_A_wall(pt) == _on_A_wall_oracle(sp, a, b)
+    assert dm.in_L_region(pt, [float(x) for x in amp]) is \
+        _in_L_region_oracle(sp, a, b, amp)

@@ -44,6 +44,22 @@ def test_make_lattice_rejects():
         mk.make_lattice([[1, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("gram, mukai, error", [
+    (((0, 1), (2, 0)), False, NonSymmetricError),
+    (((1, 2), (2,)), False, NonSymmetricError),
+    (((1, 0), (0, 0)), False, DegenerateError),
+    (((2,),), True, NotMukaiFormError),
+    (((0, 0, -1), (0, 3, 0), (-1, 0, 0)), True, OddSquareError),
+])
+def test_lattice_constructor_checks_as_make_lattice(gram, mukai, error):
+    # a lattice built directly is refused as make_lattice refuses its Gram
+    with pytest.raises(error) as direct:
+        mk.IntegerLattice(gram, mukai=mukai)
+    with pytest.raises(error) as made:
+        mk.make_lattice(gram, mukai=mukai)
+    assert str(direct.value) == str(made.value)
+
+
 def test_make_lattice_checks_mukai_flag():
     ok = [[0, 0, 0, -1], [0, 2, 1, 0], [0, 1, -2, 0], [-1, 0, 0, 0]]
     assert mk.make_lattice(ok, "m", mukai=True) == mk.mukai_lattice(

@@ -28,6 +28,9 @@ run, both medians, PARENT's quartiles, "better in k/N", whether the gain
 rule holds (the change better in at least 9/10 of the pairs, ties counting
 for neither, and the medians apart by more than PARENT's interquartile
 distance) and whether the change's median stays within the metric's bound.
+A metric whose PARENT interquartile distance exceeds its bound times
+PARENT's median is "unresolved", unless every change run beats every
+parent run: that spread hides a regression of the bound's size.
 """
 
 from __future__ import annotations
@@ -221,8 +224,10 @@ def result_line(stdout: str) -> dict:
 def pair_summary(name: str, better: str, bound: float, parent: list[float],
                  change: list[float]) -> list[str]:
     """The lines reporting one metric over paired runs: every run, then
-    the medians, PARENT's quartiles, the pairs won, the gain rule and the
-    bound on the change's median."""
+    the medians, PARENT's quartiles, the pairs won, the gain rule, the
+    bound on the change's median and, where PARENT's spread is wider than
+    that bound, "unresolved" unless every change run beats every parent
+    run."""
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     mp, mc = statistics.median(parent), statistics.median(change)
@@ -230,6 +235,9 @@ def pair_summary(name: str, better: str, bound: float, parent: list[float],
                  else parent * 3)
     holds = wins >= 0.9 * len(parent) and sign * (mc - mp) > q3 - q1
     worse = sign * (mp - mc) / abs(mp) if mp else 0.0
+    unresolved = (q3 - q1 > bound * abs(mp)
+                  and min(sign * c for c in change)
+                  <= max(sign * p for p in parent))
     return [
         f"  {name} parent: {' '.join(f'{x:.4g}' for x in parent)}",
         f"  {name} change: {' '.join(f'{x:.4g}' for x in change)}",
@@ -237,7 +245,8 @@ def pair_summary(name: str, better: str, bound: float, parent: list[float],
         f"({(mc - mp) / abs(mp) if mp else 0.0:+.1%}), parent quartiles "
         f"{q1:.4g}-{q3:.4g}, better in {wins}/{len(parent)}, gain rule "
         f"{'holds' if holds else 'not met'}, "
-        f"{'within' if worse <= bound else 'beyond'} bound {bound:g}"]
+        f"{'within' if worse <= bound else 'beyond'} bound {bound:g}"
+        f"{', unresolved' if unresolved else ''}"]
 
 
 def pairs_main(trees: list[Path], spec: dict, workloads: list[str],
