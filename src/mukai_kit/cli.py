@@ -49,6 +49,8 @@ def _load_lattice(cfg: dict) -> lattice.IntegerLattice:
         return lattice.preset(cfg["preset"])
     if cfg.get("lattice"):
         src = _json_object("a lattice file", cfg["lattice"])
+        if "gram" not in src:
+            raise ConfigError("a lattice file needs gram")
         return lattice.make_lattice(_nested("gram", src["gram"], 2),
                                     src.get("label", ""),
                                     bool(src.get("mukai", False)))

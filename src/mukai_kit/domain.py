@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Rational
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from . import intlinalg as ila
 from .errors import (
     AmpNotInPositiveConeError,
     DegenerateAtVError,
+    InvariantError,
     NonFiniteError,
     NonPositiveDetError,
     NotPositiveError,
@@ -432,8 +434,8 @@ class Wall:
 class TubeBox:
     """Product box in chart coordinates: a in [a_lo, a_hi], b in [b_lo, b_hi].
 
-    Endpoints are exact rationals.  The constructor checks the dimension,
-    the order of the ends and that the b-corners lie in one cone component.
+    The constructor checks that the endpoints are rationals (no floats),
+    their order and dimension, and that the b-corners share a cone component.
     """
 
     split: HyperbolicSplit
@@ -446,6 +448,8 @@ class TubeBox:
         ends = (self.a_lo, self.a_hi, self.b_lo, self.b_hi)
         if any(len(x) != self.split.rho for x in ends):
             raise UnboundedBoxError("box dimension mismatch")
+        if not all(isinstance(x, Rational) for e in ends for x in e):
+            raise InvariantError("box ends must be exact rationals")
         if any(l > h for l, h in zip(self.a_lo + self.b_lo,
                                      self.a_hi + self.b_hi)):
             raise UnboundedBoxError("empty box")
@@ -826,14 +830,15 @@ def _floor_add_sqrt(q: Fraction, x: Fraction) -> int:
 
 
 def _roots_near(split: HyperbolicSplit, a_lo, a_hi, b_points
-                ) -> list[LatVec]:
-    """The roots whose A-, C- or D-wall can meet a chart region, lex
-    order: a in the box [a_lo, a_hi], b in the hull of the cone points
-    ``b_points`` (Fractions).  Not yet listed: the D-walls of the roots
-    c v + lam with c != 0 and d = 0 (ROADMAP item 1).  The rows are
-    distinct and oriented as ``_orient_root`` orients them: d >= 0, and
-    at d = 0 zero v- and f-components and a sign-canonical lam.  At rho = 1
-    (no d = 0 roots) only ``wall_crossings`` still scans: ``_rank1_walls``
+                ) -> list[tuple[int, ...]]:
+    """The oriented rows (c, d, *lam), Python ints, of the roots whose
+    A-, C- or D-wall can meet a chart region: a in the box [a_lo, a_hi],
+    b in the hull of the cone points ``b_points`` (Fractions).  Not yet
+    listed: the D-walls of the roots c v + lam with c != 0 and d = 0
+    (ROADMAP item 1).  The rows are distinct, d >= 0, and c = 0 with a
+    sign-canonical lam at d = 0; d = 0 comes first, in ``short_vectors``
+    order, then d = 1, 2, ... in the lex order of lam.  At rho = 1 (no
+    d = 0 roots) only ``wall_crossings`` still scans: ``_rank1_walls``
     lists the walls of boxes and so of the point predicates.
 
     Write delta = c v + d f + R lam with d >= 0 (up to sign) and, for
@@ -856,7 +861,7 @@ def _roots_near(split: HyperbolicSplit, a_lo, a_hi, b_points
     adj, det = ila.adjugate(gl), ila.det_bareiss(gl)
     m_inv = [Fraction(2 * x * x, qe) - Fraction(adj[i][i], det)
              for i, x in enumerate(e)]
-    roots = [split.root_from_data(0, 0, lam) for lam in l_roots.tolist()]
+    rows = [(0, 0, *lam) for lam in l_roots.tolist()]
     d = 1
     while d * d * y2_min <= 2:
         r2 = [k * (2 - d * d * y2_min) * m for m in m_inv]
@@ -866,26 +871,22 @@ def _roots_near(split: HyperbolicSplit, a_lo, a_hi, b_points
         lam, norms = _norms(gl, np.stack(np.meshgrid(*axes, indexing="ij"),
                                          axis=-1).reshape(-1, split.rho))
         keep = (norms + 2) % (2 * d) == 0
-        roots += [split.root_from_data((n + 2) // (2 * d), d, row) for n, row
-                  in zip(norms[keep].tolist(), lam[keep].tolist())]
+        rows += [((n + 2) // (2 * d), d, *row) for n, row
+                 in zip(norms[keep].tolist(), lam[keep].tolist())]
         d += 1
-    return sorted(roots, key=lambda w: w.coords)
+    return rows
 
 
-def _orient_root(split: HyperbolicSplit, delta: LatVec) -> tuple[LatVec, int]:
-    """The root that names delta's walls, and d = -v.root >= 0.
-
-    For d != 0 the sign of delta with d > 0.  For d = 0 the C-wall
-    representative: zero v- and f-components and a sign-canonical image in
-    L(v), since a C-wall depends only on that image up to sign.
-    """
-    d = -split.v.dot(delta)
-    if d < 0:
-        return -delta, -d
-    if d == 0:
-        lam = _sign_canonical(split.root_data(delta)[2])
-        return split.root_from_data(0, 0, lam), 0
-    return delta, d
+def _root_rows(split: HyperbolicSplit, roots) -> list[tuple[int, ...]]:
+    """Roots of any sign, repeats allowed, as the distinct oriented rows
+    of ``_roots_near``: the sign with d = -v.delta > 0, or at d = 0 the
+    C-wall row, since a C-wall depends only on lam up to sign."""
+    def row(delta):
+        c, d, lam = split.root_data(delta)
+        if d == 0:
+            return (0, 0, *_sign_canonical(lam))
+        return (c, d, *lam) if d > 0 else (-c, -d, *(-x for x in lam))
+    return list(dict.fromkeys(map(row, roots)))
 
 
 def _rank1_walls(split: HyperbolicSplit, box: TubeBox) -> list[Wall]:
@@ -916,26 +917,26 @@ def enumerate_walls_region(split: HyperbolicSplit, box: TubeBox,
     """All walls meeting a compact chart box.
 
     At rho = 1 the default is the closed-form listing ``_rank1_walls``.
-    Otherwise the candidates default to ``_roots_near`` over the box, which
-    holds every root whose wall can meet it, except the D-walls of the
-    roots c v + lam with c != 0 and d = 0 (ROADMAP item 1).
+    Otherwise the candidates default to the ``_roots_near`` rows of the
+    box, which hold every root whose wall can meet it, except the D-walls
+    of the roots c v + lam with c != 0 and d = 0 (ROADMAP item 1).
+    Explicit ``candidates`` (roots of any sign, repeats allowed) are
+    decoded once, on entry, into the same rows (``_root_rows``), so a
+    C-wall is listed once per image in L(v), by its root of d = c = 0.
 
-    Each oriented candidate (``_orient_root``) is tested once per kind by
-    the exact three-valued test ``wall_meets_box``; walls it leaves
-    undecided are listed too, with ``undecided`` set.  The D-test runs
-    only when the A-test has not proved a miss: the D-wall lies inside
-    the A-wall, and both tests bisect alike, so every sub-box the A-test
-    drops the D-test drops too.  C-walls are deduplicated by their image
-    in L(v) and reported with the representative root having zero v- and
-    f-components.
+    Each row is tested once per kind by the exact three-valued test
+    ``wall_meets_box``; walls it leaves undecided are listed too, with
+    ``undecided`` set.  The D-test runs only when the A-test has not
+    proved a miss: the D-wall lies inside the A-wall, and both tests
+    bisect alike, so every sub-box the A-test drops the D-test drops too.
     """
-    if candidates is None:
-        if split.rho == 1:
-            return _rank1_walls(split, box)
-        candidates = _roots_near(split, box.a_lo, box.a_hi,
-                                 list(box.b_corners()))
+    if candidates is None and split.rho == 1:
+        return _rank1_walls(split, box)
+    rows = (_roots_near(split, box.a_lo, box.a_hi, list(box.b_corners()))
+            if candidates is None else _root_rows(split, candidates))
     walls = []
-    for delta, d in dict.fromkeys(_orient_root(split, w) for w in candidates):
+    for c, d, *lam in rows:
+        delta = split.root_from_data(c, d, lam)
         for kind in ("A", "D") if d else ("C",):
             verdict = wall_meets_box(split, box, delta, kind)
             if verdict is False:
@@ -1015,16 +1016,16 @@ def wall_crossings(split: HyperbolicSplit, start, end) -> list[WallEvent]:
 
     The segment runs from ``start`` = (a0, b0) to ``end`` = (a1, b1),
     chart points read as exact rationals, over t in [0, 1]; b0 and b1 must
-    lie in one cone component.  ``_roots_near`` over its a-bounding box
-    and {b0, b1} gives every root whose wall it can meet.  For an oriented
-    root delta = c v + d f + R lam, I(t) = Im(z.delta) = b^T G_L (lam - d a)
-    and R(t) = Re(z.delta) = -c + a^T G_L lam - (d/2)(a^T G_L a - b^T G_L b)
+    lie in one cone component.  The ``_roots_near`` rows over its
+    a-bounding box and {b0, b1} hold every root whose wall it can meet.
+    For a row (c, d, *lam), I(t) = Im(z.delta) = b^T G_L (lam - d a) and
+    R(t) = Re(z.delta) = -c + a^T G_L lam - (d/2)(a^T G_L a - b^T G_L b)
     are rational quadratics in t.  At a zero t* of I in [0, 1] the exact
     sign of R gives an A event (d > 0, R < 0), a C event (d = 0, R != 0),
     a D event (R = 0) or none (d > 0, R > 0); ``side_change`` is (-s, s)
     at a simple zero where I' has sign s, (s, s) at a double zero of
     I = s X^2.  A segment inside the hyperplane I = 0 of a root whose wall
-    it meets raises ValueError naming the root.
+    it meets raises ValueError naming the first such root in scan order.
     """
     gl = split.gram_L
     pts = [[Fraction(x) for x in c] for c in (*start, *end)]  # a0 b0 a1 b1
@@ -1043,8 +1044,7 @@ def wall_crossings(split: HyperbolicSplit, start, end) -> list[WallEvent]:
     near = _roots_near(split, list(map(min, pts[0], pts[2])),
                        list(map(max, pts[0], pts[2])), pts[1::2])
     events = []
-    for root in near:
-        c, d, lam = split.root_data(root)
+    for c, d, *lam in near:
         g_lam = ila.mat_vec(gl, lam)
         im = (s * ila.dot(b0, g_lam) - d * ba[0],                    # S^2 I
               s * ila.dot(db, g_lam) - d * ba[1], -d * ba[2])
@@ -1053,6 +1053,7 @@ def wall_crossings(split: HyperbolicSplit, start, end) -> list[WallEvent]:
         if not any(im):
             # R <= 0 somewhere on [0, 1] iff R(0) <= 0 or R has a zero there
             if d == 0 or re[0] <= 0 or _unit_zeros(*re):
+                root = split.root_from_data(c, d, lam)
                 raise ValueError("the segment lies in the Im(z.delta) = 0 "
                                  f"hyperplane of the root {root.coords}")
             continue
@@ -1062,7 +1063,8 @@ def wall_crossings(split: HyperbolicSplit, start, end) -> list[WallEvent]:
                 slope = _sign_at((im[1], 2 * im[2], 0), t)
                 events.append(WallEvent(
                     _nearest_float(t),
-                    "D" if sign_re == 0 else "A" if d else "C", root,
+                    "D" if sign_re == 0 else "A" if d else "C",
+                    split.root_from_data(c, d, lam),
                     (-slope, slope) if slope else (_sign(im[2]),) * 2))
     return sorted(events, key=lambda e: (e.t, e.kind, e.root.coords))
 

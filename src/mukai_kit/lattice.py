@@ -26,12 +26,14 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
 from . import intlinalg as ila
 from .errors import (
     DegenerateError,
+    InvariantError,
     LatticeMismatchError,
     NonSymmetricError,
     NotARootError,
@@ -58,6 +60,8 @@ class IntegerLattice:
         g = self.gram
         if any(len(r) != len(g) for r in g):
             raise NonSymmetricError("Gram matrix is not square")
+        if not all(isinstance(x, (int, Integral)) for r in g for x in r):
+            raise InvariantError("Gram entries must be integers")
         for i, j in itertools.combinations(range(len(g)), 2):
             if g[i][j] != g[j][i]:
                 raise NonSymmetricError(f"Gram[{i}][{j}] != Gram[{j}][{i}]")
@@ -225,12 +229,12 @@ class Isometry:
 
 def make_lattice(gram, label: str = "", mukai: bool = False) -> IntegerLattice:
     """Build a lattice from a symmetric integer matrix with det != 0; the
-    entries are read as ints and :class:`IntegerLattice` checks the rest.
+    integral entries become ints and :class:`IntegerLattice` checks the rest.
 
     ``mukai`` declares the (r, NS..., s) form, which is checked: the first
     and last coordinates pair as -r s' - r' s, orthogonal to an even NS block.
     """
-    rows = tuple(tuple(int(x) for x in r) for r in gram)
+    rows = tuple(tuple(x if x % 1 else int(x) for x in r) for r in gram)
     if not rows:
         raise DegenerateError("Gram matrix is empty")
     return IntegerLattice(rows, label, mukai)

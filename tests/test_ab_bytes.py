@@ -54,6 +54,21 @@ def test_a_changed_root_digit_is_reported(tmp_path):
         "roots [out] file", "roots [stdout] stdout"]
 
 
+def test_src_lines_count_as_wc(tmp_path):
+    # newlines of src/mukai_kit/*.py only, as wc -l counts them: a last
+    # line without a newline does not count, other files and folders do not
+    for name, files in (("parent", {"a.py": "x\ny\n", "b.py": "z"}),
+                        ("change", {"a.py": "x\n", "b.py": "z\n\n\n"})):
+        pkg = tmp_path / name / "src" / "mukai_kit"
+        (pkg / "sub").mkdir(parents=True)
+        for file, text in files.items():
+            (pkg / file).write_text(text)
+        (pkg / "notes.txt").write_text("1\n2\n")
+        (pkg / "sub" / "c.py").write_text("1\n")
+    assert ab_bytes.src_lines(tmp_path / "parent") == 2
+    assert ab_bytes.src_lines(tmp_path / "change") == 4
+
+
 def test_pair_summary_reads_canned_result_lines():
     # result lines as perfbench/run.py prints them last; no run is started
     def line(jobs_per_s, rss):

@@ -21,6 +21,8 @@ from mukai_kit.errors import (
     ZeroChargeError,
 )
 
+from root_oracle import orient_root
+
 
 def charge_on_ray(lat, v, h, n):
     """(Re, Im) of the charge of v at Exp(0 + i n h), exact in n.
@@ -256,7 +258,7 @@ def _sampled_crossings(frame_at, t0, t1, split, candidates):
     samples = 400
     grid = np.linspace(t0, t1, samples + 1)
     # one wall per oriented root, one C-wall per image in L(v)
-    worklist = list(dict.fromkeys(dm._orient_root(split, delta)
+    worklist = list(dict.fromkeys(orient_root(split, delta)
                                   for delta in candidates))
     if not worklist:
         return events

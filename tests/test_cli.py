@@ -981,6 +981,10 @@ def test_integer_input_forms(tmp_path, capsys):
     lat_file.write_text(json.dumps([[2]]))
     assert run(["lattice", "--lattice", str(lat_file)]) == 2
     assert "config error: a lattice file" in capsys.readouterr().err
+    lat_file.write_text(json.dumps({"label": "x", "mukai": True}))
+    assert run(["lattice", "--lattice", str(lat_file)]) == 2
+    assert capsys.readouterr().err == \
+        "config error: a lattice file needs gram\n"
 
 
 @pytest.mark.parametrize("args", [

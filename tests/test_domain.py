@@ -21,6 +21,7 @@ from mukai_kit.lattice import _sign_canonical as lattice_sign_canonical
 from mukai_kit.shortvec import short_vectors
 from mukai_kit.errors import (
     DegenerateAtVError,
+    InvariantError,
     NonPositiveDetError,
     NotPositiveError,
     UnboundedBoxError,
@@ -28,6 +29,7 @@ from mukai_kit.errors import (
 
 import float_oracle
 from float_oracle import float_in_P0, float_short_vectors, majorant_matrix
+from root_oracle import orient_root, root_vectors
 
 
 @pytest.fixture(scope="module")
@@ -692,8 +694,8 @@ def test_rank1_walls_closed_form(case):
     box = dm.TubeBox.make(sp, [a_lo], [a_hi], [b_lo], [b_hi])
     got = [(w.kind, w.root.coords, w.undecided)
            for w in dm.enumerate_walls_region(sp, box)]
-    general = dm.enumerate_walls_region(sp, box, candidates=dm._roots_near(
-        sp, box.a_lo, box.a_hi, list(box.b_corners())))
+    general = dm.enumerate_walls_region(sp, box, candidates=root_vectors(
+        sp, dm._roots_near(sp, box.a_lo, box.a_hi, list(box.b_corners()))))
     assert got == [(w.kind, w.root.coords, w.undecided) for w in general]
     want = {(kind, r.coords) for r in map(lat.vector, mk.vectors_of_norm(
         lat, -2, _rank1_root_bound(sp, box))) if sp.v.dot(r) < 0
@@ -757,7 +759,7 @@ def test_exact_wall_test_witnesses_and_misses(name, data):
              zip(box.b_lo, box.b_hi, rng.uniform(size=sp.rho))]
         samples.append(dm.exp_point(dm.tube_point(sp, a, b)))
     for r in map(lat.vector, mk.vectors_of_norm(lat, -2, bound)):
-        delta, d = dm._orient_root(sp, r)
+        delta, d = orient_root(sp, r)
         if d == 0:
             continue
         verdicts = {}
@@ -806,17 +808,20 @@ def test_cover_contains_corner_union(name, data):
     # y^2 >= 1/4 keeps B <= 34: lower boxes enumerate 10^4-10^6 vectors
     # per sample at rank 5, seconds each for the reference
     assume(box.min_y_norm2() >= F(1, 4))
-    cover = dm._roots_near(sp, box.a_lo, box.a_hi, list(box.b_corners()))
+    rows = dm._roots_near(sp, box.a_lo, box.a_hi, list(box.b_corners()))
     union = _roots_near_box_union(sp, box)
-    assert [w.coords for w in cover] == sorted(w.coords for w in cover)
-    # the rows are distinct and oriented: enumerate_walls_region,
-    # wall_crossings and on_A_wall read them without _orient_root
-    assert len(set(cover)) == len(cover)
-    for w in cover:
-        c, d, lam = sp.root_data(w)
-        assert sp.v.dot(w) == -d <= 0
+    # the rows are distinct Python-int rows (c, d, *lam), oriented and in
+    # scan order (d never decreases): enumerate_walls_region and
+    # wall_crossings read them with no orientation pass
+    assert len(set(rows)) == len(rows)
+    assert all(type(x) is int for row in rows for x in row)
+    assert [d for _, d, *_ in rows] == sorted(d for _, d, *_ in rows)
+    for c, d, *lam in rows:
+        assert d >= 0
         if d == 0:
-            assert c == 0 and lam == lattice_sign_canonical(lam)
+            assert c == 0 and tuple(lam) == lattice_sign_canonical(tuple(lam))
+    cover = root_vectors(sp, rows)
+    assert all(sp.v.dot(w) <= 0 and w.norm2 == -2 for w in cover)
 
     def walls(cands):
         return {(w.kind, w.root.coords, w.undecided) for w in
@@ -825,13 +830,39 @@ def test_cover_contains_corner_union(name, data):
     _assert_contains_witnessed(sp, box, walls(cover), walls(union))
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(_HIGHER)), st.data())
+def test_explicit_candidates_decode_to_the_default_rows(name, data):
+    # the default rows as LatVecs, shuffled, of random signs and with
+    # repeats, give back the default listing: the decode on entry orients
+    # and deduplicates them as the scan does
+    lat = mk.mukai_lattice(_HIGHER[name][0])
+    sp = dm.split_at(lat.vector([0] * (lat.rank - 1) + [1]))
+    box = _box_in(sp, data.draw, int(np.argmax(np.diag(sp.gram_L))))
+    assume(box.min_y_norm2() >= F(1, 4))
+    roots = root_vectors(sp, dm._roots_near(sp, box.a_lo, box.a_hi,
+                                            list(box.b_corners())))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    picks = rng.integers(len(roots), size=len(roots) // 2) if roots else []
+    candidates = roots + [roots[i] for i in picks]
+    rng.shuffle(candidates)
+    candidates = [-w if flip else w for w, flip in
+                  zip(candidates, rng.integers(2, size=len(candidates)))]
+
+    def listing(**kwargs):
+        return [(w.kind, w.root.coords, w.undecided) for w in
+                dm.enumerate_walls_region(sp, box, **kwargs)]
+
+    assert listing(candidates=candidates) == listing()
+
+
 def _walls_reference(split, box, candidates=None):
     """Oracle: the enumeration loop that tests A and D for every oriented
     candidate, even after a proven A-miss, and deduplicates C-walls by
     their image."""
     if candidates is None:
-        candidates = dm._roots_near(split, box.a_lo, box.a_hi,
-                                    list(box.b_corners()))
+        candidates = root_vectors(split, dm._roots_near(
+            split, box.a_lo, box.a_hi, list(box.b_corners())))
     walls = {}
 
     def test(kind, root):
@@ -840,7 +871,7 @@ def _walls_reference(split, box, candidates=None):
             walls[(kind, root.coords)] = verdict is None
 
     for delta in candidates:
-        delta, d = dm._orient_root(split, delta)
+        delta, d = orient_root(split, delta)
         if d > 0:
             test("A", delta)
             test("D", delta)
@@ -863,8 +894,8 @@ def test_walls_region_matches_reference_loop(name, how, data):
     if how == "point":
         # (a, b) = (lam/d, b) has u = 0, so it lies on the A-wall of
         # delta when y^2 <= 2/d^2
-        roots = [w for w, d in (dm._orient_root(sp, lat.vector(r)) for r
-                                in mk.vectors_of_norm(lat, -2, 3)) if d]
+        roots = [w for w, d in (orient_root(sp, lat.vector(r)) for r
+                             in mk.vectors_of_norm(lat, -2, 3)) if d]
         _, d, lam = sp.root_data(data.draw(st.sampled_from(roots)))
         b = [F(data.draw(st.integers(-1, 1)), 16 * d) for _ in range(sp.rho)]
         b[pos] = F(1, 2 * d)
@@ -987,7 +1018,7 @@ def test_rank4_enumeration_vs_bruteforce(rank4):
         got = {(w.kind, w.root.coords) for w in walls}
         want = set()
         for r in map(lat.vector, mk.vectors_of_norm(lat, -2, 4)):
-            delta, d = dm._orient_root(sp, r)
+            delta, d = orient_root(sp, r)
             if d > 0:
                 want |= {(kind, delta.coords) for kind in "AD"
                          if _grid_meets_box(sp, box, delta, kind)}
@@ -1143,6 +1174,11 @@ def test_direct_box_checks_itself(rho):
            "box dimension mismatch": dict(b_lo=(F(1),) * (rho + 1))}
     for message, ends in bad.items():
         with pytest.raises(UnboundedBoxError, match=message):
+            dataclasses.replace(ok, **ends)
+    # int ends are exact rationals; a float end is refused, in a or in b
+    assert dataclasses.replace(ok, a_hi=(1,) * rho) == ok
+    for ends in (dict(a_lo=(0.5,) + zero[1:]), dict(b_hi=b_hi[:-1] + (1.5,))):
+        with pytest.raises(InvariantError, match="box ends must be exact"):
             dataclasses.replace(ok, **ends)
 
 
@@ -1381,7 +1417,7 @@ def test_point_predicates_match_float_oracle(name):
     b_axes = [b_pos if i == pos else b_rest for i in range(sp.rho)]
     hull = dm.TubeBox.make(sp, [min(a_axis)] * sp.rho, [max(a_axis)] * sp.rho,
                            [min(x) for x in b_axes], [max(x) for x in b_axes])
-    roots = {dm._orient_root(sp, lat.vector(c))[0] for c in
+    roots = {orient_root(sp, lat.vector(c))[0] for c in
              mk.vectors_of_norm(lat, -2, _wall_coord_bound(sp, hull))}
     roots = sorted(roots, key=lambda w: w.coords)
     amp = [1.0 if i == pos else 0.125 for i in range(sp.rho)]
@@ -1404,7 +1440,7 @@ def test_point_predicates_on_and_off_walls():
         lat = mk.preset(f"mukai_rank1({n})")
         sp = dm.split_at(lat.vector([0, 0, 1]))
         for r in map(lat.vector, mk.vectors_of_norm(lat, -2, 6)):
-            delta, d = dm._orient_root(sp, r)
+            delta, d = orient_root(sp, r)
             _, _, (lam,) = sp.root_data(delta)
             if d not in (1, 2, 4) or abs(lam) > d:
                 continue
@@ -1424,7 +1460,7 @@ def test_point_predicates_on_and_off_walls():
     b = [0.125, 0.0, 0.5]
     seen = 0
     for r in map(lat.vector, mk.vectors_of_norm(lat, -2, 2)):
-        delta, d = dm._orient_root(sp, r)
+        delta, d = orient_root(sp, r)
         if d != 1:
             continue
         lam = list(sp.root_data(delta)[2])
@@ -1448,7 +1484,8 @@ def _on_A_wall_oracle(split, a, b):
     """The former on_A_wall: every _roots_near candidate of the point,
     lex order, through the exact A-test on its zero-width box."""
     box = dm.TubeBox.make(split, a, a, b, b)
-    return next((w for w in dm._roots_near(split, a, a, [b])
+    rows = dm._roots_near(split, a, a, [b])
+    return next((w for w in root_vectors(split, rows)
                  if dm.wall_meets_box(split, box, w, "A")), None)
 
 

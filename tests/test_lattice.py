@@ -14,6 +14,7 @@ from mukai_kit import domain as dm
 from mukai_kit import intlinalg as ila
 from mukai_kit.errors import (
     DegenerateError,
+    InvariantError,
     NonSymmetricError,
     NotARootError,
     NotMukaiFormError,
@@ -50,6 +51,9 @@ def test_make_lattice_rejects():
     (((1, 0), (0, 0)), False, DegenerateError),
     (((2,),), True, NotMukaiFormError),
     (((0, 0, -1), (0, 3, 0), (-1, 0, 0)), True, OddSquareError),
+    # entries that are not integers (make_lattice does not truncate them)
+    (((2.5,),), False, InvariantError),
+    (((2, 1.5), (1.5, -2)), False, InvariantError),
 ])
 def test_lattice_constructor_checks_as_make_lattice(gram, mukai, error):
     # a lattice built directly is refused as make_lattice refuses its Gram
@@ -58,6 +62,14 @@ def test_lattice_constructor_checks_as_make_lattice(gram, mukai, error):
     with pytest.raises(error) as made:
         mk.make_lattice(gram, mukai=mukai)
     assert str(direct.value) == str(made.value)
+
+
+def test_make_lattice_reads_integral_entries():
+    # integral floats and numpy ints become Python ints (2.5 is refused:
+    # test_lattice_constructor_checks_as_make_lattice)
+    lat = mk.make_lattice([[2.0, np.int64(1)], [1, np.float64(-2)]])
+    assert lat.gram == ((2, 1), (1, -2))
+    assert all(type(x) is int for row in lat.gram for x in row)
 
 
 def test_make_lattice_checks_mukai_flag():

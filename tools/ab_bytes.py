@@ -14,7 +14,8 @@ in a fresh interpreter, once printing its JSON to stdout and once with
 are compared.  Each tree's acceptance suite also runs once, in a fresh
 interpreter with that tree's ``src`` first on the path, and its
 ``PASS criterion`` lines are compared.  Every difference is printed, and
-the exit code is 1 if there is any.
+the exit code is 1 if there is any.  A last line gives the ``src/`` line
+count of both trees, as ``wc -l src/mukai_kit/*.py`` counts it.
 
     python3 tools/ab_bytes.py PARENT CHANGE --pairs N [--workload W] [--seed S]
 
@@ -164,6 +165,13 @@ def differences(parent: dict, change: dict) -> list[str]:
                 lines.append(f"{key[0]} [{key[1]}] {field}: "
                              f"{a.get(field)} != {b.get(field)}")
     return lines
+
+
+def src_lines(tree: Path) -> int:
+    """The newlines in ``tree``'s ``src/mukai_kit/*.py``, as ``wc -l``
+    counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "mukai_kit").glob("*.py"))
 
 
 def acceptance_output(tree: Path) -> str:
@@ -316,6 +324,9 @@ def main(argv=None) -> int:
     counts = [len(pass_lines(out)) for out in accepted]
     print(f"acceptance PASS lines: {counts[0]} in parent, {counts[1]} in "
           f"change, {len(pass_diff)} differences")
+    lines = [src_lines(tree) for tree in trees]
+    print(f"src/ lines: {lines[0]} in parent, {lines[1]} in change "
+          f"({lines[1] - lines[0]:+d})")
     return 1 if diff or pass_diff else 0
 
 
